@@ -1,60 +1,29 @@
-"""Numeric inner loops, compiled with numba when available.
+"""Numeric inner loops, in numpy.
 
-Backend selection via the ``INFOFLOW_BACKEND`` environment variable:
-
-* ``auto``  (default) -- numba if importable, else pure numpy
-* ``numba`` -- require numba, fail at import if missing
-* ``numpy`` -- force the pure-numpy path
-
-Both implementations of every kernel are kept importable (see
-``IMPLEMENTATIONS``) so tests and benchmarks can compare them directly.
-All entropies/informations are in bits (Sh), logs base 2; epsilon scans
-use natural log.
+Entropy, mutual information, the per-column epsilon scan and dense
+joint enumeration. All entropies/informations are in bits (Sh), logs
+base 2; epsilon scans use natural log.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-_ENV_FLAG = "INFOFLOW_BACKEND"
-_requested = os.environ.get(_ENV_FLAG, "auto").strip().lower()
-if _requested not in ("auto", "numba", "numpy"):
-    raise ValueError(
-        f"{_ENV_FLAG} must be one of auto|numba|numpy, got {_requested!r}"
-    )
-
-_njit = None
-if _requested in ("auto", "numba"):
-    try:
-        from numba import njit as _njit
-    except ImportError:
-        if _requested == "numba":
-            raise
-        _njit = None
-
-_ACTIVE = "numba" if _njit is not None else "numpy"
-
 
 def backend() -> str:
-    """Name of the active kernel backend ('numba' or 'numpy')."""
-    return _ACTIVE
+    """Name of the kernel backend; always 'numpy'."""
+    return "numpy"
 
 
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-# ---------------------------------------------------------------------------
-
-
-def _entropy_bits_numpy(p: np.ndarray) -> float:
+def entropy_bits(p: np.ndarray) -> float:
     # 0 log 0 := 0
     nz = p[p > 0.0]
     return float(-(nz * np.log2(nz)).sum())
 
 
-def _mi_bits_numpy(mass: np.ndarray) -> float:
+def mi_bits(mass: np.ndarray) -> float:
     px = mass.sum(axis=1)
     py = mass.sum(axis=0)
     prod = np.outer(px, py)
@@ -62,7 +31,7 @@ def _mi_bits_numpy(mass: np.ndarray) -> float:
     return float((mass[m] * np.log2(mass[m] / prod[m])).sum())
 
 
-def _scan_log_ratio_numpy(rows: np.ndarray) -> tuple[float, int, int, int]:
+def scan_log_ratio(rows: np.ndarray) -> tuple[float, int, int, int]:
     """Max over inputs x,x' and outputs y of ln(rows[x,y]/rows[x',y]).
 
     Per column the max ratio is colmax/colmin; 0/0 counts as ratio 1 and
@@ -84,7 +53,7 @@ def _scan_log_ratio_numpy(rows: np.ndarray) -> tuple[float, int, int, int]:
     return float(ratios[y]), int(np.argmax(rows[:, y])), int(np.argmin(rows[:, y])), y
 
 
-def _dense_joint_numpy(cards, cpts, parents) -> np.ndarray:
+def dense_joint(cards, cpts, parents) -> np.ndarray:
     """Joint over all nodes by broadcast-multiplying each CPT factor.
 
     cards: per-node state counts, nodes in topological order.
@@ -104,141 +73,3 @@ def _dense_joint_numpy(cards, cpts, parents) -> np.ndarray:
             shape[ax] = int(cards[ax])
         out = out * arr.reshape(tuple(shape))
     return out.reshape(-1)
-
-
-# ---------------------------------------------------------------------------
-# numba implementations (compiled lazily on first call)
-# ---------------------------------------------------------------------------
-
-if _njit is not None:
-
-    @_njit(cache=True)
-    def _entropy_bits_nb(p):
-        total = 0.0
-        for i in range(p.size):
-            if p[i] > 0.0:
-                total -= p[i] * np.log2(p[i])
-        return total
-
-    @_njit(cache=True)
-    def _mi_bits_nb(mass):
-        n, m = mass.shape
-        px = np.zeros(n)
-        py = np.zeros(m)
-        for i in range(n):
-            for j in range(m):
-                px[i] += mass[i, j]
-                py[j] += mass[i, j]
-        total = 0.0
-        for i in range(n):
-            for j in range(m):
-                p = mass[i, j]
-                if p > 0.0:
-                    total += p * np.log2(p / (px[i] * py[j]))
-        return total
-
-    @_njit(cache=True)
-    def _scan_log_ratio_nb(rows):
-        n, m = rows.shape
-        best = 0.0
-        bx, bxp, by = 0, 0, 0
-        for j in range(m):
-            hi = rows[0, j]
-            lo = rows[0, j]
-            ihi, ilo = 0, 0
-            for i in range(1, n):
-                v = rows[i, j]
-                if v > hi:
-                    hi = v
-                    ihi = i
-                if v < lo:
-                    lo = v
-                    ilo = i
-            if hi <= 0.0:
-                continue  # all-zero column: 0/0 ratio is 1
-            if lo <= 0.0:
-                return np.inf, ihi, ilo, j
-            r = np.log(hi) - np.log(lo)
-            if r > best:
-                best = r
-                bx, bxp, by = ihi, ilo, j
-        return best, bx, bxp, by
-
-    @_njit(cache=True)
-    def _dense_joint_nb(cards, cpt_flat, node_off, parents_flat, par_off):
-        n = cards.size
-        total = 1
-        for k in range(n):
-            total *= cards[k]
-        out = np.empty(total)
-        # states run row-major over the digit vector; an odometer avoids
-        # the div/mod digit decode per state
-        digits = np.zeros(n, dtype=np.int64)
-        for s in range(total):
-            p = 1.0
-            for k in range(n):
-                combo = 0
-                for q in range(par_off[k], par_off[k + 1]):
-                    pa = parents_flat[q]
-                    combo = combo * cards[pa] + digits[pa]
-                p *= cpt_flat[node_off[k] + combo * cards[k] + digits[k]]
-            out[s] = p
-            for k in range(n - 1, -1, -1):
-                digits[k] += 1
-                if digits[k] < cards[k]:
-                    break
-                digits[k] = 0
-        return out
-
-
-def _dense_joint_numba(cards, cpts, parents) -> np.ndarray:
-    n = len(cards)
-    cards_a = np.asarray(cards, dtype=np.int64)
-    cpt_flat = np.concatenate([c.reshape(-1) for c in cpts])
-    node_off = np.zeros(n, dtype=np.int64)
-    off = 0
-    for k in range(n):
-        node_off[k] = off
-        off += cpts[k].size
-    par_off = np.zeros(n + 1, dtype=np.int64)
-    for k in range(n):
-        par_off[k + 1] = par_off[k] + len(parents[k])
-    parents_flat = (
-        np.concatenate([np.asarray(p, dtype=np.int64) for p in parents if len(p)])
-        if par_off[n] > 0
-        else np.zeros(0, dtype=np.int64)
-    )
-    return _dense_joint_nb(cards_a, cpt_flat, node_off, parents_flat, par_off)
-
-
-def _scan_log_ratio_numba(rows: np.ndarray) -> tuple[float, int, int, int]:
-    eps, x, xp, y = _scan_log_ratio_nb(rows)
-    return (math.inf if np.isinf(eps) else float(eps)), int(x), int(xp), int(y)
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-IMPLEMENTATIONS: dict[str, dict] = {
-    "numpy": {
-        "entropy_bits": _entropy_bits_numpy,
-        "mi_bits": _mi_bits_numpy,
-        "scan_log_ratio": _scan_log_ratio_numpy,
-        "dense_joint": _dense_joint_numpy,
-    }
-}
-if _njit is not None:
-    IMPLEMENTATIONS["numba"] = {
-        "entropy_bits": lambda p: float(_entropy_bits_nb(p)),
-        "mi_bits": lambda mass: float(_mi_bits_nb(mass)),
-        "scan_log_ratio": _scan_log_ratio_numba,
-        "dense_joint": _dense_joint_numba,
-    }
-
-_impl = IMPLEMENTATIONS[_ACTIVE]
-
-entropy_bits = _impl["entropy_bits"]
-mi_bits = _impl["mi_bits"]
-scan_log_ratio = _impl["scan_log_ratio"]
-dense_joint = _impl["dense_joint"]

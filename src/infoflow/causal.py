@@ -97,12 +97,6 @@ class BayesNet:
                 return n
         raise ValueError(f"unknown node {name!r}")
 
-    def index(self, name: str) -> int:
-        for i, n in enumerate(self.nodes):
-            if n.name == name:
-                return i
-        raise ValueError(f"unknown node {name!r}")
-
     @property
     def names(self) -> tuple[str, ...]:
         return tuple(n.name for n in self.nodes)

@@ -12,7 +12,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import causal, society
@@ -25,16 +24,6 @@ EXIT_OK = 0
 EXIT_BOUND_VIOLATED = 1
 EXIT_INPUT = 2
 EXIT_CAPACITY = 3
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Common knobs shared by every subcommand."""
-
-    subcommand: str
-    seed: int = 0
-    tolerance: float = 1e-9
-    fmt: str = "json"
 
 
 def _emit(doc, fmt: str, out=None) -> None:
@@ -104,25 +93,25 @@ def _load_prior(spec: str, channel: Channel) -> Dist:
 # ---------------------------------------------------------------------------
 
 
-def cmd_verify_bound(cfg: RunConfig, args) -> int:
+def cmd_verify_bound(args) -> int:
     if (args.rr is None) == (args.channel is None):
         raise ValueError("provide exactly one of --rr or --channel")
     chan = _rr_from_kv(_parse_kv(args.rr)) if args.rr else _load_channel_spec(args.channel)
     prior = _load_prior(args.prior, chan)
     cert = check_mi_bound(chan, prior)
-    _emit(cert.to_json_dict(), cfg.fmt, args.out)
-    if not cert.holds or cert.mi_sh > cert.bound_sh + cfg.tolerance:
+    _emit(cert.to_json_dict(), args.fmt, args.out)
+    if not cert.holds or cert.mi_sh > cert.bound_sh + args.tolerance:
         return EXIT_BOUND_VIOLATED
     return EXIT_OK
 
 
-def cmd_sweep(cfg: RunConfig, args) -> int:
-    result = bound_sweep(args.cases, seed=cfg.seed, tol=cfg.tolerance)
-    _emit(result.to_json_dict(), cfg.fmt, args.out)
+def cmd_sweep(args) -> int:
+    result = bound_sweep(args.cases, seed=args.seed, tol=args.tolerance)
+    _emit(result.to_json_dict(), args.fmt, args.out)
     return EXIT_OK if result.violations == 0 else EXIT_BOUND_VIOLATED
 
 
-def cmd_leakage(cfg: RunConfig, args) -> int:
+def cmd_leakage(args) -> int:
     if (args.net is None) == (args.scenario is None):
         raise ValueError("provide exactly one of --net or --scenario")
     report = None
@@ -133,7 +122,7 @@ def cmd_leakage(cfg: RunConfig, args) -> int:
         net, report = causal.ballot_scenario(args.n)
         message = args.message or "T"
     elif args.scenario == "fork-collider":
-        net = causal.fork_collider_graph(seed=cfg.seed if cfg.seed else 42)
+        net = causal.fork_collider_graph(seed=args.seed if args.seed else 42)
         message = args.message or "M"
     elif args.scenario is not None:
         raise ValueError(f"unknown scenario {args.scenario!r} (twins|ballot|fork-collider)")
@@ -150,7 +139,7 @@ def cmd_leakage(cfg: RunConfig, args) -> int:
         with open(args.emit_net, "w") as fh:
             json.dump(causal.net_to_json_dict(net), fh, indent=2, sort_keys=True)
             fh.write("\n")
-    _emit(doc if cfg.fmt == "json" else profile.rows_sorted(), cfg.fmt, args.out)
+    _emit(doc if args.fmt == "json" else profile.rows_sorted(), args.fmt, args.out)
     return EXIT_OK
 
 
@@ -179,7 +168,7 @@ def _attribution_records(result, scenario) -> list[dict]:
     ]
 
 
-def cmd_simulate(cfg: RunConfig, args) -> int:
+def cmd_simulate(args) -> int:
     scenario = society.load_scenario(args.scenario)
     result = society.simulate(scenario)
     records = result.records() + _attribution_records(result, scenario)
@@ -189,7 +178,7 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
         return EXIT_OK
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         with open(outdir / "events.jsonl", "w") as fh:
             society.write_events_jsonl(records, fh)
         with open(outdir / "ledger.json", "w") as fh:
@@ -210,27 +199,27 @@ def cmd_simulate(cfg: RunConfig, args) -> int:
     return EXIT_OK
 
 
-def cmd_anon(cfg: RunConfig, args) -> int:
+def cmd_anon(args) -> int:
     release = read_table(args.release, args.roles)
     if (args.aux is None) == (args.dp is None):
         raise ValueError("provide exactly one of AUX or --dp")
     if args.aux is not None:
         aux = read_table(args.aux, args.aux_roles)
         report = linkage_attack(release, aux)
-        _emit(report.to_json_dict(), cfg.fmt, args.out)
+        _emit(report.to_json_dict(), args.fmt, args.out)
         return EXIT_OK
     if args.sensitive is None:
         raise ValueError("--sensitive is required with --dp")
     spec = args.dp.removeprefix("eps=")
     eps = None if spec == "none" else float(spec)
-    released, cert = dp_release(release, args.sensitive, eps, seed=cfg.seed)
+    released, cert = dp_release(release, args.sensitive, eps, seed=args.seed)
     if args.release_out:
         write_table(released, args.release_out)
-    _emit(cert.to_json_dict(), cfg.fmt, args.out)
+    _emit(cert.to_json_dict(), args.fmt, args.out)
     return EXIT_OK
 
 
-def cmd_compose(cfg: RunConfig, args) -> int:
+def cmd_compose(args) -> int:
     c1 = _load_channel_spec(args.first)
     c2 = _load_channel_spec(args.second)
     product = compose(c1, c2)
@@ -241,7 +230,7 @@ def cmd_compose(cfg: RunConfig, args) -> int:
         "eps_report": realized_epsilon(product).to_json_dict(),
         "certificate": cert.to_json_dict(),
     }
-    _emit(doc, cfg.fmt, args.out)
+    _emit(doc, args.fmt, args.out)
     return EXIT_OK if cert.holds else EXIT_BOUND_VIOLATED
 
 
@@ -304,14 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = RunConfig(
-        subcommand=args.subcommand,
-        seed=args.seed,
-        tolerance=args.tolerance,
-        fmt=args.fmt,
-    )
     try:
-        return args.handler(cfg, args)
+        return args.handler(args)
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY

@@ -235,6 +235,12 @@ class Context:
         }
 
 
+def _check_budgets(budgets: dict[str, float]) -> None:
+    for d, cap in budgets.items():
+        if not (math.isfinite(cap) and cap >= 0):
+            raise ValueError(f"budget for {d!r} must be finite and >= 0, got {cap}")
+
+
 @dataclass
 class Ledger:
     """Per-(sender, receiver, datum) cumulative worst-case content, in Sh."""
@@ -243,9 +249,7 @@ class Ledger:
     cumulative: dict[tuple[str, str, str], float] = field(default_factory=dict)
 
     def __post_init__(self):
-        for d, cap in self.budgets.items():
-            if not (math.isfinite(cap) and cap >= 0):
-                raise ValueError(f"budget for {d!r} must be finite and >= 0, got {cap}")
+        _check_budgets(self.budgets)
 
     def headroom(self, sender: str, receiver: str, datum: str) -> float | None:
         cap = self.budgets.get(datum)
@@ -283,9 +287,7 @@ class Society:
         ids = [e.id for e in self.entities]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate entity ids")
-        for d, cap in self.budgets.items():
-            if not (math.isfinite(cap) and cap >= 0):
-                raise ValueError(f"budget for {d!r} must be finite and >= 0, got {cap}")
+        _check_budgets(self.budgets)
         known = set(ids)
         held = {(e.id, r.datum) for e in self.entities for r in e.data}
         self.implicit_channels = tuple(self.implicit_channels)
@@ -348,6 +350,11 @@ def release_measure(rec: DatumRecord) -> InfoMeasure:
             logons=rec.mechanism.k,
             metrons=1,
         )
+    return _raw_release_measure(rec)
+
+
+def _raw_release_measure(rec: DatumRecord) -> InfoMeasure:
+    """Content of a release that can resolve the datum's whole domain, in Sh."""
     return InfoMeasure(
         selective_sh=math.log2(rec.domain_size) if rec.domain_size > 1 else 0.0,
         logons=rec.domain_size,
@@ -448,11 +455,7 @@ class Simulation:
             if rng_implicit.random() >= ch.p:
                 continue
             rec = next(r for r in soc.entity(ch.subject).data if r.datum == ch.datum)
-            measure = InfoMeasure(
-                selective_sh=math.log2(rec.domain_size) if rec.domain_size > 1 else 0.0,
-                logons=rec.domain_size,
-                metrons=1,
-            )
+            measure = _raw_release_measure(rec)
             events.append(
                 FlowEvent(
                     id=f"i:{t}:{ch.subject}>{ch.observer}:{ch.datum}",
@@ -496,36 +499,18 @@ def bundle_contexts(events: list[FlowEvent], window: int = 1) -> list[Context]:
             raise ValueError("events must be sorted by tick")
         last_t = e.t
     open_ctx: dict[tuple[str, str], list[FlowEvent]] = {}
-    ordered: list[tuple[str, str]] = []
-    contexts: list[Context] = []
-
-    def close(pair):
-        flows = open_ctx.pop(pair)
-        ordered.remove(pair)
-        contexts.append(
-            Context(
-                id=f"C{len(contexts):04d}",
-                t=flows[0].t,
-                sender=pair[0],
-                receiver=pair[1],
-                flows=tuple(flows),
-            )
-        )
-
+    groups: list[list[FlowEvent]] = []
     for e in events:
         pair = (e.sender, e.receiver)
         if pair in open_ctx and e.t - open_ctx[pair][0].t >= window:
-            close(pair)
-        if pair not in open_ctx:
-            open_ctx[pair] = []
-            ordered.append(pair)
-        open_ctx[pair].append(e)
-    for pair in list(ordered):
-        close(pair)
-    contexts.sort(key=lambda c: (c.t, c.sender, c.receiver))
+            groups.append(open_ctx.pop(pair))
+        open_ctx.setdefault(pair, []).append(e)
+    groups.extend(open_ctx.values())
+    # contexts of one pair open at distinct ticks, so this key is unique
+    groups.sort(key=lambda fs: (fs[0].t, fs[0].sender, fs[0].receiver))
     return [
-        Context(id=f"C{i:04d}", t=c.t, sender=c.sender, receiver=c.receiver, flows=c.flows)
-        for i, c in enumerate(contexts)
+        Context(id=f"C{i:04d}", t=fs[0].t, sender=fs[0].sender, receiver=fs[0].receiver, flows=tuple(fs))
+        for i, fs in enumerate(groups)
     ]
 
 
@@ -534,6 +519,7 @@ def ledger_report(ledger: Ledger) -> list[dict]:
     rows = []
     for (sender, receiver, datum), used in sorted(ledger.cumulative.items()):
         cap = ledger.budgets.get(datum)
+        headroom = ledger.headroom(sender, receiver, datum)
         rows.append(
             {
                 "sender": sender,
@@ -541,7 +527,7 @@ def ledger_report(ledger: Ledger) -> list[dict]:
                 "datum": datum,
                 "cumulative_sh": float(used),
                 "budget_sh": None if cap is None else float(cap),
-                "headroom_sh": None if cap is None else float(max(cap - used, 0.0)),
+                "headroom_sh": None if headroom is None else float(headroom),
             }
         )
     return rows

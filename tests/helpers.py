@@ -23,6 +23,24 @@ def mi_cells(cells: dict) -> float:
     )
 
 
+def max_log_ratio(rows) -> float:
+    """Max over x, x', y of ln(rows[x][y] / rows[x'][y]), pair by pair.
+
+    0/0 counts as ratio 1 and a positive entry over a zero entry is
+    unbounded (math.inf).
+    """
+    best = 0.0
+    for y in range(len(rows[0])):
+        for a in (row[y] for row in rows):
+            for b in (row[y] for row in rows):
+                if a <= 0:
+                    continue
+                if b <= 0:
+                    return math.inf
+                best = max(best, math.log(a / b))
+    return best
+
+
 def joint_cells(prior, rows) -> dict:
     """Cells of prior(x) * rows[x][y], keyed by index pairs."""
     return {

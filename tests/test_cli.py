@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from importlib import resources
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import infoflow
 from infoflow.cli import main
 
 LN3 = math.log(3)
@@ -300,10 +302,16 @@ class TestCompose:
 
 class TestConsoleEntry:
     def test_module_invocation(self):
+        # The child must import the same infoflow as this process, installed
+        # or not, so put the package's source root first on its path.
+        src_root = str(Path(infoflow.__file__).resolve().parents[1])
+        inherited = [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src_root, *inherited])}
         out = subprocess.run(
             [sys.executable, "-m", "infoflow", "verify-bound", "--rr", "k=2", "eps=1.0"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert out.returncode == 0
         assert json.loads(out.stdout)["holds"] is True

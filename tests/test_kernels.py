@@ -1,18 +1,12 @@
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import infoflow
 from infoflow import _kernels
+from infoflow.causal import BayesNet, Node
 
-HAS_NUMBA = "numba" in _kernels.IMPLEMENTATIONS
-
-needs_numba = pytest.mark.skipif(not HAS_NUMBA, reason="numba backend unavailable")
+from helpers import entropy_cells, max_log_ratio, mi_cells, naive_net_joint
 
 
 def random_joint(rng, n, m):
@@ -26,99 +20,89 @@ def random_net_arrays(rng, n_nodes=5):
     cpts, parents = [], []
     for k in range(n_nodes):
         n_par = int(rng.integers(0, min(k, 2) + 1))
-        pars = sorted(rng.choice(k, size=n_par, replace=False).tolist()) if n_par else []
+        # parents in random declared order, so dense_joint must transpose
+        pars = rng.choice(k, size=n_par, replace=False).tolist() if n_par else []
         rows = int(np.prod([cards[p] for p in pars])) if pars else 1
         cpts.append(rng.dirichlet(np.ones(cards[k]), size=rows))
         parents.append(pars)
     return cards, cpts, parents
 
 
-@needs_numba
-class TestBackendsAgree:
-    def test_entropy(self):
+def test_backend_is_numpy():
+    assert _kernels.backend() == "numpy"
+
+
+class TestEntropy:
+    def test_matches_oracle(self):
         rng = np.random.default_rng(0)
         for _ in range(30):
             p = rng.dirichlet(np.ones(int(rng.integers(2, 9))))
-            a = _kernels.IMPLEMENTATIONS["numpy"]["entropy_bits"](p)
-            b = _kernels.IMPLEMENTATIONS["numba"]["entropy_bits"](p)
-            assert a == pytest.approx(b, abs=1e-12)
+            assert _kernels.entropy_bits(p) == pytest.approx(entropy_cells(p.tolist()), abs=1e-12)
 
-    def test_entropy_with_zeros(self):
-        p = np.array([0.5, 0.0, 0.5])
-        for impl in _kernels.IMPLEMENTATIONS.values():
-            assert impl["entropy_bits"](p) == pytest.approx(1.0, abs=1e-12)
+    def test_zero_cells(self):
+        assert _kernels.entropy_bits(np.array([0.5, 0.0, 0.5])) == pytest.approx(1.0, abs=1e-12)
+        rng = np.random.default_rng(4)
+        for _ in range(10):
+            p = rng.dirichlet(np.ones(6))
+            p[rng.choice(6, size=2, replace=False)] = 0.0
+            p /= p.sum()
+            assert _kernels.entropy_bits(p) == pytest.approx(entropy_cells(p.tolist()), abs=1e-12)
 
-    def test_mi(self):
+
+class TestMI:
+    def test_matches_oracle(self):
         rng = np.random.default_rng(1)
         for _ in range(30):
             mass = random_joint(rng, int(rng.integers(2, 7)), int(rng.integers(2, 7)))
-            a = _kernels.IMPLEMENTATIONS["numpy"]["mi_bits"](mass)
-            b = _kernels.IMPLEMENTATIONS["numba"]["mi_bits"](mass)
-            assert a == pytest.approx(b, abs=1e-12)
+            if rng.random() < 0.5:
+                mass[0, 0] = 0.0
+                mass /= mass.sum()
+            cells = {(i, j): float(mass[i, j]) for i in range(mass.shape[0]) for j in range(mass.shape[1])}
+            assert _kernels.mi_bits(mass) == pytest.approx(mi_cells(cells), abs=1e-12)
 
-    def test_scan_log_ratio(self):
+
+class TestScanLogRatio:
+    def test_matches_oracle_and_witness_reproduces_ratio(self):
         rng = np.random.default_rng(2)
         for _ in range(30):
             rows = rng.dirichlet(np.ones(int(rng.integers(2, 6))), size=int(rng.integers(2, 6)))
-            a = _kernels.IMPLEMENTATIONS["numpy"]["scan_log_ratio"](rows)
-            b = _kernels.IMPLEMENTATIONS["numba"]["scan_log_ratio"](rows)
-            assert a[0] == pytest.approx(b[0], abs=1e-12)
-            # witnesses must reproduce the same ratio even if indices differ
-            assert rows[a[1], a[3]] / rows[a[2], a[3]] == pytest.approx(
-                rows[b[1], b[3]] / rows[b[2], b[3]], abs=1e-12
-            )
+            eps, x, xp, y = _kernels.scan_log_ratio(rows)
+            assert eps == pytest.approx(max_log_ratio(rows.tolist()), abs=1e-12)
+            assert math.log(rows[x, y] / rows[xp, y]) == pytest.approx(eps, abs=1e-12)
 
-    def test_scan_unbounded(self):
+    def test_unbounded(self):
         rows = np.array([[0.5, 0.5, 0.0], [0.25, 0.25, 0.5]])
-        for impl in _kernels.IMPLEMENTATIONS.values():
-            eps, x, xp, y = impl["scan_log_ratio"](rows)
-            assert math.isinf(eps)
-            assert y == 2 and rows[x, y] > 0 and rows[xp, y] == 0
+        eps, x, xp, y = _kernels.scan_log_ratio(rows)
+        assert math.isinf(eps) and math.isinf(max_log_ratio(rows.tolist()))
+        assert y == 2 and rows[x, y] > 0 and rows[xp, y] == 0
 
-    def test_scan_skips_all_zero_columns(self):
+    def test_skips_all_zero_columns(self):
         rows = np.array([[0.5, 0.0, 0.5], [0.25, 0.0, 0.75]])
-        for impl in _kernels.IMPLEMENTATIONS.values():
-            eps, *_ = impl["scan_log_ratio"](rows)
-            assert eps == pytest.approx(math.log(0.5 / 0.25), abs=1e-12)
+        eps, x, xp, y = _kernels.scan_log_ratio(rows)
+        assert eps == pytest.approx(max_log_ratio(rows.tolist()), abs=1e-12)
+        assert eps == pytest.approx(math.log(0.5 / 0.25), abs=1e-12)
+        assert math.log(rows[x, y] / rows[xp, y]) == pytest.approx(eps, abs=1e-12)
 
-    def test_dense_joint(self):
+
+class TestDenseJoint:
+    def test_matches_naive_net_joint(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             cards, cpts, parents = random_net_arrays(rng)
-            a = _kernels.IMPLEMENTATIONS["numpy"]["dense_joint"](cards, cpts, parents)
-            b = _kernels.IMPLEMENTATIONS["numba"]["dense_joint"](cards, cpts, parents)
-            assert np.allclose(a, b, atol=1e-14)
-            assert a.sum() == pytest.approx(1.0, abs=1e-9)
-
-
-class TestEnvFlag:
-    def _backend_under(self, value):
-        code = "import infoflow; print(infoflow.backend())"
-        # The child must import the same infoflow as this process, installed
-        # or not, so keep the env and put the package's source root first.
-        src_root = str(Path(infoflow.__file__).resolve().parents[1])
-        inherited = [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-        env = dict(os.environ)
-        env["INFOFLOW_BACKEND"] = value
-        env["PYTHONPATH"] = os.pathsep.join([src_root, *inherited])
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env
-        )
-        return out
-
-    def test_numpy_forced(self):
-        out = self._backend_under("numpy")
-        assert out.stdout.strip() == "numpy"
-
-    @needs_numba
-    def test_numba_forced(self):
-        out = self._backend_under("numba")
-        assert out.stdout.strip() == "numba"
-
-    def test_rejects_unknown(self):
-        out = self._backend_under("cuda")
-        assert out.returncode != 0
-        assert "INFOFLOW_BACKEND" in out.stderr
-
-    def test_active_backend_is_valid(self):
-        assert _kernels.backend() in ("numba", "numpy")
+            net = BayesNet(
+                tuple(
+                    Node(
+                        name=f"n{k}",
+                        states=tuple(str(s) for s in range(int(cards[k]))),
+                        parents=tuple(f"n{p}" for p in parents[k]),
+                        cpt=cpts[k],
+                    )
+                    for k in range(len(cards))
+                )
+            )
+            # naive_net_joint enumerates states row-major, like dense_joint's flat output
+            expected = list(naive_net_joint(net).values())
+            got = _kernels.dense_joint(cards, cpts, parents)
+            assert got.shape == (len(expected),)
+            assert np.max(np.abs(got - np.array(expected))) <= 1e-12
+            assert got.sum() == pytest.approx(1.0, abs=1e-9)

@@ -280,6 +280,17 @@ class TestBundleContexts:
         assert sorted(seen) == sorted(e.id for e in events)
         assert len(seen) == len(set(seen))
 
+    def test_contexts_ordered_by_tick_sender_receiver(self):
+        # (b, a)'s first context closes mid-stream, before the others open or close
+        events = [flow(0, "b", "a", "d"), flow(0, "a", "c", "d"), flow(1, "a", "b", "d"), flow(2, "b", "a", "d")]
+        ctxs = bundle_contexts(events, window=2)
+        assert [(c.id, c.t, c.sender, c.receiver) for c in ctxs] == [
+            ("C0000", 0, "a", "c"),
+            ("C0001", 0, "b", "a"),
+            ("C0002", 1, "a", "b"),
+            ("C0003", 2, "b", "a"),
+        ]
+
     def test_unsorted_events_rejected(self):
         with pytest.raises(ValueError, match="sorted"):
             bundle_contexts([flow(3, "a", "b", "d"), flow(1, "a", "b", "d")])
