@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .channels import BoundCertificate, Channel, check_mi_bound, randomized_response
-from .measures import Dist
+from .measures import Dist, load_json, malformed
 
 ROLES = ("identifier", "quasi-identifier", "sensitive")
 
@@ -187,11 +187,12 @@ def default_roles_path(csv_path) -> Path:
 def read_table(csv_path, roles_path=None) -> Table:
     """Load a CSV with its JSON sidecar declaring column roles."""
     roles_path = default_roles_path(csv_path) if roles_path is None else Path(roles_path)
-    with open(roles_path) as fh:
-        roles = json.load(fh)["roles"]
-    with open(csv_path, newline="") as fh:
+    roles = load_json(roles_path, lambda doc: {n: str(r) for n, r in doc["roles"].items()})
+    with open(csv_path, newline="") as fh, malformed(csv_path):
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError("no header row")
         rows = [tuple(row) for row in reader]
     missing = [n for n in header if n not in roles]
     if missing:

@@ -13,15 +13,14 @@ fork/collider network used as a regression fixture.
 from __future__ import annotations
 
 import itertools
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ._kernels import dense_joint, entropy_bits, mi_bits
 from .errors import CapacityError
-from .measures import SUM_TOL, InfoMeasure, _check_labels, _freeze
+from .measures import InfoMeasure, _check_labels, _stochastic, load_json
 from .society import Context, FlowEvent, bundle_contexts
 
 STATE_SPACE_CAP = 2**22
@@ -47,17 +46,10 @@ class Node:
         object.__setattr__(self, "parents", tuple(self.parents))
         if len(set(self.parents)) != len(self.parents):
             raise ValueError(f"duplicate parents on node {self.name!r}")
-        c = np.asarray(self.cpt, dtype=np.float64).copy()
-        if c.ndim == 1:
-            c = c.reshape(1, -1)
-        if c.ndim != 2 or c.shape[1] != len(self.states):
-            raise ValueError(f"cpt of {self.name!r} must have {len(self.states)} columns")
-        if (c < 0).any():
-            raise ValueError(f"negative cpt entry on node {self.name!r}")
-        bad = np.abs(c.sum(axis=1) - 1.0) > SUM_TOL
-        if bad.any():
-            raise ValueError(f"cpt rows {np.flatnonzero(bad).tolist()} of {self.name!r} not stochastic")
-        object.__setattr__(self, "cpt", _freeze(c))
+        # a root's cpt may be given as one flat row; BayesNet checks the row count
+        c = np.atleast_2d(np.asarray(self.cpt, dtype=np.float64))
+        shape = (max(len(c), 1), len(self.states))
+        object.__setattr__(self, "cpt", _stochastic(c, shape, f"cpt of {self.name!r}", rows=True))
 
     @property
     def card(self) -> int:
@@ -69,14 +61,14 @@ class BayesNet:
     """DAG of categorical nodes; declaration order must be topological."""
 
     nodes: tuple[Node, ...]
+    _by_name: dict[str, Node] = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", tuple(self.nodes))
-        names = [n.name for n in self.nodes]
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate node names")
         seen: dict[str, Node] = {}
         for node in self.nodes:
+            if node.name in seen:
+                raise ValueError(f"duplicate node name {node.name!r}")
             for p in node.parents:
                 if p not in seen:
                     raise ValueError(
@@ -90,12 +82,13 @@ class BayesNet:
                     f"cpt of {node.name!r} has {node.cpt.shape[0]} rows, expected {expect_rows}"
                 )
             seen[node.name] = node
+        object.__setattr__(self, "_by_name", seen)
 
     def node(self, name: str) -> Node:
-        for n in self.nodes:
-            if n.name == name:
-                return n
-        raise ValueError(f"unknown node {name!r}")
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise ValueError(f"unknown node {name!r}") from None
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -114,7 +107,6 @@ class DenseJoint:
     """Exact joint over all nodes as a dense probability tensor."""
 
     names: tuple[str, ...]
-    states: tuple[tuple[str, ...], ...]
     probs: np.ndarray
 
     def marginal(self, *names: str) -> np.ndarray:
@@ -124,9 +116,6 @@ class DenseJoint:
         m = self.probs.sum(axis=drop) if drop else self.probs
         perm = [sorted(keep).index(k) for k in keep]
         return np.transpose(m, perm)
-
-    def states_of(self, name: str) -> tuple[str, ...]:
-        return self.states[self.names.index(name)]
 
 
 def joint(net: BayesNet) -> DenseJoint:
@@ -149,11 +138,8 @@ def joint(net: BayesNet) -> DenseJoint:
     if abs(total - 1.0) > JOINT_SUM_TOL:
         raise ValueError(f"joint sums to {total}, outside tolerance")
     probs = flat.reshape(tuple(net.cards))
-    return DenseJoint(
-        names=net.names,
-        states=tuple(n.states for n in net.nodes),
-        probs=_freeze(probs),
-    )
+    probs.setflags(write=False)
+    return DenseJoint(names=net.names, probs=probs)
 
 
 def conditional_mi(dense: DenseJoint, a: str, b: str, given: list[str] | tuple[str, ...] = ()) -> float:
@@ -206,15 +192,12 @@ def leakage_profile(net: BayesNet, message: str, observed: str | None = None) ->
     is passed, the message's most probable value is used. Nodes
     independent of the message report (numerically) zero.
     """
-    dense = joint(net)
     msg_node = net.node(message)
+    if observed is not None and observed not in msg_node.states:
+        raise ValueError(f"unknown message value {observed!r}")
+    dense = joint(net)
     pm = dense.marginal(message)
-    if observed is None:
-        obs_idx = int(np.argmax(pm))
-    else:
-        if observed not in msg_node.states:
-            raise ValueError(f"unknown message value {observed!r}")
-        obs_idx = msg_node.states.index(observed)
+    obs_idx = int(np.argmax(pm)) if observed is None else msg_node.states.index(observed)
     if pm[obs_idx] <= 0.0:
         raise ValueError(f"message value {msg_node.states[obs_idx]!r} has probability 0")
 
@@ -295,9 +278,12 @@ def ballot_scenario(n_voters: int) -> tuple[BayesNet, dict]:
     """
     if n_voters < 2:
         raise ValueError(f"need at least 2 voters, got {n_voters}")
-    if n_voters > 20:
-        raise CapacityError(f"{n_voters} voters exceed the 20-voter enumeration cap")
     n = n_voters
+    # the net's 2^n (n+1) states, checked before the tally CPT of that size is built
+    if n > STATE_SPACE_CAP.bit_length() or (n + 1) << n > STATE_SPACE_CAP:
+        raise CapacityError(
+            f"{n} voters give 2^{n}*{n + 1} configurations, exceeding the cap of {STATE_SPACE_CAP}"
+        )
     voters = [Node(f"V{i + 1}", ("0", "1"), (), np.array([0.5, 0.5])) for i in range(n)]
     combos = np.arange(2**n, dtype=np.int64)
     tally = np.zeros(2**n, dtype=np.int64)
@@ -495,7 +481,7 @@ def net_from_json_dict(d: dict) -> BayesNet:
         if not parents:
             if not isinstance(cpt_spec, list):
                 raise ValueError(f"root node {name!r} expects a flat cpt list")
-            cpt = np.asarray(cpt_spec, dtype=np.float64)
+            cpt = cpt_spec
         else:
             for p in parents:
                 if p not in declared:
@@ -504,7 +490,7 @@ def net_from_json_dict(d: dict) -> BayesNet:
             missing = [c for c in combos if _combo_key(c) not in cpt_spec]
             if missing or len(cpt_spec) != len(combos):
                 raise ValueError(f"cpt of {name!r} must have exactly one row per parent combination")
-            cpt = np.asarray([cpt_spec[_combo_key(c)] for c in combos], dtype=np.float64)
+            cpt = [cpt_spec[_combo_key(c)] for c in combos]
         node = Node(name, tuple(spec["states"]), parents, cpt)
         declared[name] = node
         nodes.append(node)
@@ -512,5 +498,4 @@ def net_from_json_dict(d: dict) -> BayesNet:
 
 
 def load_net(path) -> BayesNet:
-    with open(path) as fh:
-        return net_from_json_dict(json.load(fh))
+    return load_json(path, net_from_json_dict)

@@ -12,7 +12,10 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import csv
+import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,9 +40,55 @@ class Unbounded:
 UNBOUNDED = Unbounded()
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
+def _stochastic(values, shape: tuple[int, ...], what: str, rows: bool = False) -> np.ndarray:
+    """Frozen float64 copy of a table whose entries are >= 0 (not NaN) and sum, or per row sum, to 1."""
+    a = np.array(values, dtype=np.float64)
+    if a.shape != shape:
+        raise ValueError(f"{what} has shape {a.shape}, expected {shape}")
+    if not a.min() >= 0:
+        raise ValueError(f"{what} has a negative or NaN entry")
+    if rows:
+        bad = np.abs(a.sum(axis=1) - 1.0) > SUM_TOL
+        if bad.any():
+            raise ValueError(f"{what} rows {np.flatnonzero(bad).tolist()} are not stochastic")
+    elif abs(a.sum() - 1.0) > SUM_TOL:
+        raise ValueError(f"{what} sums to {a.sum()}, not 1")
     a.setflags(write=False)
     return a
+
+
+def _nonneg(value: float, what: str) -> None:
+    """Refuse a ``value`` that is not finite and >= 0 (NaN included)."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{what} must be finite and >= 0, got {value}")
+
+
+def _refuse_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+@contextmanager
+def malformed(where):
+    """Make every error of reading outside input a ValueError that names ``where``.
+
+    Input of the wrong shape (a list for a mapping, a missing key, int()
+    of a 1e400 that parsed to inf, a CSV field beyond the csv module's
+    limit) raises one of the types caught here.
+    """
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from exc
+    except (TypeError, AttributeError, KeyError, IndexError, OverflowError, csv.Error) as exc:
+        raise ValueError(f"{where}: malformed input ({type(exc).__name__}: {exc})") from exc
+
+
+def load_json(path, parse):
+    """``parse`` applied to the strict JSON document at ``path`` (no NaN or Infinity literals)."""
+    with malformed(path):
+        with open(path) as fh:
+            doc = json.load(fh, parse_constant=_refuse_constant)
+        return parse(doc)
 
 
 def _check_labels(labels, what: str) -> tuple[str, ...]:
@@ -60,14 +109,7 @@ class Dist:
 
     def __post_init__(self):
         object.__setattr__(self, "outcomes", _check_labels(self.outcomes, "outcomes"))
-        p = np.asarray(self.probs, dtype=np.float64).copy()
-        if p.ndim != 1 or p.size != len(self.outcomes):
-            raise ValueError("probs must be a vector matching outcomes")
-        if (p < 0).any():
-            raise ValueError(f"negative probability in {p}")
-        if abs(p.sum() - 1.0) > SUM_TOL:
-            raise ValueError(f"probabilities sum to {p.sum()}, not 1")
-        object.__setattr__(self, "probs", _freeze(p))
+        object.__setattr__(self, "probs", _stochastic(self.probs, (len(self.outcomes),), "probs"))
 
     @classmethod
     def uniform(cls, outcomes) -> "Dist":
@@ -93,7 +135,7 @@ class Dist:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Dist":
-        return cls(tuple(d["outcomes"]), np.asarray(d["probs"], dtype=np.float64))
+        return cls(tuple(d["outcomes"]), d["probs"])
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,14 +149,8 @@ class Joint:
     def __post_init__(self):
         object.__setattr__(self, "x_outcomes", _check_labels(self.x_outcomes, "x outcomes"))
         object.__setattr__(self, "y_outcomes", _check_labels(self.y_outcomes, "y outcomes"))
-        m = np.asarray(self.mass, dtype=np.float64).copy()
-        if m.shape != (len(self.x_outcomes), len(self.y_outcomes)):
-            raise ValueError(f"mass shape {m.shape} does not match outcome spaces")
-        if (m < 0).any():
-            raise ValueError("negative mass cell")
-        if abs(m.sum() - 1.0) > SUM_TOL:
-            raise ValueError(f"mass sums to {m.sum()}, not 1")
-        object.__setattr__(self, "mass", _freeze(m))
+        shape = (len(self.x_outcomes), len(self.y_outcomes))
+        object.__setattr__(self, "mass", _stochastic(self.mass, shape, "mass"))
 
     def marginal_x(self) -> Dist:
         return Dist(self.x_outcomes, self.mass.sum(axis=1))
@@ -134,7 +170,7 @@ class Joint:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Joint":
-        return cls(tuple(d["x"]), tuple(d["y"]), np.asarray(d["mass"], dtype=np.float64))
+        return cls(tuple(d["x"]), tuple(d["y"]), d["mass"])
 
 
 @dataclass(frozen=True)
@@ -155,8 +191,7 @@ class InfoMeasure:
         if self.logons < 0 or self.metrons < 0:
             raise ValueError("logons/metrons must be non-negative")
         if not self.unbounded:
-            if not math.isfinite(self.selective_sh) or self.selective_sh < 0:
-                raise ValueError(f"selective_sh must be finite and >= 0, got {self.selective_sh}")
+            _nonneg(self.selective_sh, "selective_sh")
 
     def to_json_dict(self) -> dict:
         return {

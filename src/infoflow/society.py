@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import dp_to_mi_bound
-from .measures import InfoMeasure
+from .channels import _check_rr, dp_to_mi_bound
+from .measures import InfoMeasure, _nonneg, load_json
 
 GOVERNANCE_TAGS = (
     "conjunct",
@@ -45,10 +45,7 @@ class ReleaseMechanism:
     def __post_init__(self):
         if self.kind != "randomized-response":
             raise ValueError(f"unsupported mechanism kind {self.kind!r}")
-        if self.k < 2:
-            raise ValueError("mechanism k must be >= 2")
-        if not (self.eps > 0 and math.isfinite(self.eps)):
-            raise ValueError("mechanism eps must be positive and finite")
+        _check_rr(self.k, self.eps)
 
 
 @dataclass(frozen=True)
@@ -90,22 +87,17 @@ class Entity:
 
 @dataclass
 class FactorState:
-    """Trust, incentives, and any extra named factors."""
+    """Trust in receivers and incentives to release data."""
 
     trust: dict[tuple[str, str], float] = field(default_factory=dict)
     incentives: dict[tuple[str, str], float] = field(default_factory=dict)
-    extra: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
         for k, v in self.trust.items():
             if not (0.0 <= v <= 1.0):
                 raise ValueError(f"trust{k} must be in [0,1], got {v}")
         for k, v in self.incentives.items():
-            if not (math.isfinite(v) and v >= 0):
-                raise ValueError(f"incentive{k} must be finite and >= 0, got {v}")
-        for k, v in self.extra.items():
-            if not math.isfinite(v):
-                raise ValueError(f"factor {k!r} must be finite")
+            _nonneg(v, f"incentive{k}")
 
     def trust_of(self, sender: str, receiver: str) -> float:
         return self.trust.get((sender, receiver), 0.0)
@@ -127,8 +119,8 @@ class LogisticParams:
     gamma: float = 3.0
 
     def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("alpha and beta must be >= 0")
+        _nonneg(self.alpha, "alpha")
+        _nonneg(self.beta, "beta")
         if not math.isfinite(self.gamma):
             raise ValueError("gamma must be finite")
 
@@ -235,12 +227,6 @@ class Context:
         }
 
 
-def _check_budgets(budgets: dict[str, float]) -> None:
-    for d, cap in budgets.items():
-        if not (math.isfinite(cap) and cap >= 0):
-            raise ValueError(f"budget for {d!r} must be finite and >= 0, got {cap}")
-
-
 @dataclass
 class Ledger:
     """Per-(sender, receiver, datum) cumulative worst-case content, in Sh."""
@@ -249,7 +235,8 @@ class Ledger:
     cumulative: dict[tuple[str, str, str], float] = field(default_factory=dict)
 
     def __post_init__(self):
-        _check_budgets(self.budgets)
+        for d, cap in self.budgets.items():
+            _nonneg(cap, f"budget for {d!r}")
 
     def headroom(self, sender: str, receiver: str, datum: str) -> float | None:
         cap = self.budgets.get(datum)
@@ -279,6 +266,8 @@ class Society:
     implicit_channels: tuple[ImplicitChannel, ...] = ()
     logistic: LogisticParams = field(default_factory=LogisticParams)
     budgets: dict[str, float] = field(default_factory=dict)
+    # (holder id, datum id) -> the record that holder keeps
+    held: dict[tuple[str, str], DatumRecord] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.entities = tuple(self.entities)
@@ -287,26 +276,21 @@ class Society:
         ids = [e.id for e in self.entities]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate entity ids")
-        _check_budgets(self.budgets)
+        for d, cap in self.budgets.items():
+            _nonneg(cap, f"budget for {d!r}")
         known = set(ids)
-        held = {(e.id, r.datum) for e in self.entities for r in e.data}
+        self.held = {(e.id, r.datum): r for e in self.entities for r in e.data}
         self.implicit_channels = tuple(self.implicit_channels)
         seen = set()
         for ch in self.implicit_channels:
             if ch.subject not in known or ch.observer not in known:
                 raise ValueError(f"implicit channel references unknown entity: {ch}")
-            if (ch.subject, ch.datum) not in held:
+            if (ch.subject, ch.datum) not in self.held:
                 raise ValueError(f"subject {ch.subject!r} does not hold datum {ch.datum!r}")
             key = (ch.subject, ch.observer, ch.datum)
             if key in seen:
                 raise ValueError(f"duplicate implicit channel {key}")
             seen.add(key)
-
-    def entity(self, eid: str) -> Entity:
-        for e in self.entities:
-            if e.id == eid:
-                return e
-        raise ValueError(f"unknown entity {eid!r}")
 
 
 def _logistic(x: float) -> float:
@@ -454,8 +438,7 @@ class Simulation:
         for ch in soc.implicit_channels:
             if rng_implicit.random() >= ch.p:
                 continue
-            rec = next(r for r in soc.entity(ch.subject).data if r.datum == ch.datum)
-            measure = _raw_release_measure(rec)
+            measure = _raw_release_measure(soc.held[(ch.subject, ch.datum)])
             events.append(
                 FlowEvent(
                     id=f"i:{t}:{ch.subject}>{ch.observer}:{ch.datum}",
@@ -545,7 +528,6 @@ _SCENARIO_KEYS = {
     "entities",
     "trust",
     "incentives",
-    "factors",
     "implicit_channels",
     "budgets",
     "attribution",
@@ -579,7 +561,6 @@ def scenario_from_json_dict(cfg: dict) -> Scenario:
         incentives={
             (s, d): float(v) for s, row in cfg.get("incentives", {}).items() for d, v in row.items()
         },
-        extra={k: float(v) for k, v in cfg.get("factors", {}).items()},
     )
     logi = cfg.get("logistic", {})
     society = Society(
@@ -611,8 +592,7 @@ def scenario_from_json_dict(cfg: dict) -> Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    with open(path) as fh:
-        return scenario_from_json_dict(json.load(fh))
+    return load_json(path, scenario_from_json_dict)
 
 
 _CSV_FIELDS = [
@@ -634,7 +614,7 @@ _CSV_FIELDS = [
 
 def write_events_jsonl(records: list[dict], fh) -> None:
     for rec in records:
-        fh.write(json.dumps(rec, sort_keys=True) + "\n")
+        fh.write(json.dumps(rec, sort_keys=True, allow_nan=False) + "\n")
 
 
 def write_events_csv(records: list[dict], fh) -> None:

@@ -19,7 +19,7 @@ from infoflow import (
     fork_collider_graph,
     twins_scenario,
 )
-from infoflow.causal import load_net, net_from_json_dict, net_to_json_dict
+from infoflow.causal import STATE_SPACE_CAP, load_net, net_from_json_dict, net_to_json_dict
 from helpers import entropy_cells, mi_cells, naive_net_joint, naive_pair_mi
 
 
@@ -146,6 +146,14 @@ class TestLeakageProfile:
         with pytest.raises(ValueError, match="unknown message value"):
             leakage_profile(net, "M", observed="7")
 
+    def test_names_are_checked_before_enumeration(self):
+        # a typo is an input error even on a net beyond the state-space cap
+        net = BayesNet(tuple(binary_root(f"R{i}") for i in range(23)))
+        with pytest.raises(ValueError, match="unknown node"):
+            leakage_profile(net, "nope")
+        with pytest.raises(ValueError, match="unknown message value"):
+            leakage_profile(net, "R0", observed="7")
+
     def test_sorted_rows_descend(self):
         rows = leakage_profile(fork_collider_graph(seed=42), "M").rows_sorted()
         mis = [r["mi_sh"] for r in rows]
@@ -229,6 +237,13 @@ class TestBallot:
             ballot_scenario(21)
         with pytest.raises(ValueError):
             ballot_scenario(1)
+
+    def test_state_space_cap_decides_the_voter_limit(self):
+        # the net holds 2^n (n+1) states: 17 voters fit under 2^22, 18 do not
+        net, _ = ballot_scenario(17)
+        assert net.state_space_size() == 2**17 * 18 <= STATE_SPACE_CAP
+        with pytest.raises(CapacityError, match=rf"2\^18\*19 .* {STATE_SPACE_CAP}"):
+            ballot_scenario(18)
 
 
 class TestAttributeFlows:

@@ -161,6 +161,11 @@ class TestDpToMiBound:
         with pytest.raises(ValueError):
             dp_to_mi_bound(1.0, 0)
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_rejects_non_finite(self, eps):
+        with pytest.raises(ValueError, match="finite"):
+            dp_to_mi_bound(eps)
+
 
 class TestCompose:
     def test_with_constant_keeps_eps(self):
@@ -251,6 +256,10 @@ class TestSweep:
         result = bound_sweep(50, seed=3)
         assert result.violations == 0
         assert result.min_slack_sh > 0
+
+    def test_rejects_no_cases(self):
+        with pytest.raises(ValueError, match="n_cases"):
+            bound_sweep(0)
 
     def test_reproducible(self):
         a = bound_sweep(20, seed=9)

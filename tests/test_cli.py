@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -7,9 +9,12 @@ from importlib import resources
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import infoflow
-from infoflow.cli import main
+from infoflow.cli import _emit, main
+from infoflow.society import write_events_jsonl
 
 LN3 = math.log(3)
 GOLDEN = Path(__file__).parent / "golden"
@@ -298,6 +303,163 @@ class TestCompose:
         code, out = run_cli("compose", str(p), str(p), capsys=capsys)
         assert code == 0
         assert len(json.loads(out)["channel"]["outputs"]) == 4
+
+
+TWINS = json.loads(Path(data_path("twins.json")).read_text())
+
+
+def _twins_with(**changes) -> str:
+    return json.dumps({**TWINS, **changes})
+
+
+def _write(tmp_path, name: str, text: str) -> str:
+    (tmp_path / name).write_text(text)
+    return str(tmp_path / name)
+
+
+# (files to write, argv in which a written file's name stands for its path)
+MALFORMED = {
+    "channel-null-cell": (
+        {"c.json": json.dumps({"inputs": ["a", "b"], "outputs": ["x", "y"], "rows": [[None, 0.5], [0.5, 0.5]]})},
+        ["verify-bound", "--channel", "c.json"],
+    ),
+    "prior-null-cell": (
+        {"p.json": json.dumps({"outcomes": ["0", "1"], "probs": [None, 0.5]})},
+        ["verify-bound", "--rr", "k=2", "eps=1", "--prior", "p.json"],
+    ),
+    "cpt-null-cell": (
+        {"n.json": json.dumps({"nodes": [
+            {"name": "X", "states": ["0", "1"], "parents": [], "cpt": [None, 0.5]},
+            {"name": "M", "states": ["0", "1"], "parents": ["X"], "cpt": {"0": [1, 0], "1": [0, 1]}},
+        ]})},
+        ["leakage", "--net", "n.json", "--message", "M"],
+    ),
+    "nodes-not-a-list": ({"n.json": '{"nodes": 5}'}, ["leakage", "--net", "n.json", "--message", "M"]),
+    "entities-not-a-list": ({"s.json": '{"entities": {"a": 1}}'}, ["simulate", "--scenario", "s.json"]),
+    "channel-is-a-list": ({"c.json": "[[0.5, 0.5]]"}, ["verify-bound", "--channel", "c.json"]),
+    "roles-not-a-mapping": (
+        {"r.json": '{"roles": 5}'},
+        ["anon", data_path("anon_release.csv"), "--dp", "1", "--sensitive", "diagnosis", "--roles", "r.json"],
+    ),
+    # ownership [1] is refused as "unknown node 1"; a list that names a node got past that check
+    "ownership-not-a-mapping": (
+        {"s.json": _twins_with(attribution={**TWINS["attribution"], "ownership": ["S2"]})},
+        ["simulate", "--scenario", "s.json"],
+    ),
+    "nan-literal": (
+        {"c.json": '{"inputs": ["0", "1"], "outputs": ["x", "y"], "rows": [[NaN, 0.5], [0.5, 0.5]]}'},
+        ["compose", "c.json", "rr:k=2,eps=1"],
+    ),
+    "nan-logistic-weight": (
+        {"s.json": _twins_with(logistic={"alpha": math.nan})},
+        ["simulate", "--scenario", "s.json"],
+    ),
+    "number-beyond-float": ({"s.json": _twins_with(seed=0).replace('"seed": 0', '"seed": 1e400')},
+                            ["simulate", "--scenario", "s.json"]),
+    "csv-without-header": (
+        {"t.csv": "", "t.csv.roles.json": '{"roles": {}}'},
+        ["anon", "t.csv", "--dp", "1", "--sensitive", "a"],
+    ),
+    "csv-field-beyond-limit": (
+        {"t.csv": "a\n" + "x" * 200_000 + "\n", "t.csv.roles.json": '{"roles": {"a": "sensitive"}}'},
+        ["anon", "t.csv", "--dp", "1", "--sensitive", "a"],
+    ),
+    "sweep-without-cases": ({}, ["sweep", "--cases", "0"]),
+}
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_exits_2_with_one_error_line(self, case, tmp_path, capsys):
+        files, argv = MALFORMED[case]
+        paths = {name: _write(tmp_path, name, text) for name, text in files.items()}
+        code = main([paths.get(arg, arg) for arg in argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "Traceback" not in captured.err
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert captured.out == ""  # nothing is reported for a refused input
+
+    def test_error_names_the_file(self, tmp_path, capsys):
+        path = _write(tmp_path, "net.json", '{"nodes": 5}')
+        assert main(["leakage", "--net", path, "--message", "M"]) == 2
+        assert path in capsys.readouterr().err
+
+
+# Small JSON documents over the keys the loaders read, so that fuzzing gets
+# past the top level of each format.
+KEYS = ("inputs", "outputs", "rows", "outcomes", "probs", "nodes", "name", "states", "parents", "cpt",
+        "entities", "id", "data", "datum", "owner", "governance", "value", "trust", "incentives",
+        "logistic", "alpha", "budgets", "implicit_channels", "subject", "observer", "p", "attribution",
+        "net", "ownership", "message_nodes", "roles", "zip", "age", "sex", "diagnosis", "ticks", "M", "0", "1")
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 3)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from(["0", "1", "M", "a", "b", "conjunct", "quasi-identifier", "sensitive", ""])
+)
+DOCUMENTS = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.sampled_from(KEYS), inner, max_size=5),
+    max_leaves=16,
+)
+FUZZ_FILES = ("channel.json", "prior.json", "net.json", "scenario.json", "roles.json")
+
+
+class TestFuzzedDocuments:
+    @given(docs=st.tuples(*[DOCUMENTS] * len(FUZZ_FILES)))
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_any_document_exits_0_2_or_3(self, docs, tmp_path):
+        paths = {name: _write(tmp_path, name, json.dumps(doc)) for name, doc in zip(FUZZ_FILES, docs)}
+        out = str(tmp_path / "out")
+        runs = [
+            ["verify-bound", "--channel", paths["channel.json"], "--prior", paths["prior.json"]],
+            ["compose", paths["channel.json"], "rr:k=2,eps=1", "--prior", paths["prior.json"]],
+            ["leakage", "--net", paths["net.json"], "--message", "M"],
+            ["simulate", "--scenario", paths["scenario.json"], "--out", out],
+            ["anon", data_path("anon_release.csv"), "--dp", "1", "--sensitive", "diagnosis",
+             "--roles", paths["roles.json"]],
+        ]
+        for argv in runs:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+                code = main(argv)
+            assert code in (0, 2, 3), (argv, err.getvalue())
+            assert "Traceback" not in err.getvalue()
+
+
+class TestOptions:
+    @pytest.mark.parametrize("sub", ["verify-bound", "sweep", "leakage", "simulate", "anon", "compose"])
+    def test_help_lists_only_options_that_are_read(self, sub, capsys):
+        with pytest.raises(SystemExit):
+            main([sub, "--help"])
+        text = capsys.readouterr().out
+        assert "--tolerance" not in text
+        assert ("--seed" in text) == (sub in ("sweep", "leakage", "anon"))
+
+    def test_seed_is_refused_where_nothing_is_random(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--scenario", data_path("twins.json"), "--seed", "1"])
+        assert exc.value.code == 2
+
+    def test_fork_collider_seed_zero_is_seed_zero(self, capsys):
+        _, default = run_cli("leakage", "--scenario", "fork-collider", capsys=capsys)
+        _, zero = run_cli("leakage", "--scenario", "fork-collider", "--seed", "0", capsys=capsys)
+        _, explicit = run_cli("leakage", "--scenario", "fork-collider", "--seed", "42", capsys=capsys)
+        assert default == explicit != zero
+
+
+class TestStrictOutput:
+    def test_non_finite_report_leaves_no_file(self, tmp_path):
+        out = tmp_path / "report.json"
+        with pytest.raises(ValueError):
+            _emit({"x": math.inf}, "json", out)
+        assert not out.exists()
+
+    def test_event_log_refuses_nan(self):
+        with pytest.raises(ValueError):
+            write_events_jsonl([{"x": math.nan}], io.StringIO())
 
 
 class TestConsoleEntry:

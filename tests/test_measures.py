@@ -17,6 +17,8 @@ from infoflow import (
     structural_metric_content,
     total_variation,
 )
+from infoflow.causal import Node
+from infoflow.channels import Channel
 from helpers import entropy_cells, mi_cells
 
 
@@ -36,6 +38,24 @@ mass_matrices = st.tuples(st.integers(2, 5), st.integers(2, 5)).flatmap(
         max_size=shape[0],
     )
 ).map(lambda rows: (np.array(rows) / np.array(rows).sum()))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda nan: Dist(("a", "b"), [nan, 0.5]),
+        lambda nan: Joint(("a", "b"), ("x",), [[nan], [0.5]]),
+        lambda nan: Channel(("a",), ("x", "y"), [[nan, 0.5]]),
+        lambda nan: Node("R", ("0", "1"), (), [nan, 0.5]),
+    ],
+    ids=["Dist", "Joint", "Channel", "Node"],
+)
+def test_every_table_type_refuses_nan(build):
+    # NaN passes a negativity test and poisons a sum test; the table check refuses it
+    with pytest.raises(ValueError, match="NaN"):
+        build(float("nan"))
+    with pytest.raises(ValueError, match="NaN"):
+        build(None)  # a JSON null cell
 
 
 class TestDist:

@@ -103,6 +103,11 @@ class TestDecisionProb:
         with pytest.raises(ValueError):
             LogisticParams(alpha=-1.0)
 
+    @pytest.mark.parametrize("weights", [{"alpha": math.nan}, {"beta": math.nan}, {"alpha": math.inf}])
+    def test_rejects_non_finite_weights(self, weights):
+        with pytest.raises(ValueError, match="finite"):
+            LogisticParams(**weights)
+
 
 class TestEntityInvariants:
     def test_conjunct_requires_self_ownership(self):
@@ -304,6 +309,11 @@ class TestScenarioJson:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown scenario keys"):
             scenario_from_json_dict({"entities": [], "bogus": 1})
+
+    def test_factors_key_rejected(self):
+        # no decision reads extra named factors, so the scenario format has none
+        with pytest.raises(ValueError, match="unknown scenario keys"):
+            two_entity_scenario(factors={"mood": 1.0})
 
     def test_duplicate_implicit_channel_rejected(self):
         with pytest.raises(ValueError, match="duplicate implicit channel"):
