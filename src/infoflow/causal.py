@@ -13,6 +13,7 @@ fork/collider network used as a regression fixture.
 from __future__ import annotations
 
 import itertools
+import logging
 import math
 from dataclasses import dataclass, field
 
@@ -25,6 +26,8 @@ from .society import Context, FlowEvent, bundle_contexts
 
 STATE_SPACE_CAP = 2**22
 JOINT_SUM_TOL = 1e-6
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True, eq=False)
@@ -348,6 +351,17 @@ def fork_collider_graph(seed: int = 42) -> BayesNet:
 # ---------------------------------------------------------------------------
 
 
+def check_attribution(net: BayesNet, ownership: dict[str, str], node_of: dict[str, str] | None = None) -> None:
+    """Refuse an ownership or datum-to-node mapping that is not a mapping or names a node the net lacks."""
+    for what, mapping in (("ownership", ownership), ("message node map", node_of)):
+        if mapping is not None and not isinstance(mapping, dict):
+            raise ValueError(f"{what} must be a mapping, got {type(mapping).__name__}")
+    for node_name in ownership:
+        net.node(node_name)  # raises on unknown nodes
+    for node_name in (node_of or {}).values():
+        net.node(node_name)
+
+
 def attribute_flows(
     context_log: list[FlowEvent],
     net: BayesNet,
@@ -364,16 +378,14 @@ def attribute_flows(
     as sender, paired with the explicit context that caused it. Because
     a receiver accumulates messages, the leak of each flow is measured
     conditionally on the earlier explicit messages in the same context.
+    Each distinct (message, node, conditioning sequence) is evaluated
+    once per call; repeats reuse that value, so they are bit-identical.
 
     ``node_of`` optionally maps datum ids to net nodes; data without a
     mapping are skipped. Without it, each datum id must itself be a
     node name.
     """
-    for node_name in ownership:
-        net.node(node_name)  # raises on unknown nodes
-    if node_of is not None:
-        for node_name in node_of.values():
-            net.node(node_name)
+    check_attribution(net, ownership, node_of)
 
     def message_node(ev: FlowEvent) -> str | None:
         if node_of is not None:
@@ -382,6 +394,9 @@ def attribute_flows(
         return ev.datum
 
     dense = joint(net)
+    # (message, node, conditioning in order) -> I(message; node | conditioning)
+    memo: dict[tuple[str, str, tuple[str, ...]], float] = {}
+    hits = 0
     pairs: list[tuple[Context, Context]] = []
     for ctx in bundle_contexts(context_log, window=window):
         conditioning: list[str] = []
@@ -391,6 +406,7 @@ def attribute_flows(
             m = message_node(flow)
             if m is None:
                 continue
+            given = tuple(conditioning)
             leaks: dict[str, list[tuple[str, float]]] = {}
             for node in net.nodes:
                 owner = ownership.get(node.name)
@@ -398,7 +414,12 @@ def attribute_flows(
                     continue
                 if owner in (flow.sender, flow.receiver):
                     continue
-                mi = conditional_mi(dense, m, node.name, conditioning)
+                key = (m, node.name, given)
+                mi = memo.get(key)
+                if mi is None:
+                    mi = memo[key] = conditional_mi(dense, m, node.name, given)
+                else:
+                    hits += 1
                 if mi > threshold:
                     leaks.setdefault(owner, []).append((node.name, mi))
             for owner, leaked in leaks.items():
@@ -434,6 +455,7 @@ def attribute_flows(
                 )
             if m not in conditioning:
                 conditioning.append(m)
+    log.debug("attribute_flows: %d distinct conditional_mi evaluations, %d memo hits", len(memo), hits)
     return pairs
 
 
@@ -486,11 +508,16 @@ def net_from_json_dict(d: dict) -> BayesNet:
             for p in parents:
                 if p not in declared:
                     raise ValueError(f"parent {p!r} of {name!r} not declared earlier")
-            combos = list(itertools.product(*(declared[p].states for p in parents)))
-            missing = [c for c in combos if _combo_key(c) not in cpt_spec]
-            if missing or len(cpt_spec) != len(combos):
+            if not isinstance(cpt_spec, dict):
+                raise ValueError(f"node {name!r} with parents expects a cpt object keyed by parent states")
+            # counted before the combinations are built: their number is a product of cards
+            if len(cpt_spec) != math.prod(declared[p].card for p in parents):
                 raise ValueError(f"cpt of {name!r} must have exactly one row per parent combination")
-            cpt = [cpt_spec[_combo_key(c)] for c in combos]
+            combos = itertools.product(*(declared[p].states for p in parents))
+            try:
+                cpt = [cpt_spec[_combo_key(c)] for c in combos]
+            except KeyError:
+                raise ValueError(f"cpt of {name!r} must have exactly one row per parent combination") from None
         node = Node(name, tuple(spec["states"]), parents, cpt)
         declared[name] = node
         nodes.append(node)

@@ -147,21 +147,30 @@ def cmd_leakage(args) -> int:
     return EXIT_OK
 
 
-def _attribution_records(result, scenario) -> list[dict]:
+def _attribution(scenario) -> tuple | None:
+    """The scenario's attribution net and settings, parsed and name-checked."""
     attribution = scenario.attribution
     if not attribution:
-        return []
+        return None
     with malformed("scenario attribution"):
         net_spec = attribution["net"]
         net = causal.load_net(net_spec) if isinstance(net_spec, str) else causal.net_from_json_dict(net_spec)
-        pairs = causal.attribute_flows(
-            result.events,
-            net,
-            ownership=attribution.get("ownership", {}),
-            threshold=float(attribution.get("threshold", 1e-6)),
-            window=scenario.window,
-            node_of=attribution.get("message_nodes"),
-        )
+        settings = {
+            "ownership": attribution.get("ownership", {}),
+            "threshold": float(attribution.get("threshold", 1e-6)),
+            "window": scenario.window,
+            "node_of": attribution.get("message_nodes"),
+        }
+        causal.check_attribution(net, settings["ownership"], settings["node_of"])
+    return net, settings
+
+
+def _attribution_records(events, attribution) -> list[dict]:
+    if attribution is None:
+        return []
+    net, settings = attribution
+    with malformed("scenario attribution"):
+        pairs = causal.attribute_flows(events, net, **settings)
     return [
         {
             "record": "induced-context",
@@ -175,8 +184,9 @@ def _attribution_records(result, scenario) -> list[dict]:
 
 def cmd_simulate(args) -> int:
     scenario = society.load_scenario(args.scenario)
+    attribution = _attribution(scenario)  # a bad attribution block is refused before the run
     result = society.simulate(scenario)
-    records = result.records() + _attribution_records(result, scenario)
+    records = result.records() + _attribution_records(result.events, attribution)
     ledger_rows = society.ledger_report(result.ledger)
     if args.out is None:
         _emit({"events": records, "ledger": ledger_rows}, "json")

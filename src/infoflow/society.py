@@ -382,6 +382,13 @@ class Simulation:
     generator streams derived from (seed, tick, stream), so equal seeds
     reproduce the event list exactly and factor perturbations cannot
     touch the implicit stream.
+
+    The society's factors and logistic weights are read once, when the
+    simulation is built: every (sender, datum, receiver) candidate's
+    decision probability is fixed for the run, and changing
+    ``society.factors`` afterwards does not affect it. Each tick draws
+    one uniform per candidate in a single batch, in the order sender,
+    datum, receiver of the society's declarations.
     """
 
     def __init__(self, scenario: Scenario):
@@ -391,6 +398,8 @@ class Simulation:
         self.t = 0
         self.events: list[FlowEvent] = []
         self.stops: list[BudgetStop] = []
+        self._ids = [e.id for e in scenario.society.entities]
+        self._blocks, self._p = _decision_table(scenario.society)
 
     def step(self) -> tuple[list[FlowEvent], list[BudgetStop]]:
         t = self.t
@@ -400,40 +409,38 @@ class Simulation:
         events: list[FlowEvent] = []
         stops: list[BudgetStop] = []
 
-        for sender in soc.entities:
-            for rec in sender.data:
-                for receiver in soc.entities:
-                    if receiver.id == sender.id:
-                        continue
-                    p = decision_prob(soc.factors, sender.id, receiver.id, rec.datum, soc.logistic)
-                    if rng_explicit.random() >= p:
-                        continue
-                    measure = release_measure(rec)
-                    if self.ledger.would_exceed(sender.id, receiver.id, rec.datum, measure.selective_sh):
-                        stops.append(
-                            BudgetStop(
-                                t=t,
-                                sender=sender.id,
-                                receiver=receiver.id,
-                                datum=rec.datum,
-                                attempted_sh=measure.selective_sh,
-                                headroom_sh=self.ledger.headroom(sender.id, receiver.id, rec.datum),
-                            )
-                        )
-                        continue
-                    events.append(
-                        FlowEvent(
-                            id=f"x:{t}:{sender.id}>{receiver.id}:{rec.datum}",
-                            t=t,
-                            sender=sender.id,
-                            receiver=receiver.id,
-                            datum=rec.datum,
-                            measure=measure,
-                            kind="explicit",
-                            context_id=f"c:{t}:{sender.id}>{receiver.id}",
-                        )
+        # a batch of N uniforms is the same stream as N scalar draws, so the fired set
+        # is the one a draw per candidate in this order gives
+        width = len(self._ids) - 1
+        for i in np.flatnonzero(rng_explicit.random(len(self._p)) < self._p).tolist():
+            b, j = divmod(i, width)
+            k, datum, measure = self._blocks[b]
+            sender, receiver = self._ids[k], self._ids[j + (j >= k)]
+            if self.ledger.would_exceed(sender, receiver, datum, measure.selective_sh):
+                stops.append(
+                    BudgetStop(
+                        t=t,
+                        sender=sender,
+                        receiver=receiver,
+                        datum=datum,
+                        attempted_sh=measure.selective_sh,
+                        headroom_sh=self.ledger.headroom(sender, receiver, datum),
                     )
-                    self.ledger.record(sender.id, receiver.id, rec.datum, measure.selective_sh)
+                )
+                continue
+            events.append(
+                FlowEvent(
+                    id=f"x:{t}:{sender}>{receiver}:{datum}",
+                    t=t,
+                    sender=sender,
+                    receiver=receiver,
+                    datum=datum,
+                    measure=measure,
+                    kind="explicit",
+                    context_id=f"c:{t}:{sender}>{receiver}",
+                )
+            )
+            self.ledger.record(sender, receiver, datum, measure.selective_sh)
 
         for ch in soc.implicit_channels:
             if rng_implicit.random() >= ch.p:
@@ -466,6 +473,40 @@ class Simulation:
 
 def simulate(scenario: Scenario) -> SimulationResult:
     return Simulation(scenario).run()
+
+
+def _decision_table(soc: Society) -> tuple[list[tuple[int, str, InfoMeasure]], np.ndarray]:
+    """Explicit-flow candidates and their decision probabilities.
+
+    Candidates run over senders, then each sender's data, then receivers
+    (every other entity), in declaration order. With n entities, block
+    b = (sender position, datum, release content) holds candidates
+    b*(n-1) to (b+1)*(n-1) - 1, and offset j in a block is the receiver
+    at position j, or j + 1 from the sender's position on. A probability
+    depends on the candidate only through its (trust, incentive) pair,
+    so ``decision_prob`` is called once per distinct trust in a block.
+    """
+    factors, params = soc.factors, soc.logistic
+    ids = [e.id for e in soc.entities]
+    pos = {eid: k for k, eid in enumerate(ids)}
+    trusted: dict[str, list[tuple[int, float]]] = {}
+    for (sender, receiver), v in factors.trust.items():
+        if receiver in pos:
+            trusted.setdefault(sender, []).append((pos[receiver], v))
+    blocks: list[tuple[int, str, InfoMeasure]] = []
+    probs: list[np.ndarray] = []
+    for k, sender in enumerate(soc.entities):
+        trust = np.zeros(len(ids))
+        for r, v in trusted.get(sender.id, ()):
+            trust[r] = v
+        # one representative receiver per distinct trust value, then each candidate's index into them
+        _, first, which = np.unique(np.delete(trust, k), return_index=True, return_inverse=True)
+        receivers = [ids[j + (j >= k)] for j in first.tolist()]
+        for rec in sender.data:
+            row = [decision_prob(factors, sender.id, r, rec.datum, params) for r in receivers]
+            probs.append(np.array(row)[which])
+            blocks.append((k, rec.datum, release_measure(rec)))
+    return blocks, np.concatenate(probs) if probs else np.empty(0)
 
 
 def bundle_contexts(events: list[FlowEvent], window: int = 1) -> list[Context]:

@@ -74,3 +74,80 @@ def naive_pair_mi(net, a: str, b: str) -> float:
         key = (combo[idx[a]], combo[idx[b]])
         cells[key] = cells.get(key, 0.0) + p
     return mi_cells(cells)
+
+
+def scalar_simulation(cfg: dict) -> tuple[list, dict]:
+    """Records and ledger of a scenario document, one draw per candidate.
+
+    Replays the simulator's per-candidate loop: at every tick each
+    (sender, datum, receiver) candidate, in declaration order, draws one
+    scalar from the tick's explicit stream and fires when the draw is
+    below its logistic decision probability; budgets suppress explicit
+    releases; implicit channels draw from their own stream.
+    """
+    import numpy as np
+
+    logi = cfg.get("logistic", {})
+    alpha, beta, gamma = logi.get("alpha", 4.0), logi.get("beta", 1.0), logi.get("gamma", 3.0)
+    trust, incentives = cfg.get("trust", {}), cfg.get("incentives", {})
+    budgets = cfg.get("budgets", {})
+    held = {(e["id"], r["datum"]): r for e in cfg["entities"] for r in e.get("data", [])}
+
+    def logistic(x):
+        if x >= 0:
+            return 1.0 / (1.0 + math.exp(-x))
+        z = math.exp(x)
+        return z / (1.0 + z)
+
+    def raw_measure(rec):
+        k = rec.get("domain_size", 2)
+        return {"selective_sh": math.log2(k) if k > 1 else 0.0, "logons": k, "metrons": 1, "unbounded": False}
+
+    def release_measure(rec):
+        mech = rec.get("mechanism")
+        if mech is None:
+            return raw_measure(rec)
+        return {"selective_sh": mech["eps"] * math.log2(math.e), "logons": mech["k"], "metrons": 1,
+                "unbounded": False}
+
+    def flow(t, kind, sender, receiver, datum, measure):
+        prefix = {"explicit": "x", "implicit": "i"}[kind]
+        return {"record": "flow", "id": f"{prefix}:{t}:{sender}>{receiver}:{datum}", "t": t,
+                "sender": sender, "receiver": receiver, "datum": datum, "kind": kind,
+                "context_id": f"c:{t}:{sender}>{receiver}", "measure": measure}
+
+    cumulative, records = {}, []
+    seed = cfg.get("seed", 0)
+    for t in range(cfg.get("ticks", 1)):
+        rng_explicit = np.random.default_rng([seed, t, 0])
+        rng_implicit = np.random.default_rng([seed, t, 1])
+        flows, stops = [], []
+        for sender in cfg["entities"]:
+            s = sender["id"]
+            for rec in sender.get("data", []):
+                d = rec["datum"]
+                for receiver in cfg["entities"]:
+                    r = receiver["id"]
+                    if r == s:
+                        continue
+                    x = alpha * trust.get(s, {}).get(r, 0.0) + beta * incentives.get(s, {}).get(d, 0.0) - gamma
+                    if rng_explicit.random() >= logistic(x):
+                        continue
+                    measure = release_measure(rec)
+                    used = cumulative.get((s, r, d), 0.0)
+                    if d in budgets and used + measure["selective_sh"] > budgets[d] + 1e-9:
+                        stops.append({"record": "budget-stop", "t": t, "sender": s, "receiver": r, "datum": d,
+                                      "attempted_sh": measure["selective_sh"],
+                                      "headroom_sh": max(budgets[d] - used, 0.0)})
+                        continue
+                    flows.append(flow(t, "explicit", s, r, d, measure))
+                    cumulative[(s, r, d)] = used + measure["selective_sh"]
+        for ch in cfg.get("implicit_channels", []):
+            if rng_implicit.random() >= ch["p"]:
+                continue
+            key = (ch["subject"], ch["observer"], ch["datum"])
+            measure = raw_measure(held[(ch["subject"], ch["datum"])])
+            flows.append(flow(t, "implicit", *key, measure))
+            cumulative[key] = cumulative.get(key, 0.0) + measure["selective_sh"]
+        records += flows + stops
+    return records, cumulative

@@ -1,5 +1,8 @@
+import collections
 import itertools
 import json
+import logging
+import tracemalloc
 from importlib import resources
 
 import numpy as np
@@ -13,13 +16,16 @@ from infoflow import (
     Node,
     attribute_flows,
     ballot_scenario,
+    bundle_contexts,
     conditional_mi,
     joint,
     leakage_profile,
     fork_collider_graph,
     twins_scenario,
 )
+from infoflow import causal
 from infoflow.causal import STATE_SPACE_CAP, load_net, net_from_json_dict, net_to_json_dict
+from infoflow.cli import main
 from helpers import entropy_cells, mi_cells, naive_net_joint, naive_pair_mi
 
 
@@ -304,6 +310,86 @@ class TestAttributeFlows:
         assert pairs == []
 
 
+def repeated_flows_log():
+    """Explicit flows in six contexts whose message sequences repeat across contexts."""
+    sequences = [
+        (0, "s1", "r1", ["m", "x"]),
+        (0, "s2", "r1", ["m", "x"]),
+        (0, "alice", "r2", ["x", "g", "unmodelled"]),
+        (1, "s1", "r1", ["x", "m"]),
+        (1, "s2", "r2", ["m", "x", "g"]),
+        (2, "s1", "r2", ["m"]),
+    ]
+    return [explicit_event(s, r, d, t=t) for t, s, r, data in sequences for d in data]
+
+
+REPEATED_OWNERSHIP = {"A": "alice", "B": "bob", "C": "carol", "D": "dave"}
+REPEATED_NODE_OF = {"m": "M", "x": "X", "g": "G"}
+
+
+def per_flow_attribution(events, net, ownership, node_of, threshold=1e-6):
+    """Induced pairs from one fresh conditional_mi per flow and owned node, and every key evaluated."""
+    dense = joint(net)
+    pairs, keys = [], []
+    for ctx in bundle_contexts(events):
+        conditioning = []
+        for flow in ctx.flows:
+            m = node_of.get(flow.datum)
+            if flow.kind != "explicit" or m is None:
+                continue
+            leaks = {}
+            for node in net.nodes:
+                owner = ownership.get(node.name)
+                if node.name == m or owner is None or owner in (flow.sender, flow.receiver):
+                    continue
+                keys.append((m, node.name, tuple(conditioning)))
+                mi = conditional_mi(dense, m, node.name, conditioning)
+                if mi > threshold:
+                    leaks.setdefault(owner, []).append((node.name, mi))
+            for owner, leaked in leaks.items():
+                induced = f"{flow.id}~{owner}"
+                pairs.append((ctx.id, induced, owner, flow.receiver, [(f"{induced}:{n}", n, mi) for n, mi in leaked]))
+            if m not in conditioning:
+                conditioning.append(m)
+    return pairs, keys
+
+
+def pair_summary(pairs):
+    return [
+        (cause.id, ctx.id, ctx.sender, ctx.receiver, [(f.id, f.datum, f.measure.selective_sh) for f in ctx.flows])
+        for cause, ctx in pairs
+    ]
+
+
+class TestAttributionMemo:
+    def test_each_distinct_key_is_evaluated_once(self, monkeypatch):
+        net, events = fork_collider_graph(seed=42), repeated_flows_log()
+        expected, keys = per_flow_attribution(events, net, REPEATED_OWNERSHIP, REPEATED_NODE_OF)
+        calls = collections.Counter()
+
+        def counting(dense, a, b, given=()):
+            calls[a, b, tuple(given)] += 1
+            return conditional_mi(dense, a, b, given)
+
+        monkeypatch.setattr(causal, "conditional_mi", counting)
+        pairs = attribute_flows(events, net, REPEATED_OWNERSHIP, node_of=REPEATED_NODE_OF)
+        assert len(keys) > len(set(keys))  # the log repeats keys, so the memo has work
+        assert calls == collections.Counter(set(keys))
+        assert expected and pair_summary(pairs) == expected
+
+    def test_counts_are_logged_at_debug(self, caplog):
+        net, events = fork_collider_graph(seed=42), repeated_flows_log()
+        _, keys = per_flow_attribution(events, net, REPEATED_OWNERSHIP, REPEATED_NODE_OF)
+        with caplog.at_level(logging.DEBUG, logger="infoflow.causal"):
+            attribute_flows(events, net, REPEATED_OWNERSHIP, node_of=REPEATED_NODE_OF)
+        [record] = [r for r in caplog.records if r.name == "infoflow.causal"]
+        distinct = len(set(keys))
+        assert record.levelno == logging.DEBUG
+        assert record.getMessage() == (
+            f"attribute_flows: {distinct} distinct conditional_mi evaluations, {len(keys) - distinct} memo hits"
+        )
+
+
 class TestNetJson:
     def test_round_trip(self):
         net = fork_collider_graph(seed=42)
@@ -334,9 +420,31 @@ class TestNetJson:
         }
         with pytest.raises(ValueError, match="one row per parent combination"):
             net_from_json_dict(doc)
+        doc["nodes"][1]["cpt"] = [[0.5, 0.5], [0.5, 0.5]]
+        with pytest.raises(ValueError, match="keyed by parent states"):
+            net_from_json_dict(doc)
 
     def test_load_net(self, tmp_path):
         path = tmp_path / "net.json"
         net, _ = twins_scenario()
         path.write_text(json.dumps(net_to_json_dict(net)))
         assert load_net(path).names == net.names
+
+    def test_row_count_is_checked_before_the_combinations(self, tmp_path, capsys):
+        # ten four-state parents make 4^10 combinations; a one-row cpt is refused before any is built
+        parents = [
+            {"name": f"P{i}", "states": ["a", "b", "c", "d"], "parents": [], "cpt": [0.25] * 4} for i in range(10)
+        ]
+        child = {"name": "M", "states": ["0", "1"], "parents": [p["name"] for p in parents],
+                 "cpt": {",".join("a" * 10): [0.5, 0.5]}}
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps({"nodes": parents + [child]}))
+        tracemalloc.start()
+        try:
+            code = main(["leakage", "--net", str(path), "--message", "M"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "one row per parent combination" in capsys.readouterr().err
+        assert peak < 2 * 2**20

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import logging
 import math
 import os
 import subprocess
@@ -13,6 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import infoflow
+from infoflow import society
 from infoflow.cli import _emit, main
 from infoflow.society import write_events_jsonl
 
@@ -218,6 +220,24 @@ class TestSimulate:
         code, _ = run_cli("simulate", "--scenario", str(path), capsys=capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("case", ["attribution-unknown-message-node", "ownership-not-a-mapping"])
+    def test_attribution_is_checked_before_the_run(self, case, tmp_path, monkeypatch, capsys):
+        def refuse(scenario):
+            raise AssertionError("a scenario with a malformed attribution block was simulated")
+
+        monkeypatch.setattr(society, "simulate", refuse)
+        files, argv = MALFORMED[case]
+        paths = {name: _write(tmp_path, name, text) for name, text in files.items()}
+        assert main([paths.get(arg, arg) for arg in argv]) == 2
+        assert capsys.readouterr().err.startswith("error: scenario attribution: ")
+
+    def test_debug_logging_leaves_the_report_unchanged(self, caplog, capsys):
+        _, plain = run_cli("simulate", "--scenario", data_path("twins.json"), capsys=capsys)
+        with caplog.at_level(logging.DEBUG, logger="infoflow"):
+            _, logged = run_cli("simulate", "--scenario", data_path("twins.json"), capsys=capsys)
+        assert logged == plain
+        assert any("memo hits" in r.getMessage() for r in caplog.records)
+
 
 class TestAnon:
     def test_fixture_attack_matches_golden(self, capsys):
@@ -344,6 +364,10 @@ MALFORMED = {
     # ownership [1] is refused as "unknown node 1"; a list that names a node got past that check
     "ownership-not-a-mapping": (
         {"s.json": _twins_with(attribution={**TWINS["attribution"], "ownership": ["S2"]})},
+        ["simulate", "--scenario", "s.json"],
+    ),
+    "attribution-unknown-message-node": (
+        {"s.json": _twins_with(attribution={**TWINS["attribution"], "message_nodes": {"gender": "nope"}})},
         ["simulate", "--scenario", "s.json"],
     ),
     "nan-literal": (

@@ -19,6 +19,7 @@ from infoflow import (
     simulate,
 )
 from infoflow.society import scenario_from_json_dict
+from helpers import scalar_simulation
 
 LN3 = math.log(3)
 LOG2_3 = math.log2(3)
@@ -256,6 +257,67 @@ class TestLedger:
     def test_negative_budget_rejected(self):
         with pytest.raises(ValueError, match="budget"):
             two_entity_scenario(budgets={"location": -1.0})
+
+
+def random_scenario_doc(seed, n_ent=6, ticks=5):
+    """A scenario with budgets tight enough to stop releases, mechanisms and implicit channels."""
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    ids = [f"e{k}" for k in range(n_ent)]
+    entities, trust, incentives = [], {}, {}
+    for eid in ids:
+        data = []
+        for j in range(int(rng.integers(1, 4))):
+            rec = {"datum": f"d{j}", "owner": eid, "governance": "conjunct", "domain_size": int(rng.integers(1, 5))}
+            if j == 1:
+                rec["mechanism"] = {"kind": "randomized-response", "k": 2, "eps": float(rng.uniform(0.1, 1.5))}
+            data.append(rec)
+        entities.append({"id": eid, "data": data})
+        # equal trust values, an explicit zero and an entity outside the society
+        friends = rng.choice([i for i in ids if i != eid], size=3, replace=False)
+        trust[eid] = {str(f): float(rng.choice([0.0, 0.75, 1.0])) for f in friends} | {"ghost": 1.0}
+        incentives[eid] = {f"d{j}": float(rng.uniform(0.0, 3.0)) for j in range(len(data))}
+    channels = {}
+    for _ in range(4):
+        subject, observer = (str(v) for v in rng.choice(ids, size=2, replace=False))
+        channels[subject, observer] = {"subject": subject, "observer": observer, "datum": "d0",
+                                       "p": float(rng.uniform(0.1, 0.9))}
+    return {
+        "seed": int(rng.integers(2**31)),
+        "ticks": ticks,
+        "entities": entities,
+        "trust": trust,
+        "incentives": incentives,
+        "implicit_channels": list(channels.values()),
+        "budgets": {"d0": 2.5, "d1": 1.0},
+        "logistic": {"alpha": 4.0, "beta": 1.0, "gamma": 4.5},
+    }
+
+
+class TestBatchedDraws:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_records_equal_the_per_candidate_loop(self, seed):
+        doc = random_scenario_doc(seed)
+        expected_records, expected_ledger = scalar_simulation(doc)
+        result = simulate(scenario_from_json_dict(doc))
+        assert result.records() == expected_records
+        assert result.ledger.cumulative == expected_ledger
+
+    def test_scenarios_exercise_stops_and_both_kinds(self):
+        records = [r for seed in range(8) for r in scalar_simulation(random_scenario_doc(seed))[0]]
+        kinds = {r.get("kind", r["record"]) for r in records}
+        assert kinds == {"explicit", "implicit", "budget-stop"}
+        assert len({r["t"] for r in records}) > 1
+
+    def test_factors_are_read_when_the_simulation_is_built(self):
+        scenario = two_entity_scenario(seed=2, ticks=4)
+        sim = Simulation(scenario)
+        scenario.society.factors = FactorState()  # the run keeps the factors it was built with
+        for _ in range(4):
+            sim.step()
+        expected = simulate(two_entity_scenario(seed=2, ticks=4))
+        assert [e.id for e in sim.events] == [e.id for e in expected.events]
 
 
 class TestBundleContexts:
