@@ -15,7 +15,10 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
+from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -23,19 +26,24 @@ import numpy as np
 from .channels import BoundCertificate, Channel, check_mi_bound, randomized_response
 from .measures import Dist, load_json, malformed
 
+log = logging.getLogger(__name__)
+
 ROLES = ("identifier", "quasi-identifier", "sensitive")
 
 
 @dataclass(frozen=True)
 class Table:
-    """Rectangular table with a role per column."""
+    """Rectangular table with a role per column.
+
+    ``rows`` may be any iterable of rows; it is consumed once and kept
+    as a tuple of string tuples.
+    """
 
     columns: tuple[tuple[str, str], ...]  # (name, role)
     rows: tuple[tuple[str, ...], ...]
 
     def __post_init__(self):
         object.__setattr__(self, "columns", tuple((str(n), str(r)) for n, r in self.columns))
-        object.__setattr__(self, "rows", tuple(tuple(str(v) for v in row) for row in self.rows))
         names = [n for n, _ in self.columns]
         if len(set(names)) != len(names):
             raise ValueError("duplicate column names")
@@ -43,20 +51,26 @@ class Table:
             if role not in ROLES:
                 raise ValueError(f"unknown column role {role!r}")
         width = len(self.columns)
+        rows = []
         for i, row in enumerate(self.rows):
+            row = tuple(map(str, row))
             if len(row) != width:
                 raise ValueError(f"row {i} has {len(row)} cells, expected {width}")
+            rows.append(row)
+        object.__setattr__(self, "rows", tuple(rows))
 
     def column_names(self, role: str | None = None) -> list[str]:
         return [n for n, r in self.columns if role is None or r == role]
 
     def column(self, name: str) -> list[str]:
-        idx = self.column_names().index(name)
-        return [row[idx] for row in self.rows]
+        return list(map(itemgetter(self.column_names().index(name)), self.rows))
 
     def project(self, names: list[str]) -> list[tuple[str, ...]]:
+        """Each row's cells in the named columns, as tuples."""
         idxs = [self.column_names().index(n) for n in names]
-        return [tuple(row[i] for i in idxs) for row in self.rows]
+        if len(idxs) == 1:  # itemgetter of one index returns the cell, not a tuple
+            return [(cell,) for cell in self.column(names[0])]
+        return list(map(itemgetter(*idxs), self.rows))
 
 
 @dataclass(frozen=True)
@@ -83,13 +97,6 @@ class AnonReport:
         }
 
 
-def _classes(t: Table, qi_names: list[str]) -> dict[tuple[str, ...], list[int]]:
-    groups: dict[tuple[str, ...], list[int]] = {}
-    for i, key in enumerate(t.project(qi_names)):
-        groups.setdefault(key, []).append(i)
-    return groups
-
-
 def k_anonymity_level(t: Table) -> int:
     """Smallest equivalence-class size over the quasi-identifier columns."""
     if not t.rows:
@@ -97,7 +104,7 @@ def k_anonymity_level(t: Table) -> int:
     qi = t.column_names("quasi-identifier")
     if not qi:
         raise ValueError("no quasi-identifier columns designated")
-    return min(len(idxs) for idxs in _classes(t, qi).values())
+    return min(Counter(t.project(qi)).values())
 
 
 def linkage_attack(release: Table, auxiliary: Table) -> AnonReport:
@@ -106,27 +113,25 @@ def linkage_attack(release: Table, auxiliary: Table) -> AnonReport:
     reid_rate is the fraction of auxiliary rows whose matched class has
     size 1 (unique re-identification); homogeneity_rate is the fraction
     of matched classes carrying a single sensitive value (attribute
-    disclosure even when k > 1).
+    disclosure even when k > 1). The release needs a sensitive column.
     """
-    shared = [n for n in release.column_names("quasi-identifier") if n in auxiliary.column_names("quasi-identifier")]
+    qi = release.column_names("quasi-identifier")
+    aux_qi = set(auxiliary.column_names("quasi-identifier"))
+    shared = [n for n in qi if n in aux_qi]
     if not shared:
         raise ValueError("release and auxiliary share no quasi-identifier columns")
     sensitive = release.column_names("sensitive")
-    classes = _classes(release, shared)
-    sens_values = {
-        key: {tuple(release.rows[i][release.column_names().index(s)] for s in sensitive) for i in idxs}
-        for key, idxs in classes.items()
-    }
-    matched: dict[tuple[str, ...], None] = {}
-    reid_hits = 0
+    if not sensitive:
+        raise ValueError("release has no 'sensitive' column: homogeneity is undefined without one")
+    keys = release.project(shared)
+    sizes = Counter(keys)
     aux_keys = auxiliary.project(shared)
-    for key in aux_keys:
-        if key not in classes:
-            continue
-        matched[key] = None
-        if len(classes[key]) == 1:
-            reid_hits += 1
-    homogeneous = sum(1 for key in matched if len(sens_values[key]) == 1)
+    matched = sizes.keys() & set(aux_keys)
+    reid_hits = sum(1 for key in aux_keys if sizes.get(key) == 1)
+    # distinct sensitive values per class: count the distinct (key, value) pairs
+    spread = Counter(map(itemgetter(0), set(zip(keys, release.project(sensitive)))))
+    homogeneous = sum(1 for key in matched if spread[key] == 1)
+    log.debug("linkage_attack: %d classes, %d matched, %d auxiliary rows", len(sizes), len(matched), len(aux_keys))
     return AnonReport(
         k_achieved=k_anonymity_level(release),
         homogeneity_rate=homogeneous / len(matched) if matched else 0.0,
@@ -146,33 +151,40 @@ def dp_release(
     the mechanism under the column's empirical prior. ``eps=None``
     releases the column unchanged through the identity channel, whose
     certificate is flagged unbounded.
+
+    The release stream is one ``default_rng(seed).random()`` uniform per
+    row, in row order, inverted through the row's cumulative channel
+    row: bit for bit what ``rng.choice(k, p=row)`` per row draws.
     """
     names = t.column_names()
     if sensitive_column not in names:
         raise ValueError(f"unknown column {sensitive_column!r}")
+    col = names.index(sensitive_column)
     values = t.column(sensitive_column)
     categories = tuple(sorted(set(values)))
-    if len(categories) < 2:
+    k = len(categories)
+    if k < 2:
         raise ValueError(f"column {sensitive_column!r} needs >= 2 categories")
+    index = {c: i for i, c in enumerate(categories)}
+    codes = np.fromiter(map(index.__getitem__, values), dtype=np.intp, count=len(values))
+    log.debug("dp_release: %d rows, %d categories", len(values), k)
     if eps is None:
-        chan = Channel(categories, categories, np.eye(len(categories)))
-        released = values
+        chan = Channel(categories, categories, np.eye(k))
+        released = t
     else:
-        chan = randomized_response(len(categories), eps, outcomes=categories)
-        rng = np.random.default_rng(seed)
-        released = []
-        for v in values:
-            row = chan.rows[categories.index(v)]
-            released.append(categories[rng.choice(len(categories), p=row)])
-    counts = np.array([values.count(c) for c in categories], dtype=np.float64)
-    prior = Dist(categories, counts / counts.sum())
-    cert = check_mi_bound(chan, prior)
-    col_idx = names.index(sensitive_column)
-    new_rows = tuple(
-        tuple(released[i] if j == col_idx else cell for j, cell in enumerate(row))
-        for i, row in enumerate(t.rows)
-    )
-    return Table(t.columns, new_rows), cert
+        chan = randomized_response(k, eps, outcomes=categories)
+        u = np.random.default_rng(seed).random(len(values))
+        cdf = chan.rows.cumsum(axis=1)
+        cdf /= cdf[:, -1:]
+        drawn = np.empty_like(codes)
+        for c in range(k):
+            rows_c = codes == c
+            drawn[rows_c] = np.searchsorted(cdf[c], u[rows_c], side="right")
+        new_values = map(categories.__getitem__, drawn.tolist())
+        released = Table(t.columns, (row[:col] + (v,) + row[col + 1:] for row, v in zip(t.rows, new_values)))
+    counts = np.bincount(codes, minlength=k).astype(np.float64)
+    cert = check_mi_bound(chan, Dist(categories, counts / counts.sum()))
+    return released, cert
 
 
 # ---------------------------------------------------------------------------
@@ -193,11 +205,10 @@ def read_table(csv_path, roles_path=None) -> Table:
         header = next(reader, None)
         if header is None:
             raise ValueError("no header row")
-        rows = [tuple(row) for row in reader]
-    missing = [n for n in header if n not in roles]
-    if missing:
-        raise ValueError(f"sidecar {roles_path} missing roles for columns {missing}")
-    return Table(tuple((n, roles[n]) for n in header), tuple(rows))
+        missing = [n for n in header if n not in roles]
+        if missing:
+            raise ValueError(f"sidecar {roles_path} missing roles for columns {missing}")
+        return Table(tuple((n, roles[n]) for n in header), reader)
 
 
 def write_table(t: Table, csv_path, roles_path=None) -> None:

@@ -212,19 +212,26 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_anon(args) -> int:
-    release = read_table(args.release, args.roles)
+    # the option combination is checked before any table is read
     if (args.aux is None) == (args.dp is None):
         raise ValueError("provide exactly one of AUX or --dp")
     if args.aux is not None:
-        aux = read_table(args.aux, args.aux_roles)
-        report = linkage_attack(release, aux)
+        mode, only = "--dp", {"--sensitive": args.sensitive, "--seed": args.seed, "--release-out": args.release_out}
+    else:
+        mode, only = "AUX", {"--aux-roles": args.aux_roles}
+    stray = [opt for opt, v in only.items() if v is not None]
+    if stray:
+        raise ValueError(f"{', '.join(stray)}: only with {mode}")
+    if args.aux is not None:
+        report = linkage_attack(read_table(args.release, args.roles), read_table(args.aux, args.aux_roles))
         _emit(report.to_json_dict(), args.fmt, args.out)
         return EXIT_OK
     if args.sensitive is None:
         raise ValueError("--sensitive is required with --dp")
     spec = args.dp.removeprefix("eps=")
     eps = None if spec == "none" else float(spec)
-    released, cert = dp_release(release, args.sensitive, eps, seed=args.seed)
+    seed = 0 if args.seed is None else args.seed
+    released, cert = dp_release(read_table(args.release, args.roles), args.sensitive, eps, seed=seed)
     if args.release_out:
         write_table(released, args.release_out)
     _emit(cert.to_json_dict(), args.fmt, args.out)
@@ -288,11 +295,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("release", help="released CSV (roles sidecar: <file>.roles.json)")
     p.add_argument("aux", nargs="?", help="auxiliary CSV for the linkage attack")
     p.add_argument("--dp", help="eps for a randomized release of --sensitive ('none' = identity)")
-    p.add_argument("--sensitive", help="sensitive column to randomize")
+    p.add_argument("--sensitive", help="sensitive column to randomize (only with --dp)")
     p.add_argument("--roles", help="override the release roles sidecar")
-    p.add_argument("--aux-roles", help="override the auxiliary roles sidecar")
-    p.add_argument("--release-out", help="write the released CSV here")
-    p.add_argument("--seed", type=int, default=0, help="seed of the randomized release")
+    p.add_argument("--aux-roles", help="override the auxiliary roles sidecar (only with AUX)")
+    p.add_argument("--release-out", help="write the released CSV here (only with --dp)")
+    p.add_argument("--seed", type=int, default=None, help="seed of the randomized release (only with --dp; default 0)")
     p.set_defaults(handler=cmd_anon)
 
     p = sub.add_parser("compose", parents=[common], help="product of two channels plus its certificate")

@@ -151,3 +151,50 @@ def scalar_simulation(cfg: dict) -> tuple[list, dict]:
             cumulative[key] = cumulative.get(key, 0.0) + measure["selective_sh"]
         records += flows + stops
     return records, cumulative
+
+
+def rr_release_oracle(values, rows, seed) -> list:
+    """Randomized-response release of ``values``, one ``rng.choice`` per row.
+
+    ``rows[i]`` is the output distribution of the i-th category in sorted
+    order; each row draws from one ``default_rng(seed)`` stream in turn.
+    """
+    import numpy as np
+
+    categories = sorted(set(values))
+    rng = np.random.default_rng(seed)
+    return [categories[rng.choice(len(categories), p=rows[categories.index(v)])] for v in values]
+
+
+def naive_linkage(release_columns, release_rows, aux_columns, aux_rows) -> dict:
+    """Linkage-attack report from (name, role) columns and rows, via a dict of sets."""
+
+    def named(columns, role):
+        return [n for n, r in columns if r == role]
+
+    def cells(columns, row, names):
+        pos = [n for n, _ in columns]
+        return tuple(row[pos.index(n)] for n in names)
+
+    qi = named(release_columns, "quasi-identifier")
+    aux_qi = named(aux_columns, "quasi-identifier")
+    shared = [n for n in qi if n in aux_qi]
+    sensitive = named(release_columns, "sensitive")
+    members, full = {}, {}
+    for row in release_rows:
+        key = cells(release_columns, row, shared)
+        members.setdefault(key, []).append(cells(release_columns, row, sensitive))
+        full_key = cells(release_columns, row, qi)
+        full[full_key] = full.get(full_key, 0) + 1
+    matched, reid = set(), 0
+    for row in aux_rows:
+        key = cells(aux_columns, row, shared)
+        if key in members:
+            matched.add(key)
+            reid += len(members[key]) == 1
+    homogeneous = sum(1 for key in matched if len(set(members[key])) == 1)
+    return {
+        "k_achieved": min(full.values()),
+        "homogeneity_rate": homogeneous / len(matched) if matched else 0.0,
+        "reid_rate": reid / len(aux_rows) if aux_rows else 0.0,
+    }

@@ -3,6 +3,9 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from helpers import naive_linkage, rr_release_oracle
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infoflow import (
     Dist,
@@ -14,6 +17,7 @@ from infoflow import (
     mutual_information,
     post_process,
     push_through,
+    randomized_response,
 )
 from infoflow.anonymity import read_table, write_table
 
@@ -94,6 +98,30 @@ class TestLinkageAttack:
         with pytest.raises(ValueError, match="share no quasi-identifier"):
             linkage_attack(fixture_release(), aux)
 
+    def test_requires_a_sensitive_column(self):
+        # without one, every matched class would count as disclosing a value it does not have
+        release = Table((("zip", QI), ("age", QI), ("diag", "identifier")), (("1", "20", "a"), ("1", "20", "b")))
+        aux = Table((("zip", QI), ("age", QI)), (("1", "20"),))
+        with pytest.raises(ValueError, match="'sensitive'"):
+            linkage_attack(release, aux)
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_naive_join(self, data):
+        # duplicate rows, absent aux keys, a partial shared QI set, several sensitive columns
+        cell = st.sampled_from("abc")
+        qi = data.draw(st.lists(st.sampled_from(["zip", "age", "sex"]), min_size=1, max_size=3, unique=True))
+        sensitive = data.draw(st.lists(st.sampled_from(["diag", "hiv"]), min_size=1, max_size=2, unique=True))
+        columns = [(n, QI) for n in qi] + [(n, "sensitive") for n in sensitive] + [("name", "identifier")]
+        columns = data.draw(st.permutations(columns))
+        rows = data.draw(st.lists(st.tuples(*[cell] * len(columns)), min_size=1, max_size=12))
+        aux_qi = data.draw(st.lists(st.sampled_from(qi + ["height"]), min_size=1, max_size=4, unique=True)
+                           .filter(lambda names: set(names) & set(qi)))
+        aux_columns = [(n, QI) for n in aux_qi] + [("who", "identifier")]
+        aux_rows = data.draw(st.lists(st.tuples(*[st.sampled_from("abz")] * len(aux_columns)), max_size=8))
+        report = linkage_attack(Table(tuple(columns), tuple(rows)), Table(tuple(aux_columns), tuple(aux_rows)))
+        assert report.to_json_dict() == naive_linkage(columns, rows, aux_columns, aux_rows)
+
 
 class TestDpRelease:
     def binary_table(self):
@@ -127,6 +155,37 @@ class TestDpRelease:
         b, _ = dp_release(fixture_release(), "diagnosis", 0.7, seed=11)
         assert a.rows == b.rows
 
+    @pytest.mark.parametrize("k", [2, 3, 5, 9])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 42, 2**31 - 1])
+    def test_matches_per_row_choice(self, k, seed):
+        values = [f"c{(7 * i + 3) % k}" for i in range(300)]
+        self.assert_matches_oracle(values, 0.8, seed)
+
+    @pytest.mark.parametrize("eps", [1e-6, 30.0])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_per_row_choice_at_extreme_eps(self, eps, seed):
+        self.assert_matches_oracle([f"c{i % 4}" for i in range(200)], eps, seed)
+
+    def test_matches_per_row_choice_in_first_appearance_order(self):
+        # categories first appear out of sorted order; "mid" holds a single row
+        values = ["zeta", "alpha", "zeta", "mid", "beta", "alpha"] + ["zeta", "beta"] * 40
+        for seed in range(5):
+            self.assert_matches_oracle(values, 1.3, seed)
+
+    def test_identity_release_matches_identity_oracle(self):
+        values = ["b", "a", "c", "a", "b", "b"]
+        released, _ = dp_release(self.column_table(values), "s", None, seed=3)
+        assert released.column("s") == rr_release_oracle(values, np.eye(3), 3) == values
+
+    def column_table(self, values):
+        return Table((("zip", QI), ("s", "sensitive"), ("z2", QI)), tuple((str(i), v, "x") for i, v in enumerate(values)))
+
+    def assert_matches_oracle(self, values, eps, seed):
+        released, _ = dp_release(self.column_table(values), "s", eps, seed=seed)
+        rows = randomized_response(len(set(values)), eps).rows
+        assert released.column("s") == rr_release_oracle(values, rows, seed)
+        assert released.project(["zip", "z2"]) == self.column_table(values).project(["zip", "z2"])
+
     def test_rejects_single_category(self):
         t = Table((("zip", QI), ("s", "sensitive")), (("1", "x"), ("2", "x")))
         with pytest.raises(ValueError, match="categories"):
@@ -141,8 +200,6 @@ class TestDpRelease:
         t = fixture_release()
         values = t.column("diagnosis")
         categories = tuple(sorted(set(values)))
-        from infoflow import randomized_response
-
         chan = randomized_response(len(categories), LN3, outcomes=categories)
         counts = np.array([values.count(c) for c in categories], dtype=np.float64)
         prior = Dist(categories, counts / counts.sum())

@@ -306,6 +306,30 @@ class TestAnon:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("option, value", [("--release-out", "x.csv"), ("--seed", "1"), ("--sensitive", "diagnosis")])
+    def test_release_options_refused_with_aux(self, option, value, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["anon", data_path("anon_release.csv"), data_path("anon_aux.csv"), option, value]) == 2
+        assert capsys.readouterr().err == f"error: {option}: only with --dp\n"
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_options_checked_before_any_table_is_read(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.csv")
+        assert main(["anon", missing, missing, "--seed", "1"]) == 2
+        assert main(["anon", missing, "--dp", "1"]) == 2
+        assert main(["anon", missing, "--dp", "1", "--sensitive", "s", "--aux-roles", missing]) == 2
+        assert "missing.csv" not in capsys.readouterr().err
+
+    def test_debug_logging_leaves_the_reports_unchanged(self, caplog, capsys):
+        linkage = ["anon", data_path("anon_release.csv"), data_path("anon_aux.csv")]
+        dp = ["anon", data_path("anon_release.csv"), "--dp", "1", "--sensitive", "diagnosis", "--seed", "5"]
+        plain = [run_cli(*argv, capsys=capsys) for argv in (linkage, dp)]
+        with caplog.at_level(logging.DEBUG, logger="infoflow.anonymity"):
+            logged = [run_cli(*argv, capsys=capsys) for argv in (linkage, dp)]
+        assert logged == plain
+        messages = [r.getMessage() for r in caplog.records if r.name == "infoflow.anonymity"]
+        assert messages == ["linkage_attack: 3 classes, 1 matched, 2 auxiliary rows", "dp_release: 6 rows, 3 categories"]
+
 
 class TestCompose:
     def test_two_rr_specs(self, capsys):
@@ -389,6 +413,14 @@ MALFORMED = {
         ["anon", "t.csv", "--dp", "1", "--sensitive", "a"],
     ),
     "sweep-without-cases": ({}, ["sweep", "--cases", "0"]),
+    "linkage-without-sensitive-column": (
+        {"r.csv": "zip,age,diag\n1,20,a\n1,20,b\n",
+         "r.csv.roles.json": json.dumps({"roles": {"zip": "quasi-identifier", "age": "quasi-identifier",
+                                                   "diag": "identifier"}}),
+         "a.csv": "zip,age\n1,20\n",
+         "a.csv.roles.json": json.dumps({"roles": {"zip": "quasi-identifier", "age": "quasi-identifier"}})},
+        ["anon", "r.csv", "a.csv"],
+    ),
 }
 
 
