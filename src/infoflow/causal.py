@@ -464,8 +464,15 @@ def attribute_flows(
 # ---------------------------------------------------------------------------
 
 
-def _combo_key(parent_states: tuple[str, ...]) -> str:
-    return ",".join(parent_states)
+def _combo_keys(parent_states: list[tuple[str, ...]]) -> list[str]:
+    """CPT row keys: each parent-state combination, row-major, joined by commas.
+
+    A state label with a comma would make two combinations share a key,
+    so it is refused in both directions.
+    """
+    if any("," in s for states in parent_states for s in states):
+        raise ValueError("state labels used as cpt keys must not contain commas")
+    return [",".join(combo) for combo in itertools.product(*parent_states)]
 
 
 def net_to_json_dict(net: BayesNet) -> dict:
@@ -474,14 +481,8 @@ def net_to_json_dict(net: BayesNet) -> dict:
         if not node.parents:
             cpt = [float(v) for v in node.cpt[0]]
         else:
-            parent_states = [net.node(p).states for p in node.parents]
-            for states in parent_states:
-                if any("," in s for s in states):
-                    raise ValueError("state labels used as cpt keys must not contain commas")
-            cpt = {
-                _combo_key(combo): [float(v) for v in node.cpt[i]]
-                for i, combo in enumerate(itertools.product(*parent_states))
-            }
+            keys = _combo_keys([net.node(p).states for p in node.parents])
+            cpt = {key: [float(v) for v in row] for key, row in zip(keys, node.cpt)}
         nodes.append(
             {
                 "name": node.name,
@@ -513,9 +514,8 @@ def net_from_json_dict(d: dict) -> BayesNet:
             # counted before the combinations are built: their number is a product of cards
             if len(cpt_spec) != math.prod(declared[p].card for p in parents):
                 raise ValueError(f"cpt of {name!r} must have exactly one row per parent combination")
-            combos = itertools.product(*(declared[p].states for p in parents))
             try:
-                cpt = [cpt_spec[_combo_key(c)] for c in combos]
+                cpt = [cpt_spec[key] for key in _combo_keys([declared[p].states for p in parents])]
             except KeyError:
                 raise ValueError(f"cpt of {name!r} must have exactly one row per parent combination") from None
         node = Node(name, tuple(spec["states"]), parents, cpt)

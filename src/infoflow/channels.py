@@ -59,51 +59,53 @@ class Channel:
 class EpsReport:
     """Tightest epsilon a channel satisfies, with the witnessing triple.
 
-    ``eps`` is math.inf when some output has positive probability under
-    one input and zero under another; ``witness`` is the (x, x', y)
-    achieving the maximal probability ratio.
+    ``eps`` is math.inf (``unbounded``) when some output has positive
+    probability under one input and zero under another; ``witness`` is
+    the (x, x', y) achieving the maximal probability ratio.
     """
 
     eps: float
     witness: tuple[str, str, str]
-    unbounded: bool = False
+
+    @property
+    def unbounded(self) -> bool:
+        return math.isinf(self.eps)
 
     def to_json_dict(self) -> dict:
         return {
             "eps": None if self.unbounded else float(self.eps),
-            "unbounded": bool(self.unbounded),
+            "unbounded": self.unbounded,
             "witness": list(self.witness),
         }
 
 
 @dataclass(frozen=True)
-class BoundCertificate:
-    """Checked instance of the per-invocation information cap.
+class BoundCertificate(EpsReport):
+    """Checked instance of the per-invocation information cap: an eps report plus the MI under one prior.
 
-    ``bound_sh = eps * log2(e)``; ``holds`` records whether the measured
-    mutual information stays within the bound (tolerance 1e-9).
+    ``bound_sh`` (``dp_to_mi_bound(eps)``, eps * log2(e) Sh) and
+    ``holds`` are derived from ``eps`` and ``mi_sh``; ``holds`` says
+    whether the measured mutual information stays within the bound
+    (tolerance 1e-9). An unbounded eps gives an infinite bound that
+    holds vacuously.
     """
 
-    eps: float
     mi_sh: float
-    bound_sh: float
-    holds: bool
-    witness: tuple[str, str, str]
-    unbounded: bool = False
 
-    def __post_init__(self):
-        expect = self.mi_sh <= self.bound_sh + 1e-9
-        if self.holds != expect:
-            raise ValueError("holds flag inconsistent with mi/bound")
+    @property
+    def bound_sh(self) -> float:
+        return math.inf if self.unbounded else dp_to_mi_bound(self.eps)
+
+    @property
+    def holds(self) -> bool:
+        return bool(self.mi_sh <= self.bound_sh + 1e-9)
 
     def to_json_dict(self) -> dict:
         return {
-            "eps": None if self.unbounded else float(self.eps),
+            **super().to_json_dict(),
             "mi_sh": float(self.mi_sh),
             "bound_sh": None if self.unbounded else float(self.bound_sh),
-            "holds": bool(self.holds),
-            "unbounded": bool(self.unbounded),
-            "witness": list(self.witness),
+            "holds": self.holds,
         }
 
 
@@ -112,12 +114,17 @@ class BoundCertificate:
 # ---------------------------------------------------------------------------
 
 
+def _check_eps(eps: float) -> None:
+    """Refuse a randomized-response eps other than a finite eps > 0."""
+    if not (eps > 0 and math.isfinite(eps)):
+        raise ValueError(f"eps must be positive and finite, got {eps}")
+
+
 def _check_rr(k: int, eps: float) -> None:
     """Refuse randomized-response parameters other than k >= 2 and finite eps > 0."""
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    if not (eps > 0 and math.isfinite(eps)):
-        raise ValueError(f"eps must be positive and finite, got {eps}")
+    _check_eps(eps)
 
 
 def randomized_response(k: int, eps: float, outcomes=None) -> Channel:
@@ -147,10 +154,7 @@ def realized_epsilon(c: Channel) -> EpsReport:
     positive probability over a zero one is unbounded.
     """
     eps, x, xp, y = scan_log_ratio(c.rows)
-    witness = (c.input_outcomes[x], c.input_outcomes[xp], c.output_outcomes[y])
-    if math.isinf(eps):
-        return EpsReport(math.inf, witness, unbounded=True)
-    return EpsReport(max(eps, 0.0), witness)
+    return EpsReport(max(eps, 0.0), (c.input_outcomes[x], c.input_outcomes[xp], c.output_outcomes[y]))
 
 
 def push_through(prior: Dist, c: Channel) -> Joint:
@@ -175,24 +179,7 @@ def check_mi_bound(c: Channel, prior: Dist) -> BoundCertificate:
     holds vacuously.
     """
     report = realized_epsilon(c)
-    mi = mutual_information(push_through(prior, c))
-    if report.unbounded:
-        return BoundCertificate(
-            eps=math.inf,
-            mi_sh=mi,
-            bound_sh=math.inf,
-            holds=True,
-            witness=report.witness,
-            unbounded=True,
-        )
-    bound = dp_to_mi_bound(report.eps)
-    return BoundCertificate(
-        eps=report.eps,
-        mi_sh=mi,
-        bound_sh=bound,
-        holds=mi <= bound + 1e-9,
-        witness=report.witness,
-    )
+    return BoundCertificate(report.eps, report.witness, mutual_information(push_through(prior, c)))
 
 
 def compose(c1: Channel, c2: Channel) -> Channel:

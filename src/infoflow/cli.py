@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -17,9 +18,9 @@ from pathlib import Path
 
 from . import causal, society
 from .anonymity import dp_release, linkage_attack, read_table, write_table
-from .channels import Channel, bound_sweep, check_mi_bound, compose, randomized_response, realized_epsilon
+from .channels import Channel, _check_eps, bound_sweep, check_mi_bound, compose, randomized_response, realized_epsilon
 from .errors import CapacityError
-from .measures import Dist, load_json, malformed
+from .measures import Dist, _check_keys, load_json, malformed
 
 EXIT_OK = 0
 EXIT_BOUND_VIOLATED = 1
@@ -75,9 +76,7 @@ def _parse_kv(tokens: list[str]) -> dict[str, str]:
 
 
 def _rr_from_kv(kv: dict[str, str]) -> Channel:
-    unknown = set(kv) - {"k", "eps"}
-    if unknown:
-        raise ValueError(f"unknown randomized-response parameters {sorted(unknown)}")
+    _check_keys(kv, ("k", "eps"), "randomized-response")
     if "k" not in kv or "eps" not in kv:
         raise ValueError("randomized response needs k=<int> eps=<float>")
     return randomized_response(int(kv["k"]), float(kv["eps"]))
@@ -147,46 +146,33 @@ def cmd_leakage(args) -> int:
     return EXIT_OK
 
 
-def _attribution(scenario) -> tuple | None:
-    """The scenario's attribution net and settings, parsed and name-checked."""
+def _attribution(scenario) -> dict | None:
+    """``attribute_flows`` arguments from the scenario's attribution block, parsed and name-checked."""
     attribution = scenario.attribution
     if not attribution:
         return None
     with malformed("scenario attribution"):
+        _check_keys(attribution, ("net", "ownership", "threshold", "message_nodes"), "attribution")
         net_spec = attribution["net"]
-        net = causal.load_net(net_spec) if isinstance(net_spec, str) else causal.net_from_json_dict(net_spec)
         settings = {
+            "net": causal.load_net(net_spec) if isinstance(net_spec, str) else causal.net_from_json_dict(net_spec),
             "ownership": attribution.get("ownership", {}),
-            "threshold": float(attribution.get("threshold", 1e-6)),
             "window": scenario.window,
             "node_of": attribution.get("message_nodes"),
         }
-        causal.check_attribution(net, settings["ownership"], settings["node_of"])
-    return net, settings
-
-
-def _attribution_records(events, attribution) -> list[dict]:
-    if attribution is None:
-        return []
-    net, settings = attribution
-    with malformed("scenario attribution"):
-        pairs = causal.attribute_flows(events, net, **settings)
-    return [
-        {
-            "record": "induced-context",
-            "cause": c1.to_json_dict(),
-            "context": c2.to_json_dict(),
-            "flows": [f.to_json_dict() for f in c2.flows],
-        }
-        for c1, c2 in pairs
-    ]
+        if "threshold" in attribution:
+            settings["threshold"] = float(attribution["threshold"])
+        causal.check_attribution(settings["net"], settings["ownership"], settings["node_of"])
+    return settings
 
 
 def cmd_simulate(args) -> int:
     scenario = society.load_scenario(args.scenario)
     attribution = _attribution(scenario)  # a bad attribution block is refused before the run
     result = society.simulate(scenario)
-    records = result.records() + _attribution_records(result.events, attribution)
+    with malformed("scenario attribution"):
+        induced = causal.attribute_flows(result.events, **attribution) if attribution else []
+    records = result.records(induced)
     ledger_rows = society.ledger_report(result.ledger)
     if args.out is None:
         _emit({"events": records, "ledger": ledger_rows}, "json")
@@ -194,20 +180,12 @@ def cmd_simulate(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     if args.fmt == "json":
-        with open(outdir / "events.jsonl", "w") as fh:
-            society.write_events_jsonl(records, fh)
-        _emit(ledger_rows, "json", outdir / "ledger.json")
+        events, write_events = "events.jsonl", society.write_events_jsonl
     else:
-        flat = []
-        for rec in records:
-            if rec["record"] == "induced-context":
-                for f in rec["flows"]:
-                    flat.append({**f, "record": "induced-flow"})
-            else:
-                flat.append(rec)
-        with open(outdir / "events.csv", "w", newline="") as fh:
-            society.write_events_csv(flat, fh)
-        _emit(ledger_rows, "csv", outdir / "ledger.csv")
+        events, write_events = "events.csv", society.write_events_csv
+    with open(outdir / events, "w", newline="") as fh:
+        write_events(records, fh)
+    _emit(ledger_rows, args.fmt, outdir / f"ledger.{args.fmt}")
     return EXIT_OK
 
 
@@ -230,6 +208,8 @@ def cmd_anon(args) -> int:
         raise ValueError("--sensitive is required with --dp")
     spec = args.dp.removeprefix("eps=")
     eps = None if spec == "none" else float(spec)
+    if eps is not None:
+        _check_eps(eps)
     seed = 0 if args.seed is None else args.seed
     released, cert = dp_release(read_table(args.release, args.roles), args.sensitive, eps, seed=seed)
     if args.release_out:
@@ -310,9 +290,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first ``main`` call rather than at import."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except CapacityError as exc:

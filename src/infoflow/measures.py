@@ -63,6 +63,13 @@ def _nonneg(value: float, what: str) -> None:
         raise ValueError(f"{what} must be finite and >= 0, got {value}")
 
 
+def _check_keys(doc: dict, known, what: str) -> None:
+    """Refuse a JSON object with a key outside ``known``."""
+    unknown = set(doc) - set(known)
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+
+
 def _refuse_constant(name: str):
     raise ValueError(f"{name} is not a JSON number")
 

@@ -16,12 +16,12 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .channels import _check_rr, dp_to_mi_bound
-from .measures import InfoMeasure, _nonneg, load_json
+from .measures import InfoMeasure, _check_keys, _nonneg, load_json
 
 GOVERNANCE_TAGS = (
     "conjunct",
@@ -32,6 +32,7 @@ GOVERNANCE_TAGS = (
 )
 
 FLOW_KINDS = ("explicit", "implicit")
+_ID_TAG = {"explicit": "x", "implicit": "i"}  # flow ids open with the kind's tag
 
 
 @dataclass(frozen=True)
@@ -369,9 +370,19 @@ class SimulationResult:
     stops: list[BudgetStop]
     ledger: Ledger
 
-    def records(self) -> list[dict]:
+    def records(self, induced: list[tuple[Context, Context]] = ()) -> list[dict]:
+        """The event log: flows and budget stops by tick, then one record per induced (cause, context) pair."""
         recs = [e.to_json_dict() for e in self.events] + [s.to_json_dict() for s in self.stops]
         recs.sort(key=lambda r: r["t"])  # stable: keeps within-tick occurrence order
+        recs += [
+            {
+                "record": "induced-context",
+                "cause": cause.to_json_dict(),
+                "context": context.to_json_dict(),
+                "flows": [f.to_json_dict() for f in context.flows],
+            }
+            for cause, context in induced
+        ]
         return recs
 
 
@@ -409,6 +420,21 @@ class Simulation:
         events: list[FlowEvent] = []
         stops: list[BudgetStop] = []
 
+        def fire(kind: str, sender: str, receiver: str, datum: str, measure: InfoMeasure) -> None:
+            events.append(
+                FlowEvent(
+                    id=f"{_ID_TAG[kind]}:{t}:{sender}>{receiver}:{datum}",
+                    t=t,
+                    sender=sender,
+                    receiver=receiver,
+                    datum=datum,
+                    measure=measure,
+                    kind=kind,
+                    context_id=f"c:{t}:{sender}>{receiver}",
+                )
+            )
+            self.ledger.record(sender, receiver, datum, measure.selective_sh)
+
         # a batch of N uniforms is the same stream as N scalar draws, so the fired set
         # is the one a draw per candidate in this order gives
         width = len(self._ids) - 1
@@ -427,38 +453,13 @@ class Simulation:
                         headroom_sh=self.ledger.headroom(sender, receiver, datum),
                     )
                 )
-                continue
-            events.append(
-                FlowEvent(
-                    id=f"x:{t}:{sender}>{receiver}:{datum}",
-                    t=t,
-                    sender=sender,
-                    receiver=receiver,
-                    datum=datum,
-                    measure=measure,
-                    kind="explicit",
-                    context_id=f"c:{t}:{sender}>{receiver}",
-                )
-            )
-            self.ledger.record(sender, receiver, datum, measure.selective_sh)
+            else:
+                fire("explicit", sender, receiver, datum, measure)
 
         for ch in soc.implicit_channels:
-            if rng_implicit.random() >= ch.p:
-                continue
-            measure = _raw_release_measure(soc.held[(ch.subject, ch.datum)])
-            events.append(
-                FlowEvent(
-                    id=f"i:{t}:{ch.subject}>{ch.observer}:{ch.datum}",
-                    t=t,
-                    sender=ch.subject,
-                    receiver=ch.observer,
-                    datum=ch.datum,
-                    measure=measure,
-                    kind="implicit",
-                    context_id=f"c:{t}:{ch.subject}>{ch.observer}",
-                )
-            )
-            self.ledger.record(ch.subject, ch.observer, ch.datum, measure.selective_sh)
+            if rng_implicit.random() < ch.p:
+                measure = _raw_release_measure(soc.held[(ch.subject, ch.datum)])
+                fire("implicit", ch.subject, ch.observer, ch.datum, measure)
 
         self.t += 1
         self.events.extend(events)
@@ -575,61 +576,45 @@ _SCENARIO_KEYS = {
 }
 
 
+def _from_json(cls, doc: dict, what: str, **convert):
+    """``cls`` from a JSON object keyed by its field names, ``convert[key]`` applied to each value.
+
+    A key that is not a field is refused; an absent one takes the field's default.
+    """
+    _check_keys(doc, [f.name for f in fields(cls)], what)
+    return cls(**{k: convert[k](v) if k in convert else v for k, v in doc.items()})
+
+
+def _datum_from_json(doc: dict) -> DatumRecord:
+    def mechanism(m):
+        return None if m is None else _from_json(ReleaseMechanism, m, "mechanism", k=int, eps=float)
+
+    return _from_json(DatumRecord, {"value": "", **doc}, "datum", value=str, domain_size=int, mechanism=mechanism)
+
+
 def scenario_from_json_dict(cfg: dict) -> Scenario:
-    unknown = set(cfg) - _SCENARIO_KEYS
-    if unknown:
-        raise ValueError(f"unknown scenario keys: {sorted(unknown)}")
-    entities = []
-    for ent in cfg.get("entities", []):
-        data = []
-        for rec in ent.get("data", []):
-            mech = rec.get("mechanism")
-            data.append(
-                DatumRecord(
-                    datum=rec["datum"],
-                    value=str(rec.get("value", "")),
-                    owner=rec["owner"],
-                    governance=rec["governance"],
-                    domain_size=int(rec.get("domain_size", 2)),
-                    mechanism=None
-                    if mech is None
-                    else ReleaseMechanism(kind=mech["kind"], k=int(mech["k"]), eps=float(mech["eps"])),
-                )
-            )
-        entities.append(Entity(id=ent["id"], data=tuple(data)))
+    _check_keys(cfg, _SCENARIO_KEYS, "scenario")
+    entities = [
+        _from_json(Entity, ent, "entity", data=lambda recs: tuple(map(_datum_from_json, recs)))
+        for ent in cfg.get("entities", [])
+    ]
     factors = FactorState(
         trust={(s, r): float(v) for s, row in cfg.get("trust", {}).items() for r, v in row.items()},
         incentives={
             (s, d): float(v) for s, row in cfg.get("incentives", {}).items() for d, v in row.items()
         },
     )
-    logi = cfg.get("logistic", {})
     society = Society(
         entities=tuple(entities),
         factors=factors,
         implicit_channels=tuple(
-            ImplicitChannel(
-                subject=ch["subject"],
-                observer=ch["observer"],
-                datum=ch["datum"],
-                p=float(ch["p"]),
-            )
-            for ch in cfg.get("implicit_channels", [])
+            _from_json(ImplicitChannel, ch, "implicit channel", p=float) for ch in cfg.get("implicit_channels", [])
         ),
-        logistic=LogisticParams(
-            alpha=float(logi.get("alpha", 4.0)),
-            beta=float(logi.get("beta", 1.0)),
-            gamma=float(logi.get("gamma", 3.0)),
-        ),
+        logistic=_from_json(LogisticParams, cfg.get("logistic", {}), "logistic", alpha=float, beta=float, gamma=float),
         budgets={d: float(v) for d, v in cfg.get("budgets", {}).items()},
     )
-    return Scenario(
-        society=society,
-        seed=int(cfg.get("seed", 0)),
-        ticks=int(cfg.get("ticks", 1)),
-        window=int(cfg.get("window", 1)),
-        attribution=cfg.get("attribution"),
-    )
+    run = {k: int(cfg[k]) for k in ("seed", "ticks", "window") if k in cfg}
+    return Scenario(society=society, attribution=cfg.get("attribution"), **run)
 
 
 def load_scenario(path) -> Scenario:
@@ -659,13 +644,11 @@ def write_events_jsonl(records: list[dict], fh) -> None:
 
 
 def write_events_csv(records: list[dict], fh) -> None:
+    """One row per flow and budget stop, and one ``induced-flow`` row per flow of an induced context."""
     writer = csv.DictWriter(fh, fieldnames=_CSV_FIELDS, lineterminator="\n")
     writer.writeheader()
     for rec in records:
-        flat = dict(rec)
-        measure = flat.pop("measure", None)
-        if measure:
-            flat["selective_sh"] = measure["selective_sh"]
-            flat["logons"] = measure["logons"]
-            flat["metrons"] = measure["metrons"]
-        writer.writerow({k: flat.get(k, "") for k in _CSV_FIELDS})
+        rows = [{**f, "record": "induced-flow"} for f in rec["flows"]] if rec["record"] == "induced-context" else [rec]
+        for row in rows:
+            measure = row.get("measure") or {}
+            writer.writerow({k: row.get(k, measure.get(k, "")) for k in _CSV_FIELDS})

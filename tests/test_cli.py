@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import infoflow
-from infoflow import society
+from infoflow import cli, society
 from infoflow.cli import _emit, main
 from infoflow.society import write_events_jsonl
 
@@ -191,6 +191,18 @@ class TestSimulate:
         header = (tmp_path / "events.csv").read_text().splitlines()[0]
         assert header.startswith("record,id,t,kind")
 
+    def test_csv_rows_of_each_kind(self, tmp_path):
+        # a zygosity budget below one release stops that flow; the gender flow still induces one about S2
+        path = _write(tmp_path, "s.json", _twins_with(budgets={"zygosity": 0.5}))
+        assert main(["simulate", "--scenario", path, "--out", str(tmp_path / "out"), "--format", "csv"]) == 0
+        assert (tmp_path / "out" / "events.csv").read_text().splitlines() == [
+            "record,id,t,kind,sender,receiver,datum,selective_sh,logons,metrons,context_id,attempted_sh,headroom_sh",
+            "flow,x:0:twin1>receiver:gender,0,explicit,twin1,receiver,gender,1.0,2,1,c:0:twin1>receiver,,",
+            "budget-stop,,0,,twin1,receiver,zygosity,,,,,1.0,0.5",
+            "induced-flow,x:0:twin1>receiver:gender~twin2:S2,0,implicit,twin2,receiver,S2,0.18872187554086717,2,1,"
+            "x:0:twin1>receiver:gender~twin2,,",
+        ]
+
     def test_zero_probability_scenario_is_empty(self, tmp_path, capsys):
         cfg = {
             "seed": 1,
@@ -320,6 +332,15 @@ class TestAnon:
         assert main(["anon", missing, "--dp", "1", "--sensitive", "s", "--aux-roles", missing]) == 2
         assert "missing.csv" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("eps", ["eps=-1", "0", "inf", "nan"])
+    def test_dp_eps_checked_before_the_table_is_read(self, eps, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("the table was read before eps was checked")
+
+        monkeypatch.setattr(cli, "read_table", refuse)
+        assert main(["anon", data_path("anon_release.csv"), "--dp", eps, "--sensitive", "diagnosis"]) == 2
+        assert capsys.readouterr().err.startswith("error: eps must be positive and finite, got ")
+
     def test_debug_logging_leaves_the_reports_unchanged(self, caplog, capsys):
         linkage = ["anon", data_path("anon_release.csv"), data_path("anon_aux.csv")]
         dp = ["anon", data_path("anon_release.csv"), "--dp", "1", "--sensitive", "diagnosis", "--seed", "5"]
@@ -413,6 +434,26 @@ MALFORMED = {
         ["anon", "t.csv", "--dp", "1", "--sensitive", "a"],
     ),
     "sweep-without-cases": ({}, ["sweep", "--cases", "0"]),
+    # ("a,b", "c") and ("a", "b,c") would both key the row "a,b,c"; the fourth key fills the count
+    "cpt-keys-with-commas": (
+        {"n.json": json.dumps({"nodes": [
+            {"name": "A", "states": ["a,b", "a"], "parents": [], "cpt": [0.5, 0.5]},
+            {"name": "B", "states": ["c", "b,c"], "parents": [], "cpt": [0.5, 0.5]},
+            {"name": "M", "states": ["0", "1"], "parents": ["A", "B"],
+             "cpt": {"a,b,c": [1, 0], "a,b,b,c": [0, 1], "a,c": [0, 1], "extra": [0.5, 0.5]}},
+        ]})},
+        ["leakage", "--net", "n.json", "--message", "M"],
+    ),
+    "logistic-typo": ({"s.json": _twins_with(logistic={"alpah": 50})}, ["simulate", "--scenario", "s.json"]),
+    "datum-typo": (
+        {"s.json": _twins_with(entities=[{**TWINS["entities"][0], "data": [
+            {**TWINS["entities"][0]["data"][0], "domian_size": 2}]}, *TWINS["entities"][1:]])},
+        ["simulate", "--scenario", "s.json"],
+    ),
+    "attribution-typo": (
+        {"s.json": _twins_with(attribution={**TWINS["attribution"], "treshold": 0.5})},
+        ["simulate", "--scenario", "s.json"],
+    ),
     "linkage-without-sensitive-column": (
         {"r.csv": "zip,age,diag\n1,20,a\n1,20,b\n",
          "r.csv.roles.json": json.dumps({"roles": {"zip": "quasi-identifier", "age": "quasi-identifier",
@@ -518,18 +559,36 @@ class TestStrictOutput:
             write_events_jsonl([{"x": math.nan}], io.StringIO())
 
 
+def run_child(*argv) -> subprocess.CompletedProcess:
+    """``python -m infoflow ARGV`` in a new process."""
+    # The child must import the same infoflow as this process, installed
+    # or not, so put the package's source root first on its path.
+    src_root = str(Path(infoflow.__file__).resolve().parents[1])
+    inherited = [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src_root, *inherited])}
+    return subprocess.run([sys.executable, "-m", "infoflow", *argv], capture_output=True, text=True, env=env)
+
+
 class TestConsoleEntry:
     def test_module_invocation(self):
-        # The child must import the same infoflow as this process, installed
-        # or not, so put the package's source root first on its path.
-        src_root = str(Path(infoflow.__file__).resolve().parents[1])
-        inherited = [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src_root, *inherited])}
-        out = subprocess.run(
-            [sys.executable, "-m", "infoflow", "verify-bound", "--rr", "k=2", "eps=1.0"],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
+        out = run_child("verify-bound", "--rr", "k=2", "eps=1.0")
         assert out.returncode == 0
         assert json.loads(out.stdout)["holds"] is True
+
+
+class TestRepeatedCalls:
+    def test_one_process_matches_separate_processes(self, capsys):
+        # options of one call (a seed, a format) must not carry over to the next
+        runs = [
+            ["leakage", "--scenario", "fork-collider", "--seed", "0"],
+            ["leakage", "--scenario", "fork-collider"],
+            ["verify-bound", "--rr", "k=3", "eps=0.5", "--format", "csv"],
+            ["compose", "rr:k=2,eps=1", "rr:k=2,eps=2"],
+            ["verify-bound", "--prior", "uniform"],
+            ["simulate", "--scenario", data_path("twins.json")],
+        ]
+        for argv in runs:
+            code = main(argv)
+            captured = capsys.readouterr()
+            child = run_child(*argv)
+            assert (code, captured.out, captured.err) == (child.returncode, child.stdout, child.stderr), argv

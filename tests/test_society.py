@@ -372,6 +372,35 @@ class TestScenarioJson:
         with pytest.raises(ValueError, match="unknown scenario keys"):
             scenario_from_json_dict({"entities": [], "bogus": 1})
 
+    @pytest.mark.parametrize(
+        "block, overrides",
+        [
+            ("logistic", {"logistic": {"alpah": 50}}),
+            ("entity", {"entities": [{"id": "a", "dta": []}, {"id": "b"}]}),
+            ("datum", {"entities": [
+                {"id": "a", "data": [{"datum": "d", "owner": "a", "governance": "conjunct", "domian_size": 4}]},
+                {"id": "b"},
+            ]}),
+            ("mechanism", {"entities": [
+                {"id": "a", "data": [{"datum": "d", "owner": "a", "governance": "conjunct",
+                                      "mechanism": {"kind": "randomized-response", "k": 2, "eps": 1.0, "esp": 2}}]},
+                {"id": "b"},
+            ]}),
+            ("implicit channel", {"implicit_channels": [
+                {"subject": "alice", "observer": "camera", "datum": "location", "p": 0.4, "q": 1}
+            ]}),
+        ],
+    )
+    def test_unknown_nested_keys_rejected(self, block, overrides):
+        with pytest.raises(ValueError, match=f"unknown {block} keys"):
+            two_entity_scenario(**overrides)
+
+    def test_absent_keys_take_the_dataclass_defaults(self):
+        sc = two_entity_scenario()
+        assert sc.society.logistic == LogisticParams()
+        assert sc.society.entities[0].data[0] == DatumRecord("location", "home", "alice", "conjunct")
+        assert (sc.window, sc.attribution) == (1, None)
+
     def test_factors_key_rejected(self):
         # no decision reads extra named factors, so the scenario format has none
         with pytest.raises(ValueError, match="unknown scenario keys"):
