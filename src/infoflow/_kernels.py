@@ -45,8 +45,6 @@ def scan_log_ratio(rows: np.ndarray) -> tuple[float, int, int, int]:
     if unbounded.any():
         y = int(np.argmax(unbounded))
         return math.inf, int(np.argmax(rows[:, y])), int(np.argmin(rows[:, y])), y
-    if not live.any():
-        return 0.0, 0, 0, 0
     ratios = np.zeros(rows.shape[1])
     ratios[live] = np.log(colmax[live]) - np.log(colmin[live])
     y = int(np.argmax(ratios))

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._kernels import dense_joint, entropy_bits, mi_bits
-from .errors import CapacityError
 from .measures import InfoMeasure, _check_labels, _stochastic, load_json
 from .society import Context, FlowEvent, bundle_contexts
 
@@ -28,6 +27,10 @@ STATE_SPACE_CAP = 2**22
 JOINT_SUM_TOL = 1e-6
 
 log = logging.getLogger(__name__)
+
+
+class CapacityError(Exception):
+    """Raised when an exact computation would exceed the state-space cap."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,10 +277,10 @@ def twins_scenario(q: float = 0.5) -> tuple[BayesNet, dict]:
 def ballot_scenario(n_voters: int) -> tuple[BayesNet, dict]:
     """Released tally of n iid uniform binary votes.
 
-    The report is computed by enumerating all 2^n voter configurations:
-    mutual information between the tally and one vote, and the posterior
-    over that vote for every tally value (unanimous tallies pin it
-    down exactly).
+    The report is read off the net's dense joint, which enumerates all
+    2^n voter configurations: mutual information between the tally and
+    one vote, and the posterior over that vote for every tally value
+    (unanimous tallies pin it down exactly).
     """
     if n_voters < 2:
         raise ValueError(f"need at least 2 voters, got {n_voters}")
@@ -297,10 +300,8 @@ def ballot_scenario(n_voters: int) -> tuple[BayesNet, dict]:
     t_node = Node("T", tuple(str(t) for t in range(n + 1)), tuple(v.name for v in voters), cpt)
     net = BayesNet(tuple(voters) + (t_node,))
 
-    # report via direct enumeration of voter configurations
-    v1 = (combos >> (n - 1)) & 1  # first parent is the most significant digit
-    jm = np.zeros((n + 1, 2))
-    np.add.at(jm, (tally, v1), 2.0**-n)
+    # every joint cell is 0 or 2^-n, so these sums are exact
+    jm = joint(net).marginal("T", "V1")
     p_t = jm.sum(axis=1)
     posterior = {}
     h_v1_given_t = 0.0

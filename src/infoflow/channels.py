@@ -204,15 +204,10 @@ def post_process(c: Channel, fn) -> Channel:
     realized eps never increase.
     """
     merged: dict[str, np.ndarray] = {}
-    order: list[str] = []
     for j, y in enumerate(c.output_outcomes):
         new = str(fn(y))
-        if new not in merged:
-            merged[new] = np.zeros(len(c.input_outcomes))
-            order.append(new)
-        merged[new] = merged[new] + c.rows[:, j]
-    rows = np.stack([merged[y] for y in order], axis=1)
-    return Channel(c.input_outcomes, tuple(order), rows)
+        merged[new] = merged.get(new, 0.0) + c.rows[:, j]
+    return Channel(c.input_outcomes, tuple(merged), np.stack(list(merged.values()), axis=1))
 
 
 def mi_without_dp_example() -> tuple[Channel, BoundCertificate]:

@@ -19,7 +19,6 @@ from pathlib import Path
 from . import causal, society
 from .anonymity import dp_release, linkage_attack, read_table, write_table
 from .channels import Channel, _check_eps, bound_sweep, check_mi_bound, compose, randomized_response, realized_epsilon
-from .errors import CapacityError
 from .measures import Dist, _check_keys, load_json, malformed
 
 EXIT_OK = 0
@@ -52,17 +51,15 @@ def _write(doc, fmt: str, fh) -> None:
         fh.write("\n")
         return
     writer = csv.writer(fh, lineterminator="\n")
-    if isinstance(doc, list) and doc and isinstance(doc[0], dict):
+    if isinstance(doc, dict):
+        writer.writerow(["key", "value"])
+        for k in sorted(doc):
+            writer.writerow([k, json.dumps(doc[k], sort_keys=True, allow_nan=False)])
+    elif doc:  # a table: one row per dict; an empty table is an empty file
         fields = sorted({k for row in doc for k in row})
         writer.writerow(fields)
         for row in doc:
             writer.writerow([row.get(k, "") for k in fields])
-    elif isinstance(doc, dict):
-        writer.writerow(["key", "value"])
-        for k in sorted(doc):
-            writer.writerow([k, json.dumps(doc[k], sort_keys=True, allow_nan=False)])
-    else:
-        writer.writerow([doc])
 
 
 def _parse_kv(tokens: list[str]) -> dict[str, str]:
@@ -146,16 +143,18 @@ def cmd_leakage(args) -> int:
     return EXIT_OK
 
 
-def _attribution(scenario) -> dict | None:
-    """``attribute_flows`` arguments from the scenario's attribution block, parsed and name-checked."""
+def _attribution(scenario, base: Path) -> dict | None:
+    """``attribute_flows`` arguments from the scenario's attribution block, parsed and name-checked.
+
+    A ``net`` given as a path is read relative to ``base``, the scenario file's directory.
+    """
     attribution = scenario.attribution
     if not attribution:
         return None
     with malformed("scenario attribution"):
-        _check_keys(attribution, ("net", "ownership", "threshold", "message_nodes"), "attribution")
-        net_spec = attribution["net"]
+        net = attribution["net"]
         settings = {
-            "net": causal.load_net(net_spec) if isinstance(net_spec, str) else causal.net_from_json_dict(net_spec),
+            "net": causal.load_net(base / net) if isinstance(net, str) else causal.net_from_json_dict(net),
             "ownership": attribution.get("ownership", {}),
             "window": scenario.window,
             "node_of": attribution.get("message_nodes"),
@@ -167,8 +166,11 @@ def _attribution(scenario) -> dict | None:
 
 
 def cmd_simulate(args) -> int:
+    if args.out is None and args.fmt == "csv":
+        raise ValueError("simulate --format csv writes events.csv and ledger.csv: it needs --out")
     scenario = society.load_scenario(args.scenario)
-    attribution = _attribution(scenario)  # a bad attribution block is refused before the run
+    # a bad attribution block is refused before the run
+    attribution = _attribution(scenario, Path(args.scenario).parent)
     result = society.simulate(scenario)
     with malformed("scenario attribution"):
         induced = causal.attribute_flows(result.events, **attribution) if attribution else []
@@ -238,7 +240,9 @@ def cmd_compose(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first ``main`` call rather than at import."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
     common.add_argument("--out", default=None, help="write the report here instead of stdout")
@@ -290,17 +294,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built on the first ``main`` call rather than at import."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.handler(args)
-    except CapacityError as exc:
+    except causal.CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
     except (ValueError, OSError) as exc:

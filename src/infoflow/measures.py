@@ -124,13 +124,6 @@ class Dist:
         n = len(outcomes)
         return cls(outcomes, np.full(n, 1.0 / n))
 
-    @classmethod
-    def point_mass(cls, outcomes, at) -> "Dist":
-        outcomes = tuple(str(x) for x in outcomes)
-        p = np.zeros(len(outcomes))
-        p[outcomes.index(str(at))] = 1.0
-        return cls(outcomes, p)
-
     def prob(self, outcome) -> float:
         outcome = str(outcome)
         if outcome not in self.outcomes:

@@ -518,14 +518,13 @@ def bundle_contexts(events: list[FlowEvent], window: int = 1) -> list[Context]:
     """
     if window < 1:
         raise ValueError("window must be >= 1")
-    last_t = None
-    for e in events:
-        if last_t is not None and e.t < last_t:
-            raise ValueError("events must be sorted by tick")
-        last_t = e.t
     open_ctx: dict[tuple[str, str], list[FlowEvent]] = {}
     groups: list[list[FlowEvent]] = []
+    last_t = -math.inf
     for e in events:
+        if e.t < last_t:
+            raise ValueError("events must be sorted by tick")
+        last_t = e.t
         pair = (e.sender, e.receiver)
         if pair in open_ctx and e.t - open_ctx[pair][0].t >= window:
             groups.append(open_ctx.pop(pair))
@@ -562,18 +561,12 @@ def ledger_report(ledger: Ledger) -> list[dict]:
 # scenario JSON and event-log output
 # ---------------------------------------------------------------------------
 
-_SCENARIO_KEYS = {
-    "seed",
-    "ticks",
-    "window",
-    "logistic",
-    "entities",
-    "trust",
-    "incentives",
-    "implicit_channels",
-    "budgets",
-    "attribution",
-}
+# the top level spreads a Scenario, its Society and the Society's FactorState
+_SCENARIO_KEYS = (
+    ({f.name for f in fields(Scenario)} - {"society"})
+    | ({f.name for f in fields(Society) if f.init} - {"factors"})
+    | {f.name for f in fields(FactorState)}
+)
 
 
 def _from_json(cls, doc: dict, what: str, **convert):
@@ -614,6 +607,7 @@ def scenario_from_json_dict(cfg: dict) -> Scenario:
         budgets={d: float(v) for d, v in cfg.get("budgets", {}).items()},
     )
     run = {k: int(cfg[k]) for k in ("seed", "ticks", "window") if k in cfg}
+    _check_keys(cfg.get("attribution") or {}, ("net", "ownership", "threshold", "message_nodes"), "attribution")
     return Scenario(society=society, attribution=cfg.get("attribution"), **run)
 
 

@@ -152,6 +152,11 @@ class TestLeakageProfile:
         with pytest.raises(ValueError, match="unknown message value"):
             leakage_profile(net, "M", observed="7")
 
+    def test_observed_value_of_probability_zero(self):
+        net = BayesNet((binary_root("X", 0.0), copy_node("M", "X")))
+        with pytest.raises(ValueError, match="message value '1' has probability 0"):
+            leakage_profile(net, "M", observed="1")
+
     def test_names_are_checked_before_enumeration(self):
         # a typo is an input error even on a net beyond the state-space cap
         net = BayesNet(tuple(binary_root(f"R{i}") for i in range(23)))

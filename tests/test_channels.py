@@ -65,6 +65,10 @@ class TestRandomizedResponse:
         with pytest.raises(ValueError):
             randomized_response(k, eps)
 
+    def test_rejects_wrong_number_of_labels(self):
+        with pytest.raises(ValueError, match="expected 3 outcome labels, got 2"):
+            randomized_response(3, 1.0, outcomes=("a", "b"))
+
     def test_realized_eps_matches_request(self):
         for k, eps in [(2, LN3), (3, 0.7), (6, 2.1)]:
             rep = realized_epsilon(randomized_response(k, eps))

@@ -4,6 +4,7 @@ import json
 import logging
 import math
 import os
+import shlex
 import subprocess
 import sys
 from importlib import resources
@@ -145,6 +146,18 @@ class TestLeakage:
         assert [n["name"] for n in doc["nodes"]] == ["Z", "S1", "S2"]
 
 
+# a scenario in which nothing fires
+SILENT = {
+    "seed": 1,
+    "ticks": 5,
+    "entities": [
+        {"id": "a", "data": [{"datum": "d", "value": "v", "owner": "a", "governance": "conjunct"}]},
+        {"id": "b", "data": []},
+    ],
+    "logistic": {"alpha": 0.0, "beta": 0.0, "gamma": 700.0},
+}
+
+
 class TestSimulate:
     def test_twins_log_contains_induced_context(self, capsys):
         code, out = run_cli("simulate", "--scenario", data_path("twins.json"), capsys=capsys)
@@ -204,25 +217,36 @@ class TestSimulate:
         ]
 
     def test_zero_probability_scenario_is_empty(self, tmp_path, capsys):
-        cfg = {
-            "seed": 1,
-            "ticks": 5,
-            "entities": [
-                {
-                    "id": "a",
-                    "data": [
-                        {"datum": "d", "value": "v", "owner": "a", "governance": "conjunct"}
-                    ],
-                },
-                {"id": "b", "data": []},
-            ],
-            "logistic": {"alpha": 0.0, "beta": 0.0, "gamma": 700.0},
-        }
         path = tmp_path / "s.json"
-        path.write_text(json.dumps(cfg))
+        path.write_text(json.dumps(SILENT))
         code, out = run_cli("simulate", "--scenario", str(path), capsys=capsys)
         assert code == 0
         assert json.loads(out)["events"] == []
+
+    def test_csv_needs_out(self, monkeypatch, capsys):
+        def refuse(path):
+            raise AssertionError("the scenario was read")
+
+        monkeypatch.setattr(society, "load_scenario", refuse)
+        assert main(["simulate", "--scenario", data_path("twins.json"), "--format", "csv"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+
+    def test_empty_ledger_is_an_empty_csv_file(self, tmp_path):
+        path = _write(tmp_path, "s.json", json.dumps(SILENT))
+        assert main(["simulate", "--scenario", path, "--out", str(tmp_path / "out"), "--format", "csv"]) == 0
+        assert (tmp_path / "out" / "ledger.csv").read_text() == ""
+        assert (tmp_path / "out" / "events.csv").read_text().splitlines() == [",".join(society._CSV_FIELDS)]
+
+    def test_net_path_is_read_from_the_scenario_directory(self, tmp_path, monkeypatch, capsys):
+        _, inline = run_cli("simulate", "--scenario", data_path("twins.json"), capsys=capsys)
+        (tmp_path / "scenario").mkdir()
+        _write(tmp_path / "scenario", "net.json", json.dumps(TWINS["attribution"]["net"]))
+        _write(tmp_path / "scenario", "s.json", _twins_with(attribution={**TWINS["attribution"], "net": "net.json"}))
+        monkeypatch.chdir(tmp_path)
+        code, out = run_cli("simulate", "--scenario", "scenario/s.json", capsys=capsys)
+        assert (code, out) == (0, inline)
 
     def test_negative_budget_exits_2(self, tmp_path, capsys):
         cfg = json.loads(Path(data_path("twins.json")).read_text())
@@ -382,6 +406,26 @@ def _write(tmp_path, name: str, text: str) -> str:
     return str(tmp_path / name)
 
 
+def _twins_datum(**changes) -> str:
+    """Twins with ``changes`` applied to the first datum of its first entity."""
+    first = TWINS["entities"][0]
+    return _twins_with(entities=[{**first, "data": [{**first["data"][0], **changes}]}, *TWINS["entities"][1:]])
+
+
+def _twins_channel(**changes) -> str:
+    """Twins with one implicit channel, twin1's gender seen by the receiver, with ``changes`` applied."""
+    channel = {"subject": "twin1", "observer": "receiver", "datum": "gender", "p": 0.5}
+    return _twins_with(implicit_channels=[{**channel, **changes}])
+
+
+def _net(*nodes) -> str:
+    return json.dumps({"nodes": list(nodes)})
+
+
+_X = {"name": "X", "states": ["0", "1"], "parents": [], "cpt": [0.5, 0.5]}
+_M = {"name": "M", "states": ["0", "1"], "parents": ["X"], "cpt": {"0": [1, 0], "1": [0, 1]}}
+_LEAKAGE = ["leakage", "--net", "n.json", "--message", "M"]
+
 # (files to write, argv in which a written file's name stands for its path)
 MALFORMED = {
     "channel-null-cell": (
@@ -454,6 +498,59 @@ MALFORMED = {
         {"s.json": _twins_with(attribution={**TWINS["attribution"], "treshold": 0.5})},
         ["simulate", "--scenario", "s.json"],
     ),
+    "attribution-threshold-not-a-number": (
+        {"s.json": _twins_with(attribution={**TWINS["attribution"], "threshold": "high"})},
+        ["simulate", "--scenario", "s.json"],
+    ),
+    "root-cpt-object": ({"n.json": _net({**_X, "cpt": {"": [0.5, 0.5]}}, _M)}, _LEAKAGE),
+    "parent-declared-after-child": ({"n.json": _net(_M, _X)}, _LEAKAGE),
+    "cpt-wrong-key": ({"n.json": _net(_X, {**_M, "cpt": {"0": [1, 0], "2": [0, 1]}})}, _LEAKAGE),
+    "duplicate-node-name": ({"n.json": _net(_X, _X, _M)}, _LEAKAGE),
+    "duplicate-parents": (
+        {"n.json": _net(_X, {**_M, "parents": ["X", "X"], "cpt": dict.fromkeys(["0,0", "0,1", "1,0", "1,1"], [1, 0])})},
+        _LEAKAGE,
+    ),
+    "channel-rows-mismatch-labels": (
+        {"c.json": json.dumps({"inputs": ["a", "b"], "outputs": ["x", "y"], "rows": [[0.5, 0.5]]})},
+        ["verify-bound", "--channel", "c.json"],
+    ),
+    "channel-without-labels": (
+        {"c.json": json.dumps({"inputs": [], "outputs": ["x"], "rows": []})},
+        ["verify-bound", "--channel", "c.json"],
+    ),
+    "leakage-net-and-scenario": ({}, ["leakage", "--net", data_path("fork_collider.json"), "--scenario", "twins"]),
+    "leakage-without-net-or-scenario": ({}, ["leakage"]),
+    "leakage-unknown-scenario": ({}, ["leakage", "--scenario", "triplets"]),
+    "leakage-net-without-message": ({}, ["leakage", "--net", data_path("fork_collider.json")]),
+    "rr-token-without-equals": ({}, ["verify-bound", "--rr", "k2", "eps=1"]),
+    "rr-spec-without-eps": ({}, ["compose", "rr:k=2", "rr:k=2,eps=1"]),
+    "rr-spec-without-k": ({}, ["verify-bound", "--rr", "eps=1"]),
+    "mechanism-kind": (
+        {"s.json": _twins_datum(mechanism={"kind": "laplace", "k": 2, "eps": 1})},
+        ["simulate", "--scenario", "s.json"],
+    ),
+    "governance-tag": ({"s.json": _twins_datum(governance="owned")}, ["simulate", "--scenario", "s.json"]),
+    "domain-size-zero": ({"s.json": _twins_datum(domain_size=0)}, ["simulate", "--scenario", "s.json"]),
+    "gamma-beyond-float": (
+        {"s.json": _twins_with(logistic={"gamma": 0}).replace('"gamma": 0', '"gamma": 1e400')},
+        ["simulate", "--scenario", "s.json"],
+    ),
+    "implicit-channel-to-itself": ({"s.json": _twins_channel(observer="twin1")}, ["simulate", "--scenario", "s.json"]),
+    "implicit-channel-p-2": ({"s.json": _twins_channel(p=2)}, ["simulate", "--scenario", "s.json"]),
+    "implicit-channel-unknown-entity": (
+        {"s.json": _twins_channel(observer="nobody")},
+        ["simulate", "--scenario", "s.json"],
+    ),
+    "duplicate-entity-ids": (
+        {"s.json": _twins_with(entities=[*TWINS["entities"], TWINS["entities"][-1]])},
+        ["simulate", "--scenario", "s.json"],
+    ),
+    "ticks-negative": ({"s.json": _twins_with(ticks=-1)}, ["simulate", "--scenario", "s.json"]),
+    "window-zero": ({"s.json": _twins_with(window=0)}, ["simulate", "--scenario", "s.json"]),
+    "csv-duplicate-column": (
+        {"t.csv": "a,a\n1,2\n", "t.csv.roles.json": '{"roles": {"a": "sensitive"}}'},
+        ["anon", "t.csv", "--dp", "1", "--sensitive", "a"],
+    ),
     "linkage-without-sensitive-column": (
         {"r.csv": "zip,age,diag\n1,20,a\n1,20,b\n",
          "r.csv.roles.json": json.dumps({"roles": {"zip": "quasi-identifier", "age": "quasi-identifier",
@@ -462,6 +559,38 @@ MALFORMED = {
          "a.csv.roles.json": json.dumps({"roles": {"zip": "quasi-identifier", "age": "quasi-identifier"}})},
         ["anon", "r.csv", "a.csv"],
     ),
+}
+
+
+# the check a row is written to reach, where a different check would also exit 2
+REFUSED_BY = {
+    "attribution-threshold-not-a-number": "could not convert string to float",
+    "root-cpt-object": "expects a flat cpt list",
+    "parent-declared-after-child": "not declared earlier",
+    "cpt-wrong-key": "exactly one row per parent combination",
+    "duplicate-node-name": "duplicate node name",
+    "duplicate-parents": "duplicate parents",
+    "channel-rows-mismatch-labels": "channel has shape (1, 2), expected (2, 2)",
+    "channel-without-labels": "inputs must be non-empty",
+    "leakage-net-and-scenario": "exactly one of --net or --scenario",
+    "leakage-without-net-or-scenario": "exactly one of --net or --scenario",
+    "leakage-unknown-scenario": "unknown scenario",
+    "leakage-net-without-message": "--message is required",
+    "rr-token-without-equals": "expected key=value",
+    "rr-spec-without-eps": "randomized response needs",
+    "rr-spec-without-k": "randomized response needs",
+    "mechanism-kind": "unsupported mechanism kind",
+    "governance-tag": "unknown governance tag",
+    "domain-size-zero": "domain_size must be >= 1",
+    "gamma-beyond-float": "gamma must be finite",
+    "implicit-channel-to-itself": "subject and observer must differ",
+    "implicit-channel-p-2": "p must be in [0,1]",
+    "implicit-channel-unknown-entity": "unknown entity",
+    "duplicate-entity-ids": "duplicate entity ids",
+    "ticks-negative": "ticks must be >= 0",
+    "window-zero": "window must be >= 1",
+    "csv-duplicate-column": "duplicate column names",
+    "attribution-typo": "unknown attribution keys: ['treshold']",
 }
 
 
@@ -476,6 +605,7 @@ class TestMalformedInput:
         assert "Traceback" not in captured.err
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert REFUSED_BY.get(case, "") in lines[0]
         assert captured.out == ""  # nothing is reported for a refused input
 
     def test_error_names_the_file(self, tmp_path, capsys):
@@ -574,6 +704,24 @@ class TestConsoleEntry:
         out = run_child("verify-bound", "--rr", "k=2", "eps=1.0")
         assert out.returncode == 0
         assert json.loads(out.stdout)["holds"] is True
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_examples() -> list[str]:
+    """The ``infoflow ...`` lines of the README's CLI block."""
+    block = README.read_text().split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [line for line in block.splitlines() if line.startswith("infoflow ")]
+
+
+class TestReadme:
+    @pytest.mark.parametrize("line", readme_examples())
+    def test_cli_example_exits_0(self, line, tmp_path, monkeypatch, capsys):
+        # data paths are the repository's; everything an example writes lands in tmp_path
+        argv = [str(README.parent / arg) if arg.startswith("src/") else arg for arg in shlex.split(line)[1:]]
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 0
 
 
 class TestRepeatedCalls:

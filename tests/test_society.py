@@ -1,5 +1,6 @@
 import json
 import math
+from importlib import resources
 
 import pytest
 
@@ -16,6 +17,7 @@ from infoflow import (
     bundle_contexts,
     decision_prob,
     ledger_report,
+    load_scenario,
     simulate,
 )
 from infoflow.society import scenario_from_json_dict
@@ -394,6 +396,14 @@ class TestScenarioJson:
     def test_unknown_nested_keys_rejected(self, block, overrides):
         with pytest.raises(ValueError, match=f"unknown {block} keys"):
             two_entity_scenario(**overrides)
+
+    def test_mistyped_attribution_key_rejected(self, tmp_path):
+        twins = json.loads(resources.files("infoflow.data").joinpath("twins.json").read_text())
+        twins["attribution"]["treshold"] = 1
+        path = tmp_path / "twins.json"
+        path.write_text(json.dumps(twins))
+        with pytest.raises(ValueError, match=r"unknown attribution keys: \['treshold'\]"):
+            load_scenario(path)
 
     def test_absent_keys_take_the_dataclass_defaults(self):
         sc = two_entity_scenario()
