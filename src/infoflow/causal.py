@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._kernels import dense_joint, entropy_bits, mi_bits
-from .measures import InfoMeasure, _check_labels, _stochastic, load_json
-from .society import Context, FlowEvent, bundle_contexts
+from .measures import InfoMeasure, _check_labels, _nonneg, _stochastic, load_json
+from .society import Context, FlowEvent, _check_id, bundle_contexts
 
 STATE_SPACE_CAP = 2**22
 JOINT_SUM_TOL = 1e-6
@@ -352,13 +352,21 @@ def fork_collider_graph(seed: int = 42) -> BayesNet:
 # ---------------------------------------------------------------------------
 
 
-def check_attribution(net: BayesNet, ownership: dict[str, str], node_of: dict[str, str] | None = None) -> None:
-    """Refuse an ownership or datum-to-node mapping that is not a mapping or names a node the net lacks."""
+def check_attribution(
+    net: BayesNet, ownership: dict[str, str], node_of: dict[str, str] | None = None, threshold: float | None = None
+) -> None:
+    """Refuse an ownership or datum-to-node mapping that is not a mapping or names a node the net lacks.
+
+    Owners are entity ids, so they must be strings; a ``threshold``, when given, must be finite and >= 0.
+    """
+    if threshold is not None:
+        _nonneg(threshold, "attribution threshold")
     for what, mapping in (("ownership", ownership), ("message node map", node_of)):
         if mapping is not None and not isinstance(mapping, dict):
             raise ValueError(f"{what} must be a mapping, got {type(mapping).__name__}")
-    for node_name in ownership:
+    for node_name, owner in ownership.items():
         net.node(node_name)  # raises on unknown nodes
+        _check_id(owner, f"owner of node {node_name!r}")
     for node_name in (node_of or {}).values():
         net.node(node_name)
 
@@ -386,7 +394,7 @@ def attribute_flows(
     mapping are skipped. Without it, each datum id must itself be a
     node name.
     """
-    check_attribution(net, ownership, node_of)
+    check_attribution(net, ownership, node_of, threshold)
 
     def message_node(ev: FlowEvent) -> str | None:
         if node_of is not None:

@@ -28,20 +28,22 @@ EXIT_CAPACITY = 3
 
 
 def _emit(doc, fmt: str, out=None) -> None:
-    """Write a report to ``out`` (stdout when None); a report that fails to serialize leaves no output.
-
-    Files are streamed: a simulation's ledger can hold tens of thousands of rows.
-    """
+    """Write a report to ``out`` (stdout when None); a report that fails to serialize leaves no output."""
     if out is None:
         buf = io.StringIO()
         _write(doc, fmt, buf)
         sys.stdout.write(buf.getvalue())
         return
+    _stream(out, lambda fh: _write(doc, fmt, fh))
+
+
+def _stream(path, write) -> None:
+    """Call ``write`` on a new file at ``path``; if it fails to encode a value, no file is left."""
     try:
-        with open(out, "w") as fh:
-            _write(doc, fmt, fh)
+        with open(path, "w", newline="") as fh:
+            write(fh)
     except ValueError:  # a non-finite number
-        Path(out).unlink()
+        Path(path).unlink()
         raise
 
 
@@ -156,13 +158,12 @@ def _attribution(scenario, base: Path) -> dict | None:
         settings = {
             "net": causal.load_net(base / net) if isinstance(net, str) else causal.net_from_json_dict(net),
             "ownership": attribution.get("ownership", {}),
-            "window": scenario.window,
             "node_of": attribution.get("message_nodes"),
         }
         if "threshold" in attribution:
             settings["threshold"] = float(attribution["threshold"])
-        causal.check_attribution(settings["net"], settings["ownership"], settings["node_of"])
-    return settings
+        causal.check_attribution(**settings)
+    return {**settings, "window": scenario.window}
 
 
 def cmd_simulate(args) -> int:
@@ -174,20 +175,23 @@ def cmd_simulate(args) -> int:
     result = society.simulate(scenario)
     with malformed("scenario attribution"):
         induced = causal.attribute_flows(result.events, **attribution) if attribution else []
-    records = result.records(induced)
-    ledger_rows = society.ledger_report(result.ledger)
     if args.out is None:
-        _emit({"events": records, "ledger": ledger_rows}, "json")
+        _emit({"events": result.records(induced), "ledger": society.ledger_report(result.ledger)}, "json")
         return EXIT_OK
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    if args.fmt == "json":
-        events, write_events = "events.jsonl", society.write_events_jsonl
-    else:
-        events, write_events = "events.csv", society.write_events_csv
-    with open(outdir / events, "w", newline="") as fh:
-        write_events(records, fh)
-    _emit(ledger_rows, args.fmt, outdir / f"ledger.{args.fmt}")
+    # both files are streamed; if either fails to encode, neither is left
+    events = outdir / ("events.jsonl" if args.fmt == "json" else "events.csv")
+    try:
+        if args.fmt == "json":
+            _stream(events, lambda fh: society.write_events_jsonl(result, fh, induced))
+            _stream(outdir / "ledger.json", lambda fh: society.write_ledger_json(result.ledger, fh))
+        else:
+            _stream(events, lambda fh: society.write_events_csv(result, fh, induced))
+            _emit(society.ledger_report(result.ledger), "csv", outdir / "ledger.csv")
+    except ValueError:
+        events.unlink(missing_ok=True)
+        raise
     return EXIT_OK
 
 

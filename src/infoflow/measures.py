@@ -193,14 +193,6 @@ class InfoMeasure:
         if not self.unbounded:
             _nonneg(self.selective_sh, "selective_sh")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "selective_sh": float(self.selective_sh),
-            "logons": int(self.logons),
-            "metrons": int(self.metrons),
-            "unbounded": bool(self.unbounded),
-        }
-
 
 @dataclass(frozen=True)
 class Representation:

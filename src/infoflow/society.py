@@ -17,6 +17,8 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field, fields
+from json.encoder import encode_basestring_ascii as _str
+from operator import attrgetter
 
 import numpy as np
 
@@ -33,6 +35,12 @@ GOVERNANCE_TAGS = (
 
 FLOW_KINDS = ("explicit", "implicit")
 _ID_TAG = {"explicit": "x", "implicit": "i"}  # flow ids open with the kind's tag
+
+
+def _check_id(value, what: str) -> None:
+    """Refuse an entity or datum id that is not a string."""
+    if not isinstance(value, str):
+        raise ValueError(f"{what} must be a string, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -61,6 +69,8 @@ class DatumRecord:
     mechanism: ReleaseMechanism | None = None
 
     def __post_init__(self):
+        _check_id(self.datum, "datum id")
+        _check_id(self.owner, f"owner of datum {self.datum!r}")
         if self.governance not in GOVERNANCE_TAGS:
             raise ValueError(f"unknown governance tag {self.governance!r}")
         if self.domain_size < 1:
@@ -73,6 +83,7 @@ class Entity:
     data: tuple[DatumRecord, ...] = ()
 
     def __post_init__(self):
+        _check_id(self.id, "entity id")
         object.__setattr__(self, "data", tuple(self.data))
         ids = [r.datum for r in self.data]
         if len(set(ids)) != len(ids):
@@ -136,6 +147,8 @@ class ImplicitChannel:
     p: float
 
     def __post_init__(self):
+        for what in ("subject", "observer", "datum"):
+            _check_id(getattr(self, what), f"implicit channel {what}")
         if self.subject == self.observer:
             raise ValueError("implicit channel subject and observer must differ")
         if not (0.0 <= self.p <= 1.0):
@@ -161,19 +174,6 @@ class FlowEvent:
         if self.kind not in FLOW_KINDS:
             raise ValueError(f"kind must be one of {FLOW_KINDS}, got {self.kind!r}")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "record": "flow",
-            "id": self.id,
-            "t": self.t,
-            "sender": self.sender,
-            "receiver": self.receiver,
-            "datum": self.datum,
-            "kind": self.kind,
-            "context_id": self.context_id,
-            "measure": self.measure.to_json_dict(),
-        }
-
 
 @dataclass(frozen=True)
 class BudgetStop:
@@ -185,17 +185,6 @@ class BudgetStop:
     datum: str
     attempted_sh: float
     headroom_sh: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "record": "budget-stop",
-            "t": self.t,
-            "sender": self.sender,
-            "receiver": self.receiver,
-            "datum": self.datum,
-            "attempted_sh": float(self.attempted_sh),
-            "headroom_sh": float(self.headroom_sh),
-        }
 
 
 @dataclass(frozen=True)
@@ -217,15 +206,6 @@ class Context:
     @property
     def flow_ids(self) -> list[str]:
         return [f.id for f in self.flows]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "t": self.t,
-            "sender": self.sender,
-            "receiver": self.receiver,
-            "flow_ids": self.flow_ids,
-        }
 
 
 @dataclass
@@ -371,19 +351,12 @@ class SimulationResult:
     ledger: Ledger
 
     def records(self, induced: list[tuple[Context, Context]] = ()) -> list[dict]:
-        """The event log: flows and budget stops by tick, then one record per induced (cause, context) pair."""
-        recs = [e.to_json_dict() for e in self.events] + [s.to_json_dict() for s in self.stops]
-        recs.sort(key=lambda r: r["t"])  # stable: keeps within-tick occurrence order
-        recs += [
-            {
-                "record": "induced-context",
-                "cause": cause.to_json_dict(),
-                "context": context.to_json_dict(),
-                "flows": [f.to_json_dict() for f in context.flows],
-            }
-            for cause, context in induced
-        ]
-        return recs
+        """The event log as dicts: each line ``write_events_jsonl`` writes, parsed."""
+        return [json.loads(line) for line in _event_lines(self, induced)]
+
+    def by_tick(self) -> list[FlowEvent | BudgetStop]:
+        """Flows and budget stops by tick; within a tick, flows in occurrence order, then stops."""
+        return sorted([*self.events, *self.stops], key=attrgetter("t"))
 
 
 class Simulation:
@@ -539,22 +512,8 @@ def bundle_contexts(events: list[FlowEvent], window: int = 1) -> list[Context]:
 
 
 def ledger_report(ledger: Ledger) -> list[dict]:
-    """Per-(sender, receiver, datum) cumulative content, budget, headroom."""
-    rows = []
-    for (sender, receiver, datum), used in sorted(ledger.cumulative.items()):
-        cap = ledger.budgets.get(datum)
-        headroom = ledger.headroom(sender, receiver, datum)
-        rows.append(
-            {
-                "sender": sender,
-                "receiver": receiver,
-                "datum": datum,
-                "cumulative_sh": float(used),
-                "budget_sh": None if cap is None else float(cap),
-                "headroom_sh": None if headroom is None else float(headroom),
-            }
-        )
-    return rows
+    """Per-(sender, receiver, datum) cumulative content, budget, headroom: ``write_ledger_json``'s text, parsed."""
+    return json.loads("".join(_ledger_chunks(ledger)))
 
 
 # ---------------------------------------------------------------------------
@@ -615,34 +574,117 @@ def load_scenario(path) -> Scenario:
     return load_json(path, scenario_from_json_dict)
 
 
-_CSV_FIELDS = [
-    "record",
-    "id",
-    "t",
-    "kind",
-    "sender",
-    "receiver",
-    "datum",
-    "selective_sh",
-    "logons",
-    "metrons",
-    "context_id",
-    "attempted_sh",
-    "headroom_sh",
-]
+# the columns of events.csv; write_events_csv builds its rows in this order
+_CSV_FIELDS = ("record", "id", "t", "kind", "sender", "receiver", "datum", "selective_sh", "logons", "metrons",
+               "context_id", "attempted_sh", "headroom_sh")
 
 
-def write_events_jsonl(records: list[dict], fh) -> None:
-    for rec in records:
-        fh.write(json.dumps(rec, sort_keys=True, allow_nan=False) + "\n")
+# The writers below put out exactly the bytes of json.dumps(record, sort_keys=True,
+# allow_nan=False) per event-log line and of json.dump(rows, indent=2, sort_keys=True,
+# allow_nan=False) for the ledger: keys in sorted order, strings through the C string
+# encoder json uses, floats through float.__repr__. An InfoMeasure or a cause Context
+# that many records share is encoded once per write, keyed by identity (a value key
+# would merge 0.0 and -0.0).
 
 
-def write_events_csv(records: list[dict], fh) -> None:
+def _float(x) -> str:
+    x = float(x)
+    if not math.isfinite(x):
+        raise ValueError(f"Out of range float values are not JSON compliant: {x!r}")
+    return repr(x)
+
+
+def _measure_text(m: InfoMeasure) -> str:
+    return (
+        f'{{"logons": {int(m.logons)}, "metrons": {int(m.metrons)}, '
+        f'"selective_sh": {_float(m.selective_sh)}, "unbounded": {"true" if m.unbounded else "false"}}}'
+    )
+
+
+def _context_text(c: Context) -> str:
+    flow_ids = ", ".join([_str(f.id) for f in c.flows])
+    return (
+        f'{{"flow_ids": [{flow_ids}], "id": {_str(c.id)}, "receiver": {_str(c.receiver)}, '
+        f'"sender": {_str(c.sender)}, "t": {c.t}}}'
+    )
+
+
+def _event_lines(result: SimulationResult, induced: list[tuple[Context, Context]]):
+    """Each line of the event log: flows and budget stops by tick, then one line per induced (cause, context) pair."""
+    measures: dict[int, str] = {}
+    causes: dict[int, str] = {}
+
+    def flow_text(f: FlowEvent) -> str:
+        m = measures.get(id(f.measure))
+        if m is None:
+            m = measures[id(f.measure)] = _measure_text(f.measure)
+        return (
+            f'{{"context_id": {_str(f.context_id)}, "datum": {_str(f.datum)}, "id": {_str(f.id)}, '
+            f'"kind": {_str(f.kind)}, "measure": {m}, "receiver": {_str(f.receiver)}, "record": "flow", '
+            f'"sender": {_str(f.sender)}, "t": {f.t}}}'
+        )
+
+    for r in result.by_tick():
+        if isinstance(r, FlowEvent):
+            yield flow_text(r) + "\n"
+        else:
+            yield (
+                f'{{"attempted_sh": {_float(r.attempted_sh)}, "datum": {_str(r.datum)}, '
+                f'"headroom_sh": {_float(r.headroom_sh)}, "receiver": {_str(r.receiver)}, '
+                f'"record": "budget-stop", "sender": {_str(r.sender)}, "t": {r.t}}}\n'
+            )
+    for cause, context in induced:
+        c = causes.get(id(cause))
+        if c is None:
+            c = causes[id(cause)] = _context_text(cause)
+        flows = ", ".join([flow_text(f) for f in context.flows])
+        yield f'{{"cause": {c}, "context": {_context_text(context)}, "flows": [{flows}], "record": "induced-context"}}\n'
+
+
+def _ledger_chunks(ledger: Ledger):
+    """The ledger document in pieces: the opening bracket with the first row, each further row, the close."""
+    sep = "[\n"
+    cumulative = ledger.cumulative
+    for key in sorted(cumulative):  # the keys are unique: sorting them alone gives the items' order, faster
+        sender, receiver, datum = key
+        if datum in ledger.budgets:
+            budget, headroom = _float(ledger.budgets[datum]), _float(ledger.headroom(*key))
+        else:
+            budget = headroom = "null"
+        yield (
+            f'{sep}  {{\n    "budget_sh": {budget},\n    "cumulative_sh": {_float(cumulative[key])},\n'
+            f'    "datum": {_str(datum)},\n    "headroom_sh": {headroom},\n'
+            f'    "receiver": {_str(receiver)},\n    "sender": {_str(sender)}\n  }}'
+        )
+        sep = ",\n"
+    yield "[]\n" if sep == "[\n" else "\n]\n"
+
+
+def write_events_jsonl(result: SimulationResult, fh, induced: list[tuple[Context, Context]] = ()) -> None:
+    """The event log of ``result`` and its induced contexts, streamed to ``fh`` one line per record."""
+    fh.writelines(_event_lines(result, induced))
+
+
+def write_ledger_json(ledger: Ledger, fh) -> None:
+    """``ledger_report`` as a JSON document indented by 2, streamed to ``fh`` one row at a time."""
+    fh.writelines(_ledger_chunks(ledger))
+
+
+def write_events_csv(result: SimulationResult, fh, induced: list[tuple[Context, Context]] = ()) -> None:
     """One row per flow and budget stop, and one ``induced-flow`` row per flow of an induced context."""
-    writer = csv.DictWriter(fh, fieldnames=_CSV_FIELDS, lineterminator="\n")
-    writer.writeheader()
-    for rec in records:
-        rows = [{**f, "record": "induced-flow"} for f in rec["flows"]] if rec["record"] == "induced-context" else [rec]
-        for row in rows:
-            measure = row.get("measure") or {}
-            writer.writerow({k: row.get(k, measure.get(k, "")) for k in _CSV_FIELDS})
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(_CSV_FIELDS)
+
+    def flow_row(record: str, f: FlowEvent) -> list:
+        m = f.measure
+        return [record, f.id, f.t, f.kind, f.sender, f.receiver, f.datum,
+                float(m.selective_sh), int(m.logons), int(m.metrons), f.context_id, "", ""]
+
+    for r in result.by_tick():
+        if isinstance(r, FlowEvent):
+            writer.writerow(flow_row("flow", r))
+        else:
+            writer.writerow(["budget-stop", "", r.t, "", r.sender, r.receiver, r.datum,
+                             "", "", "", "", float(r.attempted_sh), float(r.headroom_sh)])
+    for _, context in induced:
+        writer.writerows([flow_row("induced-flow", f) for f in context.flows])

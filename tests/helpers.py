@@ -198,3 +198,100 @@ def naive_linkage(release_columns, release_rows, aux_columns, aux_rows) -> dict:
         "homogeneity_rate": homogeneous / len(matched) if matched else 0.0,
         "reid_rate": reid / len(aux_rows) if aux_rows else 0.0,
     }
+
+
+# The event-log and ledger schema as dicts, built field by field from the
+# objects: json.dumps(rec, sort_keys=True, allow_nan=False) of each record
+# is a line of events.jsonl, and json.dump(rows, indent=2, sort_keys=True,
+# allow_nan=False) of the ledger rows is ledger.json.
+
+
+def measure_dict(m) -> dict:
+    return {
+        "selective_sh": float(m.selective_sh),
+        "logons": int(m.logons),
+        "metrons": int(m.metrons),
+        "unbounded": bool(m.unbounded),
+    }
+
+
+def flow_dict(f) -> dict:
+    return {
+        "record": "flow",
+        "id": f.id,
+        "t": f.t,
+        "sender": f.sender,
+        "receiver": f.receiver,
+        "datum": f.datum,
+        "kind": f.kind,
+        "context_id": f.context_id,
+        "measure": measure_dict(f.measure),
+    }
+
+
+def stop_dict(s) -> dict:
+    return {
+        "record": "budget-stop",
+        "t": s.t,
+        "sender": s.sender,
+        "receiver": s.receiver,
+        "datum": s.datum,
+        "attempted_sh": float(s.attempted_sh),
+        "headroom_sh": float(s.headroom_sh),
+    }
+
+
+def context_dict(c) -> dict:
+    return {"id": c.id, "t": c.t, "sender": c.sender, "receiver": c.receiver, "flow_ids": [f.id for f in c.flows]}
+
+
+def event_records(result, induced=()) -> list:
+    """Flows and budget stops by tick (stable), then one record per induced (cause, context) pair."""
+    recs = [flow_dict(e) for e in result.events] + [stop_dict(s) for s in result.stops]
+    recs.sort(key=lambda r: r["t"])
+    recs += [
+        {
+            "record": "induced-context",
+            "cause": context_dict(cause),
+            "context": context_dict(context),
+            "flows": [flow_dict(f) for f in context.flows],
+        }
+        for cause, context in induced
+    ]
+    return recs
+
+
+def ledger_rows(ledger) -> list:
+    """Per-(sender, receiver, datum) cumulative content, budget and headroom, sorted by key."""
+    rows = []
+    for (sender, receiver, datum), used in sorted(ledger.cumulative.items()):
+        cap = ledger.budgets.get(datum)
+        headroom = None if cap is None else max(cap - used, 0.0)
+        rows.append(
+            {
+                "sender": sender,
+                "receiver": receiver,
+                "datum": datum,
+                "cumulative_sh": float(used),
+                "budget_sh": None if cap is None else float(cap),
+                "headroom_sh": None if headroom is None else float(headroom),
+            }
+        )
+    return rows
+
+
+EVENT_CSV_FIELDS = ["record", "id", "t", "kind", "sender", "receiver", "datum", "selective_sh", "logons",
+                    "metrons", "context_id", "attempted_sh", "headroom_sh"]
+
+
+def write_events_csv(records, fh) -> None:
+    """events.csv from event records: one ``induced-flow`` row per flow of an induced context."""
+    import csv
+
+    writer = csv.DictWriter(fh, fieldnames=EVENT_CSV_FIELDS, lineterminator="\n")
+    writer.writeheader()
+    for rec in records:
+        rows = [{**f, "record": "induced-flow"} for f in rec["flows"]] if rec["record"] == "induced-context" else [rec]
+        for row in rows:
+            measure = row.get("measure") or {}
+            writer.writerow({k: row.get(k, measure.get(k, "")) for k in EVENT_CSV_FIELDS})

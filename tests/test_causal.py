@@ -2,6 +2,7 @@ import collections
 import itertools
 import json
 import logging
+import math
 import tracemalloc
 from importlib import resources
 
@@ -307,6 +308,13 @@ class TestAttributeFlows:
             attribute_flows([explicit_event("a", "b", "nope")], net, ownership={})
         with pytest.raises(ValueError, match="unknown node"):
             attribute_flows([], net, ownership={"nope": "a"})
+
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+    def test_threshold_outside_0_inf_rejected(self, threshold):
+        net, _ = twins_scenario()
+        events = [explicit_event("twin1", "receiver", "S1")]
+        with pytest.raises(ValueError, match="attribution threshold must be finite and >= 0"):
+            attribute_flows(events, net, {"S2": "twin2"}, threshold=threshold)
 
     def test_node_mapping_skips_unmodeled_data(self):
         net, _ = twins_scenario()

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import infoflow
 from infoflow import cli, society
 from infoflow.cli import _emit, main
-from infoflow.society import write_events_jsonl
+from infoflow.society import write_events_jsonl, write_ledger_json
 
 LN3 = math.log(3)
 GOLDEN = Path(__file__).parent / "golden"
@@ -256,7 +256,15 @@ class TestSimulate:
         code, _ = run_cli("simulate", "--scenario", str(path), capsys=capsys)
         assert code == 2
 
-    @pytest.mark.parametrize("case", ["attribution-unknown-message-node", "ownership-not-a-mapping"])
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "attribution-unknown-message-node",
+            "ownership-not-a-mapping",
+            "attribution-threshold-negative",
+            "attribution-owner-integer",
+        ],
+    )
     def test_attribution_is_checked_before_the_run(self, case, tmp_path, monkeypatch, capsys):
         def refuse(scenario):
             raise AssertionError("a scenario with a malformed attribution block was simulated")
@@ -545,6 +553,21 @@ MALFORMED = {
         {"s.json": _twins_with(entities=[*TWINS["entities"], TWINS["entities"][-1]])},
         ["simulate", "--scenario", "s.json"],
     ),
+    "entity-id-integer": (
+        {"s.json": _twins_with(entities=[*TWINS["entities"][:2], {"id": 7, "data": []}])},
+        ["simulate", "--scenario", "s.json"],
+    ),
+    "datum-id-integer": ({"s.json": _twins_datum(datum=7)}, ["simulate", "--scenario", "s.json"]),
+    "datum-owner-integer": ({"s.json": _twins_datum(owner=1)}, ["simulate", "--scenario", "s.json"]),
+    "implicit-channel-observer-integer": ({"s.json": _twins_channel(observer=7)}, ["simulate", "--scenario", "s.json"]),
+    "attribution-threshold-negative": (
+        {"s.json": _twins_with(attribution={**TWINS["attribution"], "threshold": -1})},
+        ["simulate", "--scenario", "s.json"],
+    ),
+    "attribution-owner-integer": (
+        {"s.json": _twins_with(attribution={**TWINS["attribution"], "ownership": {"S2": 7}})},
+        ["simulate", "--scenario", "s.json"],
+    ),
     "ticks-negative": ({"s.json": _twins_with(ticks=-1)}, ["simulate", "--scenario", "s.json"]),
     "window-zero": ({"s.json": _twins_with(window=0)}, ["simulate", "--scenario", "s.json"]),
     "csv-duplicate-column": (
@@ -587,6 +610,12 @@ REFUSED_BY = {
     "implicit-channel-p-2": "p must be in [0,1]",
     "implicit-channel-unknown-entity": "unknown entity",
     "duplicate-entity-ids": "duplicate entity ids",
+    "entity-id-integer": "entity id must be a string, got 7",
+    "datum-id-integer": "datum id must be a string, got 7",
+    "datum-owner-integer": "owner of datum 'gender' must be a string, got 1",
+    "implicit-channel-observer-integer": "implicit channel observer must be a string, got 7",
+    "attribution-threshold-negative": "attribution threshold must be finite and >= 0, got -1.0",
+    "attribution-owner-integer": "owner of node 'S2' must be a string, got 7",
     "ticks-negative": "ticks must be >= 0",
     "window-zero": "window must be >= 1",
     "csv-duplicate-column": "duplicate column names",
@@ -685,8 +714,35 @@ class TestStrictOutput:
         assert not out.exists()
 
     def test_event_log_refuses_nan(self):
+        result = society.simulate(society.load_scenario(data_path("twins.json")))
+        object.__setattr__(result.events[0].measure, "selective_sh", math.nan)
         with pytest.raises(ValueError):
-            write_events_jsonl([{"x": math.nan}], io.StringIO())
+            write_events_jsonl(result, io.StringIO())
+
+    def test_ledger_refuses_inf(self):
+        ledger = society.Ledger(cumulative={("a", "b", "d"): math.inf})
+        with pytest.raises(ValueError):
+            write_ledger_json(ledger, io.StringIO())
+
+    @pytest.mark.parametrize(
+        "fmt, broken", [("json", "event"), ("json", "ledger"), ("csv", "ledger")]
+    )
+    def test_simulation_that_fails_to_encode_leaves_no_output(self, fmt, broken, tmp_path, monkeypatch, capsys):
+        simulate = society.simulate
+
+        def with_non_finite(scenario):
+            result = simulate(scenario)
+            if broken == "event":  # a NaN measure injected into a frozen event
+                object.__setattr__(result.events[0].measure, "selective_sh", math.nan)
+            else:
+                result.ledger.cumulative[next(iter(result.ledger.cumulative))] = math.inf
+            return result
+
+        monkeypatch.setattr(society, "simulate", with_non_finite)
+        out = tmp_path / "out"
+        assert main(["simulate", "--scenario", data_path("twins.json"), "--out", str(out), "--format", fmt]) == 2
+        assert list(out.iterdir()) == []
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def run_child(*argv) -> subprocess.CompletedProcess:

@@ -1,18 +1,25 @@
+import io
 import json
 import math
 from importlib import resources
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from infoflow import (
+    BudgetStop,
     Context,
     DatumRecord,
     Entity,
     FactorState,
     FlowEvent,
     InfoMeasure,
+    Ledger,
     LogisticParams,
     Simulation,
+    SimulationResult,
     Society,
     bundle_contexts,
     decision_prob,
@@ -20,7 +27,15 @@ from infoflow import (
     load_scenario,
     simulate,
 )
-from infoflow.society import scenario_from_json_dict
+from infoflow.cli import _write
+from infoflow.society import (
+    FLOW_KINDS,
+    scenario_from_json_dict,
+    write_events_csv,
+    write_events_jsonl,
+    write_ledger_json,
+)
+import helpers
 from helpers import scalar_simulation
 
 LN3 = math.log(3)
@@ -440,3 +455,92 @@ class TestScenarioJson:
     def test_society_needs_two_entities(self):
         with pytest.raises(ValueError, match="two entities"):
             Society(entities=(Entity("only"),))
+
+
+# ids with what JSON and CSV must escape or quote, non-ASCII text and the id separators
+IDS = st.text(st.sampled_from(['"', "\\", "\n", "\r", "\t", "\x00", "\x1f", "\x7f", "é", "\u2028", "😀",
+                               ">", ":", ",", "~", "a", "b"]), max_size=5) | st.text(max_size=4)
+SH = st.sampled_from([5e-324, 1e16, 1e-7, 0.0, -0.0, 1.0, 0.1, 1 / 3]) | st.floats(0, 1e300) | st.builds(
+    np.float64, st.floats(0, 64)
+)
+
+
+@st.composite
+def simulation_outputs(draw):
+    """A simulation result, induced (cause, context) pairs sharing causes, and a ledger."""
+    entities = draw(st.lists(IDS, min_size=2, max_size=4, unique=True))
+    logons = st.integers(0, 2) | st.integers(0, 2**70)
+    measures = draw(st.lists(st.builds(InfoMeasure, SH, logons, st.integers(0, 2), st.booleans()),
+                             min_size=1, max_size=4))
+
+    def pair():
+        sender, receiver = draw(st.permutations(entities))[:2]
+        return sender, receiver
+
+    def flows(t, sender, receiver, kinds=FLOW_KINDS, max_size=3):
+        return [
+            FlowEvent(draw(IDS), t, sender, receiver, draw(IDS), draw(st.sampled_from(measures)),
+                      draw(st.sampled_from(kinds)), draw(IDS))
+            for _ in range(draw(st.integers(1, max_size)))
+        ]
+
+    ticks = st.integers(0, 3)
+    events = [f for _ in range(draw(st.integers(0, 4))) for f in flows(draw(ticks), *pair())]
+    stops = [BudgetStop(draw(ticks), *pair(), draw(IDS), draw(SH), draw(SH)) for _ in range(draw(st.integers(0, 3)))]
+    causes = [Context(draw(IDS), t, s, r, flows(t, s, r, ("explicit",))) for t, (s, r) in
+              ((draw(ticks), pair()) for _ in range(draw(st.integers(1, 2))))]
+    induced = []
+    for _ in range(draw(st.integers(0, 4))):
+        cause = draw(st.sampled_from(causes))
+        owner = draw(st.sampled_from([e for e in entities if e != cause.receiver]))
+        induced.append((cause, Context(draw(IDS), cause.t, owner, cause.receiver,
+                                       flows(cause.t, owner, cause.receiver, ("implicit",), 2))))
+    data = draw(st.lists(IDS, min_size=1, max_size=3, unique=True))
+    budgets = {d: draw(SH) for d in data if draw(st.booleans())}
+    keys = st.tuples(st.sampled_from(entities), st.sampled_from(entities), st.sampled_from(data))
+    ledger = Ledger(budgets=budgets, cumulative=draw(st.dictionaries(keys, SH, max_size=4)))
+    return SimulationResult(events, stops, ledger), induced
+
+
+def written(write, *args) -> str:
+    fh = io.StringIO()
+    write(*args, fh)
+    return fh.getvalue()
+
+
+class TestTextWriters:
+    """The streamed writers against the dict oracle of tests/helpers.py encoded by json and csv."""
+
+    @given(simulation_outputs())
+    @settings(max_examples=200, deadline=None)
+    @example((SimulationResult([], [], Ledger()), []))
+    def test_writers_equal_the_dict_oracle(self, output):
+        result, induced = output
+        records = helpers.event_records(result, induced)
+        rows = helpers.ledger_rows(result.ledger)
+        dumps = lambda doc, **kw: json.dumps(doc, sort_keys=True, allow_nan=False, **kw)  # noqa: E731
+        fh = io.StringIO()
+        write_events_jsonl(result, fh, induced)
+        assert fh.getvalue() == "".join(dumps(rec) + "\n" for rec in records)
+        assert written(write_ledger_json, result.ledger) == dumps(rows, indent=2) + "\n"
+        fh = io.StringIO()
+        write_events_csv(result, fh, induced)
+        assert fh.getvalue() == written(helpers.write_events_csv, records)
+        assert written(_write, ledger_report(result.ledger), "csv") == written(_write, rows, "csv")
+        stdout = {"events": result.records(induced), "ledger": ledger_report(result.ledger)}
+        assert written(_write, stdout, "json") == dumps({"events": records, "ledger": rows}, indent=2) + "\n"
+
+    def test_shared_measure_and_cause_are_written_in_full_each_time(self):
+        a = flow(0, "a", "b", "d")
+        cause = Context("C0", 0, "a", "b", (a,))
+        # equal as values, so a memo keyed by value would write the first one's text for both
+        zeros = [InfoMeasure(0.0, 2, 1), InfoMeasure(-0.0, 2, 1)] * 2
+        induced = [
+            (cause, Context(f"k{i}", 0, "c", "b", (FlowEvent(f"i{i}", 0, "c", "b", "n", m, "implicit", "k"),)))
+            for i, m in enumerate(zeros)
+        ]
+        fh = io.StringIO()
+        write_events_jsonl(SimulationResult([a], [], Ledger()), fh, induced)
+        lines = fh.getvalue().splitlines()
+        assert [json.loads(line)["cause"] for line in lines[1:]] == [helpers.context_dict(cause)] * 4
+        assert ['"selective_sh": -0.0' in line for line in lines[1:]] == [False, True, False, True]
