@@ -211,12 +211,12 @@ def read_table(csv_path, roles_path=None) -> Table:
         return Table(tuple((n, roles[n]) for n in header), reader)
 
 
-def write_table(t: Table, csv_path, roles_path=None) -> None:
-    roles_path = default_roles_path(csv_path) if roles_path is None else Path(roles_path)
+def write_table(t: Table, csv_path) -> None:
+    """Write ``t`` as a CSV with its role sidecar beside it, where ``read_table`` looks by default."""
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(t.column_names())
         writer.writerows(t.rows)
-    with open(roles_path, "w") as fh:
+    with open(default_roles_path(csv_path), "w") as fh:
         json.dump({"roles": {n: r for n, r in t.columns}}, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -53,7 +53,7 @@ class Node:
         if len(set(self.parents)) != len(self.parents):
             raise ValueError(f"duplicate parents on node {self.name!r}")
         # a root's cpt may be given as one flat row; BayesNet checks the row count
-        c = np.atleast_2d(np.asarray(self.cpt, dtype=np.float64))
+        c = np.atleast_2d(np.asarray(self.cpt))
         shape = (max(len(c), 1), len(self.states))
         object.__setattr__(self, "cpt", _stochastic(c, shape, f"cpt of {self.name!r}", rows=True))
 
@@ -402,6 +402,7 @@ def attribute_flows(
         net.node(ev.datum)  # raises on unknown nodes
         return ev.datum
 
+    owned = [(node.name, ownership[node.name], node.card) for node in net.nodes if node.name in ownership]
     dense = joint(net)
     # (message, node, conditioning in order) -> I(message; node | conditioning)
     memo: dict[tuple[str, str, tuple[str, ...]], float] = {}
@@ -416,21 +417,18 @@ def attribute_flows(
             if m is None:
                 continue
             given = tuple(conditioning)
-            leaks: dict[str, list[tuple[str, float]]] = {}
-            for node in net.nodes:
-                owner = ownership.get(node.name)
-                if node.name == m or owner is None:
+            leaks: dict[str, list[tuple[str, float, int]]] = {}
+            for name, owner, card in owned:
+                if name == m or owner in (flow.sender, flow.receiver):
                     continue
-                if owner in (flow.sender, flow.receiver):
-                    continue
-                key = (m, node.name, given)
+                key = (m, name, given)
                 mi = memo.get(key)
                 if mi is None:
-                    mi = memo[key] = conditional_mi(dense, m, node.name, given)
+                    mi = memo[key] = conditional_mi(dense, m, name, given)
                 else:
                     hits += 1
                 if mi > threshold:
-                    leaks.setdefault(owner, []).append((node.name, mi))
+                    leaks.setdefault(owner, []).append((name, mi, card))
             for owner, leaked in leaks.items():
                 induced_id = f"{flow.id}~{owner}"
                 induced_flows = tuple(
@@ -440,28 +438,14 @@ def attribute_flows(
                         sender=owner,
                         receiver=flow.receiver,
                         datum=node_name,
-                        measure=InfoMeasure(
-                            selective_sh=mi,
-                            logons=net.node(node_name).card,
-                            metrons=1,
-                        ),
+                        measure=InfoMeasure(selective_sh=mi, logons=card, metrons=1),
                         kind="implicit",
                         context_id=induced_id,
                     )
-                    for node_name, mi in leaked
+                    for node_name, mi, card in leaked
                 )
-                pairs.append(
-                    (
-                        ctx,
-                        Context(
-                            id=induced_id,
-                            t=flow.t,
-                            sender=owner,
-                            receiver=flow.receiver,
-                            flows=induced_flows,
-                        ),
-                    )
-                )
+                induced = Context(id=induced_id, t=flow.t, sender=owner, receiver=flow.receiver, flows=induced_flows)
+                pairs.append((ctx, induced))
             if m not in conditioning:
                 conditioning.append(m)
     log.debug("attribute_flows: %d distinct conditional_mi evaluations, %d memo hits", len(memo), hits)

@@ -229,14 +229,14 @@ def mi_without_dp_example() -> tuple[Channel, BoundCertificate]:
 # ---------------------------------------------------------------------------
 
 
-def random_channel(n_in: int, n_out: int, rng: np.random.Generator, floor: float = 1e-6) -> Channel:
-    """Random finite-eps channel: flat-Dirichlet rows, floored and renormalized.
+def random_channel(n_in: int, n_out: int, rng: np.random.Generator) -> Channel:
+    """Random finite-eps channel: flat-Dirichlet rows, floored at 1e-6 and renormalized.
 
     The floor keeps every entry positive so the realized eps is finite
     and the information cap is non-vacuous.
     """
     rows = rng.dirichlet(np.ones(n_out), size=n_in)
-    rows = np.maximum(rows, floor)
+    rows = np.maximum(rows, 1e-6)
     rows /= rows.sum(axis=1, keepdims=True)
     inputs = tuple(f"x{i}" for i in range(n_in))
     outputs = tuple(f"y{j}" for j in range(n_out))
@@ -270,11 +270,12 @@ class SweepResult:
         }
 
 
-def bound_sweep(n_cases: int, seed: int = 0, max_size: int = 8) -> SweepResult:
+def bound_sweep(n_cases: int, seed: int = 0) -> SweepResult:
     """Check the information cap on n_cases random channel/prior pairs.
 
     Each case gets its own seeded generator so cases are reproducible
-    independently of evaluation order.
+    independently of evaluation order; a channel has 2 to 8 inputs and
+    2 to 8 outputs.
     """
     if n_cases < 1:
         raise ValueError(f"n_cases must be >= 1, got {n_cases}")
@@ -284,8 +285,8 @@ def bound_sweep(n_cases: int, seed: int = 0, max_size: int = 8) -> SweepResult:
     min_slack = math.inf
     for case in range(n_cases):
         rng = np.random.default_rng([seed, case])
-        n_in = int(rng.integers(2, max_size + 1))
-        n_out = int(rng.integers(2, max_size + 1))
+        n_in = int(rng.integers(2, 9))
+        n_out = int(rng.integers(2, 9))
         c = random_channel(n_in, n_out, rng)
         prior = random_prior(n_in, rng)
         cert = check_mi_bound(c, prior)

@@ -41,8 +41,14 @@ UNBOUNDED = Unbounded()
 
 
 def _stochastic(values, shape: tuple[int, ...], what: str, rows: bool = False) -> np.ndarray:
-    """Frozen float64 copy of a table whose entries are >= 0 (not NaN) and sum, or per row sum, to 1."""
-    a = np.array(values, dtype=np.float64)
+    """Frozen float64 copy of a table of numbers >= 0 (not NaN) that sum, or per row sum, to 1.
+
+    A table numpy does not read as numbers (a string, boolean or null cell) is refused.
+    """
+    a = np.array(values)
+    if a.dtype.kind not in "iuf":
+        raise ValueError(f"{what} has an entry that is not a number: a string, a boolean or a null (NaN)")
+    a = a.astype(np.float64, copy=False)
     if a.shape != shape:
         raise ValueError(f"{what} has shape {a.shape}, expected {shape}")
     if not a.min() >= 0:
@@ -99,7 +105,11 @@ def load_json(path, parse):
 
 
 def _check_labels(labels, what: str) -> tuple[str, ...]:
-    labels = tuple(str(x) for x in labels)
+    """``labels`` as a tuple of unique strings; a label of another type is refused, not converted."""
+    labels = tuple(labels)
+    for x in labels:
+        if not isinstance(x, str):
+            raise ValueError(f"{what} must be strings, got {x!r}")
     if not labels:
         raise ValueError(f"{what} must be non-empty")
     if len(set(labels)) != len(labels):
@@ -185,13 +195,11 @@ class InfoMeasure:
     selective_sh: float
     logons: int
     metrons: int
-    unbounded: bool = False
 
     def __post_init__(self):
         if self.logons < 0 or self.metrons < 0:
             raise ValueError("logons/metrons must be non-negative")
-        if not self.unbounded:
-            _nonneg(self.selective_sh, "selective_sh")
+        _nonneg(self.selective_sh, "selective_sh")
 
 
 @dataclass(frozen=True)

@@ -283,6 +283,10 @@ def _logistic(x: float) -> float:
     return z / (1.0 + z)
 
 
+def _logit(params: LogisticParams, trust: float, incentive: float) -> float:
+    return params.alpha * trust + params.beta * incentive - params.gamma
+
+
 def decision_prob(
     factors: FactorState,
     sender: str,
@@ -295,12 +299,7 @@ def decision_prob(
     Monotone non-decreasing in both trust(sender, receiver) and
     incentive(sender, datum).
     """
-    x = (
-        params.alpha * factors.trust_of(sender, receiver)
-        + params.beta * factors.incentive_of(sender, datum)
-        - params.gamma
-    )
-    return _logistic(x)
+    return _logistic(_logit(params, factors.trust_of(sender, receiver), factors.incentive_of(sender, datum)))
 
 
 def release_measure(rec: DatumRecord) -> InfoMeasure:
@@ -338,6 +337,8 @@ class Scenario:
     attribution: dict | None = None
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.ticks < 0:
             raise ValueError("ticks must be >= 0")
         if self.window < 1:
@@ -367,12 +368,14 @@ class Simulation:
     reproduce the event list exactly and factor perturbations cannot
     touch the implicit stream.
 
-    The society's factors and logistic weights are read once, when the
-    simulation is built: every (sender, datum, receiver) candidate's
-    decision probability is fixed for the run, and changing
-    ``society.factors`` afterwards does not affect it. Each tick draws
-    one uniform per candidate in a single batch, in the order sender,
-    datum, receiver of the society's declarations.
+    The society is read once, when the simulation is built. Every
+    (sender, datum, receiver) candidate's decision probability is fixed
+    then, with the logistic link evaluated once per distinct trust value
+    per datum; so are the implicit channels and the content of each
+    one's release. Changing ``society.factors`` or
+    ``society.implicit_channels`` afterwards does not affect the run.
+    Each tick draws one uniform per candidate in a single batch, in the
+    order sender, datum, receiver of the society's declarations.
     """
 
     def __init__(self, scenario: Scenario):
@@ -384,10 +387,13 @@ class Simulation:
         self.stops: list[BudgetStop] = []
         self._ids = [e.id for e in scenario.society.entities]
         self._blocks, self._p = _decision_table(scenario.society)
+        self._implicit = [
+            (ch, _raw_release_measure(scenario.society.held[(ch.subject, ch.datum)]))
+            for ch in scenario.society.implicit_channels
+        ]
 
     def step(self) -> tuple[list[FlowEvent], list[BudgetStop]]:
         t = self.t
-        soc = self.society
         rng_explicit = np.random.default_rng([self.scenario.seed, t, 0])
         rng_implicit = np.random.default_rng([self.scenario.seed, t, 1])
         events: list[FlowEvent] = []
@@ -429,9 +435,8 @@ class Simulation:
             else:
                 fire("explicit", sender, receiver, datum, measure)
 
-        for ch in soc.implicit_channels:
+        for ch, measure in self._implicit:
             if rng_implicit.random() < ch.p:
-                measure = _raw_release_measure(soc.held[(ch.subject, ch.datum)])
                 fire("implicit", ch.subject, ch.observer, ch.datum, measure)
 
         self.t += 1
@@ -458,27 +463,23 @@ def _decision_table(soc: Society) -> tuple[list[tuple[int, str, InfoMeasure]], n
     b*(n-1) to (b+1)*(n-1) - 1, and offset j in a block is the receiver
     at position j, or j + 1 from the sender's position on. A probability
     depends on the candidate only through its (trust, incentive) pair,
-    so ``decision_prob`` is called once per distinct trust in a block.
+    so the link is evaluated once per distinct trust in a block.
     """
     factors, params = soc.factors, soc.logistic
-    ids = [e.id for e in soc.entities]
-    pos = {eid: k for k, eid in enumerate(ids)}
-    trusted: dict[str, list[tuple[int, float]]] = {}
+    pos = {e.id: k for k, e in enumerate(soc.entities)}
+    trust = np.zeros((len(pos), len(pos)))
     for (sender, receiver), v in factors.trust.items():
-        if receiver in pos:
-            trusted.setdefault(sender, []).append((pos[receiver], v))
+        if sender in pos and receiver in pos:
+            trust[pos[sender], pos[receiver]] = v
     blocks: list[tuple[int, str, InfoMeasure]] = []
     probs: list[np.ndarray] = []
     for k, sender in enumerate(soc.entities):
-        trust = np.zeros(len(ids))
-        for r, v in trusted.get(sender.id, ()):
-            trust[r] = v
-        # one representative receiver per distinct trust value, then each candidate's index into them
-        _, first, which = np.unique(np.delete(trust, k), return_index=True, return_inverse=True)
-        receivers = [ids[j + (j >= k)] for j in first.tolist()]
+        # the sender's distinct trust values, and each receiver's index into them
+        distinct, which = np.unique(np.delete(trust[k], k), return_inverse=True)
+        values = distinct.tolist()
         for rec in sender.data:
-            row = [decision_prob(factors, sender.id, r, rec.datum, params) for r in receivers]
-            probs.append(np.array(row)[which])
+            incentive = factors.incentive_of(sender.id, rec.datum)
+            probs.append(np.array([_logistic(_logit(params, t, incentive)) for t in values])[which])
             blocks.append((k, rec.datum, release_measure(rec)))
     return blocks, np.concatenate(probs) if probs else np.empty(0)
 
@@ -528,13 +529,35 @@ _SCENARIO_KEYS = (
 )
 
 
+def _integer(value, what: str) -> int:
+    """Refuse a JSON value that is not an integer (a boolean, a string or a float such as 2.7 or 1e308)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _number(value, what: str) -> float:
+    """A JSON number as a float; a boolean or a string is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def _from_json(cls, doc: dict, what: str, **convert):
     """``cls`` from a JSON object keyed by its field names, ``convert[key]`` applied to each value.
 
-    A key that is not a field is refused; an absent one takes the field's default.
+    ``int`` and ``float`` there stand for ``_integer`` and ``_number``. A key that is not a field is
+    refused; an absent one takes the field's default.
     """
     _check_keys(doc, [f.name for f in fields(cls)], what)
-    return cls(**{k: convert[k](v) if k in convert else v for k, v in doc.items()})
+
+    def value(k, v):
+        c = convert.get(k)
+        if c in (int, float):
+            return (_integer if c is int else _number)(v, f"{what} {k}")
+        return v if c is None else c(v)
+
+    return cls(**{k: value(k, v) for k, v in doc.items()})
 
 
 def _datum_from_json(doc: dict) -> DatumRecord:
@@ -551,9 +574,13 @@ def scenario_from_json_dict(cfg: dict) -> Scenario:
         for ent in cfg.get("entities", [])
     ]
     factors = FactorState(
-        trust={(s, r): float(v) for s, row in cfg.get("trust", {}).items() for r, v in row.items()},
+        trust={
+            (s, r): _number(v, f"trust{(s, r)}") for s, row in cfg.get("trust", {}).items() for r, v in row.items()
+        },
         incentives={
-            (s, d): float(v) for s, row in cfg.get("incentives", {}).items() for d, v in row.items()
+            (s, d): _number(v, f"incentive{(s, d)}")
+            for s, row in cfg.get("incentives", {}).items()
+            for d, v in row.items()
         },
     )
     society = Society(
@@ -563,9 +590,9 @@ def scenario_from_json_dict(cfg: dict) -> Scenario:
             _from_json(ImplicitChannel, ch, "implicit channel", p=float) for ch in cfg.get("implicit_channels", [])
         ),
         logistic=_from_json(LogisticParams, cfg.get("logistic", {}), "logistic", alpha=float, beta=float, gamma=float),
-        budgets={d: float(v) for d, v in cfg.get("budgets", {}).items()},
+        budgets={d: _number(v, f"budget for {d!r}") for d, v in cfg.get("budgets", {}).items()},
     )
-    run = {k: int(cfg[k]) for k in ("seed", "ticks", "window") if k in cfg}
+    run = {k: _integer(cfg[k], k) for k in ("seed", "ticks", "window") if k in cfg}
     _check_keys(cfg.get("attribution") or {}, ("net", "ownership", "threshold", "message_nodes"), "attribution")
     return Scenario(society=society, attribution=cfg.get("attribution"), **run)
 
@@ -595,9 +622,10 @@ def _float(x) -> str:
 
 
 def _measure_text(m: InfoMeasure) -> str:
+    # "unbounded" is part of the log schema; an InfoMeasure is always finite, so it is always false
     return (
         f'{{"logons": {int(m.logons)}, "metrons": {int(m.metrons)}, '
-        f'"selective_sh": {_float(m.selective_sh)}, "unbounded": {"true" if m.unbounded else "false"}}}'
+        f'"selective_sh": {_float(m.selective_sh)}, "unbounded": false}}'
     )
 
 

@@ -211,7 +211,7 @@ def measure_dict(m) -> dict:
         "selective_sh": float(m.selective_sh),
         "logons": int(m.logons),
         "metrons": int(m.metrons),
-        "unbounded": bool(m.unbounded),
+        "unbounded": False,
     }
 
 

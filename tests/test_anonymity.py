@@ -1,4 +1,5 @@
 import math
+import re
 from importlib import resources
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from infoflow import (
+    AnonReport,
     Dist,
     Table,
     check_mi_bound,
@@ -121,6 +123,21 @@ class TestLinkageAttack:
         aux_rows = data.draw(st.lists(st.tuples(*[st.sampled_from("abz")] * len(aux_columns)), max_size=8))
         report = linkage_attack(Table(tuple(columns), tuple(rows)), Table(tuple(aux_columns), tuple(aux_rows)))
         assert report.to_json_dict() == naive_linkage(columns, rows, aux_columns, aux_rows)
+
+
+class TestAnonReport:
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ((0, 0.0, 0.0), "k_achieved must be >= 1"),
+            ((1, 1.5, 0.0), "homogeneity_rate must be in [0,1], got 1.5"),
+            ((1, 0.0, -0.1), "reid_rate must be in [0,1], got -0.1"),
+            ((1, 0.0, math.nan), "reid_rate must be in [0,1], got nan"),
+        ],
+    )
+    def test_out_of_range_fields_rejected(self, fields, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            AnonReport(*fields)
 
 
 class TestDpRelease:

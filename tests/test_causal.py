@@ -316,6 +316,29 @@ class TestAttributeFlows:
         with pytest.raises(ValueError, match="attribution threshold must be finite and >= 0"):
             attribute_flows(events, net, {"S2": "twin2"}, threshold=threshold)
 
+    def test_datum_missing_from_the_node_map_is_skipped(self):
+        # the unmapped flow neither induces a context nor joins the conditioning of the later flow
+        net, _ = twins_scenario()
+        node_of, ownership = {"gender": "S1", "zygosity": "Z"}, {"S2": "twin2"}
+
+        def leaks(data):
+            events = [explicit_event("twin1", "receiver", d) for d in data]
+            pairs = attribute_flows(events, net, ownership, node_of=node_of)
+            return [(ctx.id, [(f.datum, f.measure) for f in ctx.flows]) for _, ctx in pairs]
+
+        assert leaks(["gender", "shoe_size", "zygosity"]) == leaks(["gender", "zygosity"]) != []
+        assert leaks(["shoe_size"]) == []
+
+    def test_implicit_flows_are_skipped(self):
+        net, _ = twins_scenario()
+        gender, zygosity = explicit_event("twin1", "receiver", "S1"), explicit_event("twin1", "receiver", "Z")
+        seen = FlowEvent("i:0:twin1>receiver:Z", 0, "twin1", "receiver", "Z", zygosity.measure, "implicit",
+                         zygosity.context_id)
+        ownership = {"S2": "twin2"}
+        assert attribute_flows([seen], net, ownership) == []
+        only_gender = pair_summary(attribute_flows([gender], net, ownership))
+        assert pair_summary(attribute_flows([gender, seen], net, ownership)) == only_gender != []
+
     def test_node_mapping_skips_unmodeled_data(self):
         net, _ = twins_scenario()
         events = [explicit_event("twin1", "receiver", "shoe_size")]
@@ -389,6 +412,19 @@ class TestAttributionMemo:
         assert len(keys) > len(set(keys))  # the log repeats keys, so the memo has work
         assert calls == collections.Counter(set(keys))
         assert expected and pair_summary(pairs) == expected
+
+    @pytest.mark.parametrize("ownership", [{}, {"A": "alice"}])
+    def test_unowned_nodes_are_never_evaluated(self, ownership, monkeypatch):
+        net, events = fork_collider_graph(seed=42), repeated_flows_log()
+        nodes = collections.Counter()
+
+        def counting(dense, a, b, given=()):
+            nodes[b] += 1
+            return conditional_mi(dense, a, b, given)
+
+        monkeypatch.setattr(causal, "conditional_mi", counting)
+        attribute_flows(events, net, ownership, node_of=REPEATED_NODE_OF)
+        assert set(nodes) == set(ownership)
 
     def test_counts_are_logged_at_debug(self, caplog):
         net, events = fork_collider_graph(seed=42), repeated_flows_log()

@@ -7,6 +7,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -569,6 +570,47 @@ MALFORMED = {
         ["simulate", "--scenario", "s.json"],
     ),
     "ticks-negative": ({"s.json": _twins_with(ticks=-1)}, ["simulate", "--scenario", "s.json"]),
+    "ticks-fraction": ({"s.json": _twins_with(ticks=2.7)}, ["simulate", "--scenario", "s.json"]),
+    "ticks-boolean": ({"s.json": _twins_with(ticks=True)}, ["simulate", "--scenario", "s.json"]),
+    "ticks-string": ({"s.json": _twins_with(ticks="2")}, ["simulate", "--scenario", "s.json"]),
+    "ticks-1e308": ({"s.json": _twins_with(ticks=1e308)}, ["simulate", "--scenario", "s.json"]),
+    "seed-negative": ({"s.json": _twins_with(seed=-1, ticks=0)}, ["simulate", "--scenario", "s.json"]),
+    "seed-fraction": ({"s.json": _twins_with(seed=2.9)}, ["simulate", "--scenario", "s.json"]),
+    "window-string": ({"s.json": _twins_with(window="1")}, ["simulate", "--scenario", "s.json"]),
+    "domain-size-fraction": ({"s.json": _twins_datum(domain_size=2.5)}, ["simulate", "--scenario", "s.json"]),
+    "mechanism-k-fraction": (
+        {"s.json": _twins_datum(mechanism={"kind": "randomized-response", "k": 2.9, "eps": 1})},
+        ["simulate", "--scenario", "s.json"],
+    ),
+    "mechanism-eps-string": (
+        {"s.json": _twins_datum(mechanism={"kind": "randomized-response", "k": 2, "eps": "1"})},
+        ["simulate", "--scenario", "s.json"],
+    ),
+    "implicit-channel-p-string": ({"s.json": _twins_channel(p="0.5")}, ["simulate", "--scenario", "s.json"]),
+    "logistic-alpha-boolean": ({"s.json": _twins_with(logistic={"alpha": True})}, ["simulate", "--scenario", "s.json"]),
+    "trust-string": ({"s.json": _twins_with(trust={"twin1": {"receiver": "1"}})}, ["simulate", "--scenario", "s.json"]),
+    "incentive-boolean": (
+        {"s.json": _twins_with(incentives={"twin1": {"gender": True}})},
+        ["simulate", "--scenario", "s.json"],
+    ),
+    "budget-string": ({"s.json": _twins_with(budgets={"gender": "0.5"})}, ["simulate", "--scenario", "s.json"]),
+    "net-states-booleans": ({"n.json": _net({**_X, "states": [True, False]}, _M)}, _LEAKAGE),
+    "channel-cells-not-numbers": (
+        {"c.json": json.dumps({"inputs": ["a", "b"], "outputs": ["x", "y"], "rows": [["0.5", "0.5"], [True, False]]})},
+        ["verify-bound", "--channel", "c.json"],
+    ),
+    "channel-output-integer": (
+        {"c.json": json.dumps({"inputs": ["a", "b"], "outputs": ["x", 1], "rows": [[0.5, 0.5], [0.5, 0.5]]})},
+        ["verify-bound", "--channel", "c.json"],
+    ),
+    "prior-outcomes-integers": (
+        {"p.json": json.dumps({"outcomes": [0, 1], "probs": [0.5, 0.5]})},
+        ["verify-bound", "--rr", "k=2", "eps=1", "--prior", "p.json"],
+    ),
+    "prior-probs-booleans": (
+        {"p.json": json.dumps({"outcomes": ["0", "1"], "probs": [True, False]})},
+        ["verify-bound", "--rr", "k=2", "eps=1", "--prior", "p.json"],
+    ),
     "window-zero": ({"s.json": _twins_with(window=0)}, ["simulate", "--scenario", "s.json"]),
     "csv-duplicate-column": (
         {"t.csv": "a,a\n1,2\n", "t.csv.roles.json": '{"roles": {"a": "sensitive"}}'},
@@ -617,6 +659,26 @@ REFUSED_BY = {
     "attribution-threshold-negative": "attribution threshold must be finite and >= 0, got -1.0",
     "attribution-owner-integer": "owner of node 'S2' must be a string, got 7",
     "ticks-negative": "ticks must be >= 0",
+    "ticks-fraction": "ticks must be an integer, got 2.7",
+    "ticks-boolean": "ticks must be an integer, got True",
+    "ticks-string": "ticks must be an integer, got '2'",
+    "ticks-1e308": "ticks must be an integer, got 1e+308",
+    "seed-negative": "seed must be >= 0",
+    "seed-fraction": "seed must be an integer, got 2.9",
+    "window-string": "window must be an integer, got '1'",
+    "domain-size-fraction": "datum domain_size must be an integer, got 2.5",
+    "mechanism-k-fraction": "mechanism k must be an integer, got 2.9",
+    "mechanism-eps-string": "mechanism eps must be a number, got '1'",
+    "implicit-channel-p-string": "implicit channel p must be a number, got '0.5'",
+    "logistic-alpha-boolean": "logistic alpha must be a number, got True",
+    "trust-string": "trust('twin1', 'receiver') must be a number, got '1'",
+    "incentive-boolean": "incentive('twin1', 'gender') must be a number, got True",
+    "budget-string": "budget for 'gender' must be a number, got '0.5'",
+    "net-states-booleans": "states of X must be strings, got True",
+    "channel-cells-not-numbers": "channel has an entry that is not a number",
+    "channel-output-integer": "outputs must be strings, got 1",
+    "prior-outcomes-integers": "outcomes must be strings, got 0",
+    "prior-probs-booleans": "probs has an entry that is not a number",
     "window-zero": "window must be >= 1",
     "csv-duplicate-column": "duplicate column names",
     "attribution-typo": "unknown attribution keys: ['treshold']",
@@ -636,6 +698,13 @@ class TestMalformedInput:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert REFUSED_BY.get(case, "") in lines[0]
         assert captured.out == ""  # nothing is reported for a refused input
+
+    def test_huge_tick_count_is_refused_at_once(self, tmp_path, capsys):
+        files, argv = MALFORMED["ticks-1e308"]
+        paths = {name: _write(tmp_path, name, text) for name, text in files.items()}
+        start = time.perf_counter()
+        assert main([paths.get(arg, arg) for arg in argv]) == 2
+        assert time.perf_counter() - start < 1.0
 
     def test_error_names_the_file(self, tmp_path, capsys):
         path = _write(tmp_path, "net.json", '{"nodes": 5}')

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from infoflow import (
     UNBOUNDED,
     Dist,
+    InfoMeasure,
     Joint,
     Representation,
     entropy,
@@ -58,6 +59,39 @@ def test_every_table_type_refuses_nan(build):
         build(None)  # a JSON null cell
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda a, b: Dist(("a", "b"), [a, b]),
+        lambda a, b: Joint(("a", "b"), ("x",), [[a], [b]]),
+        lambda a, b: Channel(("a",), ("x", "y"), [[a, b]]),
+        lambda a, b: Node("R", ("0", "1"), (), [a, b]),
+    ],
+    ids=["Dist", "Joint", "Channel", "Node"],
+)
+@pytest.mark.parametrize("cells", [("0.5", 0.5), (True, False)], ids=["string", "booleans"])
+def test_every_table_type_refuses_cells_that_are_not_numbers(build, cells):
+    with pytest.raises(ValueError, match="not a number"):
+        build(*cells)
+    build(1, 0)  # integers are numbers
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda label: Dist((label, "b"), [0.5, 0.5]),
+        lambda label: Joint(("a",), (label, "y"), [[0.5, 0.5]]),
+        lambda label: Channel((label, "b"), ("x",), [[1.0], [1.0]]),
+        lambda label: Node("R", (label, "1"), (), [0.5, 0.5]),
+    ],
+    ids=["Dist", "Joint", "Channel", "Node"],
+)
+@pytest.mark.parametrize("label", [0, True, None])
+def test_every_labeled_type_refuses_labels_that_are_not_strings(build, label):
+    with pytest.raises(ValueError, match=f"must be strings, got {label!r}"):
+        build(label)
+
+
 class TestDist:
     def test_rejects_negative(self):
         with pytest.raises(ValueError, match="negative"):
@@ -95,6 +129,9 @@ class TestSelfInformation:
 
     def test_zero_probability_is_unbounded(self):
         assert self_information(dist(1.0, 0.0), "o1") is UNBOUNDED
+
+    def test_unbounded_reads_as_its_name(self):
+        assert repr(UNBOUNDED) == "unbounded"
 
     def test_unbounded_does_not_sum(self):
         with pytest.raises(TypeError):
@@ -235,6 +272,22 @@ class TestStructuralMetricContent:
         with pytest.raises(ValueError, match="at least one group"):
             Representation(())
 
+    def test_empty_group_rejected(self):
+        with pytest.raises(ValueError, match="groups must be non-empty"):
+            Representation((frozenset([1]), frozenset()))
+
     def test_overlapping_groups_rejected(self):
         with pytest.raises(ValueError, match="disjoint"):
             Representation((frozenset([1, 2]), frozenset([2, 3])))
+
+
+class TestInfoMeasure:
+    @pytest.mark.parametrize("counts", [(-1, 1), (1, -1)])
+    def test_negative_counts_rejected(self, counts):
+        with pytest.raises(ValueError, match="logons/metrons must be non-negative"):
+            InfoMeasure(1.0, *counts)
+
+    @pytest.mark.parametrize("sh", [math.nan, math.inf, -1.0])
+    def test_content_must_be_finite_and_non_negative(self, sh):
+        with pytest.raises(ValueError, match="selective_sh must be finite and >= 0"):
+            InfoMeasure(sh, 1, 1)

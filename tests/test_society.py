@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import re
 from importlib import resources
 
 import numpy as np
@@ -15,9 +16,11 @@ from infoflow import (
     Entity,
     FactorState,
     FlowEvent,
+    ImplicitChannel,
     InfoMeasure,
     Ledger,
     LogisticParams,
+    Scenario,
     Simulation,
     SimulationResult,
     Society,
@@ -30,6 +33,7 @@ from infoflow import (
 from infoflow.cli import _write
 from infoflow.society import (
     FLOW_KINDS,
+    _decision_table,
     scenario_from_json_dict,
     write_events_csv,
     write_events_jsonl,
@@ -127,6 +131,41 @@ class TestDecisionProb:
             LogisticParams(**weights)
 
 
+@st.composite
+def decision_societies(draw):
+    """Societies with trust in and from entities outside them, self-trust, tied and zero trust, and data-less entities."""
+    ids = [f"e{k}" for k in range(draw(st.integers(2, 5)))]
+    entities = [
+        Entity(eid, tuple(DatumRecord(f"d{j}", "", eid, "conjunct") for j in range(draw(st.integers(0, 2)))))
+        for eid in ids
+    ]
+    values = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0, 1)
+    names = st.sampled_from([*ids, "ghost"])
+    trust = draw(st.dictionaries(st.tuples(names, names), values, max_size=12))
+    trust |= {(ids[0], ids[0]): draw(values), (ids[0], "ghost"): 1.0, ("ghost", ids[1]): 1.0}
+    incentives = draw(st.dictionaries(st.tuples(st.sampled_from(ids), st.sampled_from(["d0", "d1"])),
+                                      st.floats(0, 5), max_size=6))
+    weights = st.sampled_from([0.0, 4.0]) | st.floats(0, 10)
+    logistic = LogisticParams(draw(weights), draw(weights), draw(st.floats(-10, 10)))
+    return Society(tuple(entities), FactorState(trust, incentives), logistic=logistic)
+
+
+class TestDecisionTable:
+    @given(decision_societies())
+    @settings(max_examples=150, deadline=None)
+    def test_probabilities_equal_decision_prob_exactly(self, soc):
+        blocks, p = _decision_table(soc)
+        ids = [e.id for e in soc.entities]
+        assert [(k, d) for k, d, _ in blocks] == [(k, r.datum) for k, e in enumerate(soc.entities) for r in e.data]
+        expected = [
+            decision_prob(soc.factors, ids[k], receiver, datum, soc.logistic)
+            for k, datum, _ in blocks
+            for receiver in ids
+            if receiver != ids[k]
+        ]
+        assert p.tolist() == expected
+
+
 class TestEntityInvariants:
     def test_conjunct_requires_self_ownership(self):
         with pytest.raises(ValueError, match="governance"):
@@ -149,6 +188,10 @@ class TestEntityInvariants:
     def test_flow_requires_distinct_entities(self):
         with pytest.raises(ValueError, match="differ"):
             flow(0, "a", "a", "d")
+
+    def test_flow_of_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="kind must be one of"):
+            flow(0, "a", "b", "d", kind="ambient")
 
 
 class TestSimulationDeterminism:
@@ -267,6 +310,12 @@ class TestLedger:
                 assert used >= previous.get(key, 0.0) - 1e-15
             previous = dict(sim.ledger.cumulative)
 
+    def test_unbudgeted_datum_has_no_headroom(self):
+        ledger = Ledger(budgets={"salary": 1.0}, cumulative={("a", "b", "salary"): 0.25, ("a", "b", "age"): 3.0})
+        assert ledger.headroom("a", "b", "salary") == 0.75
+        assert ledger.headroom("a", "b", "age") is None
+        assert not ledger.would_exceed("a", "b", "age", 1e300)
+
     def test_empty_ledger_report(self):
         result = simulate(two_entity_scenario(ticks=0))
         assert ledger_report(result.ledger) == []
@@ -327,6 +376,22 @@ class TestBatchedDraws:
         assert kinds == {"explicit", "implicit", "budget-stop"}
         assert len({r["t"] for r in records}) > 1
 
+    def test_implicit_channels_are_read_when_the_simulation_is_built(self):
+        camera = [{"subject": "alice", "observer": "camera", "datum": "location", "p": 1.0}]
+        scenario = two_entity_scenario(ticks=3, implicit_channels=camera)
+        sim = Simulation(scenario)
+        # a certain channel added to the running society never fires
+        added = ImplicitChannel("alice", "bob", "location", 1.0)
+        scenario.society.implicit_channels = (*scenario.society.implicit_channels, added)
+        for _ in range(3):
+            sim.step()
+        implicit = [e for e in sim.events if e.kind == "implicit"]
+        assert {(e.sender, e.receiver) for e in implicit} == {("alice", "camera")}
+        expected = simulate(two_entity_scenario(ticks=3, implicit_channels=camera))
+        assert [e.id for e in sim.events] == [e.id for e in expected.events]
+        # the channel's events share the one measure built with the simulation
+        assert len({id(e.measure) for e in implicit}) == 1 < len(implicit)
+
     def test_factors_are_read_when_the_simulation_is_built(self):
         scenario = two_entity_scenario(seed=2, ticks=4)
         sim = Simulation(scenario)
@@ -374,6 +439,10 @@ class TestBundleContexts:
             ("C0002", 1, "a", "b"),
             ("C0003", 2, "b", "a"),
         ]
+
+    def test_window_below_one_rejected(self):
+        with pytest.raises(ValueError, match="window must be >= 1"):
+            bundle_contexts([flow(0, "a", "b", "d")], window=0)
 
     def test_unsorted_events_rejected(self):
         with pytest.raises(ValueError, match="sorted"):
@@ -456,6 +525,33 @@ class TestScenarioJson:
         with pytest.raises(ValueError, match="two entities"):
             Society(entities=(Entity("only"),))
 
+    def test_negative_seed_rejected(self):
+        society = two_entity_scenario().society
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            Scenario(society, seed=-1, ticks=0)
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"ticks": 2.7}, "ticks must be an integer, got 2.7"),
+            ({"window": True}, "window must be an integer, got True"),
+            ({"seed": "2"}, "seed must be an integer, got '2'"),
+            ({"trust": {"alice": {"bob": "0.9"}}}, "trust('alice', 'bob') must be a number, got '0.9'"),
+            ({"incentives": {"alice": {"location": False}}}, "incentive('alice', 'location') must be a number"),
+            ({"logistic": {"gamma": "3"}}, "logistic gamma must be a number, got '3'"),
+        ],
+    )
+    def test_numbers_are_checked_not_converted(self, overrides, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            two_entity_scenario(**overrides)
+
+    def test_json_integers_are_stored_as_floats(self):
+        scenario = two_entity_scenario(trust={"alice": {"bob": 1}}, budgets={"location": 2},
+                                       logistic={"alpha": 4, "beta": 1, "gamma": 3})
+        soc = scenario.society
+        values = [soc.factors.trust[("alice", "bob")], soc.budgets["location"], soc.logistic.alpha]
+        assert values == [1.0, 2.0, 4.0] and all(type(v) is float for v in values)
+
 
 # ids with what JSON and CSV must escape or quote, non-ASCII text and the id separators
 IDS = st.text(st.sampled_from(['"', "\\", "\n", "\r", "\t", "\x00", "\x1f", "\x7f", "é", "\u2028", "😀",
@@ -470,7 +566,7 @@ def simulation_outputs(draw):
     """A simulation result, induced (cause, context) pairs sharing causes, and a ledger."""
     entities = draw(st.lists(IDS, min_size=2, max_size=4, unique=True))
     logons = st.integers(0, 2) | st.integers(0, 2**70)
-    measures = draw(st.lists(st.builds(InfoMeasure, SH, logons, st.integers(0, 2), st.booleans()),
+    measures = draw(st.lists(st.builds(InfoMeasure, SH, logons, st.integers(0, 2)),
                              min_size=1, max_size=4))
 
     def pair():
