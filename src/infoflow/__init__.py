@@ -38,19 +38,7 @@ from .channels import (
     randomized_response,
     realized_epsilon,
 )
-from .measures import (
-    UNBOUNDED,
-    Dist,
-    InfoMeasure,
-    Joint,
-    Representation,
-    Unbounded,
-    entropy,
-    mutual_information,
-    self_information,
-    structural_metric_content,
-    total_variation,
-)
+from .measures import Dist, InfoMeasure, Joint, entropy, mutual_information
 from .society import (
     BudgetStop,
     Context,
@@ -74,67 +62,3 @@ from .society import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AnonReport",
-    "BayesNet",
-    "BoundCertificate",
-    "BudgetStop",
-    "CapacityError",
-    "Channel",
-    "Context",
-    "DatumRecord",
-    "DenseJoint",
-    "Dist",
-    "Entity",
-    "EpsReport",
-    "FactorState",
-    "FlowEvent",
-    "ImplicitChannel",
-    "InfoMeasure",
-    "Joint",
-    "LeakageProfile",
-    "Ledger",
-    "LogisticParams",
-    "Node",
-    "ReleaseMechanism",
-    "Representation",
-    "Scenario",
-    "Simulation",
-    "SimulationResult",
-    "Society",
-    "Table",
-    "UNBOUNDED",
-    "Unbounded",
-    "attribute_flows",
-    "ballot_scenario",
-    "bound_sweep",
-    "bundle_contexts",
-    "check_mi_bound",
-    "compose",
-    "conditional_mi",
-    "decision_prob",
-    "dp_release",
-    "dp_to_mi_bound",
-    "entropy",
-    "joint",
-    "k_anonymity_level",
-    "leakage_profile",
-    "ledger_report",
-    "linkage_attack",
-    "load_scenario",
-    "mi_without_dp_example",
-    "mutual_information",
-    "fork_collider_graph",
-    "post_process",
-    "push_through",
-    "random_channel",
-    "random_prior",
-    "randomized_response",
-    "realized_epsilon",
-    "self_information",
-    "simulate",
-    "structural_metric_content",
-    "total_variation",
-    "twins_scenario",
-]

@@ -24,11 +24,12 @@ def entropy_bits(p: np.ndarray) -> float:
 
 
 def mi_bits(mass: np.ndarray) -> float:
+    # rounding can sum to a hair below 0; mutual information is never negative
     px = mass.sum(axis=1)
     py = mass.sum(axis=0)
     prod = np.outer(px, py)
     m = mass > 0.0
-    return float((mass[m] * np.log2(mass[m] / prod[m])).sum())
+    return max(float((mass[m] * np.log2(mass[m] / prod[m])).sum()), 0.0)
 
 
 def scan_log_ratio(rows: np.ndarray) -> tuple[float, int, int, int]:

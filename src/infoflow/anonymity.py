@@ -18,6 +18,7 @@ import json
 import logging
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from operator import itemgetter
 from pathlib import Path
 
@@ -33,17 +34,20 @@ ROLES = ("identifier", "quasi-identifier", "sensitive")
 
 @dataclass(frozen=True)
 class Table:
-    """Rectangular table with a role per column.
+    """Rectangular table of strings with a role per column.
 
     ``rows`` may be any iterable of rows; it is consumed once and kept
-    as a tuple of string tuples.
+    as a tuple of tuples. A column name, role or cell that is not a
+    string is refused, not converted.
     """
 
     columns: tuple[tuple[str, str], ...]  # (name, role)
     rows: tuple[tuple[str, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "columns", tuple((str(n), str(r)) for n, r in self.columns))
+        object.__setattr__(self, "columns", tuple((n, r) for n, r in self.columns))
+        if set(map(type, chain.from_iterable(self.columns))) - {str}:
+            raise ValueError(f"column names and roles must be strings, got {self.columns}")
         names = [n for n, _ in self.columns]
         if len(set(names)) != len(names):
             raise ValueError("duplicate column names")
@@ -51,13 +55,14 @@ class Table:
             if role not in ROLES:
                 raise ValueError(f"unknown column role {role!r}")
         width = len(self.columns)
-        rows = []
-        for i, row in enumerate(self.rows):
-            row = tuple(map(str, row))
-            if len(row) != width:
-                raise ValueError(f"row {i} has {len(row)} cells, expected {width}")
-            rows.append(row)
-        object.__setattr__(self, "rows", tuple(rows))
+        rows = tuple(map(tuple, self.rows))
+        if set(map(len, rows)) - {width}:
+            i = next(i for i, row in enumerate(rows) if len(row) != width)
+            raise ValueError(f"row {i} has {len(rows[i])} cells, expected {width}")
+        odd = set(map(type, chain.from_iterable(rows))) - {str}
+        if odd:
+            raise ValueError(f"table cells must be strings, found {', '.join(sorted(t.__name__ for t in odd))}")
+        object.__setattr__(self, "rows", rows)
 
     def column_names(self, role: str | None = None) -> list[str]:
         return [n for n, r in self.columns if role is None or r == role]
@@ -199,7 +204,7 @@ def default_roles_path(csv_path) -> Path:
 def read_table(csv_path, roles_path=None) -> Table:
     """Load a CSV with its JSON sidecar declaring column roles."""
     roles_path = default_roles_path(csv_path) if roles_path is None else Path(roles_path)
-    roles = load_json(roles_path, lambda doc: {n: str(r) for n, r in doc["roles"].items()})
+    roles = load_json(roles_path, lambda doc: dict(doc["roles"].items()))
     with open(csv_path, newline="") as fh, malformed(csv_path):
         reader = csv.reader(fh)
         header = next(reader, None)

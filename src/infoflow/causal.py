@@ -53,7 +53,7 @@ class Node:
         if len(set(self.parents)) != len(self.parents):
             raise ValueError(f"duplicate parents on node {self.name!r}")
         # a root's cpt may be given as one flat row; BayesNet checks the row count
-        c = np.atleast_2d(np.asarray(self.cpt))
+        c = [self.cpt] if np.ndim(self.cpt) < 2 else self.cpt
         shape = (max(len(c), 1), len(self.states))
         object.__setattr__(self, "cpt", _stochastic(c, shape, f"cpt of {self.name!r}", rows=True))
 
@@ -159,7 +159,7 @@ def conditional_mi(dense: DenseJoint, a: str, b: str, given: list[str] | tuple[s
         pg = float(cell.sum())
         if pg > 0.0:
             total += pg * mi_bits(cell / pg)
-    return max(total, 0.0)
+    return total
 
 
 @dataclass(frozen=True)
@@ -191,21 +191,17 @@ class LeakageProfile:
         }
 
 
-def leakage_profile(net: BayesNet, message: str, observed: str | None = None) -> LeakageProfile:
+def leakage_profile(net: BayesNet, message: str) -> LeakageProfile:
     """I(message; V) and realized posterior-entropy drop for every other node V.
 
-    The drop is H(V) - H(V | message = observed); when no observed value
-    is passed, the message's most probable value is used. Nodes
-    independent of the message report (numerically) zero.
+    The drop is H(V) - H(V | message = observed), where the observed
+    value is the message's most probable one. Nodes independent of the
+    message report (numerically) zero.
     """
-    msg_node = net.node(message)
-    if observed is not None and observed not in msg_node.states:
-        raise ValueError(f"unknown message value {observed!r}")
+    msg_node = net.node(message)  # raises on an unknown message before enumeration
     dense = joint(net)
     pm = dense.marginal(message)
-    obs_idx = int(np.argmax(pm)) if observed is None else msg_node.states.index(observed)
-    if pm[obs_idx] <= 0.0:
-        raise ValueError(f"message value {msg_node.states[obs_idx]!r} has probability 0")
+    obs_idx = int(np.argmax(pm))
 
     mis: dict[str, float] = {}
     drops: dict[str, float] = {}
@@ -213,7 +209,7 @@ def leakage_profile(net: BayesNet, message: str, observed: str | None = None) ->
         if node.name == message:
             continue
         m2 = np.ascontiguousarray(dense.marginal(message, node.name))
-        mis[node.name] = max(mi_bits(m2), 0.0)
+        mis[node.name] = mi_bits(m2)
         h_prior = entropy_bits(m2.sum(axis=0))
         cond = np.ascontiguousarray(m2[obs_idx] / pm[obs_idx])
         drops[node.name] = h_prior - entropy_bits(cond)
@@ -312,7 +308,7 @@ def ballot_scenario(n_voters: int) -> tuple[BayesNet, dict]:
         h_v1_given_t += float(p_t[t]) * h
     report = {
         "n_voters": n,
-        "i_tally_v1_sh": max(mi_bits(jm), 0.0),
+        "i_tally_v1_sh": mi_bits(jm),
         "h_v1_given_tally_sh": h_v1_given_t,
         "posterior_v1": posterior,
     }

@@ -39,10 +39,6 @@ class Channel:
         shape = (len(self.input_outcomes), len(self.output_outcomes))
         object.__setattr__(self, "rows", _stochastic(self.rows, shape, "channel", rows=True))
 
-    def row(self, x) -> Dist:
-        x = str(x)
-        return Dist(self.output_outcomes, self.rows[self.input_outcomes.index(x)])
-
     def to_json_dict(self) -> dict:
         return {
             "inputs": list(self.input_outcomes),
@@ -164,12 +160,10 @@ def push_through(prior: Dist, c: Channel) -> Joint:
     return Joint(c.input_outcomes, c.output_outcomes, prior.probs[:, None] * c.rows)
 
 
-def dp_to_mi_bound(eps: float, n: int = 1) -> float:
-    """Cumulative information cap of n eps-stable invocations: n*eps*log2(e) Sh."""
+def dp_to_mi_bound(eps: float) -> float:
+    """Information cap of one eps-stable invocation: eps*log2(e) Sh."""
     _nonneg(eps, "eps")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    return n * eps * LOG2_E
+    return eps * LOG2_E
 
 
 def check_mi_bound(c: Channel, prior: Dist) -> BoundCertificate:

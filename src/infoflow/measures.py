@@ -5,9 +5,7 @@ Conventions used throughout the package:
 * probabilities are float64 with absolute tolerance 1e-9 on stochasticity
   checks,
 * all logarithms are base 2 and quantities are reported in Shannons (Sh),
-* 0 * log2(0) = 0, and zero-mass cells of a joint contribute nothing,
-* the information content of a zero-probability outcome is the tagged
-  :data:`UNBOUNDED` value, never a float infinity.
+* 0 * log2(0) = 0, and zero-mass cells of a joint contribute nothing.
 """
 
 from __future__ import annotations
@@ -16,7 +14,7 @@ import csv
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,28 +23,22 @@ from ._kernels import entropy_bits, mi_bits
 SUM_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class Unbounded:
-    """Tag for an information quantity with no finite value.
-
-    Deliberately supports no arithmetic so it cannot silently leak into
-    sums; compare with ``is UNBOUNDED``.
-    """
-
-    def __repr__(self) -> str:
-        return "unbounded"
-
-
-UNBOUNDED = Unbounded()
+def _has_bool(values) -> bool:
+    """Whether ``values`` is a boolean or a (nested) list or tuple holding one; an ndarray is neither."""
+    if isinstance(values, (list, tuple)):
+        return any(map(_has_bool, values))
+    return isinstance(values, (bool, np.bool_))
 
 
 def _stochastic(values, shape: tuple[int, ...], what: str, rows: bool = False) -> np.ndarray:
     """Frozen float64 copy of a table of numbers >= 0 (not NaN) that sum, or per row sum, to 1.
 
-    A table numpy does not read as numbers (a string, boolean or null cell) is refused.
+    A table with a cell that is not a number (a string, boolean or null cell) is refused. Booleans
+    are looked for before numpy reads the table, which would take ``[true, 0]`` as the integers
+    ``[1, 0]``; an ndarray is taken as numpy already read it.
     """
     a = np.array(values)
-    if a.dtype.kind not in "iuf":
+    if a.dtype.kind not in "iuf" or _has_bool(values):
         raise ValueError(f"{what} has an entry that is not a number: a string, a boolean or a null (NaN)")
     a = a.astype(np.float64, copy=False)
     if a.shape != shape:
@@ -134,12 +126,6 @@ class Dist:
         n = len(outcomes)
         return cls(outcomes, np.full(n, 1.0 / n))
 
-    def prob(self, outcome) -> float:
-        outcome = str(outcome)
-        if outcome not in self.outcomes:
-            raise ValueError(f"unknown outcome {outcome!r}, have {self.outcomes}")
-        return float(self.probs[self.outcomes.index(outcome)])
-
     def to_json_dict(self) -> dict:
         return {"outcomes": list(self.outcomes), "probs": [float(p) for p in self.probs]}
 
@@ -162,15 +148,6 @@ class Joint:
         shape = (len(self.x_outcomes), len(self.y_outcomes))
         object.__setattr__(self, "mass", _stochastic(self.mass, shape, "mass"))
 
-    def marginal_x(self) -> Dist:
-        return Dist(self.x_outcomes, self.mass.sum(axis=1))
-
-    def marginal_y(self) -> Dist:
-        return Dist(self.y_outcomes, self.mass.sum(axis=0))
-
-    def transpose(self) -> "Joint":
-        return Joint(self.y_outcomes, self.x_outcomes, self.mass.T)
-
     def to_json_dict(self) -> dict:
         return {
             "x": list(self.x_outcomes),
@@ -188,8 +165,9 @@ class InfoMeasure:
     """Information content of one message, in all three units.
 
     ``selective_sh`` is the Shannon (selective) content; ``logons`` counts
-    distinguishable groups in the representation and ``metrons`` its
-    indistinguishable elements.
+    the distinguishable values the message can take (its structural
+    content) and ``metrons`` the elements each value carries (its metrical
+    content).
     """
 
     selective_sh: float
@@ -202,41 +180,9 @@ class InfoMeasure:
         _nonneg(self.selective_sh, "selective_sh")
 
 
-@dataclass(frozen=True)
-class Representation:
-    """Partition of element ids into distinguishable groups."""
-
-    groups: tuple[frozenset, ...] = field(default_factory=tuple)
-
-    def __post_init__(self):
-        groups = tuple(frozenset(g) for g in self.groups)
-        if not groups:
-            raise ValueError("representation must have at least one group")
-        if any(not g for g in groups):
-            raise ValueError("groups must be non-empty")
-        seen: set = set()
-        for g in groups:
-            if seen & g:
-                raise ValueError("groups must be disjoint")
-            seen |= g
-        object.__setattr__(self, "groups", groups)
-
-    @property
-    def elements(self) -> frozenset:
-        return frozenset().union(*self.groups)
-
-
 # ---------------------------------------------------------------------------
 # operations
 # ---------------------------------------------------------------------------
-
-
-def self_information(d: Dist, outcome) -> float | Unbounded:
-    """-log2 p(outcome) in Sh; UNBOUNDED when the outcome has probability 0."""
-    p = d.prob(outcome)
-    if p == 0.0:
-        return UNBOUNDED
-    return -math.log2(p)
 
 
 def entropy(d: Dist) -> float:
@@ -247,24 +193,3 @@ def entropy(d: Dist) -> float:
 def mutual_information(j: Joint) -> float:
     """I(X;Y) in Sh from the joint mass; zero-mass cells contribute 0."""
     return mi_bits(j.mass)
-
-
-def total_variation(p: Dist, q: Dist) -> float:
-    """(1/2) sum |p - q| over a shared outcome space."""
-    if p.outcomes != q.outcomes:
-        raise ValueError(f"outcome spaces differ: {p.outcomes} vs {q.outcomes}")
-    return float(0.5 * np.abs(p.probs - q.probs).sum())
-
-
-def structural_metric_content(r: Representation) -> InfoMeasure:
-    """Structural (logons) and metrical (metrons) content of a partition.
-
-    logons = number of distinguishable groups, metrons = total element
-    count, selective content = log2(number of groups).
-    """
-    n_groups = len(r.groups)
-    return InfoMeasure(
-        selective_sh=math.log2(n_groups),
-        logons=n_groups,
-        metrons=len(r.elements),
-    )

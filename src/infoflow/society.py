@@ -38,7 +38,7 @@ _ID_TAG = {"explicit": "x", "implicit": "i"}  # flow ids open with the kind's ta
 
 
 def _check_id(value, what: str) -> None:
-    """Refuse an entity or datum id that is not a string."""
+    """Refuse an entity or datum id, or a datum value, that is not a string."""
     if not isinstance(value, str):
         raise ValueError(f"{what} must be a string, got {value!r}")
 
@@ -70,6 +70,7 @@ class DatumRecord:
 
     def __post_init__(self):
         _check_id(self.datum, "datum id")
+        _check_id(self.value, f"value of datum {self.datum!r}")
         _check_id(self.owner, f"owner of datum {self.datum!r}")
         if self.governance not in GOVERNANCE_TAGS:
             raise ValueError(f"unknown governance tag {self.governance!r}")
@@ -320,7 +321,7 @@ def release_measure(rec: DatumRecord) -> InfoMeasure:
 def _raw_release_measure(rec: DatumRecord) -> InfoMeasure:
     """Content of a release that can resolve the datum's whole domain, in Sh."""
     return InfoMeasure(
-        selective_sh=math.log2(rec.domain_size) if rec.domain_size > 1 else 0.0,
+        selective_sh=math.log2(rec.domain_size),
         logons=rec.domain_size,
         metrons=1,
     )
@@ -564,7 +565,7 @@ def _datum_from_json(doc: dict) -> DatumRecord:
     def mechanism(m):
         return None if m is None else _from_json(ReleaseMechanism, m, "mechanism", k=int, eps=float)
 
-    return _from_json(DatumRecord, {"value": "", **doc}, "datum", value=str, domain_size=int, mechanism=mechanism)
+    return _from_json(DatumRecord, {"value": "", **doc}, "datum", domain_size=int, mechanism=mechanism)
 
 
 def scenario_from_json_dict(cfg: dict) -> Scenario:

@@ -249,3 +249,12 @@ class TestTableIo:
     def test_ragged_rows_rejected(self):
         with pytest.raises(ValueError, match="cells"):
             Table((("a", QI), ("b", QI)), (("1",),))
+
+    def test_integer_cell_rejected(self):
+        with pytest.raises(ValueError, match="table cells must be strings, found int"):
+            Table((("a", QI), ("b", QI)), (("1", "2"), ("3", 5)))
+
+    @pytest.mark.parametrize("column", [(5, QI), ("a", 5)])
+    def test_non_string_column_name_or_role_rejected(self, column):
+        with pytest.raises(ValueError, match="column names and roles must be strings"):
+            Table((column,), (("1",),))

@@ -58,6 +58,13 @@ class TestVerifyBound:
         assert code == 0
         assert json.loads(out)["mi_sh"] == pytest.approx(0.0, abs=1e-12)
 
+    def test_point_mass_prior_gives_exactly_zero(self, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"outcomes": ["0", "1"], "probs": [1, 0]}))
+        code, out = run_cli("verify-bound", "--rr", "k=2", "eps=1", "--prior", str(path), capsys=capsys)
+        assert code == 0
+        assert json.loads(out)["mi_sh"] == 0.0
+
     def test_malformed_json_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -402,6 +409,13 @@ class TestCompose:
         assert code == 0
         assert len(json.loads(out)["channel"]["outputs"]) == 4
 
+    def test_point_mass_prior_gives_exactly_zero(self, tmp_path, capsys):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"outcomes": ["0", "1"], "probs": [1, 0]}))
+        code, out = run_cli("compose", "rr:k=2,eps=1", "rr:k=2,eps=1", "--prior", str(path), capsys=capsys)
+        assert code == 0
+        assert json.loads(out)["certificate"]["mi_sh"] == 0.0
+
 
 TWINS = json.loads(Path(data_path("twins.json")).read_text())
 
@@ -560,6 +574,7 @@ MALFORMED = {
     ),
     "datum-id-integer": ({"s.json": _twins_datum(datum=7)}, ["simulate", "--scenario", "s.json"]),
     "datum-owner-integer": ({"s.json": _twins_datum(owner=1)}, ["simulate", "--scenario", "s.json"]),
+    "datum-value-integer": ({"s.json": _twins_datum(value=5)}, ["simulate", "--scenario", "s.json"]),
     "implicit-channel-observer-integer": ({"s.json": _twins_channel(observer=7)}, ["simulate", "--scenario", "s.json"]),
     "attribution-threshold-negative": (
         {"s.json": _twins_with(attribution={**TWINS["attribution"], "threshold": -1})},
@@ -607,11 +622,21 @@ MALFORMED = {
         {"p.json": json.dumps({"outcomes": [0, 1], "probs": [0.5, 0.5]})},
         ["verify-bound", "--rr", "k=2", "eps=1", "--prior", "p.json"],
     ),
+    # numpy reads [true, 0] as the integers [1, 0]
+    "prior-probs-mixed-boolean": (
+        {"p.json": json.dumps({"outcomes": ["0", "1"], "probs": [True, 0]})},
+        ["verify-bound", "--rr", "k=2", "eps=1", "--prior", "p.json"],
+    ),
+    "cpt-mixed-boolean": ({"n.json": _net(_X, {**_M, "cpt": {"0": [True, 0], "1": [0, 1]}})}, _LEAKAGE),
     "prior-probs-booleans": (
         {"p.json": json.dumps({"outcomes": ["0", "1"], "probs": [True, False]})},
         ["verify-bound", "--rr", "k=2", "eps=1", "--prior", "p.json"],
     ),
     "window-zero": ({"s.json": _twins_with(window=0)}, ["simulate", "--scenario", "s.json"]),
+    "csv-role-integer": (
+        {"t.csv": "a\n1\n", "t.csv.roles.json": '{"roles": {"a": 5}}'},
+        ["anon", "t.csv", "--dp", "1", "--sensitive", "a"],
+    ),
     "csv-duplicate-column": (
         {"t.csv": "a,a\n1,2\n", "t.csv.roles.json": '{"roles": {"a": "sensitive"}}'},
         ["anon", "t.csv", "--dp", "1", "--sensitive", "a"],
@@ -655,6 +680,7 @@ REFUSED_BY = {
     "entity-id-integer": "entity id must be a string, got 7",
     "datum-id-integer": "datum id must be a string, got 7",
     "datum-owner-integer": "owner of datum 'gender' must be a string, got 1",
+    "datum-value-integer": "value of datum 'gender' must be a string, got 5",
     "implicit-channel-observer-integer": "implicit channel observer must be a string, got 7",
     "attribution-threshold-negative": "attribution threshold must be finite and >= 0, got -1.0",
     "attribution-owner-integer": "owner of node 'S2' must be a string, got 7",
@@ -679,6 +705,9 @@ REFUSED_BY = {
     "channel-output-integer": "outputs must be strings, got 1",
     "prior-outcomes-integers": "outcomes must be strings, got 0",
     "prior-probs-booleans": "probs has an entry that is not a number",
+    "prior-probs-mixed-boolean": "probs has an entry that is not a number",
+    "cpt-mixed-boolean": "cpt of 'M' has an entry that is not a number",
+    "csv-role-integer": "column names and roles must be strings",
     "window-zero": "window must be >= 1",
     "csv-duplicate-column": "duplicate column names",
     "attribution-typo": "unknown attribution keys: ['treshold']",

@@ -60,6 +60,18 @@ class TestMI:
             cells = {(i, j): float(mass[i, j]) for i in range(mass.shape[0]) for j in range(mass.shape[1])}
             assert _kernels.mi_bits(mass) == pytest.approx(mi_cells(cells), abs=1e-12)
 
+    def test_never_negative(self):
+        # one row carries all the mass, so the joint is a product; rounding can sum its terms below 0
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            n, m = int(rng.integers(2, 7)), int(rng.integers(2, 7))
+            mass = np.zeros((n, m))
+            mass[int(rng.integers(n))] = rng.dirichlet(np.ones(m))
+            cells = {(i, j): float(mass[i, j]) for i in range(n) for j in range(m)}
+            mi = _kernels.mi_bits(mass)
+            assert mi >= 0.0
+            assert mi == pytest.approx(mi_cells(cells), abs=1e-12)
+
 
 class TestScanLogRatio:
     def test_matches_oracle_and_witness_reproduces_ratio(self):

@@ -6,18 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infoflow import (
-    UNBOUNDED,
-    Dist,
-    InfoMeasure,
-    Joint,
-    Representation,
-    entropy,
-    mutual_information,
-    self_information,
-    structural_metric_content,
-    total_variation,
-)
+from infoflow import Dist, InfoMeasure, Joint, entropy, mutual_information
 from infoflow.causal import Node
 from infoflow.channels import Channel
 from helpers import entropy_cells, mi_cells
@@ -117,31 +106,6 @@ class TestDist:
         assert np.array_equal(back.probs, d.probs)
 
 
-class TestSelfInformation:
-    def test_uniform_binary_is_one_bit(self):
-        assert self_information(dist(0.5, 0.5), "o0") == pytest.approx(1.0)
-
-    def test_one_eighth_is_three_bits(self):
-        assert self_information(dist(0.125, 0.875), "o0") == pytest.approx(3.0)
-
-    def test_certain_event_is_zero(self):
-        assert self_information(dist(1.0, 0.0), "o0") == pytest.approx(0.0)
-
-    def test_zero_probability_is_unbounded(self):
-        assert self_information(dist(1.0, 0.0), "o1") is UNBOUNDED
-
-    def test_unbounded_reads_as_its_name(self):
-        assert repr(UNBOUNDED) == "unbounded"
-
-    def test_unbounded_does_not_sum(self):
-        with pytest.raises(TypeError):
-            UNBOUNDED + 1.0  # noqa: B018
-
-    def test_unknown_outcome(self):
-        with pytest.raises(ValueError, match="unknown outcome"):
-            self_information(dist(0.5, 0.5), "nope")
-
-
 class TestEntropy:
     def test_uniform_four(self):
         assert entropy(dist(0.25, 0.25, 0.25, 0.25)) == pytest.approx(2.0)
@@ -163,9 +127,7 @@ class TestEntropy:
     @given(prob_vectors)
     def test_decomposes_over_self_information(self, ps):
         d = dist(*ps)
-        total = sum(
-            p * self_information(d, o) for o, p in zip(d.outcomes, d.probs) if p > 0
-        )
+        total = sum(p * -math.log2(p) for p in d.probs if p > 0)
         assert entropy(d) == pytest.approx(total, abs=1e-9)
 
 
@@ -197,7 +159,7 @@ class TestMutualInformation:
         )
         mi = mutual_information(j)
         assert mi >= -1e-9
-        assert mi <= min(entropy(j.marginal_x()), entropy(j.marginal_y())) + 1e-9
+        assert mi <= min(entropy_cells(mass.sum(axis=1)), entropy_cells(mass.sum(axis=0))) + 1e-9
 
     @given(mass_matrices)
     @settings(max_examples=60)
@@ -207,78 +169,13 @@ class TestMutualInformation:
             tuple(f"y{i}" for i in range(mass.shape[1])),
             mass,
         )
-        assert mutual_information(j) == pytest.approx(mutual_information(j.transpose()), abs=1e-9)
-
-    def test_marginals_are_valid_dists(self):
-        j = Joint(("a", "b"), ("x", "y"), np.array([[0.4, 0.1], [0.2, 0.3]]))
-        assert j.marginal_x().probs.sum() == pytest.approx(1.0)
-        assert j.marginal_y().probs.sum() == pytest.approx(1.0)
+        transposed = Joint(j.y_outcomes, j.x_outcomes, j.mass.T)
+        assert mutual_information(j) == pytest.approx(mutual_information(transposed), abs=1e-9)
 
     def test_json_round_trip(self):
         j = Joint(("a", "b"), ("x", "y"), np.array([[0.4, 0.1], [0.2, 0.3]]))
         back = Joint.from_json_dict(json.loads(json.dumps(j.to_json_dict())))
         assert np.array_equal(back.mass, j.mass)
-
-
-class TestTotalVariation:
-    def test_identical(self):
-        assert total_variation(dist(0.5, 0.5), dist(0.5, 0.5)) == 0.0
-
-    def test_disjoint_point_masses(self):
-        assert total_variation(dist(1.0, 0.0), dist(0.0, 1.0)) == pytest.approx(1.0)
-
-    def test_swapped(self):
-        assert total_variation(dist(0.75, 0.25), dist(0.25, 0.75)) == pytest.approx(0.5)
-
-    def test_mismatched_spaces(self):
-        with pytest.raises(ValueError, match="outcome spaces differ"):
-            total_variation(dist(0.5, 0.5), dist(0.5, 0.5, labels=("p", "q")))
-
-    @given(
-        st.integers(2, 6).flatmap(
-            lambda n: st.tuples(
-                *(
-                    st.lists(st.floats(0.001, 1.0), min_size=n, max_size=n).map(
-                        lambda xs: [x / sum(xs) for x in xs]
-                    )
-                    for _ in range(3)
-                )
-            )
-        )
-    )
-    @settings(max_examples=60)
-    def test_is_a_metric(self, triple):
-        p, q, r = (dist(*ps) for ps in triple)
-        assert total_variation(p, p) == 0.0
-        assert total_variation(p, q) == pytest.approx(total_variation(q, p))
-        assert total_variation(p, r) <= total_variation(p, q) + total_variation(q, r) + 1e-12
-
-
-class TestStructuralMetricContent:
-    def test_five_singletons(self):
-        r = Representation(tuple(frozenset([i]) for i in range(5)))
-        m = structural_metric_content(r)
-        assert (m.logons, m.metrons) == (5, 5)
-
-    def test_one_group_of_eight(self):
-        m = structural_metric_content(Representation((frozenset(range(8)),)))
-        assert (m.logons, m.metrons) == (1, 8)
-
-    def test_four_equal_groups(self):
-        r = Representation(tuple(frozenset([2 * i, 2 * i + 1]) for i in range(4)))
-        assert structural_metric_content(r).selective_sh == pytest.approx(2.0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="at least one group"):
-            Representation(())
-
-    def test_empty_group_rejected(self):
-        with pytest.raises(ValueError, match="groups must be non-empty"):
-            Representation((frozenset([1]), frozenset()))
-
-    def test_overlapping_groups_rejected(self):
-        with pytest.raises(ValueError, match="disjoint"):
-            Representation((frozenset([1, 2]), frozenset([2, 3])))
 
 
 class TestInfoMeasure:
