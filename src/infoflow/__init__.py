@@ -10,7 +10,6 @@ harness showing where k-anonymity fails.
 from .anonymity import AnonReport, Table, dp_release, k_anonymity_level, linkage_attack
 from .causal import (
     BayesNet,
-    CapacityError,
     DenseJoint,
     LeakageProfile,
     Node,
@@ -38,7 +37,7 @@ from .channels import (
     randomized_response,
     realized_epsilon,
 )
-from .measures import Dist, InfoMeasure, Joint, entropy, mutual_information
+from .measures import CapacityError, Dist, InfoMeasure, Joint, entropy, mutual_information
 from .society import (
     BudgetStop,
     Context,

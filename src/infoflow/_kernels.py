@@ -1,15 +1,18 @@
 """Numeric inner loops, in numpy.
 
-Entropy, mutual information, the per-column epsilon scan and dense
-joint enumeration. All entropies/informations are in bits (Sh), logs
-base 2; epsilon scans use natural log.
+Entropy, mutual information, the per-column epsilon scan and the dense
+joint as a running product of CPT factors. All entropies/informations
+are in bits (Sh), logs base 2; epsilon scans use natural log.
 """
 
 from __future__ import annotations
 
 import math
+import string
 
 import numpy as np
+
+LABELS = string.ascii_letters  # einsum's subscripts
 
 
 def backend() -> str:
@@ -52,23 +55,61 @@ def scan_log_ratio(rows: np.ndarray) -> tuple[float, int, int, int]:
     return float(ratios[y]), int(np.argmax(rows[:, y])), int(np.argmin(rows[:, y])), y
 
 
+def merged_view(cards, marked) -> tuple[list[int], str, str]:
+    """Shape and einsum subscripts of a row-major tensor over ``cards`` seen with its unmarked runs merged.
+
+    ``marked`` holds axis indices in increasing order. Each run of
+    unmarked axes between them becomes one axis, and every single-state
+    axis is dropped, so the view has at most 2*len(marked)+1 axes.
+    Returns the view's shape, its subscripts, and the subscripts of the
+    marked axes it keeps, in order.
+    """
+    shape: list[int] = []
+    sub = kept = ""
+
+    def axis(size: int, is_marked: bool) -> None:
+        nonlocal sub, kept
+        if size > 1:
+            shape.append(int(size))
+            sub += LABELS[len(sub)]
+            kept += sub[-1] if is_marked else ""
+
+    start = 0
+    for p in marked:
+        axis(math.prod(cards[start:p]), False)
+        axis(cards[p], True)
+        start = p + 1
+    axis(math.prod(cards[start:]), False)
+    return shape, sub, kept
+
+
 def dense_joint(cards, cpts, parents) -> np.ndarray:
-    """Joint over all nodes by broadcast-multiplying each CPT factor.
+    """Joint over all nodes as a running product of the CPT factors, flattened row-major.
 
     cards: per-node state counts, nodes in topological order.
     cpts[k]: array of shape (prod(parent cards), cards[k]).
     parents[k]: indices of node k's parents, in declared order.
+
+    Parents come before their child, so the product of the first k
+    factors spans only the first k axes, and node k's factor multiplies
+    it into one more axis: O(2^n) work for n binary nodes, and the one
+    temporary is the product a node short of the result. Every cell is
+    (((c0*c1)*c2)...) in node order, the product a per-configuration
+    loop computes, bit for bit. Each step is one two-operand einsum over
+    ``merged_view`` of the product so far with the parents marked; with
+    no summed index it is a plain elementwise product, and over inner
+    loops as short as a node's states it runs several times faster than
+    a broadcast multiply.
     """
-    n = len(cards)
-    out = np.ones(tuple(int(c) for c in cards))
-    for k in range(n):
+    cards = [int(c) for c in cards]
+    out = np.ones(())
+    for k, card in enumerate(cards):
         pax = [int(p) for p in parents[k]]
-        axes = pax + [k]
-        arr = cpts[k].reshape(tuple(int(cards[p]) for p in pax) + (int(cards[k]),))
-        order = np.argsort(axes)
-        arr = np.transpose(arr, tuple(order))
-        shape = [1] * n
-        for ax in axes:
-            shape[ax] = int(cards[ax])
-        out = out * arr.reshape(tuple(shape))
+        ordered = sorted(pax)
+        factor = cpts[k].reshape([cards[p] for p in pax] + [card])
+        factor = factor.transpose([pax.index(p) for p in ordered] + [len(pax)])
+        factor = factor.reshape([cards[p] for p in ordered if cards[p] > 1] + [card])
+        shape, sub, kept = merged_view(cards[:k], ordered)
+        new = LABELS[len(sub)]
+        out = np.einsum(f"{sub},{kept}{new}->{sub}{new}", out.reshape(shape), factor)
     return out.reshape(-1)

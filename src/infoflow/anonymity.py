@@ -128,8 +128,20 @@ def linkage_attack(release: Table, auxiliary: Table) -> AnonReport:
     sensitive = release.column_names("sensitive")
     if not sensitive:
         raise ValueError("release has no 'sensitive' column: homogeneity is undefined without one")
+    # the release's classes are counted once, on every quasi-identifier; merged by
+    # their shared cells they give the classes the auxiliary rows can join
+    classes = Counter(release.project(qi))
+    if not classes:
+        raise ValueError("table is empty")
+    sizes: dict[tuple[str, ...], int] = classes
+    if shared != qi:
+        at = [qi.index(n) for n in shared]
+        pick = itemgetter(*at) if len(at) > 1 else lambda key: (key[at[0]],)
+        sizes = {}
+        for key, n in classes.items():
+            shared_key = pick(key)
+            sizes[shared_key] = sizes.get(shared_key, 0) + n
     keys = release.project(shared)
-    sizes = Counter(keys)
     aux_keys = auxiliary.project(shared)
     matched = sizes.keys() & set(aux_keys)
     reid_hits = sum(1 for key in aux_keys if sizes.get(key) == 1)
@@ -138,7 +150,7 @@ def linkage_attack(release: Table, auxiliary: Table) -> AnonReport:
     homogeneous = sum(1 for key in matched if spread[key] == 1)
     log.debug("linkage_attack: %d classes, %d matched, %d auxiliary rows", len(sizes), len(matched), len(aux_keys))
     return AnonReport(
-        k_achieved=k_anonymity_level(release),
+        k_achieved=min(classes.values()),
         homogeneity_rate=homogeneous / len(matched) if matched else 0.0,
         reid_rate=reid_hits / len(aux_keys) if aux_keys else 0.0,
     )

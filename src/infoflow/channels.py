@@ -20,7 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import scan_log_ratio
-from .measures import Dist, Joint, _check_labels, _nonneg, _stochastic, mutual_information
+from .measures import CapacityError, Dist, Joint, _check_labels, _nonneg, _stochastic, mutual_information
+
+SWEEP_CASE_CAP = 2**20  # cases in one bound_sweep: minutes of work at about 0.2 ms a case
 
 LOG2_E = math.log2(math.e)
 
@@ -269,10 +271,12 @@ def bound_sweep(n_cases: int, seed: int = 0) -> SweepResult:
 
     Each case gets its own seeded generator so cases are reproducible
     independently of evaluation order; a channel has 2 to 8 inputs and
-    2 to 8 outputs.
+    2 to 8 outputs. More than SWEEP_CASE_CAP cases are refused.
     """
     if n_cases < 1:
         raise ValueError(f"n_cases must be >= 1, got {n_cases}")
+    if n_cases > SWEEP_CASE_CAP:
+        raise CapacityError(f"a sweep of {n_cases} cases exceeds the cap of {SWEEP_CASE_CAP}")
     t0 = time.perf_counter()
     violations = 0
     max_mi = 0.0

@@ -19,7 +19,7 @@ from pathlib import Path
 from . import causal, society
 from .anonymity import dp_release, linkage_attack, read_table, write_table
 from .channels import Channel, _check_eps, bound_sweep, check_mi_bound, compose, randomized_response, realized_epsilon
-from .measures import Dist, _check_keys, load_json, malformed
+from .measures import CapacityError, Dist, _check_keys, load_json, malformed
 
 EXIT_OK = 0
 EXIT_BOUND_VIOLATED = 1
@@ -302,7 +302,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.handler(args)
-    except causal.CapacityError as exc:
+    except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
     except (ValueError, OSError) as exc:

@@ -23,6 +23,10 @@ from ._kernels import entropy_bits, mi_bits
 SUM_TOL = 1e-9
 
 
+class CapacityError(Exception):
+    """Raised when a computation would exceed a size cap; the message names the size and the cap."""
+
+
 def _has_bool(values) -> bool:
     """Whether ``values`` is a boolean or a (nested) list or tuple holding one; an ndarray is neither."""
     if isinstance(values, (list, tuple)):

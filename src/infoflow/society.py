@@ -23,7 +23,7 @@ from operator import attrgetter
 import numpy as np
 
 from .channels import _check_rr, dp_to_mi_bound
-from .measures import InfoMeasure, _check_keys, _nonneg, load_json
+from .measures import CapacityError, InfoMeasure, _check_keys, _nonneg, load_json
 
 GOVERNANCE_TAGS = (
     "conjunct",
@@ -34,6 +34,7 @@ GOVERNANCE_TAGS = (
 )
 
 FLOW_KINDS = ("explicit", "implicit")
+DRAW_CAP = 2**24  # draws in one run: ticks * (explicit candidates + implicit channels)
 _ID_TAG = {"explicit": "x", "implicit": "i"}  # flow ids open with the kind's tag
 
 
@@ -377,6 +378,8 @@ class Simulation:
     ``society.implicit_channels`` afterwards does not affect the run.
     Each tick draws one uniform per candidate in a single batch, in the
     order sender, datum, receiver of the society's declarations.
+    A run of more than DRAW_CAP draws in all is refused when the
+    simulation is built.
     """
 
     def __init__(self, scenario: Scenario):
@@ -392,6 +395,13 @@ class Simulation:
             (ch, _raw_release_measure(scenario.society.held[(ch.subject, ch.datum)]))
             for ch in scenario.society.implicit_channels
         ]
+        # a tick without a candidate still costs its generators, so it counts as one draw
+        per_tick = max(len(self._p) + len(self._implicit), 1)
+        if scenario.ticks * per_tick > DRAW_CAP:
+            raise CapacityError(
+                f"{scenario.ticks} ticks of {per_tick} draws make {scenario.ticks * per_tick} draws, "
+                f"exceeding the cap of {DRAW_CAP}"
+            )
 
     def step(self) -> tuple[list[FlowEvent], list[BudgetStop]]:
         t = self.t

@@ -66,6 +66,18 @@ def naive_net_joint(net) -> dict:
     return out
 
 
+def sum_marginal(probs, keep):
+    """Marginal of a dense tensor keeping axes ``keep`` in that order, by one ``ndarray.sum``.
+
+    The reference the dense joint's marginals must match bit for bit.
+    """
+    import numpy as np
+
+    drop = tuple(i for i in range(probs.ndim) if i not in keep)
+    m = probs.sum(axis=drop) if drop else probs
+    return np.transpose(m, [sorted(keep).index(k) for k in keep])
+
+
 def naive_pair_mi(net, a: str, b: str) -> float:
     """MI between two nodes via the naive joint."""
     idx = {n.name: i for i, n in enumerate(net.nodes)}

@@ -100,6 +100,12 @@ class TestLinkageAttack:
         with pytest.raises(ValueError, match="share no quasi-identifier"):
             linkage_attack(fixture_release(), aux)
 
+    def test_empty_release_refused(self):
+        release = Table((("zip", QI), ("diag", "sensitive")), ())
+        aux = Table((("zip", QI),), (("1",),))
+        with pytest.raises(ValueError, match="empty"):
+            linkage_attack(release, aux)
+
     def test_requires_a_sensitive_column(self):
         # without one, every matched class would count as disclosing a value it does not have
         release = Table((("zip", QI), ("age", QI), ("diag", "identifier")), (("1", "20", "a"), ("1", "20", "b")))

@@ -24,10 +24,11 @@ from infoflow import (
     fork_collider_graph,
     twins_scenario,
 )
-from infoflow import causal
+import infoflow
+from infoflow import causal, measures
 from infoflow.causal import STATE_SPACE_CAP, load_net, net_from_json_dict, net_to_json_dict
 from infoflow.cli import main
-from helpers import entropy_cells, mi_cells, naive_net_joint, naive_pair_mi
+from helpers import entropy_cells, mi_cells, naive_net_joint, naive_pair_mi, sum_marginal
 
 
 def binary_root(name, p1=0.5):
@@ -39,11 +40,12 @@ def copy_node(name, parent):
 
 
 def random_small_net(rng, n_nodes=5):
+    """A random DAG of 1- to 3-state nodes, each with up to 3 parents in random declared order."""
     nodes = []
     for k in range(n_nodes):
-        card = int(rng.integers(2, 4))
-        n_par = int(rng.integers(0, min(k, 2) + 1))
-        pars = sorted(rng.choice(k, size=n_par, replace=False).tolist())
+        card = int(rng.integers(1, 4))
+        n_par = int(rng.integers(0, min(k, 3) + 1))
+        pars = rng.choice(k, size=n_par, replace=False).tolist()
         par_names = tuple(nodes[p].name for p in pars)
         rows = int(np.prod([nodes[p].card for p in pars])) if pars else 1
         cpt = rng.dirichlet(np.ones(card), size=rows)
@@ -80,18 +82,37 @@ class TestJoint:
 
     def test_matches_naive_factor_product(self):
         rng = np.random.default_rng(17)
-        for _ in range(10):
-            net = random_small_net(rng)
+        for _ in range(50):
+            net = random_small_net(rng, int(rng.integers(1, 8)))
             dense = joint(net)
             naive = naive_net_joint(net)
-            flat = dense.probs.reshape(-1)
-            for i, combo in enumerate(itertools.product(*(range(c) for c in net.cards))):
-                assert abs(flat[i] - naive[combo]) < 1e-12
+            assert dense.probs.shape == net.cards
+            assert list(naive) == list(itertools.product(*(range(c) for c in net.cards)))
+            assert np.array_equal(dense.probs.reshape(-1), np.array(list(naive.values())))
+
+    def test_peak_memory_stays_below_one_and_a_half_results(self):
+        # a 20-node binary chain: 8 MiB of joint; the running product's one
+        # temporary is the 4 MiB product of the first 19 factors
+        nodes = [binary_root("C0", 0.3)]
+        for k in range(1, 20):
+            nodes.append(Node(f"C{k}", ("0", "1"), (f"C{k - 1}",), np.array([[0.9, 0.1], [0.2, 0.8]])))
+        net = BayesNet(tuple(nodes))
+        tracemalloc.start()
+        try:
+            dense = joint(net)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dense.probs.nbytes == 8 * 2**20
+        assert peak < 1.6 * dense.probs.nbytes
 
     def test_capacity_guard_names_size(self):
         net = BayesNet(tuple(binary_root(f"R{i}") for i in range(23)))
         with pytest.raises(CapacityError, match=str(2**23)):
             joint(net)
+
+    def test_capacity_error_is_one_class(self):
+        assert causal.CapacityError is measures.CapacityError is infoflow.CapacityError is CapacityError
 
     def test_requires_topological_declaration(self):
         with pytest.raises(ValueError, match="topological"):
@@ -105,6 +126,73 @@ class TestJoint:
                     Node("B", ("0", "1"), ("A",), np.array([[0.5, 0.5]])),
                 )
             )
+
+
+class TestMarginal:
+    def test_equals_one_ndarray_sum_bit_for_bit(self):
+        # kept sets with and without the innermost axis that has more than one state,
+        # names in any order: the einsum path and the sum path alike
+        rng = np.random.default_rng(23)
+        innermost = 0
+        for _ in range(300):
+            net = random_small_net(rng, int(rng.integers(1, 8)))
+            dense = joint(net)
+            n = len(net.names)
+            keep = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False).tolist()
+            live = [i for i, c in enumerate(net.cards) if c > 1]
+            if live and live[-1] not in keep and rng.random() < 0.5:
+                keep.insert(int(rng.integers(len(keep) + 1)), live[-1])
+            innermost += bool(live) and live[-1] in keep
+            got = dense.marginal(*(net.names[i] for i in keep))
+            expected = sum_marginal(dense.probs, keep)
+            assert got.shape == expected.shape
+            assert np.array_equal(got, expected)
+        assert 100 < innermost < 250
+
+    def test_large_joint_marginals_equal_one_ndarray_sum(self):
+        rng = np.random.default_rng(29)
+        nodes = [Node("R", ("0", "1", "2"), (), rng.dirichlet(np.ones(3)))]
+        for k in range(1, 16):
+            pars = rng.choice(k, size=min(k, 2), replace=False)
+            rows = math.prod(nodes[p].card for p in pars)
+            cpt = rng.dirichlet(np.ones(2), size=rows)
+            nodes.append(Node(f"N{k}", ("0", "1"), tuple(nodes[p].name for p in pars), cpt))
+        dense = joint(BayesNet(tuple(nodes)))
+        names = dense.names
+        for keep in ([15], [15, 0], [3, 15], [15, 14], [7, 15, 2], [0], [4, 9]):
+            got = dense.marginal(*(names[i] for i in keep))
+            assert np.array_equal(got, sum_marginal(dense.probs, keep))
+
+    def test_repeated_node_is_refused_by_name(self):
+        dense = joint(fork_collider_graph(seed=42))
+        with pytest.raises(ValueError, match="repeated node 'M' in marginal"):
+            dense.marginal("M", "A", "M")
+        # a conditioning set that holds a queried node reaches it too
+        twins = joint(twins_scenario()[0])
+        with pytest.raises(ValueError, match="repeated node 'S2' in marginal"):
+            conditional_mi(twins, "Z", "S2", ["S2"])
+
+    def test_net_beyond_the_einsum_label_count_profiles(self):
+        # 60 nodes, 51 of them single-state: the merged view drops those axes
+        nodes = [binary_root("B0", 0.3)]
+        for k in range(1, 60):
+            prev = nodes[-1]
+            if k % 8 == 3:
+                binary = next(n for n in reversed(nodes) if n.card == 2)
+                cpt = np.array([[0.8, 0.2], [0.25, 0.75]])
+                nodes.append(Node(f"B{k}", ("0", "1"), (binary.name,), cpt))
+            else:
+                nodes.append(Node(f"U{k}", ("u",), (prev.name,), np.ones((prev.card, 1))))
+        net = BayesNet(tuple(nodes))
+        assert len(net.nodes) == 60 and sum(c == 2 for c in net.cards) == 9
+        profile = leakage_profile(net, "B59")
+        assert len(profile.per_node_mi) == 59
+        for node in net.nodes[:-1]:
+            mi = profile.per_node_mi[node.name]
+            if node.card == 1:
+                assert mi == 0.0
+            elif node.name in ("B0", "B51"):
+                assert mi == pytest.approx(naive_pair_mi(net, "B59", node.name), abs=1e-12)
 
 
 class TestLeakageProfile:

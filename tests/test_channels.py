@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from infoflow import (
+    CapacityError,
     Channel,
     Dist,
     bound_sweep,
@@ -20,6 +21,7 @@ from infoflow import (
     randomized_response,
     realized_epsilon,
 )
+from infoflow.channels import SWEEP_CASE_CAP
 from helpers import joint_cells, mi_cells
 
 LN3 = math.log(3)
@@ -254,6 +256,10 @@ class TestSweep:
     def test_rejects_no_cases(self):
         with pytest.raises(ValueError, match="n_cases"):
             bound_sweep(0)
+
+    def test_refuses_cases_beyond_the_cap(self):
+        with pytest.raises(CapacityError, match=f"{SWEEP_CASE_CAP + 1} cases exceeds the cap of {SWEEP_CASE_CAP}"):
+            bound_sweep(SWEEP_CASE_CAP + 1)
 
     def test_reproducible(self):
         a = bound_sweep(20, seed=9)

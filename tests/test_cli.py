@@ -88,6 +88,12 @@ class TestVerifyBound:
 
 
 class TestSweep:
+    def test_capacity_exits_3_naming_size_and_cap(self, capsys):
+        # refused before the first case is drawn
+        code = main(["sweep", "--cases", str(10**12)])
+        assert code == 3
+        assert capsys.readouterr().err == f"error: a sweep of {10**12} cases exceeds the cap of {2**20}\n"
+
     def test_small_sweep_passes(self, capsys):
         code, out = run_cli("sweep", "--cases", "50", "--seed", "4", capsys=capsys)
         assert code == 0
@@ -223,6 +229,19 @@ class TestSimulate:
             "induced-flow,x:0:twin1>receiver:gender~twin2:S2,0,implicit,twin2,receiver,S2,0.18872187554086717,2,1,"
             "x:0:twin1>receiver:gender~twin2,,",
         ]
+
+    def test_run_beyond_the_draw_cap_exits_3_naming_size_and_cap(self, tmp_path, capsys):
+        # refused when the simulation is built, before the first tick
+        doc = json.loads(Path(data_path("twins.json")).read_text())
+        doc["ticks"] = 10**20
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        code = main(["simulate", "--scenario", str(path)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 3
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {10**20} ticks of ")
+        assert err[0].endswith(f"exceeding the cap of {2**24}")
 
     def test_zero_probability_scenario_is_empty(self, tmp_path, capsys):
         path = tmp_path / "s.json"

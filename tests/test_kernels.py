@@ -15,11 +15,11 @@ def random_joint(rng, n, m):
 
 
 def random_net_arrays(rng, n_nodes=5):
-    """cards / cpts / parents triples for a random small DAG."""
-    cards = rng.integers(2, 4, size=n_nodes)
+    """cards / cpts / parents triples for a random small DAG with 1- to 3-state nodes."""
+    cards = rng.integers(1, 4, size=n_nodes)
     cpts, parents = [], []
     for k in range(n_nodes):
-        n_par = int(rng.integers(0, min(k, 2) + 1))
+        n_par = int(rng.integers(0, min(k, 3) + 1))
         # parents in random declared order, so dense_joint must transpose
         pars = rng.choice(k, size=n_par, replace=False).tolist() if n_par else []
         rows = int(np.prod([cards[p] for p in pars])) if pars else 1
@@ -99,8 +99,8 @@ class TestScanLogRatio:
 class TestDenseJoint:
     def test_matches_naive_net_joint(self):
         rng = np.random.default_rng(3)
-        for _ in range(20):
-            cards, cpts, parents = random_net_arrays(rng)
+        for _ in range(200):
+            cards, cpts, parents = random_net_arrays(rng, int(rng.integers(1, 8)))
             net = BayesNet(
                 tuple(
                     Node(
@@ -112,9 +112,16 @@ class TestDenseJoint:
                     for k in range(len(cards))
                 )
             )
-            # naive_net_joint enumerates states row-major, like dense_joint's flat output
-            expected = list(naive_net_joint(net).values())
+            # naive_net_joint enumerates states row-major, like dense_joint's flat output,
+            # and multiplies each cell's factors in node order, as the running product does
+            expected = np.array(list(naive_net_joint(net).values()))
             got = _kernels.dense_joint(cards, cpts, parents)
-            assert got.shape == (len(expected),)
-            assert np.max(np.abs(got - np.array(expected))) <= 1e-12
+            assert np.array_equal(got, expected)
             assert got.sum() == pytest.approx(1.0, abs=1e-9)
+
+    def test_merged_view_drops_single_state_axes_and_merges_runs(self):
+        # axes 0..5 with cards 2,1,3,2,1,2; marked 2 and 5
+        shape, sub, kept = _kernels.merged_view([2, 1, 3, 2, 1, 2], [2, 5])
+        assert shape == [2, 3, 2, 2]
+        assert (sub, kept) == ("abcd", "bd")
+        assert _kernels.merged_view([1, 1], [0]) == ([], "", "")

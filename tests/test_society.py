@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from infoflow import (
     BudgetStop,
+    CapacityError,
     Context,
     DatumRecord,
     Entity,
@@ -32,6 +33,7 @@ from infoflow import (
 )
 from infoflow.cli import _write
 from infoflow.society import (
+    DRAW_CAP,
     FLOW_KINDS,
     _decision_table,
     scenario_from_json_dict,
@@ -192,6 +194,22 @@ class TestEntityInvariants:
     def test_flow_of_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="kind must be one of"):
             flow(0, "a", "b", "d", kind="ambient")
+
+
+class TestDrawCap:
+    # only built, never run: a refusal comes before the first tick
+    def test_ticks_times_draws_per_tick_is_capped(self):
+        # 2 explicit candidates (alice's datum to bob and to the camera) and 1 implicit channel
+        assert len(Simulation(two_entity_scenario(ticks=DRAW_CAP // 3))._p) == 2
+        with pytest.raises(CapacityError, match=f"{DRAW_CAP // 3 + 1} ticks of 3 draws make {3 * (DRAW_CAP // 3 + 1)} "
+                                                f"draws, exceeding the cap of {DRAW_CAP}"):
+            Simulation(two_entity_scenario(ticks=DRAW_CAP // 3 + 1))
+
+    def test_a_tick_without_draws_counts_as_one(self):
+        quiet = {"entities": [{"id": "a", "data": []}, {"id": "b", "data": []}], "implicit_channels": []}
+        Simulation(two_entity_scenario(**quiet, ticks=DRAW_CAP))
+        with pytest.raises(CapacityError, match=f"exceeding the cap of {DRAW_CAP}"):
+            Simulation(two_entity_scenario(**quiet, ticks=10**20))
 
 
 class TestSimulationDeterminism:
