@@ -102,14 +102,19 @@ class AnonReport:
         }
 
 
-def k_anonymity_level(t: Table) -> int:
-    """Smallest equivalence-class size over the quasi-identifier columns."""
+def _qi_classes(t: Table) -> Counter[tuple[str, ...]]:
+    """Row count of each equivalence class over all quasi-identifier columns."""
     if not t.rows:
         raise ValueError("table is empty")
     qi = t.column_names("quasi-identifier")
     if not qi:
         raise ValueError("no quasi-identifier columns designated")
-    return min(Counter(t.project(qi)).values())
+    return Counter(t.project(qi))
+
+
+def k_anonymity_level(t: Table) -> int:
+    """Smallest equivalence-class size over the quasi-identifier columns."""
+    return min(_qi_classes(t).values())
 
 
 def linkage_attack(release: Table, auxiliary: Table) -> AnonReport:
@@ -130,17 +135,11 @@ def linkage_attack(release: Table, auxiliary: Table) -> AnonReport:
         raise ValueError("release has no 'sensitive' column: homogeneity is undefined without one")
     # the release's classes are counted once, on every quasi-identifier; merged by
     # their shared cells they give the classes the auxiliary rows can join
-    classes = Counter(release.project(qi))
-    if not classes:
-        raise ValueError("table is empty")
-    sizes: dict[tuple[str, ...], int] = classes
-    if shared != qi:
-        at = [qi.index(n) for n in shared]
-        pick = itemgetter(*at) if len(at) > 1 else lambda key: (key[at[0]],)
-        sizes = {}
-        for key, n in classes.items():
-            shared_key = pick(key)
-            sizes[shared_key] = sizes.get(shared_key, 0) + n
+    classes = _qi_classes(release)
+    at = [qi.index(n) for n in shared]
+    sizes: Counter[tuple[str, ...]] = Counter()
+    for key, n in classes.items():
+        sizes[tuple(key[i] for i in at)] += n
     keys = release.project(shared)
     aux_keys = auxiliary.project(shared)
     matched = sizes.keys() & set(aux_keys)
