@@ -28,11 +28,10 @@ def entropy_bits(p: np.ndarray) -> float:
 
 def mi_bits(mass: np.ndarray) -> float:
     # rounding can sum to a hair below 0; mutual information is never negative
-    px = mass.sum(axis=1)
-    py = mass.sum(axis=0)
-    prod = np.outer(px, py)
     m = mass > 0.0
-    return max(float((mass[m] * np.log2(mass[m] / prod[m])).sum()), 0.0)
+    cells = mass[m]
+    prod = (mass.sum(axis=1)[:, None] * mass.sum(axis=0))[m]
+    return max(float((cells * np.log2(cells / prod)).sum()), 0.0)
 
 
 def scan_log_ratio(rows: np.ndarray) -> tuple[float, int, int, int]:
@@ -40,19 +39,23 @@ def scan_log_ratio(rows: np.ndarray) -> tuple[float, int, int, int]:
 
     Per column the max ratio is colmax/colmin; 0/0 counts as ratio 1 and
     a positive entry over a zero entry is unbounded. Returns
-    (eps, x, x', y) with eps = math.inf in the unbounded case.
+    (eps, x, x', y) with eps = math.inf in the unbounded case. The
+    masks for those two cases are formed only when some column minimum
+    is 0; an all-zero column then takes colmax = colmin = 1.
     """
     colmax = rows.max(axis=0)
     colmin = rows.min(axis=0)
-    live = colmax > 0.0
-    unbounded = live & (colmin <= 0.0)
-    if unbounded.any():
-        y = int(np.argmax(unbounded))
-        return math.inf, int(np.argmax(rows[:, y])), int(np.argmin(rows[:, y])), y
-    ratios = np.zeros(rows.shape[1])
-    ratios[live] = np.log(colmax[live]) - np.log(colmin[live])
-    y = int(np.argmax(ratios))
-    return float(ratios[y]), int(np.argmax(rows[:, y])), int(np.argmin(rows[:, y])), y
+    if not colmin.min() > 0.0:
+        live = colmax > 0.0
+        unbounded = live & (colmin <= 0.0)
+        if unbounded.any():
+            y = int(unbounded.argmax())
+            return math.inf, int(rows[:, y].argmax()), int(rows[:, y].argmin()), y
+        colmax = np.where(live, colmax, 1.0)
+        colmin = np.where(live, colmin, 1.0)
+    ratios = np.log(colmax) - np.log(colmin)
+    y = int(ratios.argmax())
+    return float(ratios[y]), int(rows[:, y].argmax()), int(rows[:, y].argmin()), y
 
 
 def merged_view(cards, marked) -> tuple[list[int], str, str]:

@@ -50,9 +50,9 @@ def _stochastic(values, shape: tuple[int, ...], what: str, rows: bool = False) -
     if not a.min() >= 0:
         raise ValueError(f"{what} has a negative or NaN entry")
     if rows:
-        bad = np.abs(a.sum(axis=1) - 1.0) > SUM_TOL
-        if bad.any():
-            raise ValueError(f"{what} rows {np.flatnonzero(bad).tolist()} are not stochastic")
+        deviation = np.abs(a.sum(axis=1) - 1.0)
+        if deviation.max() > SUM_TOL:
+            raise ValueError(f"{what} rows {np.flatnonzero(deviation > SUM_TOL).tolist()} are not stochastic")
     elif abs(a.sum() - 1.0) > SUM_TOL:
         raise ValueError(f"{what} sums to {a.sum()}, not 1")
     a.setflags(write=False)

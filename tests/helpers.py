@@ -41,6 +41,39 @@ def max_log_ratio(rows) -> float:
     return best
 
 
+def scan_log_ratio_masked(rows) -> tuple:
+    """The eps scan of ``_kernels.scan_log_ratio`` with both zero masks formed on every call.
+
+    The kernel forms them only when a column has a 0; it must return
+    this function's eps, witness and column bit for bit on any
+    row-stochastic array.
+    """
+    import numpy as np
+
+    colmax = rows.max(axis=0)
+    colmin = rows.min(axis=0)
+    live = colmax > 0.0
+    unbounded = live & (colmin <= 0.0)
+    if unbounded.any():
+        y = int(np.argmax(unbounded))
+        return math.inf, int(np.argmax(rows[:, y])), int(np.argmin(rows[:, y])), y
+    ratios = np.zeros(rows.shape[1])
+    ratios[live] = np.log(colmax[live]) - np.log(colmin[live])
+    y = int(np.argmax(ratios))
+    return float(ratios[y]), int(np.argmax(rows[:, y])), int(np.argmin(rows[:, y])), y
+
+
+def mi_bits_outer(mass) -> float:
+    """Mutual information in Sh by ``np.outer`` of the marginals; ``_kernels.mi_bits`` must equal it bit for bit."""
+    import numpy as np
+
+    px = mass.sum(axis=1)
+    py = mass.sum(axis=0)
+    prod = np.outer(px, py)
+    m = mass > 0.0
+    return max(float((mass[m] * np.log2(mass[m] / prod[m])).sum()), 0.0)
+
+
 def joint_cells(prior, rows) -> dict:
     """Cells of prior(x) * rows[x][y], keyed by index pairs."""
     return {

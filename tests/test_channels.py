@@ -70,6 +70,10 @@ class TestRandomizedResponse:
         with pytest.raises(ValueError, match="expected 3 outcome labels, got 2"):
             randomized_response(3, 1.0, outcomes=("a", "b"))
 
+    def test_refuses_labels_that_are_not_strings(self):
+        with pytest.raises(ValueError, match="inputs must be strings, got 0"):
+            randomized_response(2, 1.0, outcomes=(0, 1))
+
     def test_realized_eps_matches_request(self):
         for k, eps in [(2, LN3), (3, 0.7), (6, 2.1)]:
             rep = realized_epsilon(randomized_response(k, eps))
@@ -142,6 +146,8 @@ class TestCheckMiBound:
     def test_mismatched_prior(self):
         with pytest.raises(ValueError, match="prior"):
             check_mi_bound(randomized_response(2, 1.0), Dist.uniform(("a", "b")))
+        with pytest.raises(ValueError, match="prior"):
+            push_through(Dist.uniform(("a", "b")), randomized_response(2, 1.0))
 
     def test_certificate_json(self):
         cert = check_mi_bound(randomized_response(2, LN3), Dist.uniform(("0", "1")))
@@ -207,6 +213,10 @@ class TestPostProcess:
         assert out.output_outcomes == c.output_outcomes
         assert np.array_equal(out.rows, c.rows)
 
+    def test_refuses_labels_that_are_not_strings(self):
+        with pytest.raises(ValueError, match="outputs must be strings, got 0"):
+            post_process(randomized_response(3, 0.9), lambda y: int(y) % 2)
+
     def test_constant_map_kills_mi(self):
         c = randomized_response(3, 2.0)
         merged = post_process(c, lambda y: "all")
@@ -265,6 +275,20 @@ class TestSweep:
         a = bound_sweep(20, seed=9)
         b = bound_sweep(20, seed=9)
         assert (a.max_mi_sh, a.min_slack_sh) == (b.max_mi_sh, b.min_slack_sh)
+
+    @pytest.mark.parametrize(
+        "cases, seed, max_mi, min_slack",
+        [
+            (2000, 0, "0x1.b9733a9cebf26p-1", "0x1.f5fa52e204858p-5"),
+            (500, 11, "0x1.6b8e948db4030p-1", "0x1.9aed9ac3cba5bp-3"),
+        ],
+    )
+    def test_matches_frozen_values(self, cases, seed, max_mi, min_slack):
+        # frozen values: a faster certificate path must keep every case's result
+        result = bound_sweep(cases, seed=seed)
+        assert result.violations == 0
+        assert result.max_mi_sh == pytest.approx(float.fromhex(max_mi), abs=1e-12)
+        assert result.min_slack_sh == pytest.approx(float.fromhex(min_slack), abs=1e-12)
 
 
 class TestChannelType:

@@ -19,6 +19,7 @@ import infoflow
 from infoflow import cli, society
 from infoflow.cli import _emit, main
 from infoflow.society import write_events_jsonl, write_ledger_json
+from helpers import joint_cells, mi_cells
 
 LN3 = math.log(3)
 GOLDEN = Path(__file__).parent / "golden"
@@ -65,6 +66,16 @@ class TestVerifyBound:
         assert code == 0
         assert json.loads(out)["mi_sh"] == 0.0
 
+    def test_channel_and_prior_accepted_alone_are_accepted_together(self, tmp_path, capsys):
+        # each table sums to 1 + 9e-10, within 1e-9; their product mass sums to 1 + 1.8e-9
+        rows = [[0.5000000009, 0.5], [0.2000000009, 0.8]]
+        probs = [0.5000000009, 0.5]
+        chan = _write(tmp_path, "c.json", json.dumps({"inputs": ["a", "b"], "outputs": ["y", "z"], "rows": rows}))
+        prior = _write(tmp_path, "p.json", json.dumps({"outcomes": ["a", "b"], "probs": probs}))
+        code, out = run_cli("verify-bound", "--channel", chan, "--prior", prior, capsys=capsys)
+        assert code == 0
+        assert json.loads(out)["mi_sh"] == pytest.approx(mi_cells(joint_cells(probs, rows)), abs=1e-12)
+
     def test_malformed_json_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -99,6 +110,19 @@ class TestSweep:
         assert code == 0
         doc = json.loads(out)
         assert doc["violations"] == 0 and doc["cases"] == 50
+
+    def test_debug_logging_leaves_the_report_unchanged(self, caplog, capsys):
+        def report(out):
+            doc = json.loads(out)
+            del doc["seconds"]  # the sweep's wall time
+            return doc
+
+        _, plain = run_cli("sweep", "--cases", "30", "--seed", "5", capsys=capsys)
+        with caplog.at_level(logging.DEBUG, logger="infoflow.channels"):
+            _, logged = run_cli("sweep", "--cases", "30", "--seed", "5", capsys=capsys)
+        assert report(logged) == report(plain)
+        [message] = [r.getMessage() for r in caplog.records if r.name == "infoflow.channels"]
+        assert message.startswith("bound_sweep: 30 cases in ") and message.endswith(" cases/s")
 
 
 class TestLeakage:

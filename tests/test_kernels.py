@@ -6,7 +6,7 @@ import pytest
 from infoflow import _kernels
 from infoflow.causal import BayesNet, Node
 
-from helpers import entropy_cells, max_log_ratio, mi_cells, naive_net_joint
+from helpers import entropy_cells, max_log_ratio, mi_bits_outer, mi_cells, naive_net_joint, scan_log_ratio_masked
 
 
 def random_joint(rng, n, m):
@@ -94,6 +94,36 @@ class TestScanLogRatio:
         assert eps == pytest.approx(max_log_ratio(rows.tolist()), abs=1e-12)
         assert eps == pytest.approx(math.log(0.5 / 0.25), abs=1e-12)
         assert math.log(rows[x, y] / rows[xp, y]) == pytest.approx(eps, abs=1e-12)
+
+
+def zero_case_rows(rng, kind):
+    """Random row-stochastic rows of one kind of zero pattern (or ties) the kernels branch on."""
+    n, m = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+    rows = rng.dirichlet(np.ones(m), size=n)
+    if kind == "zero cells":
+        rows[rng.random((n, m)) < 0.3] = 0.0
+    elif kind == "all-zero columns":
+        rows[:, rng.choice(m, size=int(rng.integers(0, m)), replace=False)] = 0.0
+    elif kind == "unbounded after bounded":
+        # a zero under one input in a later column only; the bounded columns come first
+        y = int(rng.integers(m))
+        rows[int(rng.integers(n)), y:] = 0.0
+    elif kind == "tied columns":
+        rows[:, rng.integers(m, size=m)] = rows[:, [0]]
+        rows = np.round(rows, 1)
+    sums = rows.sum(axis=1, keepdims=True)
+    return np.divide(rows, sums, out=np.zeros_like(rows), where=sums > 0)
+
+
+@pytest.mark.parametrize("kind", ["none", "zero cells", "all-zero columns", "unbounded after bounded", "tied columns"])
+def test_kernels_equal_their_masked_forms_exactly(kind):
+    rng = np.random.default_rng(sum(map(ord, kind)))
+    for _ in range(500):
+        rows = zero_case_rows(rng, kind)
+        assert _kernels.scan_log_ratio(rows) == scan_log_ratio_masked(rows)
+        total = rows.sum()
+        mass = rows / total if total > 0 else rows
+        assert _kernels.mi_bits(mass) == mi_bits_outer(mass)
 
 
 class TestDenseJoint:
