@@ -17,7 +17,7 @@ import csv
 import json
 import logging
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import chain
 from operator import itemgetter
 from pathlib import Path
@@ -95,11 +95,7 @@ class AnonReport:
                 raise ValueError(f"{name} must be in [0,1], got {v}")
 
     def to_json_dict(self) -> dict:
-        return {
-            "k_achieved": int(self.k_achieved),
-            "homogeneity_rate": float(self.homogeneity_rate),
-            "reid_rate": float(self.reid_rate),
-        }
+        return asdict(self)
 
 
 def _qi_classes(t: Table) -> Counter[tuple[str, ...]]:

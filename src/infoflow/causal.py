@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._kernels import dense_joint, entropy_bits, merged_view, mi_bits
-from .measures import CapacityError, InfoMeasure, _check_labels, _nonneg, _stochastic, load_json
+from .measures import CapacityError, InfoMeasure, _as_tuple, _check_labels, _nonneg, _stochastic, load_json
 from .society import Context, FlowEvent, _check_id, bundle_contexts
 
 STATE_SPACE_CAP = 2**22
@@ -45,8 +45,10 @@ class Node:
     cpt: np.ndarray
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ValueError(f"node name must be a string, got {self.name!r}")
         object.__setattr__(self, "states", _check_labels(self.states, f"states of {self.name}"))
-        object.__setattr__(self, "parents", tuple(self.parents))
+        object.__setattr__(self, "parents", _as_tuple(self.parents, f"parents of {self.name!r}"))
         if len(set(self.parents)) != len(self.parents):
             raise ValueError(f"duplicate parents on node {self.name!r}")
         # a root's cpt may be given as one flat row; BayesNet checks the row count
@@ -504,7 +506,7 @@ def net_from_json_dict(d: dict) -> BayesNet:
     nodes = []
     for spec in d["nodes"]:
         name = spec["name"]
-        parents = tuple(spec.get("parents", ()))
+        parents = _as_tuple(spec.get("parents", ()), f"parents of {name!r}")
         cpt_spec = spec["cpt"]
         if not parents:
             if not isinstance(cpt_spec, list):
@@ -523,7 +525,7 @@ def net_from_json_dict(d: dict) -> BayesNet:
                 cpt = [cpt_spec[key] for key in _combo_keys([declared[p].states for p in parents])]
             except KeyError:
                 raise ValueError(f"cpt of {name!r} must have exactly one row per parent combination") from None
-        node = Node(name, tuple(spec["states"]), parents, cpt)
+        node = Node(name, spec["states"], parents, cpt)
         declared[name] = node
         nodes.append(node)
     return BayesNet(tuple(nodes))

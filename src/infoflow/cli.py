@@ -161,7 +161,7 @@ def _attribution(scenario, base: Path) -> dict | None:
             "node_of": attribution.get("message_nodes"),
         }
         if "threshold" in attribution:
-            settings["threshold"] = float(attribution["threshold"])
+            settings["threshold"] = society._number(attribution["threshold"], "attribution threshold")
         causal.check_attribution(**settings)
     return {**settings, "window": scenario.window}
 

@@ -100,9 +100,16 @@ def load_json(path, parse):
         return parse(doc)
 
 
+def _as_tuple(values, what: str) -> tuple:
+    """``values`` as a tuple; a string is refused, since tuple() would split it into one item per character."""
+    if isinstance(values, str):
+        raise ValueError(f"{what} must be a list, got the string {values!r}")
+    return tuple(values)
+
+
 def _check_labels(labels, what: str) -> tuple[str, ...]:
     """``labels`` as a tuple of unique strings; a label of another type is refused, not converted."""
-    labels = tuple(labels)
+    labels = _as_tuple(labels, what)
     for x in labels:
         if not isinstance(x, str):
             raise ValueError(f"{what} must be strings, got {x!r}")
@@ -126,16 +133,12 @@ class Dist:
 
     @classmethod
     def uniform(cls, outcomes) -> "Dist":
-        outcomes = tuple(outcomes)
         n = len(outcomes)
         return cls(outcomes, np.full(n, 1.0 / n))
 
-    def to_json_dict(self) -> dict:
-        return {"outcomes": list(self.outcomes), "probs": [float(p) for p in self.probs]}
-
     @classmethod
     def from_json_dict(cls, d: dict) -> "Dist":
-        return cls(tuple(d["outcomes"]), d["probs"])
+        return cls(d["outcomes"], d["probs"])
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,17 +154,6 @@ class Joint:
         object.__setattr__(self, "y_outcomes", _check_labels(self.y_outcomes, "y outcomes"))
         shape = (len(self.x_outcomes), len(self.y_outcomes))
         object.__setattr__(self, "mass", _stochastic(self.mass, shape, "mass"))
-
-    def to_json_dict(self) -> dict:
-        return {
-            "x": list(self.x_outcomes),
-            "y": list(self.y_outcomes),
-            "mass": [[float(v) for v in row] for row in self.mass],
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "Joint":
-        return cls(tuple(d["x"]), tuple(d["y"]), d["mass"])
 
 
 @dataclass(frozen=True)

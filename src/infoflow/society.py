@@ -205,10 +205,6 @@ class Context:
             if (f.sender, f.receiver) != (self.sender, self.receiver):
                 raise ValueError("context flows must share sender and receiver")
 
-    @property
-    def flow_ids(self) -> list[str]:
-        return [f.id for f in self.flows]
-
 
 @dataclass
 class Ledger:

@@ -111,6 +111,12 @@ class TestJoint:
         with pytest.raises(CapacityError, match=str(2**23)):
             joint(net)
 
+    def test_joint_beyond_the_sum_tolerance_is_refused(self):
+        # each single-state row sums to 1 + 9e-10, within its own 1e-9; 1,200 of them multiply past 1e-6
+        net = BayesNet(tuple(Node(f"N{i}", ("s",), (), [1 + 9e-10]) for i in range(1200)))
+        with pytest.raises(ValueError, match=r"joint sums to 1\.00000108\d*, outside tolerance"):
+            joint(net)
+
     def test_capacity_error_is_one_class(self):
         assert causal.CapacityError is measures.CapacityError is infoflow.CapacityError is CapacityError
 

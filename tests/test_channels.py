@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from infoflow import (
     randomized_response,
     realized_epsilon,
 )
-from infoflow.channels import SWEEP_CASE_CAP
+from infoflow.channels import EPS_MAX, SWEEP_CASE_CAP
 from helpers import joint_cells, mi_cells
 
 LN3 = math.log(3)
@@ -73,6 +74,16 @@ class TestRandomizedResponse:
     def test_refuses_labels_that_are_not_strings(self):
         with pytest.raises(ValueError, match="inputs must be strings, got 0"):
             randomized_response(2, 1.0, outcomes=(0, 1))
+
+    def test_eps_up_to_the_float_limit_is_built(self):
+        c = randomized_response(3, EPS_MAX)
+        e = math.exp(EPS_MAX)
+        assert c.rows[0, 0] == e / (e + 2) and c.rows[0, 1] == 1.0 / (e + 2)
+
+    @pytest.mark.parametrize("eps", [math.nextafter(EPS_MAX, math.inf), 710.0, 1e308])
+    def test_eps_beyond_the_float_limit_is_refused(self, eps):
+        with pytest.raises(ValueError, match="^" + re.escape(f"eps {eps} exceeds {EPS_MAX}, the largest eps")):
+            randomized_response(2, eps)
 
     def test_realized_eps_matches_request(self):
         for k, eps in [(2, LN3), (3, 0.7), (6, 2.1)]:

@@ -568,6 +568,40 @@ MALFORMED = {
         {"s.json": _twins_with(attribution={**TWINS["attribution"], "threshold": "high"})},
         ["simulate", "--scenario", "s.json"],
     ),
+    "attribution-threshold-string-number": (
+        {"s.json": _twins_with(attribution={**TWINS["attribution"], "threshold": "1e-3"})},
+        ["simulate", "--scenario", "s.json"],
+    ),
+    "attribution-threshold-boolean": (
+        {"s.json": _twins_with(attribution={**TWINS["attribution"], "threshold": True})},
+        ["simulate", "--scenario", "s.json"],
+    ),
+    # e^eps overflows a float beyond eps = 709.78
+    "rr-eps-beyond-float": ({}, ["verify-bound", "--rr", "k=2", "eps=1000"]),
+    "channel-rr-eps-beyond-float": ({}, ["verify-bound", "--channel", "rr:k=2,eps=710"]),
+    "compose-rr-eps-beyond-float": ({}, ["compose", "rr:k=2,eps=1000", "rr:k=2,eps=1"]),
+    "mechanism-eps-beyond-float": (
+        {"s.json": _twins_datum(mechanism={"kind": "randomized-response", "k": 2, "eps": 710})},
+        ["simulate", "--scenario", "s.json"],
+    ),
+    "dp-eps-beyond-float": ({}, ["anon", data_path("anon_release.csv"), "--dp", "eps=1000", "--sensitive", "diagnosis"]),
+    # tuple() would split a string into one label per character
+    "channel-inputs-string": (
+        {"c.json": json.dumps({"inputs": "01", "outputs": ["x", "y"], "rows": [[0.5, 0.5], [0.5, 0.5]]})},
+        ["verify-bound", "--channel", "c.json"],
+    ),
+    "prior-outcomes-string": (
+        {"p.json": json.dumps({"outcomes": "01", "probs": [0.5, 0.5]})},
+        ["verify-bound", "--rr", "k=2", "eps=1", "--prior", "p.json"],
+    ),
+    "net-states-string": ({"n.json": _net({**_X, "states": "01"}, _M)}, _LEAKAGE),
+    "net-parents-string": ({"n.json": _net(_X, {**_M, "parents": "X"})}, _LEAKAGE),
+    "net-node-name-integer": ({"n.json": _net(_X, {**_M, "name": 5})}, ["leakage", "--net", "n.json", "--message", "X"]),
+    # each row sums to 1 + 9e-10, within its tolerance; the 1,200-node product is not
+    "net-joint-sum-beyond-tolerance": (
+        {"n.json": _net(*({"name": f"N{i}", "states": ["s"], "cpt": [1 + 9e-10]} for i in range(1200)))},
+        ["leakage", "--net", "n.json", "--message", "N0"],
+    ),
     "root-cpt-object": ({"n.json": _net({**_X, "cpt": {"": [0.5, 0.5]}}, _M)}, _LEAKAGE),
     "parent-declared-after-child": ({"n.json": _net(_M, _X)}, _LEAKAGE),
     "cpt-wrong-key": ({"n.json": _net(_X, {**_M, "cpt": {"0": [1, 0], "2": [0, 1]}})}, _LEAKAGE),
@@ -697,7 +731,20 @@ MALFORMED = {
 
 # the check a row is written to reach, where a different check would also exit 2
 REFUSED_BY = {
-    "attribution-threshold-not-a-number": "could not convert string to float",
+    "attribution-threshold-not-a-number": "attribution threshold must be a number, got 'high'",
+    "attribution-threshold-string-number": "attribution threshold must be a number, got '1e-3'",
+    "attribution-threshold-boolean": "attribution threshold must be a number, got True",
+    "rr-eps-beyond-float": "eps 1000.0 exceeds 709.782712893384",
+    "channel-rr-eps-beyond-float": "eps 710.0 exceeds 709.782712893384",
+    "compose-rr-eps-beyond-float": "eps 1000.0 exceeds 709.782712893384",
+    "dp-eps-beyond-float": "eps 1000.0 exceeds 709.782712893384",
+    "mechanism-eps-beyond-float": "eps 710.0 exceeds 709.782712893384",
+    "channel-inputs-string": "inputs must be a list, got the string '01'",
+    "prior-outcomes-string": "outcomes must be a list, got the string '01'",
+    "net-states-string": "states of X must be a list, got the string '01'",
+    "net-parents-string": "parents of 'M' must be a list, got the string 'X'",
+    "net-node-name-integer": "node name must be a string, got 5",
+    "net-joint-sum-beyond-tolerance": "joint sums to 1.00000108",
     "root-cpt-object": "expects a flat cpt list",
     "parent-declared-after-child": "not declared earlier",
     "cpt-wrong-key": "exactly one row per parent combination",
@@ -824,6 +871,35 @@ class TestFuzzedDocuments:
                 code = main(argv)
             assert code in (0, 2, 3), (argv, err.getvalue())
             assert "Traceback" not in err.getvalue()
+
+
+# eps as command-line text: any float up to 1e308, floats around the e^eps overflow at 709.78, and non-finite text
+EPS_TEXT = (
+    st.floats(min_value=-1e308, max_value=1e308).map(repr)
+    | st.floats(min_value=700.0, max_value=720.0).map(repr)
+    | st.sampled_from(["nan", "inf", "-inf", "1e400"])
+)
+
+
+class TestRandomizedResponseSpecs:
+    @given(k=st.integers(2, 64), eps=EPS_TEXT)
+    @settings(max_examples=60, deadline=None)
+    def test_any_spec_exits_0_or_2_with_at_most_one_error_line(self, k, eps):
+        spec = f"rr:k={k},eps={eps}"
+        runs = [
+            ["verify-bound", "--channel", spec],
+            ["compose", spec, f"rr:k={k},eps=1"],
+            ["anon", data_path("anon_release.csv"), "--dp", f"eps={eps}", "--sensitive", "diagnosis"],
+        ]
+        for argv in runs:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+                code = main(argv)
+            lines = err.getvalue().splitlines()
+            assert code in (0, 2), (argv, err.getvalue())
+            if code == 0:
+                assert lines == [], argv
+            else:
+                assert len(lines) == 1 and lines[0].startswith("error: "), argv
 
 
 class TestOptions:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from infoflow import Dist, InfoMeasure, Joint, entropy, mutual_information
 from infoflow.causal import Node
-from infoflow.channels import Channel
+from infoflow.channels import Channel, randomized_response
 from helpers import entropy_cells, mi_cells
 
 
@@ -81,6 +81,23 @@ def test_every_labeled_type_refuses_labels_that_are_not_strings(build, label):
         build(label)
 
 
+@pytest.mark.parametrize(
+    "build, what",
+    [
+        (lambda: Dist("ab", [0.5, 0.5]), "outcomes"),
+        (lambda: Joint(("a",), "xy", [[0.5, 0.5]]), "y outcomes"),
+        (lambda: Channel("ab", ("x",), [[1.0], [1.0]]), "inputs"),
+        (lambda: randomized_response(2, 1.0, outcomes="ab"), "inputs"),
+        (lambda: Node("R", "01", (), [0.5, 0.5]), "states of R"),
+        (lambda: Node("C", ("0", "1"), "A", [[0.5, 0.5], [0.5, 0.5]]), "parents of 'C'"),
+    ],
+    ids=["Dist", "Joint", "Channel", "randomized_response", "Node-states", "Node-parents"],
+)
+def test_a_string_is_refused_where_a_list_belongs(build, what):
+    with pytest.raises(ValueError, match=f"^{what} must be a list, got the string "):
+        build()
+
+
 class TestDist:
     def test_rejects_negative(self):
         with pytest.raises(ValueError, match="negative"):
@@ -99,11 +116,10 @@ class TestDist:
         with pytest.raises(ValueError):
             d.probs[0] = 0.9
 
-    def test_json_round_trip(self):
-        d = dist(0.75, 0.25, labels=("yes", "no"))
-        back = Dist.from_json_dict(json.loads(json.dumps(d.to_json_dict())))
-        assert back.outcomes == d.outcomes
-        assert np.array_equal(back.probs, d.probs)
+    def test_from_json_document(self):
+        d = Dist.from_json_dict(json.loads('{"outcomes": ["yes", "no"], "probs": [0.75, 0.25]}'))
+        assert d.outcomes == ("yes", "no")
+        assert np.array_equal(d.probs, [0.75, 0.25])
 
 
 class TestEntropy:
@@ -171,11 +187,6 @@ class TestMutualInformation:
         )
         transposed = Joint(j.y_outcomes, j.x_outcomes, j.mass.T)
         assert mutual_information(j) == pytest.approx(mutual_information(transposed), abs=1e-9)
-
-    def test_json_round_trip(self):
-        j = Joint(("a", "b"), ("x", "y"), np.array([[0.4, 0.1], [0.2, 0.3]]))
-        back = Joint.from_json_dict(json.loads(json.dumps(j.to_json_dict())))
-        assert np.array_equal(back.mass, j.mass)
 
 
 class TestInfoMeasure:

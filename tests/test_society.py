@@ -424,7 +424,7 @@ class TestBundleContexts:
     def test_single_event_single_context(self):
         ctxs = bundle_contexts([flow(0, "a", "b", "d")])
         assert len(ctxs) == 1
-        assert ctxs[0].flow_ids == ["e:0:a>b:d"]
+        assert [f.id for f in ctxs[0].flows] == ["e:0:a>b:d"]
 
     def test_same_pair_same_tick_shares_context(self):
         ctxs = bundle_contexts([flow(0, "a", "b", "d1"), flow(0, "a", "b", "d2")])
@@ -443,7 +443,7 @@ class TestBundleContexts:
     def test_every_event_in_exactly_one_context(self):
         events = [flow(t, "a", "b", f"d{t}") for t in range(6)]
         ctxs = bundle_contexts(events, window=2)
-        seen = [fid for c in ctxs for fid in c.flow_ids]
+        seen = [f.id for c in ctxs for f in c.flows]
         assert sorted(seen) == sorted(e.id for e in events)
         assert len(seen) == len(set(seen))
 
