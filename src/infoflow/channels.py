@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ._kernels import mi_bits, scan_log_ratio
-from .measures import CapacityError, Dist, Joint, _check_labels, _nonneg, _stochastic
+from .measures import STATE_SPACE_CAP, CapacityError, Dist, Joint, _check_labels, _nonneg, _stochastic
 
 log = logging.getLogger(__name__)
 
@@ -134,13 +134,21 @@ def _check_rr(k: int, eps: float) -> None:
     _check_eps(eps)
 
 
+def _check_cells(cells: int, what: str) -> None:
+    """Refuse a matrix of more than STATE_SPACE_CAP cells, naming its size and the cap."""
+    if cells > STATE_SPACE_CAP:
+        raise CapacityError(f"{what} has {cells} cells, exceeding the cap of {STATE_SPACE_CAP}")
+
+
 def randomized_response(k: int, eps: float, outcomes=None) -> Channel:
     """k-ary randomized response: keep the true value w.p. e^eps/(e^eps+k-1).
 
     Every off-diagonal output gets probability 1/(e^eps + k - 1), which
-    makes the max probability ratio exactly e^eps.
+    makes the max probability ratio exactly e^eps. A k whose k*k matrix
+    exceeds STATE_SPACE_CAP cells is refused before it is built.
     """
     _check_rr(k, eps)
+    _check_cells(k * k, f"randomized response with k={k}")
     if outcomes is None:
         outcomes = tuple(str(i) for i in range(k))
     elif len(outcomes) != k:
@@ -197,14 +205,18 @@ def compose(c1: Channel, c2: Channel) -> Channel:
     """Product channel releasing both outputs of two independent invocations.
 
     p(y1,y2|x) = p1(y1|x) * p2(y2|x); output labels are "(y1,y2)". The
-    realized eps of the product never exceeds the sum of the parts.
+    realized eps of the product never exceeds the sum of the parts. A
+    product of more than STATE_SPACE_CAP cells is refused before it is
+    built.
     """
     if c1.input_outcomes != c2.input_outcomes:
         raise ValueError(
             f"input spaces differ: {c1.input_outcomes} vs {c2.input_outcomes}"
         )
+    n_in, n1, n2 = len(c1.input_outcomes), len(c1.output_outcomes), len(c2.output_outcomes)
+    _check_cells(n_in * n1 * n2, f"the product of a {n_in}x{n1} and a {n_in}x{n2} channel")
     outputs = tuple(f"({a},{b})" for a in c1.output_outcomes for b in c2.output_outcomes)
-    rows = (c1.rows[:, :, None] * c2.rows[:, None, :]).reshape(len(c1.input_outcomes), -1)
+    rows = (c1.rows[:, :, None] * c2.rows[:, None, :]).reshape(n_in, -1)
     return Channel(c1.input_outcomes, outputs, rows)
 
 

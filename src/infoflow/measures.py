@@ -22,6 +22,8 @@ from ._kernels import entropy_bits, mi_bits
 
 SUM_TOL = 1e-9
 
+STATE_SPACE_CAP = 2**22  # cells of a dense table: a net's joint, a randomized-response matrix, a composed channel
+
 
 class CapacityError(Exception):
     """Raised when a computation would exceed a size cap; the message names the size and the cap."""

@@ -26,6 +26,7 @@ from infoflow import (
 )
 import infoflow
 from infoflow import causal, measures
+from infoflow._kernels import entropy_bits, mi_bits
 from infoflow.causal import STATE_SPACE_CAP, load_net, net_from_json_dict, net_to_json_dict
 from infoflow.cli import main
 from helpers import entropy_cells, mi_cells, naive_net_joint, naive_pair_mi, sum_marginal
@@ -154,6 +155,58 @@ class TestMarginal:
             assert got.shape == expected.shape
             assert np.array_equal(got, expected)
         assert 100 < innermost < 250
+
+    def test_outer_kept_axis_between_summed_runs_equals_one_ndarray_sum_bit_for_bit(self):
+        # marginals that keep the innermost multi-state axis, as leakage_profile's do; counts the kept sets
+        # whose outer multi-state axis has a summed multi-state axis before it and another before the next kept one
+        rng = np.random.default_rng(31)
+        between = 0
+        for _ in range(300):
+            net = random_small_net(rng, int(rng.integers(6, 11)))
+            while sum(c > 1 for c in net.cards) < 4:
+                net = random_small_net(rng, int(rng.integers(6, 11)))
+            dense = joint(net)
+            live = [i for i, c in enumerate(net.cards) if c > 1]
+            others = [i for i in range(len(net.cards)) if i != live[-1]]
+            keep = rng.choice(others, size=int(rng.integers(1, 4)), replace=False).tolist()
+            keep.insert(int(rng.integers(len(keep) + 1)), live[-1])
+            kept_live = sorted(i for i in keep if i in live)
+            summed = [i for i in live if i not in keep]
+            if len(kept_live) > 1:
+                outer, after = kept_live[:2]
+                between += any(i < outer for i in summed) and any(outer < i < after for i in summed)
+            got = dense.marginal(*(net.names[i] for i in keep))
+            expected = sum_marginal(dense.probs, keep)
+            assert got.shape == expected.shape
+            assert np.array_equal(got, expected)
+        assert between > 90
+
+    def test_leakage_profile_equals_one_from_ndarray_sum_marginals(self):
+        # 2^8 * 3^7 = 559872 cells; each pair marginal keeps the message, the last node
+        rng = np.random.default_rng(37)
+        nodes = []
+        for k in range(15):
+            card = 2 if k % 2 == 0 else 3
+            pars = rng.choice(k, size=min(k, int(rng.integers(1, 3))), replace=False).tolist()
+            rows = math.prod(nodes[p].card for p in pars)
+            cpt = rng.dirichlet(np.ones(card), size=rows)
+            nodes.append(Node(f"N{k}", tuple(str(v) for v in range(card)), tuple(nodes[p].name for p in pars), cpt))
+        net = BayesNet(tuple(nodes))
+        assert net.state_space_size() >= 2**16
+        dense = joint(net)
+        last = len(net.nodes) - 1
+        pm = sum_marginal(dense.probs, [last])
+        obs = int(np.argmax(pm))
+        rows = []
+        for v in range(last):
+            m2 = np.ascontiguousarray(sum_marginal(dense.probs, [last, v]))
+            cond = np.ascontiguousarray(m2[obs] / pm[obs])
+            drop = entropy_bits(m2.sum(axis=0)) - entropy_bits(cond)
+            rows.append({"node": net.names[v], "mi_sh": mi_bits(m2), "posterior_entropy_drop_sh": drop})
+        rows.sort(key=lambda r: (-r["mi_sh"], r["node"]))
+        profile = leakage_profile(net, net.names[last])
+        assert profile.observed_value == str(obs)
+        assert profile.rows_sorted() == rows
 
     def test_large_joint_marginals_equal_one_ndarray_sum(self):
         rng = np.random.default_rng(29)

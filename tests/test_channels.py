@@ -23,6 +23,7 @@ from infoflow import (
     realized_epsilon,
 )
 from infoflow.channels import EPS_MAX, SWEEP_CASE_CAP
+from infoflow.measures import STATE_SPACE_CAP
 from helpers import joint_cells, mi_cells
 
 LN3 = math.log(3)
@@ -84,6 +85,11 @@ class TestRandomizedResponse:
     def test_eps_beyond_the_float_limit_is_refused(self, eps):
         with pytest.raises(ValueError, match="^" + re.escape(f"eps {eps} exceeds {EPS_MAX}, the largest eps")):
             randomized_response(2, eps)
+
+    def test_k_beyond_the_cell_cap_is_refused(self):
+        k = math.isqrt(STATE_SPACE_CAP) + 1
+        with pytest.raises(CapacityError, match=f"k={k} has {k * k} cells, exceeding the cap of {STATE_SPACE_CAP}$"):
+            randomized_response(k, 1.0)
 
     def test_realized_eps_matches_request(self):
         for k, eps in [(2, LN3), (3, 0.7), (6, 2.1)]:
@@ -205,6 +211,13 @@ class TestCompose:
     def test_mismatched_inputs(self):
         with pytest.raises(ValueError, match="input spaces differ"):
             compose(randomized_response(2, 1.0), randomized_response(3, 1.0))
+
+    def test_product_beyond_the_cell_cap_is_refused(self):
+        n = math.isqrt(STATE_SPACE_CAP)
+        c1, c2 = constant_channel(1, n), constant_channel(1, n + 1)
+        with pytest.raises(CapacityError, match=f"a 1x{n} and a 1x{n + 1} channel has {n * (n + 1)} cells, "
+                                                f"exceeding the cap of {STATE_SPACE_CAP}$"):
+            compose(c1, c2)
 
     def test_eps_subadditive_on_random_pairs(self):
         rng = np.random.default_rng(11)

@@ -8,6 +8,7 @@ import shlex
 import subprocess
 import sys
 import time
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
@@ -98,6 +99,26 @@ class TestVerifyBound:
         assert out.splitlines()[0] == "key,value"
 
 
+    @pytest.mark.parametrize(
+        ("argv", "size"),
+        [
+            (["verify-bound", "--rr", "k=100000", "eps=1"], "randomized response with k=100000 has 10000000000 cells"),
+            (["compose", "rr:k=162,eps=1", "rr:k=162,eps=0.5"],
+             "the product of a 162x162 and a 162x162 channel has 4251528 cells"),
+        ],
+    )
+    def test_matrix_beyond_the_cell_cap_exits_3_before_it_is_built(self, argv, size, capsys):
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {size}, exceeding the cap of {2**22}\n"
+        assert peak < 2**20  # the refused matrix would take 32 MB or more
+
+
 class TestSweep:
     def test_capacity_exits_3_naming_size_and_cap(self, capsys):
         # refused before the first case is drawn
@@ -163,6 +184,15 @@ class TestLeakage:
         assert code == 0
         doc = json.loads(out)
         assert doc["report"]["i_tally_v1_sh"] == pytest.approx(0.311278, abs=1e-6)
+
+    def test_debug_logging_leaves_the_report_unchanged(self, caplog, capsys):
+        argv = ("leakage", "--net", data_path("fork_collider.json"), "--message", "M")
+        _, plain = run_cli(*argv, capsys=capsys)
+        with caplog.at_level(logging.DEBUG, logger="infoflow.causal"):
+            _, logged = run_cli(*argv, capsys=capsys)
+        assert logged == plain
+        [message] = [r.getMessage() for r in caplog.records if r.name == "infoflow.causal"]
+        assert message.startswith("leakage_profile: 512 joint states, 9 marginals in ") and message.endswith(" s")
 
     def test_capacity_exits_3(self, tmp_path, capsys):
         nodes = [
