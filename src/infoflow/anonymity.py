@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .channels import BoundCertificate, Channel, check_mi_bound, randomized_response
-from .measures import Dist, load_json, malformed
+from .measures import Dist, _check_seed, load_json, malformed
 
 log = logging.getLogger(__name__)
 
@@ -168,6 +168,7 @@ def dp_release(
     row, in row order, inverted through the row's cumulative channel
     row: bit for bit what ``rng.choice(k, p=row)`` per row draws.
     """
+    _check_seed(seed)
     names = t.column_names()
     if sensitive_column not in names:
         raise ValueError(f"unknown column {sensitive_column!r}")

@@ -23,7 +23,7 @@ import numpy as np
 
 from ._kernels import dense_joint, entropy_bits, merged_view, mi_bits
 from .measures import (
-    STATE_SPACE_CAP, CapacityError, InfoMeasure, _as_tuple, _check_labels, _nonneg, _stochastic, load_json,
+    STATE_SPACE_CAP, CapacityError, InfoMeasure, _as_tuple, _check_labels, _check_seed, _nonneg, _stochastic, load_json,
 )
 from .society import Context, FlowEvent, _check_id, bundle_contexts
 
@@ -363,6 +363,7 @@ def fork_collider_graph(seed: int = 42) -> BayesNet:
     seeded generator, so the resulting leakage values are reproducible
     fixtures.
     """
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     structure = [
         ("A", ()),

@@ -4,15 +4,19 @@ Subcommands: verify-bound, sweep, leakage, simulate, anon, compose.
 Reports and input documents are strict JSON (reports in CSV via --format
 csv). Exit codes: 0 ok, 1 information-cap violated (a theorem-check
 failure that should never occur), 2 input error, 3 capacity exceeded.
+``-v`` before the subcommand writes the infoflow loggers' DEBUG lines
+(timings and sizes) to stderr; reports are the same bytes either way.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
 import json
+import logging
 import sys
 from pathlib import Path
 
@@ -70,6 +74,8 @@ def _parse_kv(tokens: list[str]) -> dict[str, str]:
         if "=" not in tok:
             raise ValueError(f"expected key=value, got {tok!r}")
         k, v = tok.split("=", 1)
+        if k in out:
+            raise ValueError(f"randomized-response key {k!r} given twice")
         out[k] = v
     return out
 
@@ -252,6 +258,8 @@ def _parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=None, help="write the report here instead of stdout")
 
     parser = argparse.ArgumentParser(prog="infoflow", description=__doc__)
+    parser.add_argument("-v", "--verbose", action="store_true",
+                        help="write the infoflow loggers' DEBUG lines (timings and sizes) to stderr")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("verify-bound", parents=[common], help="certify the information cap of a channel")
@@ -298,16 +306,36 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
+def _debug_to_stderr(on: bool):
+    """Write the ``infoflow.*`` loggers' DEBUG lines to stderr for one command, when ``on``."""
+    if not on:
+        yield
+        return
+    logger = logging.getLogger("infoflow")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(name)s: %(message)s"))
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.DEBUG)
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    try:
-        return args.handler(args)
-    except CapacityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAPACITY
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    with _debug_to_stderr(args.verbose):
+        try:
+            return args.handler(args)
+        except CapacityError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_CAPACITY
+        except (ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -41,7 +41,9 @@ def _stochastic(values, shape: tuple[int, ...], what: str, rows: bool = False) -
 
     A table with a cell that is not a number (a string, boolean or null cell) is refused. Booleans
     are looked for before numpy reads the table, which would take ``[true, 0]`` as the integers
-    ``[1, 0]``; an ndarray is taken as numpy already read it.
+    ``[1, 0]``; an ndarray is taken as numpy already read it. A table given as lists, as a document
+    holds it, with a cell above 1 + SUM_TOL (which no stochastic table has) is refused before a
+    cell near the float maximum can overflow its sum.
     """
     a = np.array(values)
     if a.dtype.kind not in "iuf" or _has_bool(values):
@@ -51,6 +53,8 @@ def _stochastic(values, shape: tuple[int, ...], what: str, rows: bool = False) -
         raise ValueError(f"{what} has shape {a.shape}, expected {shape}")
     if not a.min() >= 0:
         raise ValueError(f"{what} has a negative or NaN entry")
+    if not isinstance(values, np.ndarray) and a.max() > 1.0 + SUM_TOL:
+        raise ValueError(f"{what} has an entry above 1")
     if rows:
         deviation = np.abs(a.sum(axis=1) - 1.0)
         if deviation.max() > SUM_TOL:
@@ -65,6 +69,12 @@ def _nonneg(value: float, what: str) -> None:
     """Refuse a ``value`` that is not finite and >= 0 (NaN included)."""
     if not (math.isfinite(value) and value >= 0):
         raise ValueError(f"{what} must be finite and >= 0, got {value}")
+
+
+def _check_seed(seed: int) -> None:
+    """Refuse a negative seed by name, before numpy's bare "expected non-negative integer"."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
 
 
 def _check_keys(doc: dict, known, what: str) -> None:

@@ -23,7 +23,7 @@ from operator import attrgetter
 import numpy as np
 
 from .channels import _check_rr, dp_to_mi_bound
-from .measures import CapacityError, InfoMeasure, _check_keys, _nonneg, load_json
+from .measures import CapacityError, InfoMeasure, _check_keys, _check_seed, _nonneg, load_json
 
 GOVERNANCE_TAGS = (
     "conjunct",
@@ -335,8 +335,7 @@ class Scenario:
     attribution: dict | None = None
 
     def __post_init__(self):
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        _check_seed(self.seed)
         if self.ticks < 0:
             raise ValueError("ticks must be >= 0")
         if self.window < 1:

@@ -74,6 +74,32 @@ def mi_bits_outer(mass) -> float:
     return max(float((mass[m] * np.log2(mass[m] / prod[m])).sum()), 0.0)
 
 
+def dirichlet_sweep(n_cases: int, seed: int, certify) -> tuple:
+    """(violations, max_mi_sh, min_slack_sh) of ``channels.bound_sweep``'s cases drawn one generator at a time.
+
+    Case i draws from a new ``default_rng([seed, i])``: two
+    ``integers(2, 9)`` (inputs, outputs), the channel rows by
+    ``Generator.dirichlet`` (floored at 1e-6 and renormalized), then
+    the prior by ``Generator.dirichlet``. ``certify(rows, probs)``
+    returns the case's certificate.
+    """
+    import numpy as np
+
+    violations, max_mi, min_slack = 0, 0.0, math.inf
+    for case in range(n_cases):
+        rng = np.random.default_rng([seed, case])
+        n_in = int(rng.integers(2, 9))
+        n_out = int(rng.integers(2, 9))
+        rows = rng.dirichlet(np.ones(n_out), size=n_in)
+        np.maximum(rows, 1e-6, out=rows)
+        rows /= rows.sum(axis=1, keepdims=True)
+        cert = certify(rows, rng.dirichlet(np.ones(n_in)))
+        violations += not cert.holds
+        max_mi = max(max_mi, cert.mi_sh)
+        min_slack = min(min_slack, cert.bound_sh - cert.mi_sh)
+    return violations, max_mi, min_slack
+
+
 def joint_cells(prior, rows) -> dict:
     """Cells of prior(x) * rows[x][y], keyed by index pairs."""
     return {

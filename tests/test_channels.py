@@ -22,9 +22,10 @@ from infoflow import (
     randomized_response,
     realized_epsilon,
 )
-from infoflow.channels import EPS_MAX, SWEEP_CASE_CAP
+from infoflow import channels
+from infoflow.channels import EPS_MAX, SWEEP_CASE_CAP, _case_states
 from infoflow.measures import STATE_SPACE_CAP
-from helpers import joint_cells, mi_cells
+from helpers import dirichlet_sweep, joint_cells, mi_cells
 
 LN3 = math.log(3)
 
@@ -295,6 +296,10 @@ class TestSweep:
         with pytest.raises(CapacityError, match=f"{SWEEP_CASE_CAP + 1} cases exceeds the cap of {SWEEP_CASE_CAP}"):
             bound_sweep(SWEEP_CASE_CAP + 1)
 
+    def test_refuses_a_negative_seed_by_name(self):
+        with pytest.raises(ValueError, match=r"seed must be >= 0, got -1"):
+            bound_sweep(1, seed=-1)
+
     def test_reproducible(self):
         a = bound_sweep(20, seed=9)
         b = bound_sweep(20, seed=9)
@@ -313,6 +318,50 @@ class TestSweep:
         assert result.violations == 0
         assert result.max_mi_sh == pytest.approx(float.fromhex(max_mi), abs=1e-12)
         assert result.min_slack_sh == pytest.approx(float.fromhex(min_slack), abs=1e-12)
+
+
+SEEDS = (0, 1, 2**31 - 1, 2**32, 2**100 + 7)  # one to four 32-bit seed words
+
+
+def certify(rows, probs):
+    n_in, n_out = rows.shape
+    inputs = tuple(f"x{i}" for i in range(n_in))
+    return check_mi_bound(Channel(inputs, tuple(f"y{j}" for j in range(n_out)), rows), Dist(inputs, probs))
+
+
+class TestSweepStreams:
+    """The sweep's draws are numpy's, bit for bit: a numpy release that changed either stream fails here."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("case", [0, 1, 4095, 4096, 2**20 - 1])
+    def test_case_state_is_default_rngs(self, seed, case):
+        assert list(_case_states(seed, case, case + 1)) == [np.random.default_rng([seed, case]).bit_generator.state]
+
+    def test_states_of_a_run_of_cases(self):
+        states = list(_case_states(2**32, 1020, 1030))
+        assert states == [np.random.default_rng([2**32, case]).bit_generator.state for case in range(1020, 1030)]
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_draws_are_generator_dirichlet(self, n):
+        for seed in range(5):
+            rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+            for n_out in range(2, 9):
+                rows = reference.dirichlet(np.ones(n_out), size=n)
+                np.maximum(rows, 1e-6, out=rows)
+                rows /= rows.sum(axis=1, keepdims=True)
+                assert np.array_equal(random_channel(n, n_out, rng).rows, rows)
+            assert np.array_equal(random_prior(n, rng).probs, reference.dirichlet(np.ones(n)))
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("cases", [1, 500, 2000])
+    def test_sweep_is_the_per_case_generator_sweep(self, seed, cases):
+        result = bound_sweep(cases, seed=seed)
+        assert (result.violations, result.max_mi_sh, result.min_slack_sh) == dirichlet_sweep(cases, seed, certify)
+
+    def test_sweep_across_seeding_chunks(self, monkeypatch):
+        monkeypatch.setattr(channels, "_SEED_CHUNK", 7)
+        result = bound_sweep(60, seed=2**100 + 7)
+        assert (result.violations, result.max_mi_sh, result.min_slack_sh) == dirichlet_sweep(60, 2**100 + 7, certify)
 
 
 class TestChannelType:

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import io
 import json
 import logging
@@ -17,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import infoflow
-from infoflow import cli, society
+from infoflow import causal, cli, society
 from infoflow.cli import _emit, main
 from infoflow.society import write_events_jsonl, write_ledger_json
 from helpers import joint_cells, mi_cells
@@ -542,6 +543,11 @@ MALFORMED = {
     "nodes-not-a-list": ({"n.json": '{"nodes": 5}'}, ["leakage", "--net", "n.json", "--message", "M"]),
     "entities-not-a-list": ({"s.json": '{"entities": {"a": 1}}'}, ["simulate", "--scenario", "s.json"]),
     "channel-is-a-list": ({"c.json": "[[0.5, 0.5]]"}, ["verify-bound", "--channel", "c.json"]),
+    # the row sum would overflow to inf, and numpy would warn on stderr
+    "channel-cells-near-float-max": (
+        {"c.json": json.dumps({"inputs": ["a", "b"], "outputs": ["x", "y"], "rows": [[1e308, 1e308], [0.5, 0.5]]})},
+        ["verify-bound", "--channel", "c.json"],
+    ),
     "roles-not-a-mapping": (
         {"r.json": '{"roles": 5}'},
         ["anon", data_path("anon_release.csv"), "--dp", "1", "--sensitive", "diagnosis", "--roles", "r.json"],
@@ -655,6 +661,12 @@ MALFORMED = {
     "rr-token-without-equals": ({}, ["verify-bound", "--rr", "k2", "eps=1"]),
     "rr-spec-without-eps": ({}, ["compose", "rr:k=2", "rr:k=2,eps=1"]),
     "rr-spec-without-k": ({}, ["verify-bound", "--rr", "eps=1"]),
+    "rr-repeated-key": ({}, ["verify-bound", "--rr", "k=2", "eps=1", "k=3"]),
+    "rr-spec-repeated-key": ({}, ["verify-bound", "--channel", "rr:k=2,eps=1,k=3"]),
+    "sweep-seed-negative": ({}, ["sweep", "--cases", "1", "--seed", "-1"]),
+    "fork-collider-seed-negative": ({}, ["leakage", "--scenario", "fork-collider", "--seed", "-1"]),
+    "dp-seed-negative": ({}, ["anon", data_path("anon_release.csv"), "--dp", "1", "--sensitive", "diagnosis",
+                              "--seed", "-1"]),
     "mechanism-kind": (
         {"s.json": _twins_datum(mechanism={"kind": "laplace", "k": 2, "eps": 1})},
         ["simulate", "--scenario", "s.json"],
@@ -781,6 +793,7 @@ REFUSED_BY = {
     "duplicate-node-name": "duplicate node name",
     "duplicate-parents": "duplicate parents",
     "channel-rows-mismatch-labels": "channel has shape (1, 2), expected (2, 2)",
+    "channel-cells-near-float-max": "channel has an entry above 1",
     "channel-without-labels": "inputs must be non-empty",
     "leakage-net-and-scenario": "exactly one of --net or --scenario",
     "leakage-without-net-or-scenario": "exactly one of --net or --scenario",
@@ -789,6 +802,11 @@ REFUSED_BY = {
     "rr-token-without-equals": "expected key=value",
     "rr-spec-without-eps": "randomized response needs",
     "rr-spec-without-k": "randomized response needs",
+    "rr-repeated-key": "randomized-response key 'k' given twice",
+    "rr-spec-repeated-key": "randomized-response key 'k' given twice",
+    "sweep-seed-negative": "seed must be >= 0, got -1",
+    "fork-collider-seed-negative": "seed must be >= 0, got -1",
+    "dp-seed-negative": "seed must be >= 0, got -1",
     "mechanism-kind": "unsupported mechanism kind",
     "governance-tag": "unknown governance tag",
     "domain-size-zero": "domain_size must be >= 1",
@@ -903,6 +921,75 @@ class TestFuzzedDocuments:
             assert "Traceback" not in err.getvalue()
 
 
+# Valid documents of each input type, each mutated at one or two points below.
+VALID = {
+    "scenario": TWINS,
+    "net": causal.net_to_json_dict(causal.fork_collider_graph()),
+    "channel": {"inputs": ["a", "b", "c"], "outputs": ["x", "y"], "rows": [[0.5, 0.5], [0.25, 0.75], [0.9, 0.1]]},
+    "prior": {"outcomes": ["a", "b", "c"], "probs": [0.2, 0.3, 0.5]},
+    "roles": json.loads(Path(data_path("anon_release.csv.roles.json")).read_text()),
+}
+DELETE = object()
+MUTATIONS = (None, True, False, 1e308, 10**30, "nan", [], {}, DELETE)
+
+
+def _points(doc, path=()):
+    """Paths to every value inside a JSON document, the document itself excluded."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _points(value, path + (key,))
+
+
+@st.composite
+def mutated(draw):
+    """(document type, that document with one or two points replaced or deleted)."""
+    kind = draw(st.sampled_from(sorted(VALID)))
+    doc = copy.deepcopy(VALID[kind])
+    for _ in range(draw(st.integers(1, 2))):
+        points = list(_points(doc))
+        if not points:
+            break
+        *parents, key = draw(st.sampled_from(points))
+        parent = doc
+        for step in parents:
+            parent = parent[step]
+        value = draw(st.sampled_from(MUTATIONS))
+        if value is DELETE:
+            del parent[key]
+        else:
+            parent[key] = copy.deepcopy(value)
+    return kind, doc
+
+
+class TestMutatedDocuments:
+    @given(case=mutated())
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_mutated_document_exits_0_2_or_3_with_one_error_line(self, case, tmp_path):
+        kind, doc = case
+        paths = {name: _write(tmp_path, f"{name}.json", json.dumps(VALID[name])) for name in VALID}
+        paths[kind] = _write(tmp_path, f"{kind}.json", json.dumps(doc))
+        runs = {
+            "channel": [["verify-bound", "--channel", paths["channel"], "--prior", paths["prior"]],
+                        ["compose", paths["channel"], paths["channel"], "--prior", paths["prior"]]],
+            "prior": [["verify-bound", "--channel", paths["channel"], "--prior", paths["prior"]]],
+            "net": [["leakage", "--net", paths["net"], "--message", "M"]],
+            "scenario": [["simulate", "--scenario", paths["scenario"], "--out", str(tmp_path / "out")]],
+            "roles": [["anon", data_path("anon_release.csv"), data_path("anon_aux.csv"), "--roles", paths["roles"]],
+                      ["anon", data_path("anon_release.csv"), "--dp", "1", "--sensitive", "diagnosis",
+                       "--roles", paths["roles"]]],
+        }
+        for argv in runs[kind]:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+                code = main(argv)
+            lines = err.getvalue().splitlines()
+            assert code in (0, 2, 3), (argv, doc, err.getvalue())
+            if code == 0:
+                assert lines == [], (argv, doc)
+            else:
+                assert len(lines) == 1 and lines[0].startswith("error: "), (argv, doc, lines)
+
+
 # eps as command-line text: any float up to 1e308, floats around the e^eps overflow at 709.78, and non-finite text
 EPS_TEXT = (
     st.floats(min_value=-1e308, max_value=1e308).map(repr)
@@ -951,6 +1038,55 @@ class TestOptions:
         _, zero = run_cli("leakage", "--scenario", "fork-collider", "--seed", "0", capsys=capsys)
         _, explicit = run_cli("leakage", "--scenario", "fork-collider", "--seed", "42", capsys=capsys)
         assert default == explicit != zero
+
+
+class TestVerbose:
+    GOLDEN_RUNS = [
+        (["verify-bound", "--rr", "k=2", f"eps={LN3}", "--prior", "uniform"], "verify_bound_rr.json", []),
+        (["leakage", "--scenario", "fork-collider"], "leakage_fork_collider.json", ["infoflow.causal: leakage_profile: "]),
+        (["anon", data_path("anon_release.csv"), data_path("anon_aux.csv")], "anon_attack.json",
+         ["infoflow.anonymity: linkage_attack: "]),
+    ]
+
+    @pytest.mark.parametrize(("argv", "golden", "logged"), GOLDEN_RUNS)
+    def test_reports_are_the_golden_bytes_with_and_without_v(self, argv, golden, logged, capsys):
+        assert main(argv) == 0
+        plain = capsys.readouterr()
+        assert main(["-v", *argv]) == 0
+        verbose = capsys.readouterr()
+        assert plain.out == verbose.out == (GOLDEN / golden).read_text()
+        assert plain.err == ""
+        assert [line for line in verbose.err.splitlines() if not line.startswith("infoflow.")] == []
+        for prefix in logged:
+            assert any(line.startswith(prefix) for line in verbose.err.splitlines())
+
+    def test_simulate_logs_are_the_golden_bytes_with_and_without_v(self, tmp_path, capsys):
+        for flags, out in (([], tmp_path / "plain"), (["-v"], tmp_path / "verbose")):
+            assert main([*flags, "simulate", "--scenario", data_path("twins.json"), "--out", str(out)]) == 0
+            for name in ("twins_events.jsonl", "twins_ledger.json"):
+                assert (out / name.removeprefix("twins_")).read_bytes() == (GOLDEN / name).read_bytes()
+        assert "memo hits" in capsys.readouterr().err
+
+    def test_sweep_logs_cases_per_second_with_v_only(self, capsys):
+        def report(out):
+            doc = json.loads(out)
+            del doc["seconds"]  # the sweep's wall time
+            return doc
+
+        assert main(["sweep", "--cases", "30", "--seed", "5"]) == 0
+        plain = capsys.readouterr()
+        assert main(["-v", "sweep", "--cases", "30", "--seed", "5"]) == 0
+        verbose = capsys.readouterr()
+        assert report(verbose.out) == report(plain.out)
+        assert plain.err == ""
+        [line] = verbose.err.splitlines()
+        assert line.startswith("infoflow.channels: bound_sweep: 30 cases in ") and line.endswith(" cases/s")
+
+    def test_v_holds_for_one_call_only(self, capsys):
+        main(["-v", "sweep", "--cases", "3"])
+        capsys.readouterr()
+        main(["sweep", "--cases", "3"])
+        assert capsys.readouterr().err == ""
 
 
 class TestStrictOutput:
