@@ -424,7 +424,8 @@ def attribute_flows(
     a receiver accumulates messages, the leak of each flow is measured
     conditionally on the earlier explicit messages in the same context.
     Each distinct (message, node, conditioning sequence) is evaluated
-    once per call; repeats reuse that value, so they are bit-identical.
+    once per call; repeats, below-threshold ones included, reuse that
+    value, and the induced flows of one such key share one InfoMeasure.
 
     ``node_of`` optionally maps datum ids to net nodes; data without a
     mapping are skipped. Without it, each datum id must itself be a
@@ -440,8 +441,9 @@ def attribute_flows(
 
     owned = [(node.name, ownership[node.name], node.card) for node in net.nodes if node.name in ownership]
     dense = joint(net)
-    # (message, node, conditioning in order) -> I(message; node | conditioning)
-    memo: dict[tuple[str, str, tuple[str, ...]], float] = {}
+    # (message, node, conditioning in order) -> the measure of I(message; node | conditioning),
+    # or None when that is at or below threshold
+    memo: dict[tuple[str, str, tuple[str, ...]], InfoMeasure | None] = {}
     hits = 0
     pairs: list[tuple[Context, Context]] = []
     for ctx in bundle_contexts(context_log, window=window):
@@ -453,35 +455,27 @@ def attribute_flows(
             if m is None:
                 continue
             given = tuple(conditioning)
-            leaks: dict[str, list[tuple[str, float, int]]] = {}
+            leaks: dict[str, list[tuple[str, InfoMeasure]]] = {}
             for name, owner, card in owned:
                 if name == m or owner in (flow.sender, flow.receiver):
                     continue
                 key = (m, name, given)
-                mi = memo.get(key)
-                if mi is None:
-                    mi = memo[key] = conditional_mi(dense, m, name, given)
-                else:
+                if key in memo:
+                    measure = memo[key]
                     hits += 1
-                if mi > threshold:
-                    leaks.setdefault(owner, []).append((name, mi, card))
+                else:
+                    mi = conditional_mi(dense, m, name, given)
+                    measure = memo[key] = InfoMeasure(mi, card, 1) if mi > threshold else None
+                if measure is not None:
+                    leaks.setdefault(owner, []).append((name, measure))
             for owner, leaked in leaks.items():
                 induced_id = f"{flow.id}~{owner}"
-                induced_flows = tuple(
-                    FlowEvent(
-                        id=f"{induced_id}:{node_name}",
-                        t=flow.t,
-                        sender=owner,
-                        receiver=flow.receiver,
-                        datum=node_name,
-                        measure=InfoMeasure(selective_sh=mi, logons=card, metrons=1),
-                        kind="implicit",
-                        context_id=induced_id,
-                    )
-                    for node_name, mi, card in leaked
-                )
-                induced = Context(id=induced_id, t=flow.t, sender=owner, receiver=flow.receiver, flows=induced_flows)
-                pairs.append((ctx, induced))
+                induced_flows = [
+                    FlowEvent(f"{induced_id}:{name}", flow.t, owner, flow.receiver, name, measure, "implicit",
+                              induced_id)
+                    for name, measure in leaked
+                ]
+                pairs.append((ctx, Context(induced_id, flow.t, owner, flow.receiver, induced_flows)))
             if m not in conditioning:
                 conditioning.append(m)
     log.debug("attribute_flows: %d distinct conditional_mi evaluations, %d memo hits", len(memo), hits)

@@ -14,11 +14,15 @@ release budgets on explicit flows.
 from __future__ import annotations
 
 import csv
+import functools
 import json
+import logging
 import math
+import time
 from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring_ascii as _str
 from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,6 +40,8 @@ GOVERNANCE_TAGS = (
 FLOW_KINDS = ("explicit", "implicit")
 DRAW_CAP = 2**24  # draws in one run: ticks * (explicit candidates + implicit channels)
 _ID_TAG = {"explicit": "x", "implicit": "i"}  # flow ids open with the kind's tag
+
+log = logging.getLogger(__name__)
 
 
 def _check_id(value, what: str) -> None:
@@ -157,10 +163,21 @@ class ImplicitChannel:
             raise ValueError(f"implicit channel p must be in [0,1], got {self.p}")
 
 
-@dataclass(frozen=True)
-class FlowEvent:
-    """One atomic, pairwise flow of a single datum."""
+class _Record:
+    """Base of the tuple records below: ``_make``, and so ``_replace``, builds through the validating ``__new__``.
 
+    A ``NamedTuple``'s own ``_make`` calls ``tuple.__new__`` and skips every check. Pickling and
+    ``copy`` pass the fields to ``__new__``, so they are checked too.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class _FlowFields(NamedTuple):
     id: str
     t: int
     sender: str
@@ -170,17 +187,21 @@ class FlowEvent:
     kind: str
     context_id: str
 
-    def __post_init__(self):
-        if self.sender == self.receiver:
+
+class FlowEvent(_Record, _FlowFields):
+    """One atomic, pairwise flow of a single datum."""
+
+    __slots__ = ()
+
+    def __new__(cls, id, t, sender, receiver, datum, measure, kind, context_id):
+        if sender == receiver:
             raise ValueError("flow sender and receiver must differ")
-        if self.kind not in FLOW_KINDS:
-            raise ValueError(f"kind must be one of {FLOW_KINDS}, got {self.kind!r}")
+        if kind not in FLOW_KINDS:
+            raise ValueError(f"kind must be one of {FLOW_KINDS}, got {kind!r}")
+        return tuple.__new__(cls, (id, t, sender, receiver, datum, measure, kind, context_id))
 
 
-@dataclass(frozen=True)
-class BudgetStop:
-    """Record of an explicit release suppressed by an exhausted budget."""
-
+class _StopFields(NamedTuple):
     t: int
     sender: str
     receiver: str
@@ -189,21 +210,36 @@ class BudgetStop:
     headroom_sh: float
 
 
-@dataclass(frozen=True)
-class Context:
-    """Flows bundled by shared (sender, receiver) within a tick window."""
+class BudgetStop(_Record, _StopFields):
+    """Record of an explicit release suppressed by an exhausted budget."""
 
+    __slots__ = ()
+
+    def __new__(cls, t, sender, receiver, datum, attempted_sh, headroom_sh):
+        if sender == receiver:
+            raise ValueError("budget stop sender and receiver must differ")
+        return tuple.__new__(cls, (t, sender, receiver, datum, attempted_sh, headroom_sh))
+
+
+class _ContextFields(NamedTuple):
     id: str
     t: int
     sender: str
     receiver: str
     flows: tuple[FlowEvent, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "flows", tuple(self.flows))
-        for f in self.flows:
-            if (f.sender, f.receiver) != (self.sender, self.receiver):
+
+class Context(_Record, _ContextFields):
+    """Flows bundled by shared (sender, receiver) within a tick window."""
+
+    __slots__ = ()
+
+    def __new__(cls, id, t, sender, receiver, flows):
+        flows = tuple(flows)
+        for f in flows:
+            if f.sender != sender or f.receiver != receiver:
                 raise ValueError("context flows must share sender and receiver")
+        return tuple.__new__(cls, (id, t, sender, receiver, flows))
 
 
 @dataclass
@@ -407,16 +443,8 @@ class Simulation:
 
         def fire(kind: str, sender: str, receiver: str, datum: str, measure: InfoMeasure) -> None:
             events.append(
-                FlowEvent(
-                    id=f"{_ID_TAG[kind]}:{t}:{sender}>{receiver}:{datum}",
-                    t=t,
-                    sender=sender,
-                    receiver=receiver,
-                    datum=datum,
-                    measure=measure,
-                    kind=kind,
-                    context_id=f"c:{t}:{sender}>{receiver}",
-                )
+                FlowEvent(f"{_ID_TAG[kind]}:{t}:{sender}>{receiver}:{datum}", t, sender, receiver, datum, measure,
+                          kind, f"c:{t}:{sender}>{receiver}")
             )
             self.ledger.record(sender, receiver, datum, measure.selective_sh)
 
@@ -429,14 +457,8 @@ class Simulation:
             sender, receiver = self._ids[k], self._ids[j + (j >= k)]
             if self.ledger.would_exceed(sender, receiver, datum, measure.selective_sh):
                 stops.append(
-                    BudgetStop(
-                        t=t,
-                        sender=sender,
-                        receiver=receiver,
-                        datum=datum,
-                        attempted_sh=measure.selective_sh,
-                        headroom_sh=self.ledger.headroom(sender, receiver, datum),
-                    )
+                    BudgetStop(t, sender, receiver, datum, measure.selective_sh,
+                               self.ledger.headroom(sender, receiver, datum))
                 )
             else:
                 fire("explicit", sender, receiver, datum, measure)
@@ -451,8 +473,15 @@ class Simulation:
         return events, stops
 
     def run(self) -> SimulationResult:
+        t0 = time.perf_counter()
         for _ in range(self.scenario.ticks):
             self.step()
+        log.debug(
+            "Simulation.run: %d ticks, %d candidates and %d implicit channels per tick, "
+            "%d events, %d budget stops in %.3f s",
+            self.scenario.ticks, len(self._p), len(self._implicit), len(self.events), len(self.stops),
+            time.perf_counter() - t0,
+        )
         return SimulationResult(events=list(self.events), stops=list(self.stops), ledger=self.ledger)
 
 
@@ -512,10 +541,9 @@ def bundle_contexts(events: list[FlowEvent], window: int = 1) -> list[Context]:
     groups.extend(open_ctx.values())
     # contexts of one pair open at distinct ticks, so this key is unique
     groups.sort(key=lambda fs: (fs[0].t, fs[0].sender, fs[0].receiver))
-    return [
-        Context(id=f"C{i:04d}", t=fs[0].t, sender=fs[0].sender, receiver=fs[0].receiver, flows=tuple(fs))
-        for i, fs in enumerate(groups)
-    ]
+    contexts = [Context(f"C{i:04d}", fs[0].t, fs[0].sender, fs[0].receiver, fs) for i, fs in enumerate(groups)]
+    log.debug("bundle_contexts: %d contexts of window %d", len(contexts), window)
+    return contexts
 
 
 def ledger_report(ledger: Ledger) -> list[dict]:
@@ -549,13 +577,19 @@ def _number(value, what: str) -> float:
     return float(value)
 
 
+@functools.cache
+def _field_names(cls) -> tuple[str, ...]:
+    """The field names of dataclass ``cls``, read once per class rather than once per record."""
+    return tuple(f.name for f in fields(cls))
+
+
 def _from_json(cls, doc: dict, what: str, **convert):
     """``cls`` from a JSON object keyed by its field names, ``convert[key]`` applied to each value.
 
     ``int`` and ``float`` there stand for ``_integer`` and ``_number``. A key that is not a field is
     refused; an absent one takes the field's default.
     """
-    _check_keys(doc, [f.name for f in fields(cls)], what)
+    _check_keys(doc, _field_names(cls), what)
 
     def value(k, v):
         c = convert.get(k)

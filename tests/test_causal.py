@@ -28,6 +28,7 @@ import infoflow
 from infoflow import causal, measures
 from infoflow._kernels import entropy_bits, mi_bits
 from infoflow.causal import STATE_SPACE_CAP, load_net, net_from_json_dict, net_to_json_dict
+from infoflow.society import scenario_from_json_dict, simulate
 from infoflow.cli import main
 from helpers import entropy_cells, mi_cells, naive_net_joint, naive_pair_mi, sum_marginal
 
@@ -560,6 +561,69 @@ class TestAttributionMemo:
         monkeypatch.setattr(causal, "conditional_mi", counting)
         attribute_flows(events, net, ownership, node_of=REPEATED_NODE_OF)
         assert set(nodes) == set(ownership)
+
+    def test_below_threshold_repeats_are_not_evaluated_again(self, monkeypatch):
+        net, events = fork_collider_graph(seed=42), repeated_flows_log()
+        _, keys = per_flow_attribution(events, net, REPEATED_OWNERSHIP, REPEATED_NODE_OF)
+        dense = joint(net)
+        mis = {key: conditional_mi(dense, *key) for key in set(keys)}
+        threshold = sorted(mis.values())[len(mis) // 2]
+        below = [key for key in keys if mis[key] <= threshold]
+        assert len(below) > len(set(below))  # keys at or below the threshold repeat
+        expected, _ = per_flow_attribution(events, net, REPEATED_OWNERSHIP, REPEATED_NODE_OF, threshold)
+        calls = collections.Counter()
+
+        def counting(dense, a, b, given=()):
+            calls[a, b, tuple(given)] += 1
+            return conditional_mi(dense, a, b, given)
+
+        monkeypatch.setattr(causal, "conditional_mi", counting)
+        pairs = attribute_flows(events, net, REPEATED_OWNERSHIP, threshold=threshold, node_of=REPEATED_NODE_OF)
+        assert calls == collections.Counter(set(keys))
+        assert expected and pair_summary(pairs) == expected
+
+    def test_induced_flows_of_one_key_share_one_measure(self):
+        net, events = fork_collider_graph(seed=42), repeated_flows_log()
+        _, keys = per_flow_attribution(events, net, REPEATED_OWNERSHIP, REPEATED_NODE_OF)
+        dense = joint(net)
+        leaking = {key for key in keys if conditional_mi(dense, *key) > 1e-6}
+        pairs = attribute_flows(events, net, REPEATED_OWNERSHIP, node_of=REPEATED_NODE_OF)
+        flows = [f for _, ctx in pairs for f in ctx.flows]
+        assert len({id(f.measure) for f in flows}) == len(leaking) < len(flows)
+        assert all(f.measure == InfoMeasure(f.measure.selective_sh, net.node(f.datum).card, 1) for f in flows)
+
+    def test_pairs_equal_the_per_flow_oracle_on_the_twins_scenario(self):
+        doc = json.loads(resources.files("infoflow.data").joinpath("twins.json").read_text())
+        scenario = scenario_from_json_dict({**doc, "ticks": 12})
+        net = net_from_json_dict(doc["attribution"]["net"])
+        ownership, node_of = doc["attribution"]["ownership"], doc["attribution"]["message_nodes"]
+        events = simulate(scenario).events
+        expected, keys = per_flow_attribution(events, net, ownership, node_of)
+        assert expected and len(keys) > len(set(keys))
+        assert pair_summary(attribute_flows(events, net, ownership, node_of=node_of)) == expected
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_pairs_equal_the_per_flow_oracle_on_random_small_nets(self, seed):
+        rng = np.random.default_rng(seed)
+        net = random_small_net(rng, n_nodes=int(rng.integers(3, 7)))
+        names = rng.permutation([node.name for node in net.nodes]).tolist()
+        # messages come from unowned nodes and none repeats in a context: a node both
+        # measured and conditioned on is conditional_mi's repeated-node refusal, not a memo question
+        split = int(rng.integers(1, len(names)))
+        messages, entities = names[:split], ["a", "b", "c", "d"]
+        ownership = {name: entities[int(rng.integers(4))] for name in names[split:]}
+        pairs = list(itertools.permutations(entities, 2))
+        events = []
+        for t in range(3):
+            for p in rng.choice(len(pairs), size=int(rng.integers(1, 5)), replace=False).tolist():
+                sent = rng.choice(messages, size=int(rng.integers(1, split + 1)), replace=False).tolist()
+                events += [explicit_event(*pairs[p], name, t=t) for name in sent]
+        node_of = {name: name for name in names}
+        threshold = [1e-6, 0.05][seed % 2]
+        expected, _ = per_flow_attribution(events, net, ownership, node_of, threshold)
+        pairs = attribute_flows(events, net, ownership, threshold=threshold, node_of=node_of)
+        assert pair_summary(pairs) == expected
+        assert all(f.measure.logons == net.node(f.datum).card for _, ctx in pairs for f in ctx.flows)
 
     def test_counts_are_logged_at_debug(self, caplog):
         net, events = fork_collider_graph(seed=42), repeated_flows_log()

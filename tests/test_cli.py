@@ -5,6 +5,7 @@ import json
 import logging
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -1065,7 +1066,12 @@ class TestVerbose:
             assert main([*flags, "simulate", "--scenario", data_path("twins.json"), "--out", str(out)]) == 0
             for name in ("twins_events.jsonl", "twins_ledger.json"):
                 assert (out / name.removeprefix("twins_")).read_bytes() == (GOLDEN / name).read_bytes()
-        assert "memo hits" in capsys.readouterr().err
+        logged = capsys.readouterr().err.splitlines()
+        [run] = [line for line in logged if line.startswith("infoflow.society: Simulation.run: ")]
+        assert re.fullmatch(r"infoflow\.society: Simulation\.run: 1 ticks, 4 candidates and 0 implicit channels "
+                            r"per tick, 2 events, 0 budget stops in \d+\.\d{3} s", run)
+        assert "infoflow.society: bundle_contexts: 1 contexts of window 1" in logged
+        assert any(line.endswith("memo hits") for line in logged)
 
     def test_sweep_logs_cases_per_second_with_v_only(self, capsys):
         def report(out):

@@ -1,6 +1,8 @@
+import copy
 import io
 import json
 import math
+import pickle
 import re
 from importlib import resources
 
@@ -469,6 +471,75 @@ class TestBundleContexts:
     def test_context_requires_shared_pair(self):
         with pytest.raises(ValueError, match="share sender"):
             Context("c", 0, "a", "b", (flow(0, "a", "x", "d"),))
+
+
+def valid_records():
+    f = flow(0, "a", "b", "d")
+    return [f, BudgetStop(1, "a", "b", "d", 1.0, 0.5), Context("C0000", 0, "a", "b", [f])]
+
+
+# each record with one field that its checks refuse
+INVALID_FIELDS = [
+    (0, {"receiver": "a"}, "sender and receiver must differ"),
+    (0, {"kind": "bogus"}, "kind must be one of"),
+    (1, {"sender": "b"}, "sender and receiver must differ"),
+    (2, {"receiver": "x"}, "context flows must share sender and receiver"),
+    (2, {"flows": [flow(0, "b", "a", "d")]}, "context flows must share sender and receiver"),
+]
+
+
+class TestRecords:
+    @pytest.mark.parametrize(("which", "change", "message"), INVALID_FIELDS)
+    def test_every_construction_path_refuses_invalid_fields(self, which, change, message):
+        record = valid_records()[which]
+        fields = {**record._asdict(), **change}
+        cls = type(record)
+        with pytest.raises(ValueError, match=message):
+            cls(**fields)
+        with pytest.raises(ValueError, match=message):
+            cls(*fields.values())
+        with pytest.raises(ValueError, match=message):
+            cls._make(fields.values())
+        with pytest.raises(ValueError, match=message):
+            record._replace(**change)
+
+    @pytest.mark.parametrize("which", range(3))
+    def test_fields_cannot_be_assigned(self, which):
+        record = valid_records()[which]
+        with pytest.raises(AttributeError):
+            record.t = 5
+        with pytest.raises(AttributeError):
+            record.extra = 1
+
+    @pytest.mark.parametrize("which", range(3))
+    def test_equal_to_a_tuple_of_its_fields_and_hashed_alike(self, which):
+        record = valid_records()[which]
+        fields = tuple(getattr(record, name) for name in record._fields)
+        assert record == fields and hash(record) == hash(fields)
+        assert type(record)._make(fields) == record and record._replace() == record
+
+    def test_field_names_and_order(self):
+        assert FlowEvent._fields == ("id", "t", "sender", "receiver", "datum", "measure", "kind", "context_id")
+        assert BudgetStop._fields == ("t", "sender", "receiver", "datum", "attempted_sh", "headroom_sh")
+        assert Context._fields == ("id", "t", "sender", "receiver", "flows")
+
+    def test_context_flows_become_a_tuple(self):
+        assert valid_records()[2].flows == (flow(0, "a", "b", "d"),)
+
+    @pytest.mark.parametrize("which", range(3))
+    def test_pickle_and_copy_keep_the_record(self, which):
+        record = valid_records()[which]
+        for twin in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
+            assert type(twin) is type(record) and twin == record
+
+    @pytest.mark.parametrize(("which", "change", "message"), INVALID_FIELDS)
+    def test_pickle_and_copy_rebuild_through_the_checks(self, which, change, message):
+        record = valid_records()[which]
+        # a record built past __new__, as a NamedTuple's own _make would build it
+        forged = tuple.__new__(type(record), tuple({**record._asdict(), **change}.values()))
+        for rebuild in (lambda r: pickle.loads(pickle.dumps(r)), copy.copy, copy.deepcopy):
+            with pytest.raises(ValueError, match=message):
+                rebuild(forged)
 
 
 class TestScenarioJson:
