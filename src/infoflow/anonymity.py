@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .channels import BoundCertificate, Channel, check_mi_bound, randomized_response
-from .measures import Dist, _check_seed, load_json, malformed
+from .measures import Dist, _at_least, _check_keys, _distinct, _unit, load_json, malformed
 
 log = logging.getLogger(__name__)
 
@@ -48,9 +48,7 @@ class Table:
         object.__setattr__(self, "columns", tuple((n, r) for n, r in self.columns))
         if set(map(type, chain.from_iterable(self.columns))) - {str}:
             raise ValueError(f"column names and roles must be strings, got {self.columns}")
-        names = [n for n, _ in self.columns]
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate column names")
+        _distinct([n for n, _ in self.columns], "column names")
         for _, role in self.columns:
             if role not in ROLES:
                 raise ValueError(f"unknown column role {role!r}")
@@ -87,12 +85,9 @@ class AnonReport:
     reid_rate: float
 
     def __post_init__(self):
-        if self.k_achieved < 1:
-            raise ValueError("k_achieved must be >= 1")
-        for name in ("homogeneity_rate", "reid_rate"):
-            v = getattr(self, name)
-            if not (0.0 <= v <= 1.0):
-                raise ValueError(f"{name} must be in [0,1], got {v}")
+        _at_least(self.k_achieved, 1, "k_achieved")
+        _unit(self.homogeneity_rate, "homogeneity_rate")
+        _unit(self.reid_rate, "reid_rate")
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -168,7 +163,7 @@ def dp_release(
     row, in row order, inverted through the row's cumulative channel
     row: bit for bit what ``rng.choice(k, p=row)`` per row draws.
     """
-    _check_seed(seed)
+    _at_least(seed, 0, "seed")
     names = t.column_names()
     if sensitive_column not in names:
         raise ValueError(f"unknown column {sensitive_column!r}")
@@ -176,8 +171,7 @@ def dp_release(
     values = t.column(sensitive_column)
     categories = tuple(sorted(set(values)))
     k = len(categories)
-    if k < 2:
-        raise ValueError(f"column {sensitive_column!r} needs >= 2 categories")
+    _at_least(k, 2, f"categories in column {sensitive_column!r}")
     index = {c: i for i, c in enumerate(categories)}
     codes = np.fromiter(map(index.__getitem__, values), dtype=np.intp, count=len(values))
     log.debug("dp_release: %d rows, %d categories", len(values), k)
@@ -212,7 +206,7 @@ def default_roles_path(csv_path) -> Path:
 def read_table(csv_path, roles_path=None) -> Table:
     """Load a CSV with its JSON sidecar declaring column roles."""
     roles_path = default_roles_path(csv_path) if roles_path is None else Path(roles_path)
-    roles = load_json(roles_path, lambda doc: dict(doc["roles"].items()))
+    roles = load_json(roles_path, lambda doc: dict(_check_keys(doc, ("roles",), "roles sidecar")["roles"].items()))
     with open(csv_path, newline="") as fh, malformed(csv_path):
         reader = csv.reader(fh)
         header = next(reader, None)

@@ -23,9 +23,10 @@ import numpy as np
 
 from ._kernels import dense_joint, entropy_bits, merged_view, mi_bits
 from .measures import (
-    STATE_SPACE_CAP, CapacityError, InfoMeasure, _as_tuple, _check_labels, _check_seed, _nonneg, _stochastic, load_json,
+    STATE_SPACE_CAP, CapacityError, InfoMeasure, _as_tuple, _at_least, _check_id, _check_keys, _check_labels,
+    _check_size, _distinct, _nonneg, _stochastic, load_json,
 )
-from .society import Context, FlowEvent, _check_id, bundle_contexts
+from .society import Context, FlowEvent, bundle_contexts
 
 JOINT_SUM_TOL = 1e-6
 
@@ -47,12 +48,10 @@ class Node:
     cpt: np.ndarray
 
     def __post_init__(self):
-        if not isinstance(self.name, str):
-            raise ValueError(f"node name must be a string, got {self.name!r}")
+        _check_id(self.name, "node name")
         object.__setattr__(self, "states", _check_labels(self.states, f"states of {self.name}"))
         object.__setattr__(self, "parents", _as_tuple(self.parents, f"parents of {self.name!r}"))
-        if len(set(self.parents)) != len(self.parents):
-            raise ValueError(f"duplicate parents on node {self.name!r}")
+        _distinct(self.parents, f"parents on node {self.name!r}")
         # a root's cpt may be given as one flat row; BayesNet checks the row count
         c = [self.cpt] if np.ndim(self.cpt) < 2 else self.cpt
         shape = (max(len(c), 1), len(self.states))
@@ -72,10 +71,9 @@ class BayesNet:
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", tuple(self.nodes))
+        _distinct([node.name for node in self.nodes], "node names")
         seen: dict[str, Node] = {}
         for node in self.nodes:
-            if node.name in seen:
-                raise ValueError(f"duplicate node name {node.name!r}")
             for p in node.parents:
                 if p not in seen:
                     raise ValueError(
@@ -166,10 +164,7 @@ def joint(net: BayesNet) -> DenseJoint:
     enumeration is a desk-scale tool.
     """
     size = net.state_space_size()
-    if size > STATE_SPACE_CAP:
-        raise CapacityError(
-            f"state space has {size} configurations, exceeding the cap of {STATE_SPACE_CAP}"
-        )
+    _check_size(size, STATE_SPACE_CAP, f"state space has {size} configurations")
     name_to_idx = {n.name: i for i, n in enumerate(net.nodes)}
     cpts = [n.cpt for n in net.nodes]
     parents = [[name_to_idx[p] for p in n.parents] for n in net.nodes]
@@ -317,14 +312,11 @@ def ballot_scenario(n_voters: int) -> tuple[BayesNet, dict]:
     one vote, and the posterior over that vote for every tally value
     (unanimous tallies pin it down exactly).
     """
-    if n_voters < 2:
-        raise ValueError(f"need at least 2 voters, got {n_voters}")
+    _at_least(n_voters, 2, "voters")
     n = n_voters
-    # the net's 2^n (n+1) states, checked before the tally CPT of that size is built
-    if n > STATE_SPACE_CAP.bit_length() or (n + 1) << n > STATE_SPACE_CAP:
-        raise CapacityError(
-            f"{n} voters give 2^{n}*{n + 1} configurations, exceeding the cap of {STATE_SPACE_CAP}"
-        )
+    # the net's 2^n (n+1) states before the tally CPT is built; a shift beyond the cap's bit length is over it
+    size = (n + 1) << min(n, STATE_SPACE_CAP.bit_length())
+    _check_size(size, STATE_SPACE_CAP, f"{n} voters give 2^{n}*{n + 1} configurations")
     voters = [Node(f"V{i + 1}", ("0", "1"), (), np.array([0.5, 0.5])) for i in range(n)]
     combos = np.arange(2**n, dtype=np.int64)
     tally = np.zeros(2**n, dtype=np.int64)
@@ -363,7 +355,7 @@ def fork_collider_graph(seed: int = 42) -> BayesNet:
     seeded generator, so the resulting leakage values are reproducible
     fixtures.
     """
-    _check_seed(seed)
+    _at_least(seed, 0, "seed")
     rng = np.random.default_rng(seed)
     structure = [
         ("A", ()),
@@ -518,9 +510,11 @@ def net_to_json_dict(net: BayesNet) -> dict:
 
 
 def net_from_json_dict(d: dict) -> BayesNet:
+    _check_keys(d, ("nodes",), "network")
     declared: dict[str, Node] = {}
     nodes = []
     for spec in d["nodes"]:
+        _check_keys(spec, ("name", "states", "parents", "cpt"), "node")
         name = spec["name"]
         parents = _as_tuple(spec.get("parents", ()), f"parents of {name!r}")
         cpt_spec = spec["cpt"]

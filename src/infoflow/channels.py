@@ -23,7 +23,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from ._kernels import mi_bits, scan_log_ratio
-from .measures import STATE_SPACE_CAP, CapacityError, Dist, Joint, _check_labels, _check_seed, _nonneg, _stochastic
+from .measures import (
+    STATE_SPACE_CAP, SUM_TOL, Dist, Joint, _at_least, _check_keys, _check_labels, _check_size, _nonneg, _stochastic,
+)
 
 log = logging.getLogger(__name__)
 
@@ -57,6 +59,7 @@ class Channel:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Channel":
+        _check_keys(d, ("inputs", "outputs", "rows"), "channel")
         return cls(d["inputs"], d["outputs"], d["rows"])
 
 
@@ -129,15 +132,8 @@ def _check_eps(eps: float) -> None:
 
 def _check_rr(k: int, eps: float) -> None:
     """Refuse randomized-response parameters other than k >= 2 and finite eps > 0."""
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
+    _at_least(k, 2, "k")
     _check_eps(eps)
-
-
-def _check_cells(cells: int, what: str) -> None:
-    """Refuse a matrix of more than STATE_SPACE_CAP cells, naming its size and the cap."""
-    if cells > STATE_SPACE_CAP:
-        raise CapacityError(f"{what} has {cells} cells, exceeding the cap of {STATE_SPACE_CAP}")
 
 
 def randomized_response(k: int, eps: float, outcomes=None) -> Channel:
@@ -148,7 +144,7 @@ def randomized_response(k: int, eps: float, outcomes=None) -> Channel:
     exceeds STATE_SPACE_CAP cells is refused before it is built.
     """
     _check_rr(k, eps)
-    _check_cells(k * k, f"randomized response with k={k}")
+    _check_size(k * k, STATE_SPACE_CAP, f"randomized response with k={k} has {k * k} cells")
     if outcomes is None:
         outcomes = tuple(str(i) for i in range(k))
     elif len(outcomes) != k:
@@ -204,19 +200,26 @@ def check_mi_bound(c: Channel, prior: Dist) -> BoundCertificate:
 def compose(c1: Channel, c2: Channel) -> Channel:
     """Product channel releasing both outputs of two independent invocations.
 
-    p(y1,y2|x) = p1(y1|x) * p2(y2|x); output labels are "(y1,y2)". The
-    realized eps of the product never exceeds the sum of the parts. A
+    p(y1,y2|x) = p1(y1|x) * p2(y2|x); output labels are "(y1,y2)". A
     product of more than STATE_SPACE_CAP cells is refused before it is
-    built.
+    built. Parts' rows each within SUM_TOL of 1 can make a product row
+    about 2*SUM_TOL off; if one is more than SUM_TOL off, every row is
+    divided by its sum, so a product of accepted channels is accepted.
+    Its eps never exceeds the sum of its parts', save that a
+    renormalised product's can by rounding: by at most about 4*SUM_TOL.
     """
     if c1.input_outcomes != c2.input_outcomes:
         raise ValueError(
             f"input spaces differ: {c1.input_outcomes} vs {c2.input_outcomes}"
         )
     n_in, n1, n2 = len(c1.input_outcomes), len(c1.output_outcomes), len(c2.output_outcomes)
-    _check_cells(n_in * n1 * n2, f"the product of a {n_in}x{n1} and a {n_in}x{n2} channel")
+    cells = n_in * n1 * n2
+    _check_size(cells, STATE_SPACE_CAP, f"the product of a {n_in}x{n1} and a {n_in}x{n2} channel has {cells} cells")
     outputs = tuple(f"({a},{b})" for a in c1.output_outcomes for b in c2.output_outcomes)
     rows = (c1.rows[:, :, None] * c2.rows[:, None, :]).reshape(n_in, -1)
+    sums = rows.sum(axis=1, keepdims=True)
+    if np.abs(sums - 1.0).max() > SUM_TOL:
+        rows /= sums
     return Channel(c1.input_outcomes, outputs, rows)
 
 
@@ -391,11 +394,9 @@ def bound_sweep(n_cases: int, seed: int = 0) -> SweepResult:
     then the channel rows, then the prior. More than SWEEP_CASE_CAP
     cases, or a negative seed, are refused.
     """
-    if n_cases < 1:
-        raise ValueError(f"n_cases must be >= 1, got {n_cases}")
-    if n_cases > SWEEP_CASE_CAP:
-        raise CapacityError(f"a sweep of {n_cases} cases exceeds the cap of {SWEEP_CASE_CAP}")
-    _check_seed(seed)
+    _at_least(n_cases, 1, "n_cases")
+    _check_size(n_cases, SWEEP_CASE_CAP, f"a sweep of {n_cases} cases")
+    _at_least(seed, 0, "seed")
     t0 = time.perf_counter()
     violations = 0
     max_mi = 0.0

@@ -23,7 +23,7 @@ from pathlib import Path
 from . import causal, society
 from .anonymity import dp_release, linkage_attack, read_table, write_table
 from .channels import Channel, _check_eps, bound_sweep, check_mi_bound, compose, randomized_response, realized_epsilon
-from .measures import CapacityError, Dist, _check_keys, load_json, malformed
+from .measures import CapacityError, Dist, _check_keys, _number, load_json, malformed
 
 EXIT_OK = 0
 EXIT_BOUND_VIOLATED = 1
@@ -167,7 +167,7 @@ def _attribution(scenario, base: Path) -> dict | None:
             "node_of": attribution.get("message_nodes"),
         }
         if "threshold" in attribution:
-            settings["threshold"] = society._number(attribution["threshold"], "attribution threshold")
+            settings["threshold"] = _number(attribution["threshold"], "attribution threshold")
         causal.check_attribution(**settings)
     return {**settings, "window": scenario.window}
 

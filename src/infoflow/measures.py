@@ -71,17 +71,59 @@ def _nonneg(value: float, what: str) -> None:
         raise ValueError(f"{what} must be finite and >= 0, got {value}")
 
 
-def _check_seed(seed: int) -> None:
-    """Refuse a negative seed by name, before numpy's bare "expected non-negative integer"."""
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+def _at_least(value, n: int, what: str) -> None:
+    """Refuse a ``value`` below ``n`` (NaN included): a negative seed, say, before numpy's bare refusal of it."""
+    if not value >= n:
+        raise ValueError(f"{what} must be >= {n}, got {value}")
 
 
-def _check_keys(doc: dict, known, what: str) -> None:
-    """Refuse a JSON object with a key outside ``known``."""
+def _unit(value: float, what: str) -> None:
+    """Refuse a ``value`` outside [0, 1] (NaN included)."""
+    if not 0.0 <= value <= 1.0:
+        raise ValueError(f"{what} must be in [0,1], got {value}")
+
+
+def _check_size(size: int, cap: int, what: str) -> None:
+    """Refuse a ``size`` above ``cap`` with a CapacityError; ``what`` names the size."""
+    if size > cap:
+        raise CapacityError(f"{what}, exceeding the cap of {cap}")
+
+
+def _distinct(items, what: str) -> None:
+    """Refuse ``items`` that hold a repeat, naming the first one."""
+    seen = set()
+    for x in items:
+        if x in seen:
+            raise ValueError(f"duplicate {what}: {x!r}")
+        seen.add(x)
+
+
+def _check_id(value, what: str) -> None:
+    """Refuse an id, a name or a datum value that is not a string."""
+    if not isinstance(value, str):
+        raise ValueError(f"{what} must be a string, got {value!r}")
+
+
+def _integer(value, what: str) -> int:
+    """Refuse a JSON value that is not an integer (a boolean, a string or a float such as 2.7 or 1e308)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _number(value, what: str) -> float:
+    """A JSON number as a float; a boolean or a string is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
+def _check_keys(doc: dict, known, what: str) -> dict:
+    """``doc``, a JSON object, refused if it has a key outside ``known``."""
     unknown = set(doc) - set(known)
     if unknown:
         raise ValueError(f"unknown {what} keys: {sorted(unknown)}")
+    return doc
 
 
 def _refuse_constant(name: str):
@@ -150,6 +192,7 @@ class Dist:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Dist":
+        _check_keys(d, ("outcomes", "probs"), "distribution")
         return cls(d["outcomes"], d["probs"])
 
 

@@ -27,7 +27,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .channels import _check_rr, dp_to_mi_bound
-from .measures import CapacityError, InfoMeasure, _check_keys, _check_seed, _nonneg, load_json
+from .measures import (
+    InfoMeasure, _at_least, _check_id, _check_keys, _check_size, _distinct, _integer, _nonneg, _number, _unit,
+    load_json,
+)
 
 GOVERNANCE_TAGS = (
     "conjunct",
@@ -42,12 +45,6 @@ DRAW_CAP = 2**24  # draws in one run: ticks * (explicit candidates + implicit ch
 _ID_TAG = {"explicit": "x", "implicit": "i"}  # flow ids open with the kind's tag
 
 log = logging.getLogger(__name__)
-
-
-def _check_id(value, what: str) -> None:
-    """Refuse an entity or datum id, or a datum value, that is not a string."""
-    if not isinstance(value, str):
-        raise ValueError(f"{what} must be a string, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -81,8 +78,7 @@ class DatumRecord:
         _check_id(self.owner, f"owner of datum {self.datum!r}")
         if self.governance not in GOVERNANCE_TAGS:
             raise ValueError(f"unknown governance tag {self.governance!r}")
-        if self.domain_size < 1:
-            raise ValueError("domain_size must be >= 1")
+        _at_least(self.domain_size, 1, "domain_size")
 
 
 @dataclass(frozen=True)
@@ -93,9 +89,7 @@ class Entity:
     def __post_init__(self):
         _check_id(self.id, "entity id")
         object.__setattr__(self, "data", tuple(self.data))
-        ids = [r.datum for r in self.data]
-        if len(set(ids)) != len(ids):
-            raise ValueError(f"duplicate datum ids on entity {self.id!r}")
+        _distinct([r.datum for r in self.data], f"datum ids on entity {self.id!r}")
         for r in self.data:
             conjunct = r.owner == self.id
             if (r.governance == "conjunct") != conjunct:
@@ -114,8 +108,7 @@ class FactorState:
 
     def __post_init__(self):
         for k, v in self.trust.items():
-            if not (0.0 <= v <= 1.0):
-                raise ValueError(f"trust{k} must be in [0,1], got {v}")
+            _unit(v, f"trust{k}")
         for k, v in self.incentives.items():
             _nonneg(v, f"incentive{k}")
 
@@ -159,8 +152,7 @@ class ImplicitChannel:
             _check_id(getattr(self, what), f"implicit channel {what}")
         if self.subject == self.observer:
             raise ValueError("implicit channel subject and observer must differ")
-        if not (0.0 <= self.p <= 1.0):
-            raise ValueError(f"implicit channel p must be in [0,1], got {self.p}")
+        _unit(self.p, "implicit channel p")
 
 
 class _Record:
@@ -289,23 +281,18 @@ class Society:
         if len(self.entities) < 2:
             raise ValueError("a society needs at least two entities")
         ids = [e.id for e in self.entities]
-        if len(set(ids)) != len(ids):
-            raise ValueError("duplicate entity ids")
+        _distinct(ids, "entity ids")
         for d, cap in self.budgets.items():
             _nonneg(cap, f"budget for {d!r}")
         known = set(ids)
         self.held = {(e.id, r.datum): r for e in self.entities for r in e.data}
         self.implicit_channels = tuple(self.implicit_channels)
-        seen = set()
         for ch in self.implicit_channels:
             if ch.subject not in known or ch.observer not in known:
                 raise ValueError(f"implicit channel references unknown entity: {ch}")
             if (ch.subject, ch.datum) not in self.held:
                 raise ValueError(f"subject {ch.subject!r} does not hold datum {ch.datum!r}")
-            key = (ch.subject, ch.observer, ch.datum)
-            if key in seen:
-                raise ValueError(f"duplicate implicit channel {key}")
-            seen.add(key)
+        _distinct([(ch.subject, ch.observer, ch.datum) for ch in self.implicit_channels], "implicit channels")
 
 
 def _logistic(x: float) -> float:
@@ -371,11 +358,9 @@ class Scenario:
     attribution: dict | None = None
 
     def __post_init__(self):
-        _check_seed(self.seed)
-        if self.ticks < 0:
-            raise ValueError("ticks must be >= 0")
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
+        _at_least(self.seed, 0, "seed")
+        _at_least(self.ticks, 0, "ticks")
+        _at_least(self.window, 1, "window")
 
 
 @dataclass
@@ -428,11 +413,8 @@ class Simulation:
         ]
         # a tick without a candidate still costs its generators, so it counts as one draw
         per_tick = max(len(self._p) + len(self._implicit), 1)
-        if scenario.ticks * per_tick > DRAW_CAP:
-            raise CapacityError(
-                f"{scenario.ticks} ticks of {per_tick} draws make {scenario.ticks * per_tick} draws, "
-                f"exceeding the cap of {DRAW_CAP}"
-            )
+        draws = scenario.ticks * per_tick
+        _check_size(draws, DRAW_CAP, f"{scenario.ticks} ticks of {per_tick} draws make {draws} draws")
 
     def step(self) -> tuple[list[FlowEvent], list[BudgetStop]]:
         t = self.t
@@ -525,8 +507,7 @@ def bundle_contexts(events: list[FlowEvent], window: int = 1) -> list[Context]:
     Events must be sorted by tick; every event lands in exactly one
     context, opened at its first event's tick.
     """
-    if window < 1:
-        raise ValueError("window must be >= 1")
+    _at_least(window, 1, "window")
     open_ctx: dict[tuple[str, str], list[FlowEvent]] = {}
     groups: list[list[FlowEvent]] = []
     last_t = -math.inf
@@ -561,20 +542,6 @@ _SCENARIO_KEYS = (
     | ({f.name for f in fields(Society) if f.init} - {"factors"})
     | {f.name for f in fields(FactorState)}
 )
-
-
-def _integer(value, what: str) -> int:
-    """Refuse a JSON value that is not an integer (a boolean, a string or a float such as 2.7 or 1e308)."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
-def _number(value, what: str) -> float:
-    """A JSON number as a float; a boolean or a string is refused."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{what} must be a number, got {value!r}")
-    return float(value)
 
 
 @functools.cache

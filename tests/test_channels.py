@@ -230,6 +230,23 @@ class TestCompose:
             e1, e2 = realized_epsilon(c1).eps, realized_epsilon(c2).eps
             assert realized_epsilon(compose(c1, c2)).eps <= e1 + e2 + 1e-9
 
+    def test_product_within_tolerance_is_left_as_it_is(self):
+        rng = np.random.default_rng(5)
+        pairs = [(randomized_response(3, 0.7), randomized_response(3, 2.0))]
+        for _ in range(20):
+            c1, c2 = random_channel(4, int(rng.integers(2, 6)), rng), random_channel(4, int(rng.integers(2, 6)), rng)
+            pairs.append((c1, c2))
+        for c1, c2 in pairs:
+            product = (c1.rows[:, :, None] * c2.rows[:, None, :]).reshape(len(c1.input_outcomes), -1)
+            assert np.array_equal(compose(c1, c2).rows, product)
+
+    def test_product_beyond_tolerance_is_renormalised(self):
+        # each row sums to 1 + 9e-10, within tolerance; the product's rows sum to about 1 + 1.8e-9
+        c = Channel(("0", "1"), ("x", "y"), [[0.5000000009, 0.5], [0.2000000009, 0.8]])
+        cc = compose(c, c)
+        assert np.abs(cc.rows.sum(axis=1) - 1.0).max() < 1e-15
+        assert realized_epsilon(cc).eps <= 2 * realized_epsilon(c).eps + 4e-9
+
 
 class TestPostProcess:
     def test_identity_map_unchanged(self):
@@ -293,7 +310,7 @@ class TestSweep:
             bound_sweep(0)
 
     def test_refuses_cases_beyond_the_cap(self):
-        with pytest.raises(CapacityError, match=f"{SWEEP_CASE_CAP + 1} cases exceeds the cap of {SWEEP_CASE_CAP}"):
+        with pytest.raises(CapacityError, match=f"{SWEEP_CASE_CAP + 1} cases, exceeding the cap of {SWEEP_CASE_CAP}"):
             bound_sweep(SWEEP_CASE_CAP + 1)
 
     def test_refuses_a_negative_seed_by_name(self):

@@ -126,7 +126,7 @@ class TestSweep:
         # refused before the first case is drawn
         code = main(["sweep", "--cases", str(10**12)])
         assert code == 3
-        assert capsys.readouterr().err == f"error: a sweep of {10**12} cases exceeds the cap of {2**20}\n"
+        assert capsys.readouterr().err == f"error: a sweep of {10**12} cases, exceeding the cap of {2**20}\n"
 
     def test_small_sweep_passes(self, capsys):
         code, out = run_cli("sweep", "--cases", "50", "--seed", "4", capsys=capsys)
@@ -491,6 +491,16 @@ class TestCompose:
         assert code == 0
         assert json.loads(out)["certificate"]["mi_sh"] == 0.0
 
+    def test_product_of_accepted_channels_is_accepted_and_reads_back(self, tmp_path, capsys):
+        # each row sums to 1 + 9e-10, within tolerance; the product's rows sum to about 1 + 1.8e-9
+        path = _write(tmp_path, "c.json", json.dumps(
+            {"inputs": ["0", "1"], "outputs": ["x", "y"], "rows": [[0.5000000009, 0.5], [0.2000000009, 0.8]]}))
+        assert run_cli("verify-bound", "--channel", path, capsys=capsys)[0] == 0
+        code, out = run_cli("compose", path, path, capsys=capsys)
+        assert code == 0
+        product = _write(tmp_path, "product.json", json.dumps(json.loads(out)["channel"]))
+        assert run_cli("verify-bound", "--channel", product, capsys=capsys)[0] == 0
+
 
 TWINS = json.loads(Path(data_path("twins.json")).read_text())
 
@@ -761,6 +771,24 @@ MALFORMED = {
         {"t.csv": "a,a\n1,2\n", "t.csv.roles.json": '{"roles": {"a": "sensitive"}}'},
         ["anon", "t.csv", "--dp", "1", "--sensitive", "a"],
     ),
+    "channel-unknown-key": (
+        {"c.json": json.dumps({"inputs": ["a"], "outputs": ["x"], "rows": [[1.0]], "row": [[1.0]]})},
+        ["verify-bound", "--channel", "c.json"],
+    ),
+    "prior-unknown-key": (
+        {"p.json": json.dumps({"outcomes": ["0", "1"], "probs": [0.5, 0.5], "prob": [1, 0]})},
+        ["verify-bound", "--rr", "k=2", "eps=1", "--prior", "p.json"],
+    ),
+    "net-unknown-key": ({"n.json": json.dumps({"nodes": [_X, _M], "edges": [["X", "M"]]})}, _LEAKAGE),
+    # read as a root without the key check, and reported as leaking 0.0 Sh
+    "node-unknown-key": (
+        {"n.json": _net(_X, {"name": "M", "states": ["0", "1"], "parent": ["X"], "cpt": [0.5, 0.5]})},
+        _LEAKAGE,
+    ),
+    "roles-unknown-key": (
+        {"t.csv": "a\nx\ny\n", "t.csv.roles.json": '{"roles": {"a": "sensitive"}, "role": {}}'},
+        ["anon", "t.csv", "--dp", "1", "--sensitive", "a"],
+    ),
     "linkage-without-sensitive-column": (
         {"r.csv": "zip,age,diag\n1,20,a\n1,20,b\n",
          "r.csv.roles.json": json.dumps({"roles": {"zip": "quasi-identifier", "age": "quasi-identifier",
@@ -850,6 +878,11 @@ REFUSED_BY = {
     "window-zero": "window must be >= 1",
     "csv-duplicate-column": "duplicate column names",
     "attribution-typo": "unknown attribution keys: ['treshold']",
+    "channel-unknown-key": "unknown channel keys: ['row']",
+    "prior-unknown-key": "unknown distribution keys: ['prob']",
+    "net-unknown-key": "unknown network keys: ['edges']",
+    "node-unknown-key": "unknown node keys: ['parent']",
+    "roles-unknown-key": "unknown roles sidecar keys: ['role']",
 }
 
 

@@ -1,0 +1,62 @@
+"""Layout rules of the package, read from its source.
+
+Each refusal rule is stated once, in ``measures``, so a capacity refusal is raised there
+and nowhere else. The private helpers of ``society``, ``causal``, ``anonymity`` and ``cli``
+stay private to their module: no other module imports one or reaches it as an attribute.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import infoflow
+
+SOURCES = sorted(Path(infoflow.__file__).parent.glob("*.py"))
+PRIVATE_TO = {"society", "causal", "anonymity", "cli"}
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _raised_name(node: ast.Raise) -> str | None:
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    if isinstance(exc, ast.Name):
+        return exc.id
+    return exc.attr if isinstance(exc, ast.Attribute) else None
+
+
+def _private_uses(tree: ast.Module) -> list[str]:
+    """``module._name`` for each private name of a PRIVATE_TO module that ``tree`` imports or reads as an attribute."""
+    uses, bound = [], {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").removeprefix("infoflow.").lstrip(".")
+            for alias in node.names:
+                if module in PRIVATE_TO and alias.name.startswith("_"):
+                    uses.append(f"{module}.{alias.name} (line {node.lineno})")
+                if module in ("", "infoflow") and alias.name in PRIVATE_TO:
+                    bound[alias.asname or alias.name] = alias.name
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in bound
+                and node.attr.startswith("_")):
+            uses.append(f"{bound[node.value.id]}.{node.attr} (line {node.lineno})")
+    return uses
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_capacity_errors_are_raised_only_in_measures(path):
+    raised = [n.lineno for n in ast.walk(_tree(path)) if isinstance(n, ast.Raise) and n.exc is not None
+              and _raised_name(n) == "CapacityError"]
+    assert path.name == "measures.py" or raised == [], f"CapacityError raised at lines {raised}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_uses_another_modules_private_helpers(path):
+    assert _private_uses(_tree(path)) == []
+
+
+def test_the_guard_sees_both_forms_of_use():
+    tree = ast.parse("from .society import _check_id\nfrom . import society as s\ns._number(1, 'x')\n")
+    assert _private_uses(tree) == ["society._check_id (line 1)", "society._number (line 3)"]

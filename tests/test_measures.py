@@ -1,14 +1,16 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infoflow import Dist, InfoMeasure, Joint, entropy, mutual_information
+from infoflow import CapacityError, Dist, InfoMeasure, Joint, entropy, mutual_information
 from infoflow.causal import Node
 from infoflow.channels import Channel, randomized_response
+from infoflow.measures import _at_least, _check_size, _distinct, _unit
 from helpers import entropy_cells, mi_cells
 
 
@@ -199,3 +201,40 @@ class TestInfoMeasure:
     def test_content_must_be_finite_and_non_negative(self, sh):
         with pytest.raises(ValueError, match="selective_sh must be finite and >= 0"):
             InfoMeasure(sh, 1, 1)
+
+
+# Each refusal rule of the package is stated once, in measures; these hold each at its boundary.
+
+
+@pytest.mark.parametrize("cap", [1, 2**22])
+def test_size_rule_refuses_only_above_the_cap(cap):
+    _check_size(cap, cap, "the table")
+    with pytest.raises(CapacityError, match=f"^the table, exceeding the cap of {cap}$"):
+        _check_size(cap + 1, cap, "the table")
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_minimum_rule_refuses_only_below_the_minimum(n):
+    _at_least(n, n, "k")
+    with pytest.raises(ValueError, match=f"^k must be >= {n}, got {n - 1}$"):
+        _at_least(n - 1, n, "k")
+    with pytest.raises(ValueError, match=f"^k must be >= {n}, got nan$"):
+        _at_least(math.nan, n, "k")
+
+
+@pytest.mark.parametrize(("value", "ok"), [(0.0, True), (1.0, True), (0, True), (1 + 1e-12, False),
+                                           (-1e-12, False), (math.nan, False)])
+def test_unit_rule_refuses_outside_zero_to_one(value, ok):
+    if ok:
+        _unit(value, "p")
+    else:
+        with pytest.raises(ValueError, match="^" + re.escape(f"p must be in [0,1], got {value}") + "$"):
+            _unit(value, "p")
+
+
+@pytest.mark.parametrize(("items", "first"), [(["a", "b", "b", "a"], "'b'"), (["a", "b", "a", "b"], "'a'"),
+                                              ([("s", "o"), ("s", "o")], "('s', 'o')")])
+def test_uniqueness_rule_names_the_first_repeat(items, first):
+    _distinct(list(dict.fromkeys(items)), "ids")
+    with pytest.raises(ValueError, match=f"^duplicate ids: {re.escape(first)}$"):
+        _distinct(items, "ids")
