@@ -23,7 +23,7 @@ from pathlib import Path
 from . import causal, society
 from .anonymity import dp_release, linkage_attack, read_table, write_table
 from .channels import Channel, _check_eps, bound_sweep, check_mi_bound, compose, randomized_response, realized_epsilon
-from .measures import CapacityError, Dist, _check_keys, _number, load_json, malformed
+from .measures import CapacityError, Dist, _check_keys, _distinct, _number, load_json, malformed
 
 EXIT_OK = 0
 EXIT_BOUND_VIOLATED = 1
@@ -69,15 +69,12 @@ def _write(doc, fmt: str, fh) -> None:
 
 
 def _parse_kv(tokens: list[str]) -> dict[str, str]:
-    out = {}
     for tok in tokens:
         if "=" not in tok:
             raise ValueError(f"expected key=value, got {tok!r}")
-        k, v = tok.split("=", 1)
-        if k in out:
-            raise ValueError(f"randomized-response key {k!r} given twice")
-        out[k] = v
-    return out
+    pairs = [tok.split("=", 1) for tok in tokens]
+    _distinct([k for k, _ in pairs], "randomized-response key")
+    return dict(pairs)
 
 
 def _rr_from_kv(kv: dict[str, str]) -> Channel:

@@ -65,10 +65,12 @@ def _stochastic(values, shape: tuple[int, ...], what: str, rows: bool = False) -
     return a
 
 
-def _nonneg(value: float, what: str) -> None:
+# A ``key`` given to the rules below is written after ``what`` in a refusal, so a caller that checks
+# many values, such as trust per (sender, receiver), formats the key only when it refuses one.
+def _nonneg(value: float, what: str, key="") -> None:
     """Refuse a ``value`` that is not finite and >= 0 (NaN included)."""
     if not (math.isfinite(value) and value >= 0):
-        raise ValueError(f"{what} must be finite and >= 0, got {value}")
+        raise ValueError(f"{what}{key} must be finite and >= 0, got {value}")
 
 
 def _at_least(value, n: int, what: str) -> None:
@@ -77,10 +79,10 @@ def _at_least(value, n: int, what: str) -> None:
         raise ValueError(f"{what} must be >= {n}, got {value}")
 
 
-def _unit(value: float, what: str) -> None:
+def _unit(value: float, what: str, key="") -> None:
     """Refuse a ``value`` outside [0, 1] (NaN included)."""
     if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{what} must be in [0,1], got {value}")
+        raise ValueError(f"{what}{key} must be in [0,1], got {value}")
 
 
 def _check_size(size: int, cap: int, what: str) -> None:
@@ -111,10 +113,10 @@ def _integer(value, what: str) -> int:
     return value
 
 
-def _number(value, what: str) -> float:
+def _number(value, what: str, key="") -> float:
     """A JSON number as a float; a boolean or a string is refused."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{what} must be a number, got {value!r}")
+        raise ValueError(f"{what}{key} must be a number, got {value!r}")
     return float(value)
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import itertools
 import json
 import logging
 import math
@@ -43,6 +44,7 @@ GOVERNANCE_TAGS = (
 FLOW_KINDS = ("explicit", "implicit")
 DRAW_CAP = 2**24  # draws in one run: ticks * (explicit candidates + implicit channels)
 _ID_TAG = {"explicit": "x", "implicit": "i"}  # flow ids open with the kind's tag
+_BATCH = 128  # event-log lines or ledger rows joined per write; a larger batch holds more text at once
 
 log = logging.getLogger(__name__)
 
@@ -108,9 +110,9 @@ class FactorState:
 
     def __post_init__(self):
         for k, v in self.trust.items():
-            _unit(v, f"trust{k}")
+            _unit(v, "trust", k)
         for k, v in self.incentives.items():
-            _nonneg(v, f"incentive{k}")
+            _nonneg(v, "incentive", k)
 
     def trust_of(self, sender: str, receiver: str) -> float:
         return self.trust.get((sender, receiver), 0.0)
@@ -253,11 +255,16 @@ class Ledger:
         return max(cap - used, 0.0)
 
     def would_exceed(self, sender: str, receiver: str, datum: str, amount_sh: float) -> bool:
+        """The budget rule: a release may take the cumulative content up to the budget, plus 1e-9 Sh of rounding."""
         cap = self.budgets.get(datum)
-        if cap is None:
-            return False
-        used = self.cumulative.get((sender, receiver, datum), 0.0)
-        return used + amount_sh > cap + 1e-9
+        return cap is not None and self.cumulative.get((sender, receiver, datum), 0.0) + amount_sh > cap + 1e-9
+
+    def charge(self, sender: str, receiver: str, datum: str, amount_sh: float) -> float | None:
+        """Record a release, or, if it would exceed the datum's budget, record nothing and return the headroom."""
+        if self.would_exceed(sender, receiver, datum, amount_sh):
+            return self.headroom(sender, receiver, datum)
+        self.record(sender, receiver, datum, amount_sh)
+        return None
 
     def record(self, sender: str, receiver: str, datum: str, amount_sh: float) -> None:
         key = (sender, receiver, datum)
@@ -278,8 +285,7 @@ class Society:
 
     def __post_init__(self):
         self.entities = tuple(self.entities)
-        if len(self.entities) < 2:
-            raise ValueError("a society needs at least two entities")
+        _at_least(len(self.entities), 2, "number of entities in a society")
         ids = [e.id for e in self.entities]
         _distinct(ids, "entity ids")
         for d, cap in self.budgets.items():
@@ -388,10 +394,10 @@ class Simulation:
 
     The society is read once, when the simulation is built. Every
     (sender, datum, receiver) candidate's decision probability is fixed
-    then, with the logistic link evaluated once per distinct trust value
-    per datum; so are the implicit channels and the content of each
-    one's release. Changing ``society.factors`` or
-    ``society.implicit_channels`` afterwards does not affect the run.
+    then, from the sparse trust map (see ``_decision_table``); so are the
+    implicit channels and the content of each one's release. Changing
+    ``society.factors`` or ``society.implicit_channels`` afterwards does
+    not affect the run.
     Each tick draws one uniform per candidate in a single batch, in the
     order sender, datum, receiver of the society's declarations.
     A run of more than DRAW_CAP draws in all is refused when the
@@ -406,7 +412,8 @@ class Simulation:
         self.events: list[FlowEvent] = []
         self.stops: list[BudgetStop] = []
         self._ids = [e.id for e in scenario.society.entities]
-        self._blocks, self._p = _decision_table(scenario.society)
+        t0 = time.perf_counter()
+        self._blocks, self._p, pairs = _decision_table(scenario.society)
         self._implicit = [
             (ch, _raw_release_measure(scenario.society.held[(ch.subject, ch.datum)]))
             for ch in scenario.society.implicit_channels
@@ -415,6 +422,8 @@ class Simulation:
         per_tick = max(len(self._p) + len(self._implicit), 1)
         draws = scenario.ticks * per_tick
         _check_size(draws, DRAW_CAP, f"{scenario.ticks} ticks of {per_tick} draws make {draws} draws")
+        log.debug("Simulation: %d candidates in %d blocks, %d trusted pairs, built in %.6f s",
+                  len(self._p), len(self._blocks), pairs, time.perf_counter() - t0)
 
     def step(self) -> tuple[list[FlowEvent], list[BudgetStop]]:
         t = self.t
@@ -423,31 +432,27 @@ class Simulation:
         events: list[FlowEvent] = []
         stops: list[BudgetStop] = []
 
-        def fire(kind: str, sender: str, receiver: str, datum: str, measure: InfoMeasure) -> None:
-            events.append(
-                FlowEvent(f"{_ID_TAG[kind]}:{t}:{sender}>{receiver}:{datum}", t, sender, receiver, datum, measure,
-                          kind, f"c:{t}:{sender}>{receiver}")
-            )
-            self.ledger.record(sender, receiver, datum, measure.selective_sh)
+        def flow(kind: str, sender: str, receiver: str, datum: str, measure: InfoMeasure) -> FlowEvent:
+            return FlowEvent(f"{_ID_TAG[kind]}:{t}:{sender}>{receiver}:{datum}", t, sender, receiver, datum, measure,
+                             kind, f"c:{t}:{sender}>{receiver}")
 
         # a batch of N uniforms is the same stream as N scalar draws, so the fired set
         # is the one a draw per candidate in this order gives
-        width = len(self._ids) - 1
-        for i in np.flatnonzero(rng_explicit.random(len(self._p)) < self._p).tolist():
-            b, j = divmod(i, width)
+        fired = np.flatnonzero(rng_explicit.random(len(self._p)) < self._p)
+        blocks, offsets = np.divmod(fired, len(self._ids) - 1)
+        for b, j in zip(blocks.tolist(), offsets.tolist()):
             k, datum, measure = self._blocks[b]
             sender, receiver = self._ids[k], self._ids[j + (j >= k)]
-            if self.ledger.would_exceed(sender, receiver, datum, measure.selective_sh):
-                stops.append(
-                    BudgetStop(t, sender, receiver, datum, measure.selective_sh,
-                               self.ledger.headroom(sender, receiver, datum))
-                )
+            headroom = self.ledger.charge(sender, receiver, datum, measure.selective_sh)
+            if headroom is None:
+                events.append(flow("explicit", sender, receiver, datum, measure))
             else:
-                fire("explicit", sender, receiver, datum, measure)
+                stops.append(BudgetStop(t, sender, receiver, datum, measure.selective_sh, headroom))
 
         for ch, measure in self._implicit:
             if rng_implicit.random() < ch.p:
-                fire("implicit", ch.subject, ch.observer, ch.datum, measure)
+                events.append(flow("implicit", ch.subject, ch.observer, ch.datum, measure))
+                self.ledger.record(ch.subject, ch.observer, ch.datum, measure.selective_sh)
 
         self.t += 1
         self.events.extend(events)
@@ -471,34 +476,46 @@ def simulate(scenario: Scenario) -> SimulationResult:
     return Simulation(scenario).run()
 
 
-def _decision_table(soc: Society) -> tuple[list[tuple[int, str, InfoMeasure]], np.ndarray]:
-    """Explicit-flow candidates and their decision probabilities.
+def _decision_table(soc: Society) -> tuple[list[tuple[int, str, InfoMeasure]], np.ndarray, int]:
+    """Explicit-flow candidates, their decision probabilities and the number of trusted pairs.
 
     Candidates run over senders, then each sender's data, then receivers
     (every other entity), in declaration order. With n entities, block
     b = (sender position, datum, release content) holds candidates
     b*(n-1) to (b+1)*(n-1) - 1, and offset j in a block is the receiver
-    at position j, or j + 1 from the sender's position on. A probability
-    depends on the candidate only through its (trust, incentive) pair,
-    so the link is evaluated once per distinct trust in a block.
+    at position j, or j + 1 from the sender's position on. Every
+    candidate of a block takes the block's probability at trust 0, and
+    the receivers the sender has a trust entry for are then overwritten:
+    the link runs once per block plus once per (block, trusted receiver).
+    Self-trust and trust by or in an entity outside the society are
+    ignored.
     """
     factors, params = soc.factors, soc.logistic
     pos = {e.id: k for k, e in enumerate(soc.entities)}
-    trust = np.zeros((len(pos), len(pos)))
+    width = len(pos) - 1
+    # each sender's trusted receivers, as (offset in its blocks, trust)
+    trusted: list[list[tuple[int, float]]] = [[] for _ in pos]
     for (sender, receiver), v in factors.trust.items():
-        if sender in pos and receiver in pos:
-            trust[pos[sender], pos[receiver]] = v
+        k, r = pos.get(sender), pos.get(receiver)
+        if k is not None and r is not None and k != r:
+            trusted[k].append((r - (r > k), v))
     blocks: list[tuple[int, str, InfoMeasure]] = []
-    probs: list[np.ndarray] = []
+    base, cells, values, measures = [], [], [], {}  # probabilities at trust 0; trusted cells and theirs
     for k, sender in enumerate(soc.entities):
-        # the sender's distinct trust values, and each receiver's index into them
-        distinct, which = np.unique(np.delete(trust[k], k), return_inverse=True)
-        values = distinct.tolist()
         for rec in sender.data:
             incentive = factors.incentive_of(sender.id, rec.datum)
-            probs.append(np.array([_logistic(_logit(params, t, incentive)) for t in values])[which])
-            blocks.append((k, rec.datum, release_measure(rec)))
-    return blocks, np.concatenate(probs) if probs else np.empty(0)
+            start = len(blocks) * width
+            base.append(_logistic(_logit(params, 0.0, incentive)))
+            for j, v in trusted[k]:
+                cells.append(start + j)
+                values.append(_logistic(_logit(params, v, incentive)))
+            content = (rec.domain_size, rec.mechanism)  # data of equal content share one measure
+            if content not in measures:
+                measures[content] = release_measure(rec)
+            blocks.append((k, rec.datum, measures[content]))
+    p = np.repeat(np.array(base, dtype=np.float64), width)
+    p[cells] = values
+    return blocks, p, sum(map(len, trusted))
 
 
 def bundle_contexts(events: list[FlowEvent], window: int = 1) -> list[Context]:
@@ -551,41 +568,46 @@ def _field_names(cls) -> tuple[str, ...]:
 
 
 def _from_json(cls, doc: dict, what: str, **convert):
-    """``cls`` from a JSON object keyed by its field names, ``convert[key]`` applied to each value.
+    """``cls`` from a JSON object keyed by its field names, ``convert[key]`` applied to that key's value.
 
-    ``int`` and ``float`` there stand for ``_integer`` and ``_number``. A key that is not a field is
-    refused; an absent one takes the field's default.
+    ``int`` and ``float`` there stand for ``_integer`` and ``_number``; keys are converted in the
+    object's order. A key that is not a field is refused; an absent one takes the field's default.
     """
     _check_keys(doc, _field_names(cls), what)
-
-    def value(k, v):
+    kwargs = dict(doc.items())  # a list in place of the object fails here, with an AttributeError
+    for k, v in kwargs.items():
         c = convert.get(k)
         if c in (int, float):
-            return (_integer if c is int else _number)(v, f"{what} {k}")
-        return v if c is None else c(v)
+            kwargs[k] = (_integer if c is int else _number)(v, f"{what} {k}")
+        elif c is not None:
+            kwargs[k] = c(v)
+    return cls(**kwargs)
 
-    return cls(**{k: value(k, v) for k, v in doc.items()})
+
+def _mechanism_from_json(doc: dict | None) -> ReleaseMechanism | None:
+    return None if doc is None else _from_json(ReleaseMechanism, doc, "mechanism", k=int, eps=float)
 
 
 def _datum_from_json(doc: dict) -> DatumRecord:
-    def mechanism(m):
-        return None if m is None else _from_json(ReleaseMechanism, m, "mechanism", k=int, eps=float)
+    return _from_json(DatumRecord, {"value": "", **doc}, "datum", domain_size=int, mechanism=_mechanism_from_json)
 
-    return _from_json(DatumRecord, {"value": "", **doc}, "datum", domain_size=int, mechanism=mechanism)
+
+def _data_from_json(docs: list) -> tuple[DatumRecord, ...]:
+    return tuple(map(_datum_from_json, docs))
 
 
 def scenario_from_json_dict(cfg: dict) -> Scenario:
     _check_keys(cfg, _SCENARIO_KEYS, "scenario")
     entities = [
-        _from_json(Entity, ent, "entity", data=lambda recs: tuple(map(_datum_from_json, recs)))
+        _from_json(Entity, ent, "entity", data=_data_from_json)
         for ent in cfg.get("entities", [])
     ]
     factors = FactorState(
         trust={
-            (s, r): _number(v, f"trust{(s, r)}") for s, row in cfg.get("trust", {}).items() for r, v in row.items()
+            (s, r): _number(v, "trust", (s, r)) for s, row in cfg.get("trust", {}).items() for r, v in row.items()
         },
         incentives={
-            (s, d): _number(v, f"incentive{(s, d)}")
+            (s, d): _number(v, "incentive", (s, d))
             for s, row in cfg.get("incentives", {}).items()
             for d, v in row.items()
         },
@@ -695,14 +717,21 @@ def _ledger_chunks(ledger: Ledger):
     yield "[]\n" if sep == "[\n" else "\n]\n"
 
 
+def _write_batched(chunks, fh) -> None:
+    """Write ``chunks`` to ``fh`` joined _BATCH at a time: one ``write`` call each, the text held a batch at a time."""
+    chunks = iter(chunks)
+    while batch := "".join(itertools.islice(chunks, _BATCH)):
+        fh.write(batch)
+
+
 def write_events_jsonl(result: SimulationResult, fh, induced: list[tuple[Context, Context]] = ()) -> None:
-    """The event log of ``result`` and its induced contexts, streamed to ``fh`` one line per record."""
-    fh.writelines(_event_lines(result, induced))
+    """The event log of ``result`` and its induced contexts, streamed to ``fh`` in batches of records."""
+    _write_batched(_event_lines(result, induced), fh)
 
 
 def write_ledger_json(ledger: Ledger, fh) -> None:
-    """``ledger_report`` as a JSON document indented by 2, streamed to ``fh`` one row at a time."""
-    fh.writelines(_ledger_chunks(ledger))
+    """``ledger_report`` as a JSON document indented by 2, streamed to ``fh`` in batches of rows."""
+    _write_batched(_ledger_chunks(ledger), fh)
 
 
 def write_events_csv(result: SimulationResult, fh, induced: list[tuple[Context, Context]] = ()) -> None:

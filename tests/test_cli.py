@@ -831,8 +831,8 @@ REFUSED_BY = {
     "rr-token-without-equals": "expected key=value",
     "rr-spec-without-eps": "randomized response needs",
     "rr-spec-without-k": "randomized response needs",
-    "rr-repeated-key": "randomized-response key 'k' given twice",
-    "rr-spec-repeated-key": "randomized-response key 'k' given twice",
+    "rr-repeated-key": "duplicate randomized-response key: 'k'",
+    "rr-spec-repeated-key": "duplicate randomized-response key: 'k'",
     "sweep-seed-negative": "seed must be >= 0, got -1",
     "fork-collider-seed-negative": "seed must be >= 0, got -1",
     "dp-seed-negative": "seed must be >= 0, got -1",

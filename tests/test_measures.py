@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from infoflow import CapacityError, Dist, InfoMeasure, Joint, entropy, mutual_information
 from infoflow.causal import Node
 from infoflow.channels import Channel, randomized_response
-from infoflow.measures import _at_least, _check_size, _distinct, _unit
+from infoflow.measures import _at_least, _check_size, _distinct, _nonneg, _number, _unit
 from helpers import entropy_cells, mi_cells
 
 
@@ -230,6 +230,16 @@ def test_unit_rule_refuses_outside_zero_to_one(value, ok):
     else:
         with pytest.raises(ValueError, match="^" + re.escape(f"p must be in [0,1], got {value}") + "$"):
             _unit(value, "p")
+
+
+@pytest.mark.parametrize(("rule", "value", "message"), [(_nonneg, -1.0, "must be finite and >= 0, got -1.0"),
+                                                     (_unit, 1.5, "must be in [0,1], got 1.5"),
+                                                     (_number, "0.9", "must be a number, got '0.9'")])
+def test_a_key_is_written_after_what_in_a_refusal(rule, value, message):
+    with pytest.raises(ValueError, match="^" + re.escape(f"trust('a', 'b') {message}") + "$"):
+        rule(value, "trust", ("a", "b"))
+    with pytest.raises(ValueError, match="^" + re.escape(f"trust {message}") + "$"):
+        rule(value, "trust")
 
 
 @pytest.mark.parametrize(("items", "first"), [(["a", "b", "b", "a"], "'b'"), (["a", "b", "a", "b"], "'a'"),

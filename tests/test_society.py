@@ -1,6 +1,7 @@
 import copy
 import io
 import json
+import logging
 import math
 import pickle
 import re
@@ -33,11 +34,13 @@ from infoflow import (
     load_scenario,
     simulate,
 )
-from infoflow.cli import _write
+from infoflow.cli import _write, main
 from infoflow.society import (
     DRAW_CAP,
     FLOW_KINDS,
+    _BATCH,
     _decision_table,
+    release_measure,
     scenario_from_json_dict,
     write_events_csv,
     write_events_jsonl,
@@ -61,6 +64,12 @@ def flow(t, sender, receiver, datum, kind="explicit"):
         kind=kind,
         context_id=f"c:{t}:{sender}>{receiver}",
     )
+
+
+def write_json(tmp_path, doc):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    return path
 
 
 def two_entity_scenario(**overrides):
@@ -137,16 +146,17 @@ class TestDecisionProb:
 
 @st.composite
 def decision_societies(draw):
-    """Societies with trust in and from entities outside them, self-trust, tied and zero trust, and data-less entities."""
+    """Societies with trust in and from outsiders, self-trust, tied, 0.0 and -0.0 trust, and data-less entities."""
     ids = [f"e{k}" for k in range(draw(st.integers(2, 5)))]
     entities = [
         Entity(eid, tuple(DatumRecord(f"d{j}", "", eid, "conjunct") for j in range(draw(st.integers(0, 2)))))
         for eid in ids
     ]
-    values = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0, 1)
+    values = st.sampled_from([0.0, -0.0, 0.5, 1.0]) | st.floats(0, 1)
     names = st.sampled_from([*ids, "ghost"])
     trust = draw(st.dictionaries(st.tuples(names, names), values, max_size=12))
-    trust |= {(ids[0], ids[0]): draw(values), (ids[0], "ghost"): 1.0, ("ghost", ids[1]): 1.0}
+    trust |= {(ids[0], ids[0]): draw(values), (ids[0], "ghost"): 1.0, ("ghost", ids[1]): 1.0,
+              (ids[-1], ids[0]): draw(st.sampled_from([0.0, -0.0]))}
     incentives = draw(st.dictionaries(st.tuples(st.sampled_from(ids), st.sampled_from(["d0", "d1"])),
                                       st.floats(0, 5), max_size=6))
     weights = st.sampled_from([0.0, 4.0]) | st.floats(0, 10)
@@ -158,9 +168,11 @@ class TestDecisionTable:
     @given(decision_societies())
     @settings(max_examples=150, deadline=None)
     def test_probabilities_equal_decision_prob_exactly(self, soc):
-        blocks, p = _decision_table(soc)
+        blocks, p, _ = _decision_table(soc)
         ids = [e.id for e in soc.entities]
         assert [(k, d) for k, d, _ in blocks] == [(k, r.datum) for k, e in enumerate(soc.entities) for r in e.data]
+        assert [m for *_, m in blocks] == [release_measure(r) for e in soc.entities for r in e.data]
+        assert len({id(m) for *_, m in blocks}) <= 1  # every datum here has the same content, so one measure
         expected = [
             decision_prob(soc.factors, ids[k], receiver, datum, soc.logistic)
             for k, datum, _ in blocks
@@ -168,6 +180,15 @@ class TestDecisionTable:
             if receiver != ids[k]
         ]
         assert p.tolist() == expected
+        assert p.tobytes() == np.array(expected, dtype=np.float64).tobytes()
+
+    def test_build_is_logged_at_debug(self, caplog):
+        # self-trust and trust in an entity outside the society are not trusted pairs
+        trust = {"alice": {"bob": 0.9, "alice": 1.0, "ghost": 1.0}, "bob": {"camera": 0.5}}
+        with caplog.at_level(logging.DEBUG, logger="infoflow.society"):
+            Simulation(two_entity_scenario(trust=trust))
+        [message] = [r.getMessage() for r in caplog.records if r.name == "infoflow.society"]
+        assert re.fullmatch(r"Simulation: 2 candidates in 1 blocks, 2 trusted pairs, built in \d+\.\d{6} s", message)
 
 
 class TestEntityInvariants:
@@ -336,6 +357,15 @@ class TestLedger:
         assert ledger.headroom("a", "b", "age") is None
         assert not ledger.would_exceed("a", "b", "age", 1e300)
 
+    def test_charge_records_a_release_or_returns_the_headroom(self):
+        ledger = Ledger(budgets={"salary": 1.0})
+        assert ledger.charge("a", "b", "salary", 0.75) is None
+        assert ledger.charge("a", "b", "salary", 0.5) == 0.25  # refused: nothing is recorded
+        assert ledger.charge("a", "b", "salary", 0.25 + 1e-10) is None  # within the 1e-9 Sh tolerance
+        assert ledger.charge("a", "b", "age", 1e300) is None  # no budget
+        assert ledger.cumulative == {("a", "b", "salary"): 0.75 + (0.25 + 1e-10), ("a", "b", "age"): 1e300}
+        assert ledger.charge("a", "b", "salary", 0.5) == 0.0
+
     def test_empty_ledger_report(self):
         result = simulate(two_entity_scenario(ticks=0))
         assert ledger_report(result.ledger) == []
@@ -381,6 +411,24 @@ def random_scenario_doc(seed, n_ent=6, ticks=5):
     }
 
 
+def shared_key_doc(seed):
+    """Alice releases her location to bob, and a channel shows it to him: both charge one budgeted ledger key."""
+    return {
+        "seed": seed,
+        "ticks": 4,
+        "entities": [
+            {"id": "alice", "data": [{"datum": "location", "owner": "alice", "governance": "conjunct",
+                                      "domain_size": 4}]},
+            {"id": "bob"},
+            {"id": "carol"},
+        ],
+        "trust": {"alice": {"bob": 1.0, "carol": 0.5}},
+        "incentives": {"alice": {"location": 1.0}},
+        "implicit_channels": [{"subject": "alice", "observer": "bob", "datum": "location", "p": 0.7}],
+        "budgets": {"location": 5.0},
+    }
+
+
 class TestBatchedDraws:
     @pytest.mark.parametrize("seed", range(8))
     def test_records_equal_the_per_candidate_loop(self, seed):
@@ -389,6 +437,19 @@ class TestBatchedDraws:
         result = simulate(scenario_from_json_dict(doc))
         assert result.records() == expected_records
         assert result.ledger.cumulative == expected_ledger
+
+    def test_implicit_flows_and_explicit_releases_share_a_budgeted_key(self):
+        shared = []
+        for seed in range(6):
+            doc = shared_key_doc(seed)
+            expected_records, expected_ledger = scalar_simulation(doc)
+            result = simulate(scenario_from_json_dict(doc))
+            assert result.records() == expected_records
+            assert result.ledger.cumulative == expected_ledger
+            shared += [r for r in expected_records if (r["sender"], r["receiver"]) == ("alice", "bob")]
+        # implicit flows take the key past its budget, so a later stop finds no headroom
+        assert {r.get("kind", r["record"]) for r in shared} == {"explicit", "implicit", "budget-stop"}
+        assert {r["headroom_sh"] for r in shared if r["record"] == "budget-stop"} == {0.0, 1.0}
 
     def test_scenarios_exercise_stops_and_both_kinds(self):
         records = [r for seed in range(8) for r in scalar_simulation(random_scenario_doc(seed))[0]]
@@ -611,7 +672,7 @@ class TestScenarioJson:
             two_entity_scenario(trust={"alice": {"bob": 1.5}})
 
     def test_society_needs_two_entities(self):
-        with pytest.raises(ValueError, match="two entities"):
+        with pytest.raises(ValueError, match="number of entities in a society must be >= 2, got 1"):
             Society(entities=(Entity("only"),))
 
     def test_negative_seed_rejected(self):
@@ -628,11 +689,62 @@ class TestScenarioJson:
             ({"trust": {"alice": {"bob": "0.9"}}}, "trust('alice', 'bob') must be a number, got '0.9'"),
             ({"incentives": {"alice": {"location": False}}}, "incentive('alice', 'location') must be a number"),
             ({"logistic": {"gamma": "3"}}, "logistic gamma must be a number, got '3'"),
+            ({"trust": {"alice": {"bob": 1.5}}}, "trust('alice', 'bob') must be in [0,1], got 1.5"),
+            ({"incentives": {"alice": {"location": -1}}},
+             "incentive('alice', 'location') must be finite and >= 0, got -1.0"),
         ],
     )
     def test_numbers_are_checked_not_converted(self, overrides, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             two_entity_scenario(**overrides)
+
+    @pytest.mark.parametrize(
+        "record, edit, message",
+        [
+            # an entity has no number: its id of another type stands for the mistyped value
+            ("entity", lambda doc: doc["entities"][0].pop("id"), "missing 1 required positional argument: 'id'"),
+            ("entity", lambda doc: doc["entities"][0].update(dta=[]), "unknown entity keys: ['dta']"),
+            ("entity", lambda doc: doc["entities"][0].update(id=7), "entity id must be a string, got 7"),
+            ("datum", lambda doc: doc["entities"][0]["data"][0].pop("owner"),
+             "missing 1 required positional argument: 'owner'"),
+            ("datum", lambda doc: doc["entities"][0]["data"][0].update(domian_size=4),
+             "unknown datum keys: ['domian_size']"),
+            ("datum", lambda doc: doc["entities"][0]["data"][0].update(domain_size="4"),
+             "datum domain_size must be an integer, got '4'"),
+            ("mechanism", lambda doc: doc["entities"][0]["data"][0]["mechanism"].pop("eps"),
+             "missing 1 required positional argument: 'eps'"),
+            ("mechanism", lambda doc: doc["entities"][0]["data"][0]["mechanism"].update(esp=1.0),
+             "unknown mechanism keys: ['esp']"),
+            ("mechanism", lambda doc: doc["entities"][0]["data"][0]["mechanism"].update(k=2.0),
+             "mechanism k must be an integer, got 2.0"),
+            ("implicit channel", lambda doc: doc["implicit_channels"][0].pop("p"),
+             "missing 1 required positional argument: 'p'"),
+            ("implicit channel", lambda doc: doc["implicit_channels"][0].update(q=1),
+             "unknown implicit channel keys: ['q']"),
+            ("implicit channel", lambda doc: doc["implicit_channels"][0].update(p="0.4"),
+             "implicit channel p must be a number, got '0.4'"),
+            # every logistic weight has a default, so no key is required there
+            ("logistic", lambda doc: doc["logistic"].update(alpah=50), "unknown logistic keys: ['alpah']"),
+            ("logistic", lambda doc: doc["logistic"].update(gamma="3"), "logistic gamma must be a number, got '3'"),
+        ],
+    )
+    def test_each_record_refusal_exits_2_with_one_error_line(self, record, edit, message, tmp_path, capsys):
+        doc = {
+            "entities": [
+                {"id": "alice", "data": [{"datum": "location", "owner": "alice", "governance": "conjunct",
+                                          "mechanism": {"kind": "randomized-response", "k": 2, "eps": 1.0}}]},
+                {"id": "bob"},
+            ],
+            "implicit_channels": [{"subject": "alice", "observer": "bob", "datum": "location", "p": 0.4}],
+            "logistic": {"alpha": 4.0, "beta": 1.0, "gamma": 3.0},
+        }
+        assert main(["simulate", "--scenario", str(write_json(tmp_path, doc))]) == 0
+        capsys.readouterr()
+        edit(doc)
+        assert main(["simulate", "--scenario", str(write_json(tmp_path, doc))]) == 2
+        out, err = capsys.readouterr()
+        [line] = err.splitlines()
+        assert out == "" and line.startswith("error: ") and message in line
 
     def test_json_integers_are_stored_as_floats(self):
         scenario = two_entity_scenario(trust={"alice": {"bob": 1}}, budgets={"location": 2},
@@ -714,6 +826,28 @@ class TestTextWriters:
         assert written(_write, ledger_report(result.ledger), "csv") == written(_write, rows, "csv")
         stdout = {"events": result.records(induced), "ledger": ledger_report(result.ledger)}
         assert written(_write, stdout, "json") == dumps({"events": records, "ledger": rows}, indent=2) + "\n"
+
+    def test_logs_longer_than_a_batch_equal_the_dict_oracle(self):
+        class Writes(io.StringIO):
+            calls = 0
+
+            def write(self, text):
+                self.calls += 1
+                return super().write(text)
+
+        events = [flow(t, "a", "b", f"d{i}") for t in range(3) for i in range(700)]
+        stops = [BudgetStop(t, "b", "a", "d", 1.0, 0.5) for t in range(3)]
+        cumulative = {("a", "b", f"d{i}"): i / 7 for i in range(1500)}
+        result = SimulationResult(events, stops, Ledger({"d1": 0.5, "d9": 2.0}, cumulative))
+        dumps = lambda doc, **kw: json.dumps(doc, sort_keys=True, allow_nan=False, **kw)  # noqa: E731
+        fh = Writes()
+        write_events_jsonl(result, fh)
+        assert fh.getvalue() == "".join(dumps(rec) + "\n" for rec in helpers.event_records(result))
+        assert fh.calls == math.ceil(2103 / _BATCH)  # 2,100 flows and 3 stops, in batches
+        fh = Writes()
+        write_ledger_json(result.ledger, fh)
+        assert fh.getvalue() == dumps(helpers.ledger_rows(result.ledger), indent=2) + "\n"
+        assert fh.calls == math.ceil(1501 / _BATCH)  # 1,500 rows and the closing bracket
 
     def test_shared_measure_and_cause_are_written_in_full_each_time(self):
         a = flow(0, "a", "b", "d")
