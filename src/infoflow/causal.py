@@ -24,11 +24,12 @@ import numpy as np
 from ._kernels import dense_joint, entropy_bits, merged_view, mi_bits
 from .measures import (
     STATE_SPACE_CAP, CapacityError, InfoMeasure, _as_tuple, _at_least, _check_id, _check_keys, _check_labels,
-    _check_size, _distinct, _nonneg, _stochastic, load_json,
+    _check_size, _distinct, _nonneg, _number, _stochastic, load_json, malformed,
 )
 from .society import Context, FlowEvent, bundle_contexts
 
 JOINT_SUM_TOL = 1e-6
+THRESHOLD_SH = 1e-6  # the default attribution threshold: a leak above it induces a flow
 
 log = logging.getLogger(__name__)
 
@@ -381,20 +382,19 @@ def fork_collider_graph(seed: int = 42) -> BayesNet:
 
 
 def check_attribution(
-    net: BayesNet, ownership: dict[str, str], node_of: dict[str, str] | None = None, threshold: float | None = None
+    net: BayesNet, ownership: dict[str, str], node_of: dict[str, str] | None = None, threshold: float = THRESHOLD_SH
 ) -> None:
     """Refuse an ownership or datum-to-node mapping that is not a mapping or names a node the net lacks.
 
-    Owners are entity ids, so they must be strings; a ``threshold``, when given, must be finite and >= 0.
+    Owners are entity ids, so they must be strings; ``threshold`` must be a finite number >= 0.
     """
-    if threshold is not None:
-        _nonneg(threshold, "attribution threshold")
+    _nonneg(_number(threshold, "attribution threshold"), "attribution threshold")
     for what, mapping in (("ownership", ownership), ("message node map", node_of)):
         if mapping is not None and not isinstance(mapping, dict):
             raise ValueError(f"{what} must be a mapping, got {type(mapping).__name__}")
     for node_name, owner in ownership.items():
         net.node(node_name)  # raises on unknown nodes
-        _check_id(owner, f"owner of node {node_name!r}")
+        _check_id(owner, "owner of node ", node_name)
     for node_name in (node_of or {}).values():
         net.node(node_name)
 
@@ -403,7 +403,7 @@ def attribute_flows(
     context_log: list[FlowEvent],
     net: BayesNet,
     ownership: dict[str, str],
-    threshold: float = 1e-6,
+    threshold: float = THRESHOLD_SH,
     window: int = 1,
     node_of: dict[str, str] | None = None,
 ) -> list[tuple[Context, Context]]:
@@ -543,3 +543,24 @@ def net_from_json_dict(d: dict) -> BayesNet:
 
 def load_net(path) -> BayesNet:
     return load_json(path, net_from_json_dict)
+
+
+def load_attribution(scenario, base) -> dict | None:
+    """``attribute_flows`` arguments from a scenario's attribution block, read and checked; None without a block.
+
+    A ``net`` given as a path is read relative to ``base``, a ``pathlib.Path`` to the scenario file's directory.
+    """
+    block = scenario.attribution
+    if not block:
+        return None
+    with malformed("scenario attribution"):
+        net = block["net"]
+        settings = {
+            "net": load_net(base / net) if isinstance(net, str) else net_from_json_dict(net),
+            "ownership": block.get("ownership", {}),
+            "node_of": block.get("message_nodes"),
+        }
+        if "threshold" in block:
+            settings["threshold"] = block["threshold"]
+        check_attribution(**settings)
+    return {**settings, "window": scenario.window}

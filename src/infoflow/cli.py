@@ -23,7 +23,7 @@ from pathlib import Path
 from . import causal, society
 from .anonymity import dp_release, linkage_attack, read_table, write_table
 from .channels import Channel, _check_eps, bound_sweep, check_mi_bound, compose, randomized_response, realized_epsilon
-from .measures import CapacityError, Dist, _check_keys, _distinct, _number, load_json, malformed
+from .measures import CapacityError, Dist, _check_keys, _distinct, load_json, malformed
 
 EXIT_OK = 0
 EXIT_BOUND_VIOLATED = 1
@@ -148,33 +148,12 @@ def cmd_leakage(args) -> int:
     return EXIT_OK
 
 
-def _attribution(scenario, base: Path) -> dict | None:
-    """``attribute_flows`` arguments from the scenario's attribution block, parsed and name-checked.
-
-    A ``net`` given as a path is read relative to ``base``, the scenario file's directory.
-    """
-    attribution = scenario.attribution
-    if not attribution:
-        return None
-    with malformed("scenario attribution"):
-        net = attribution["net"]
-        settings = {
-            "net": causal.load_net(base / net) if isinstance(net, str) else causal.net_from_json_dict(net),
-            "ownership": attribution.get("ownership", {}),
-            "node_of": attribution.get("message_nodes"),
-        }
-        if "threshold" in attribution:
-            settings["threshold"] = _number(attribution["threshold"], "attribution threshold")
-        causal.check_attribution(**settings)
-    return {**settings, "window": scenario.window}
-
-
 def cmd_simulate(args) -> int:
     if args.out is None and args.fmt == "csv":
         raise ValueError("simulate --format csv writes events.csv and ledger.csv: it needs --out")
     scenario = society.load_scenario(args.scenario)
     # a bad attribution block is refused before the run
-    attribution = _attribution(scenario, Path(args.scenario).parent)
+    attribution = causal.load_attribution(scenario, Path(args.scenario).parent)
     result = society.simulate(scenario)
     with malformed("scenario attribution"):
         induced = causal.attribute_flows(result.events, **attribution) if attribution else []

@@ -65,12 +65,17 @@ def _stochastic(values, shape: tuple[int, ...], what: str, rows: bool = False) -
     return a
 
 
-# A ``key`` given to the rules below is written after ``what`` in a refusal, so a caller that checks
-# many values, such as trust per (sender, receiver), formats the key only when it refuses one.
-def _nonneg(value: float, what: str, key="") -> None:
-    """Refuse a ``value`` that is not finite and >= 0 (NaN included)."""
+# A ``key`` given to a rule below is written, as its repr, after ``what`` in a refusal, so a caller that checks many
+# values, such as trust per (sender, receiver), formats the key only when it refuses one.
+def _named(what: str, key) -> str:
+    return what if key is None else f"{what}{key!r}"
+
+
+def _nonneg(value: float, what: str, key=None) -> float:
+    """``value``, refused if it is not finite and >= 0 (NaN included)."""
     if not (math.isfinite(value) and value >= 0):
-        raise ValueError(f"{what}{key} must be finite and >= 0, got {value}")
+        raise ValueError(f"{_named(what, key)} must be finite and >= 0, got {value}")
+    return value
 
 
 def _at_least(value, n: int, what: str) -> None:
@@ -79,10 +84,11 @@ def _at_least(value, n: int, what: str) -> None:
         raise ValueError(f"{what} must be >= {n}, got {value}")
 
 
-def _unit(value: float, what: str, key="") -> None:
-    """Refuse a ``value`` outside [0, 1] (NaN included)."""
+def _unit(value: float, what: str, key=None) -> float:
+    """``value``, refused if it is outside [0, 1] (NaN included)."""
     if not 0.0 <= value <= 1.0:
-        raise ValueError(f"{what}{key} must be in [0,1], got {value}")
+        raise ValueError(f"{_named(what, key)} must be in [0,1], got {value}")
+    return value
 
 
 def _check_size(size: int, cap: int, what: str) -> None:
@@ -91,32 +97,32 @@ def _check_size(size: int, cap: int, what: str) -> None:
         raise CapacityError(f"{what}, exceeding the cap of {cap}")
 
 
-def _distinct(items, what: str) -> None:
+def _distinct(items, what: str, key=None) -> None:
     """Refuse ``items`` that hold a repeat, naming the first one."""
     seen = set()
     for x in items:
         if x in seen:
-            raise ValueError(f"duplicate {what}: {x!r}")
+            raise ValueError(f"duplicate {_named(what, key)}: {x!r}")
         seen.add(x)
 
 
-def _check_id(value, what: str) -> None:
+def _check_id(value, what: str, key=None) -> None:
     """Refuse an id, a name or a datum value that is not a string."""
     if not isinstance(value, str):
-        raise ValueError(f"{what} must be a string, got {value!r}")
+        raise ValueError(f"{_named(what, key)} must be a string, got {value!r}")
 
 
 def _integer(value, what: str) -> int:
-    """Refuse a JSON value that is not an integer (a boolean, a string or a float such as 2.7 or 1e308)."""
+    """Refuse a value that is not an integer (a boolean, a string or a float such as 2.7 or 1e308)."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return value
 
 
-def _number(value, what: str, key="") -> float:
-    """A JSON number as a float; a boolean or a string is refused."""
+def _number(value, what: str, key=None) -> float:
+    """A number as a float; a boolean or a string is refused."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{what}{key} must be a number, got {value!r}")
+        raise ValueError(f"{_named(what, key)} must be a number, got {value!r}")
     return float(value)
 
 
@@ -228,9 +234,9 @@ class InfoMeasure:
     metrons: int
 
     def __post_init__(self):
-        if self.logons < 0 or self.metrons < 0:
+        if _integer(self.logons, "logons") < 0 or _integer(self.metrons, "metrons") < 0:
             raise ValueError("logons/metrons must be non-negative")
-        _nonneg(self.selective_sh, "selective_sh")
+        object.__setattr__(self, "selective_sh", _nonneg(_number(self.selective_sh, "selective_sh"), "selective_sh"))
 
 
 # ---------------------------------------------------------------------------

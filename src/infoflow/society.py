@@ -58,6 +58,8 @@ class ReleaseMechanism:
     eps: float
 
     def __post_init__(self):
+        _integer(self.k, "mechanism k")
+        object.__setattr__(self, "eps", _number(self.eps, "mechanism eps"))
         if self.kind != "randomized-response":
             raise ValueError(f"unsupported mechanism kind {self.kind!r}")
         _check_rr(self.k, self.eps)
@@ -75,12 +77,12 @@ class DatumRecord:
     mechanism: ReleaseMechanism | None = None
 
     def __post_init__(self):
+        _at_least(_integer(self.domain_size, "datum domain_size"), 1, "domain_size")
         _check_id(self.datum, "datum id")
-        _check_id(self.value, f"value of datum {self.datum!r}")
-        _check_id(self.owner, f"owner of datum {self.datum!r}")
+        _check_id(self.value, "value of datum ", self.datum)
+        _check_id(self.owner, "owner of datum ", self.datum)
         if self.governance not in GOVERNANCE_TAGS:
             raise ValueError(f"unknown governance tag {self.governance!r}")
-        _at_least(self.domain_size, 1, "domain_size")
 
 
 @dataclass(frozen=True)
@@ -91,7 +93,7 @@ class Entity:
     def __post_init__(self):
         _check_id(self.id, "entity id")
         object.__setattr__(self, "data", tuple(self.data))
-        _distinct([r.datum for r in self.data], f"datum ids on entity {self.id!r}")
+        _distinct([r.datum for r in self.data], "datum ids on entity ", self.id)
         for r in self.data:
             conjunct = r.owner == self.id
             if (r.governance == "conjunct") != conjunct:
@@ -109,10 +111,8 @@ class FactorState:
     incentives: dict[tuple[str, str], float] = field(default_factory=dict)
 
     def __post_init__(self):
-        for k, v in self.trust.items():
-            _unit(v, "trust", k)
-        for k, v in self.incentives.items():
-            _nonneg(v, "incentive", k)
+        self.trust = {k: _unit(_number(v, "trust", k), "trust", k) for k, v in self.trust.items()}
+        self.incentives = {k: _nonneg(_number(v, "incentive", k), "incentive", k) for k, v in self.incentives.items()}
 
     def trust_of(self, sender: str, receiver: str) -> float:
         return self.trust.get((sender, receiver), 0.0)
@@ -134,6 +134,8 @@ class LogisticParams:
     gamma: float = 3.0
 
     def __post_init__(self):
+        for name in ("alpha", "beta", "gamma"):
+            object.__setattr__(self, name, _number(getattr(self, name), f"logistic {name}"))
         _nonneg(self.alpha, "alpha")
         _nonneg(self.beta, "beta")
         if not math.isfinite(self.gamma):
@@ -154,7 +156,7 @@ class ImplicitChannel:
             _check_id(getattr(self, what), f"implicit channel {what}")
         if self.subject == self.observer:
             raise ValueError("implicit channel subject and observer must differ")
-        _unit(self.p, "implicit channel p")
+        object.__setattr__(self, "p", _unit(_number(self.p, "implicit channel p"), "implicit channel p"))
 
 
 class _Record:
@@ -236,6 +238,11 @@ class Context(_Record, _ContextFields):
         return tuple.__new__(cls, (id, t, sender, receiver, flows))
 
 
+def _budgets(budgets: dict) -> dict[str, float]:
+    """The budget rule: each datum's budget a finite number >= 0, stored as a float."""
+    return {d: _nonneg(_number(cap, "budget for ", d), "budget for ", d) for d, cap in budgets.items()}
+
+
 @dataclass
 class Ledger:
     """Per-(sender, receiver, datum) cumulative worst-case content, in Sh."""
@@ -244,8 +251,7 @@ class Ledger:
     cumulative: dict[tuple[str, str, str], float] = field(default_factory=dict)
 
     def __post_init__(self):
-        for d, cap in self.budgets.items():
-            _nonneg(cap, f"budget for {d!r}")
+        self.budgets = _budgets(self.budgets)
 
     def headroom(self, sender: str, receiver: str, datum: str) -> float | None:
         cap = self.budgets.get(datum)
@@ -288,8 +294,7 @@ class Society:
         _at_least(len(self.entities), 2, "number of entities in a society")
         ids = [e.id for e in self.entities]
         _distinct(ids, "entity ids")
-        for d, cap in self.budgets.items():
-            _nonneg(cap, f"budget for {d!r}")
+        self.budgets = _budgets(self.budgets)
         known = set(ids)
         self.held = {(e.id, r.datum): r for e in self.entities for r in e.data}
         self.implicit_channels = tuple(self.implicit_channels)
@@ -364,9 +369,14 @@ class Scenario:
     attribution: dict | None = None
 
     def __post_init__(self):
-        _at_least(self.seed, 0, "seed")
-        _at_least(self.ticks, 0, "ticks")
-        _at_least(self.window, 1, "window")
+        _at_least(_integer(self.seed, "seed"), 0, "seed")
+        _at_least(_integer(self.ticks, "ticks"), 0, "ticks")
+        _window(self.window)
+
+
+def _window(window: int) -> None:
+    """The window rule: an integer >= 1 of ticks that one context spans."""
+    _at_least(_integer(window, "window"), 1, "window")
 
 
 @dataclass
@@ -407,7 +417,7 @@ class Simulation:
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
         self.society = scenario.society
-        self.ledger = Ledger(budgets=dict(scenario.society.budgets))
+        self.ledger = Ledger(budgets=scenario.society.budgets)
         self.t = 0
         self.events: list[FlowEvent] = []
         self.stops: list[BudgetStop] = []
@@ -460,13 +470,14 @@ class Simulation:
         return events, stops
 
     def run(self) -> SimulationResult:
-        t0 = time.perf_counter()
-        for _ in range(self.scenario.ticks):
+        """Run the ticks left of the scenario's ``ticks``: after k ``step`` calls, ticks k onwards."""
+        t0, start = time.perf_counter(), self.t
+        while self.t < self.scenario.ticks:
             self.step()
         log.debug(
             "Simulation.run: %d ticks, %d candidates and %d implicit channels per tick, "
             "%d events, %d budget stops in %.3f s",
-            self.scenario.ticks, len(self._p), len(self._implicit), len(self.events), len(self.stops),
+            self.t - start, len(self._p), len(self._implicit), len(self.events), len(self.stops),
             time.perf_counter() - t0,
         )
         return SimulationResult(events=list(self.events), stops=list(self.stops), ledger=self.ledger)
@@ -524,7 +535,7 @@ def bundle_contexts(events: list[FlowEvent], window: int = 1) -> list[Context]:
     Events must be sorted by tick; every event lands in exactly one
     context, opened at its first event's tick.
     """
-    _at_least(window, 1, "window")
+    _window(window)
     open_ctx: dict[tuple[str, str], list[FlowEvent]] = {}
     groups: list[list[FlowEvent]] = []
     last_t = -math.inf
@@ -567,29 +578,21 @@ def _field_names(cls) -> tuple[str, ...]:
     return tuple(f.name for f in fields(cls))
 
 
-def _from_json(cls, doc: dict, what: str, **convert):
-    """``cls`` from a JSON object keyed by its field names, ``convert[key]`` applied to that key's value.
+def _from_json(cls, doc: dict, what: str, **nested):
+    """``cls`` from a JSON object keyed by its field names, the value of a key in ``nested`` read by its reader there.
 
-    ``int`` and ``float`` there stand for ``_integer`` and ``_number``; keys are converted in the
-    object's order. A key that is not a field is refused; an absent one takes the field's default.
+    A key that is not a field is refused; an absent one takes the field's default. ``cls`` checks every value.
     """
     _check_keys(doc, _field_names(cls), what)
-    kwargs = dict(doc.items())  # a list in place of the object fails here, with an AttributeError
-    for k, v in kwargs.items():
-        c = convert.get(k)
-        if c in (int, float):
-            kwargs[k] = (_integer if c is int else _number)(v, f"{what} {k}")
-        elif c is not None:
-            kwargs[k] = c(v)
-    return cls(**kwargs)
+    return cls(**{k: nested[k](v) if k in nested else v for k, v in doc.items()})
 
 
 def _mechanism_from_json(doc: dict | None) -> ReleaseMechanism | None:
-    return None if doc is None else _from_json(ReleaseMechanism, doc, "mechanism", k=int, eps=float)
+    return None if doc is None else _from_json(ReleaseMechanism, doc, "mechanism")
 
 
 def _datum_from_json(doc: dict) -> DatumRecord:
-    return _from_json(DatumRecord, {"value": "", **doc}, "datum", domain_size=int, mechanism=_mechanism_from_json)
+    return _from_json(DatumRecord, {"value": "", **doc}, "datum", mechanism=_mechanism_from_json)
 
 
 def _data_from_json(docs: list) -> tuple[DatumRecord, ...]:
@@ -598,30 +601,20 @@ def _data_from_json(docs: list) -> tuple[DatumRecord, ...]:
 
 def scenario_from_json_dict(cfg: dict) -> Scenario:
     _check_keys(cfg, _SCENARIO_KEYS, "scenario")
-    entities = [
-        _from_json(Entity, ent, "entity", data=_data_from_json)
-        for ent in cfg.get("entities", [])
-    ]
+    entities = [_from_json(Entity, ent, "entity", data=_data_from_json) for ent in cfg.get("entities", [])]
     factors = FactorState(
-        trust={
-            (s, r): _number(v, "trust", (s, r)) for s, row in cfg.get("trust", {}).items() for r, v in row.items()
-        },
-        incentives={
-            (s, d): _number(v, "incentive", (s, d))
-            for s, row in cfg.get("incentives", {}).items()
-            for d, v in row.items()
-        },
+        trust={(s, r): v for s, row in cfg.get("trust", {}).items() for r, v in row.items()},
+        incentives={(s, d): v for s, row in cfg.get("incentives", {}).items() for d, v in row.items()},
     )
+    channels = [_from_json(ImplicitChannel, ch, "implicit channel") for ch in cfg.get("implicit_channels", [])]
     society = Society(
-        entities=tuple(entities),
+        entities=entities,
         factors=factors,
-        implicit_channels=tuple(
-            _from_json(ImplicitChannel, ch, "implicit channel", p=float) for ch in cfg.get("implicit_channels", [])
-        ),
-        logistic=_from_json(LogisticParams, cfg.get("logistic", {}), "logistic", alpha=float, beta=float, gamma=float),
-        budgets={d: _number(v, f"budget for {d!r}") for d, v in cfg.get("budgets", {}).items()},
+        implicit_channels=channels,
+        logistic=_from_json(LogisticParams, cfg.get("logistic", {}), "logistic"),
+        budgets=cfg.get("budgets", {}),
     )
-    run = {k: _integer(cfg[k], k) for k in ("seed", "ticks", "window") if k in cfg}
+    run = {k: cfg[k] for k in ("seed", "ticks", "window") if k in cfg}
     _check_keys(cfg.get("attribution") or {}, ("net", "ownership", "threshold", "message_nodes"), "attribution")
     return Scenario(society=society, attribution=cfg.get("attribution"), **run)
 
@@ -653,7 +646,7 @@ def _float(x) -> str:
 def _measure_text(m: InfoMeasure) -> str:
     # "unbounded" is part of the log schema; an InfoMeasure is always finite, so it is always false
     return (
-        f'{{"logons": {int(m.logons)}, "metrons": {int(m.metrons)}, '
+        f'{{"logons": {m.logons}, "metrons": {m.metrons}, '
         f'"selective_sh": {_float(m.selective_sh)}, "unbounded": false}}'
     )
 
@@ -742,7 +735,7 @@ def write_events_csv(result: SimulationResult, fh, induced: list[tuple[Context, 
     def flow_row(record: str, f: FlowEvent) -> list:
         m = f.measure
         return [record, f.id, f.t, f.kind, f.sender, f.receiver, f.datum,
-                float(m.selective_sh), int(m.logons), int(m.metrons), f.context_id, "", ""]
+                m.selective_sh, m.logons, m.metrons, f.context_id, "", ""]
 
     for r in result.by_tick():
         if isinstance(r, FlowEvent):

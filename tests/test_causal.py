@@ -452,6 +452,19 @@ class TestAttributeFlows:
         with pytest.raises(ValueError, match="attribution threshold must be finite and >= 0"):
             attribute_flows(events, net, {"S2": "twin2"}, threshold=threshold)
 
+    @pytest.mark.parametrize("threshold, window, message", [
+        (True, 1, "attribution threshold must be a number, got True"),
+        ("1e-3", 1, "attribution threshold must be a number, got '1e-3'"),
+        (None, 1, "attribution threshold must be a number, got None"),
+        (1e-6, 2.5, "window must be an integer, got 2.5"),
+    ])
+    def test_threshold_and_window_of_another_type_rejected(self, threshold, window, message):
+        net, _ = twins_scenario()
+        events = [explicit_event("twin1", "receiver", "S1")]
+        with pytest.raises(ValueError) as refused:
+            attribute_flows(events, net, {"S2": "twin2"}, threshold=threshold, window=window)
+        assert str(refused.value) == message
+
     def test_datum_missing_from_the_node_map_is_skipped(self):
         # the unmapped flow neither induces a context nor joins the conditioning of the later flow
         net, _ = twins_scenario()

@@ -623,6 +623,11 @@ MALFORMED = {
         {"s.json": _twins_with(attribution={**TWINS["attribution"], "threshold": True})},
         ["simulate", "--scenario", "s.json"],
     ),
+    # a null threshold is a value of the wrong type, not an absent one
+    "attribution-threshold-null": (
+        {"s.json": _twins_with(attribution={**TWINS["attribution"], "threshold": None})},
+        ["simulate", "--scenario", "s.json"],
+    ),
     # e^eps overflows a float beyond eps = 709.78
     "rr-eps-beyond-float": ({}, ["verify-bound", "--rr", "k=2", "eps=1000"]),
     "channel-rr-eps-beyond-float": ({}, ["verify-bound", "--channel", "rr:k=2,eps=710"]),
@@ -805,6 +810,7 @@ REFUSED_BY = {
     "attribution-threshold-not-a-number": "attribution threshold must be a number, got 'high'",
     "attribution-threshold-string-number": "attribution threshold must be a number, got '1e-3'",
     "attribution-threshold-boolean": "attribution threshold must be a number, got True",
+    "attribution-threshold-null": "attribution threshold must be a number, got None",
     "rr-eps-beyond-float": "eps 1000.0 exceeds 709.782712893384",
     "channel-rr-eps-beyond-float": "eps 710.0 exceeds 709.782712893384",
     "compose-rr-eps-beyond-float": "eps 1000.0 exceeds 709.782712893384",

@@ -3,6 +3,9 @@
 Each refusal rule is stated once, in ``measures``, so a capacity refusal is raised there
 and nowhere else. The private helpers of ``society``, ``causal``, ``anonymity`` and ``cli``
 stay private to their module: no other module imports one or reaches it as an attribute.
+A value's type rule lives in the record or check that owns the value, so no reader of a
+document (``cli``, and the ``*from_json*`` and ``load_*`` functions of ``society`` and
+``causal``) names ``_integer`` or ``_number``.
 """
 
 import ast
@@ -14,6 +17,7 @@ import infoflow
 
 SOURCES = sorted(Path(infoflow.__file__).parent.glob("*.py"))
 PRIVATE_TO = {"society", "causal", "anonymity", "cli"}
+TYPE_RULES = {"_integer", "_number"}
 
 
 def _tree(path: Path) -> ast.Module:
@@ -45,6 +49,31 @@ def _private_uses(tree: ast.Module) -> list[str]:
     return uses
 
 
+def _readers(path: Path) -> list[ast.AST]:
+    """The document readers of the module at ``path``: all of ``cli``, and the reading functions of ``society``
+    and ``causal``."""
+    tree = _tree(path)
+    if path.stem == "cli":
+        return [tree]
+    if path.stem not in ("society", "causal"):
+        return []
+    return [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+            and ("from_json" in node.name or node.name.startswith("load_"))]
+
+
+def _type_rule_uses(tree: ast.AST) -> list[str]:
+    """Each place ``tree`` imports, calls or otherwise names a type rule."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names += [(alias.name, node.lineno) for alias in node.names]
+        elif isinstance(node, ast.Name):
+            names.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            names.append((node.attr, node.lineno))
+    return [f"{name} (line {line})" for name, line in names if name in TYPE_RULES]
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_capacity_errors_are_raised_only_in_measures(path):
     raised = [n.lineno for n in ast.walk(_tree(path)) if isinstance(n, ast.Raise) and n.exc is not None
@@ -60,3 +89,13 @@ def test_no_module_uses_another_modules_private_helpers(path):
 def test_the_guard_sees_both_forms_of_use():
     tree = ast.parse("from .society import _check_id\nfrom . import society as s\ns._number(1, 'x')\n")
     assert _private_uses(tree) == ["society._check_id (line 1)", "society._number (line 3)"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_readers_leave_type_rules_to_the_records(path):
+    assert [use for reader in _readers(path) for use in _type_rule_uses(reader)] == []
+
+
+def test_the_type_rule_guard_sees_imports_calls_and_references():
+    tree = ast.parse("from .measures import _number\nm._integer(1, 'x')\nconvert = {'k': _number}\n")
+    assert _type_rule_uses(tree) == ["_number (line 1)", "_integer (line 2)", "_number (line 3)"]

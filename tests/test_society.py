@@ -24,6 +24,7 @@ from infoflow import (
     InfoMeasure,
     Ledger,
     LogisticParams,
+    ReleaseMechanism,
     Scenario,
     Simulation,
     SimulationResult,
@@ -34,6 +35,7 @@ from infoflow import (
     load_scenario,
     simulate,
 )
+from infoflow.causal import check_attribution, net_to_json_dict, twins_scenario
 from infoflow.cli import _write, main
 from infoflow.society import (
     DRAW_CAP,
@@ -285,6 +287,17 @@ class TestSimulationDeterminism:
             assert e.sender != e.receiver
             assert isinstance(e.datum, str) and e.datum
 
+    @pytest.mark.parametrize("steps", [0, 1, 3, 4])
+    def test_run_after_steps_runs_only_the_ticks_left(self, steps):
+        scenario = lambda: two_entity_scenario(seed=7, ticks=4, budgets={"location": 3.0})
+        sim = Simulation(scenario())
+        for _ in range(steps):
+            sim.step()
+        result = sim.run()
+        assert sim.t == 4
+        assert result.records() == simulate(scenario()).records()
+        assert sim.run().records() == result.records()  # a second run has no ticks left
+
 
 def budget_scenario(seed=0, ticks=4):
     return scenario_from_json_dict(
@@ -525,6 +538,14 @@ class TestBundleContexts:
         with pytest.raises(ValueError, match="window must be >= 1"):
             bundle_contexts([flow(0, "a", "b", "d")], window=0)
 
+    @pytest.mark.parametrize("window", [True, 2.5, "2"])
+    def test_window_of_another_type_rejected_as_a_scenario_refuses_it(self, window):
+        with pytest.raises(ValueError) as refused:
+            bundle_contexts([flow(0, "a", "b", "d")], window=window)
+        with pytest.raises(ValueError) as scenario_refused:
+            Scenario(two_entity_scenario().society, window=window)
+        assert str(refused.value) == str(scenario_refused.value) == f"window must be an integer, got {window!r}"
+
     def test_unsorted_events_rejected(self):
         with pytest.raises(ValueError, match="sorted"):
             bundle_contexts([flow(3, "a", "b", "d"), flow(1, "a", "b", "d")])
@@ -752,6 +773,94 @@ class TestScenarioJson:
         soc = scenario.society
         values = [soc.factors.trust[("alice", "bob")], soc.budgets["location"], soc.logistic.alpha]
         assert values == [1.0, 2.0, 4.0] and all(type(v) is float for v in values)
+
+
+TWINS_NET = twins_scenario()[0]
+PAIR = (Entity("alice"), Entity("bob"))
+
+
+def typed_fields_doc():
+    """A valid scenario that gives every field with a type rule, the attribution threshold included."""
+    return {
+        "seed": 0, "ticks": 1, "window": 1,
+        "entities": [
+            {"id": "alice", "data": [{"datum": "location", "owner": "alice", "governance": "conjunct", "domain_size": 2,
+                                      "mechanism": {"kind": "randomized-response", "k": 2, "eps": 1.0}}]},
+            {"id": "bob"},
+        ],
+        "trust": {"alice": {"bob": 0.5}},
+        "incentives": {"alice": {"location": 1.0}},
+        "implicit_channels": [{"subject": "alice", "observer": "bob", "datum": "location", "p": 0.4}],
+        "logistic": {"alpha": 4.0, "beta": 1.0, "gamma": 3.0},
+        "budgets": {"location": 1.0},
+        "attribution": {"net": net_to_json_dict(TWINS_NET), "ownership": {"S2": "bob"},
+                        "message_nodes": {"location": "S1"}, "threshold": 1e-6},
+    }
+
+
+# field: (its place in typed_fields_doc, its type, the name a refusal gives it, the record or check built directly)
+TYPED_FIELDS = {
+    "seed": (("seed",), "integer", "seed", lambda v: Scenario(Society(PAIR), seed=v)),
+    "ticks": (("ticks",), "integer", "ticks", lambda v: Scenario(Society(PAIR), ticks=v)),
+    "window": (("window",), "integer", "window", lambda v: Scenario(Society(PAIR), window=v)),
+    "domain_size": (("entities", 0, "data", 0, "domain_size"), "integer", "datum domain_size",
+                    lambda v: DatumRecord("location", "", "alice", "conjunct", domain_size=v)),
+    "mechanism k": (("entities", 0, "data", 0, "mechanism", "k"), "integer", "mechanism k",
+                    lambda v: ReleaseMechanism("randomized-response", v, 1.0)),
+    "mechanism eps": (("entities", 0, "data", 0, "mechanism", "eps"), "number", "mechanism eps",
+                      lambda v: ReleaseMechanism("randomized-response", 2, v)),
+    "trust": (("trust", "alice", "bob"), "number", "trust('alice', 'bob')",
+              lambda v: FactorState(trust={("alice", "bob"): v})),
+    "incentive": (("incentives", "alice", "location"), "number", "incentive('alice', 'location')",
+                  lambda v: FactorState(incentives={("alice", "location"): v})),
+    "implicit channel p": (("implicit_channels", 0, "p"), "number", "implicit channel p",
+                           lambda v: ImplicitChannel("alice", "bob", "location", v)),
+    "alpha": (("logistic", "alpha"), "number", "logistic alpha", lambda v: LogisticParams(alpha=v)),
+    "beta": (("logistic", "beta"), "number", "logistic beta", lambda v: LogisticParams(beta=v)),
+    "gamma": (("logistic", "gamma"), "number", "logistic gamma", lambda v: LogisticParams(gamma=v)),
+    "budget": (("budgets", "location"), "number", "budget for 'location'",
+               lambda v: Society(PAIR, budgets={"location": v})),
+    "attribution threshold": (("attribution", "threshold"), "number", "attribution threshold",
+                              lambda v: check_attribution(TWINS_NET, {"S2": "bob"}, {"location": "S1"}, v)),
+}
+MISTYPED = [(name, v) for name, (_, kind, _, _) in TYPED_FIELDS.items()
+            for v in (True, "2", *([2.7] if kind == "integer" else []))]
+
+
+class TestLibraryRefusesWhatTheReaderRefuses:
+    def test_the_document_is_valid(self, tmp_path):
+        assert main(["simulate", "--scenario", str(write_json(tmp_path, typed_fields_doc())),
+                     "--out", str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize("name, value", MISTYPED, ids=[f"{n}={v!r}" for n, v in MISTYPED])
+    def test_direct_construction_refuses_with_the_cli_message(self, name, value, tmp_path, capsys):
+        (*parents, key), kind, what, build = TYPED_FIELDS[name]
+        doc = typed_fields_doc()
+        parent = doc
+        for step in parents:
+            parent = parent[step]
+        parent[key] = value
+        path = write_json(tmp_path, doc)
+        assert main(["simulate", "--scenario", str(path)]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        where = "scenario attribution" if parents == ["attribution"] else path
+        message = f"{what} must be {'an integer' if kind == 'integer' else 'a number'}, got {value!r}"
+        assert line == f"error: {where}: {message}"
+        with pytest.raises(ValueError) as refused:
+            build(value)
+        assert str(refused.value) == message
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: InfoMeasure(0.5, 2.5, 1), "logons must be an integer, got 2.5"),
+        (lambda: InfoMeasure(0.5, 2, True), "metrons must be an integer, got True"),
+        (lambda: InfoMeasure(True, 2, 1), "selective_sh must be a number, got True"),
+        (lambda: Ledger(budgets={"x": "1"}), "budget for 'x' must be a number, got '1'"),
+        (lambda: check_attribution(TWINS_NET, {}, threshold=True), "attribution threshold must be a number, got True"),
+    ])
+    def test_records_without_a_document_refuse_other_types(self, build, message):
+        with pytest.raises(ValueError) as refused:
+            build()
+        assert str(refused.value) == message
 
 
 # ids with what JSON and CSV must escape or quote, non-ASCII text and the id separators
