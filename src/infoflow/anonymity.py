@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .channels import BoundCertificate, Channel, check_mi_bound, randomized_response
-from .measures import Dist, _at_least, _check_keys, _distinct, _unit, load_json, malformed
+from .measures import Dist, _at_least, _check_keys, _distinct, _known, _unit, load_json, malformed
 
 log = logging.getLogger(__name__)
 
@@ -50,8 +50,7 @@ class Table:
             raise ValueError(f"column names and roles must be strings, got {self.columns}")
         _distinct([n for n, _ in self.columns], "column names")
         for _, role in self.columns:
-            if role not in ROLES:
-                raise ValueError(f"unknown column role {role!r}")
+            _known(role, ROLES, "column role")
         width = len(self.columns)
         rows = tuple(map(tuple, self.rows))
         if set(map(len, rows)) - {width}:
@@ -65,12 +64,17 @@ class Table:
     def column_names(self, role: str | None = None) -> list[str]:
         return [n for n, r in self.columns if role is None or r == role]
 
+    def _index(self, name: str) -> int:
+        """The position of the column ``name``; a name the table lacks is refused."""
+        names = self.column_names()
+        return names.index(_known(name, names, "column"))
+
     def column(self, name: str) -> list[str]:
-        return list(map(itemgetter(self.column_names().index(name)), self.rows))
+        return list(map(itemgetter(self._index(name)), self.rows))
 
     def project(self, names: list[str]) -> list[tuple[str, ...]]:
         """Each row's cells in the named columns, as tuples."""
-        idxs = [self.column_names().index(n) for n in names]
+        idxs = list(map(self._index, names))
         if len(idxs) == 1:  # itemgetter of one index returns the cell, not a tuple
             return [(cell,) for cell in self.column(names[0])]
         return list(map(itemgetter(*idxs), self.rows))
@@ -164,10 +168,7 @@ def dp_release(
     row: bit for bit what ``rng.choice(k, p=row)`` per row draws.
     """
     _at_least(seed, 0, "seed")
-    names = t.column_names()
-    if sensitive_column not in names:
-        raise ValueError(f"unknown column {sensitive_column!r}")
-    col = names.index(sensitive_column)
+    col = t._index(sensitive_column)
     values = t.column(sensitive_column)
     categories = tuple(sorted(set(values)))
     k = len(categories)

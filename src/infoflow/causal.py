@@ -24,7 +24,7 @@ import numpy as np
 from ._kernels import dense_joint, entropy_bits, merged_view, mi_bits
 from .measures import (
     STATE_SPACE_CAP, CapacityError, InfoMeasure, _as_tuple, _at_least, _check_id, _check_keys, _check_labels,
-    _check_size, _distinct, _nonneg, _number, _stochastic, load_json, malformed,
+    _check_size, _distinct, _known, _nonneg, _number, _stochastic, load_json, malformed,
 )
 from .society import Context, FlowEvent, bundle_contexts
 
@@ -91,10 +91,7 @@ class BayesNet:
         object.__setattr__(self, "_by_name", seen)
 
     def node(self, name: str) -> Node:
-        try:
-            return self._by_name[name]
-        except KeyError:
-            raise ValueError(f"unknown node {name!r}") from None
+        return self._by_name[_known(name, self._by_name, "node")]
 
     @property
     def names(self) -> tuple[str, ...]:
@@ -549,6 +546,7 @@ def load_attribution(scenario, base) -> dict | None:
     """``attribute_flows`` arguments from a scenario's attribution block, read and checked; None without a block.
 
     A ``net`` given as a path is read relative to ``base``, a ``pathlib.Path`` to the scenario file's directory.
+    Each owner must be an entity of the scenario's society, and each ``message_nodes`` key a datum one of them holds.
     """
     block = scenario.attribution
     if not block:
@@ -563,4 +561,10 @@ def load_attribution(scenario, base) -> dict | None:
         if "threshold" in block:
             settings["threshold"] = block["threshold"]
         check_attribution(**settings)
+        entities = {e.id for e in scenario.society.entities}
+        for owner in settings["ownership"].values():
+            _known(owner, entities, "owner")
+        data = {d for _, d in scenario.society.held}
+        for datum in settings["node_of"] or {}:
+            _known(datum, data, "message_nodes datum")
     return {**settings, "window": scenario.window}

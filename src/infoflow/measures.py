@@ -106,6 +106,13 @@ def _distinct(items, what: str, key=None) -> None:
         seen.add(x)
 
 
+def _known(value, known, what: str, key=None):
+    """``value``, refused, by name, if it is not in ``known``: a name a record refers to must resolve."""
+    if value not in known:
+        raise ValueError(f"unknown {_named(what, key)} {value!r}")
+    return value
+
+
 def _check_id(value, what: str, key=None) -> None:
     """Refuse an id, a name or a datum value that is not a string."""
     if not isinstance(value, str):

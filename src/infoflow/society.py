@@ -6,9 +6,9 @@ logistic link over trust and incentives, while environment channels
 (e.g. a camera) fire implicit flows with probabilities independent of
 the subject's factors. Explicit and implicit draws come from separate
 per-tick generator streams, so perturbing a subject's factors can never
-change the implicit event set. A ledger accumulates the worst-case
-information content of every flow and enforces optional per-datum
-release budgets on explicit flows.
+change the implicit event set. A ledger accumulates the sum of
+certified per-release caps of every flow and enforces optional
+per-datum release budgets on explicit flows.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ import numpy as np
 
 from .channels import _check_rr, dp_to_mi_bound
 from .measures import (
-    InfoMeasure, _at_least, _check_id, _check_keys, _check_size, _distinct, _integer, _nonneg, _number, _unit,
-    load_json,
+    InfoMeasure, _at_least, _check_id, _check_keys, _check_size, _distinct, _integer, _known, _nonneg, _number,
+    _unit, load_json,
 )
 
 GOVERNANCE_TAGS = (
@@ -81,8 +81,7 @@ class DatumRecord:
         _check_id(self.datum, "datum id")
         _check_id(self.value, "value of datum ", self.datum)
         _check_id(self.owner, "owner of datum ", self.datum)
-        if self.governance not in GOVERNANCE_TAGS:
-            raise ValueError(f"unknown governance tag {self.governance!r}")
+        _known(self.governance, GOVERNANCE_TAGS, "governance tag")
 
 
 @dataclass(frozen=True)
@@ -245,7 +244,7 @@ def _budgets(budgets: dict) -> dict[str, float]:
 
 @dataclass
 class Ledger:
-    """Per-(sender, receiver, datum) cumulative worst-case content, in Sh."""
+    """Per-(sender, receiver, datum) sum of certified per-release caps, in Sh."""
 
     budgets: dict[str, float] = field(default_factory=dict)
     cumulative: dict[tuple[str, str, str], float] = field(default_factory=dict)
@@ -299,11 +298,16 @@ class Society:
         self.held = {(e.id, r.datum): r for e in self.entities for r in e.data}
         self.implicit_channels = tuple(self.implicit_channels)
         for ch in self.implicit_channels:
-            if ch.subject not in known or ch.observer not in known:
-                raise ValueError(f"implicit channel references unknown entity: {ch}")
-            if (ch.subject, ch.datum) not in self.held:
-                raise ValueError(f"subject {ch.subject!r} does not hold datum {ch.datum!r}")
+            _known(ch.subject, known, "entity")
+            _known(ch.observer, known, "entity")
+        # a channel observes its subject's datum, and an incentive is to release the sender's own
+        for holder, datum in [*((ch.subject, ch.datum) for ch in self.implicit_channels), *self.factors.incentives]:
+            if (holder, datum) not in self.held:
+                raise ValueError(f"entity {holder!r} does not hold datum {datum!r}")
         _distinct([(ch.subject, ch.observer, ch.datum) for ch in self.implicit_channels], "implicit channels")
+        data = {d for _, d in self.held}
+        for d in self.budgets:
+            _known(d, data, "budgeted datum")
 
 
 def _logistic(x: float) -> float:
@@ -695,12 +699,11 @@ def _ledger_chunks(ledger: Ledger):
     """The ledger document in pieces: the opening bracket with the first row, each further row, the close."""
     sep = "[\n"
     cumulative = ledger.cumulative
+    budgets = {datum: _float(cap) for datum, cap in ledger.budgets.items()}  # each budget's text, formatted once
     for key in sorted(cumulative):  # the keys are unique: sorting them alone gives the items' order, faster
         sender, receiver, datum = key
-        if datum in ledger.budgets:
-            budget, headroom = _float(ledger.budgets[datum]), _float(ledger.headroom(*key))
-        else:
-            budget = headroom = "null"
+        budget = budgets.get(datum, "null")
+        headroom = _float(ledger.headroom(*key)) if datum in budgets else "null"
         yield (
             f'{sep}  {{\n    "budget_sh": {budget},\n    "cumulative_sh": {_float(cumulative[key])},\n'
             f'    "datum": {_str(datum)},\n    "headroom_sh": {headroom},\n'

@@ -339,6 +339,12 @@ class TestSimulate:
         code, _ = run_cli("simulate", "--scenario", str(path), capsys=capsys)
         assert code == 2
 
+    def test_trust_by_or_in_an_outsider_is_ignored(self, tmp_path, capsys):
+        _, plain = run_cli("simulate", "--scenario", data_path("twins.json"), capsys=capsys)
+        trust = {"twin1": {**TWINS["trust"]["twin1"], "ghost": 1.0}, "ghost": {"twin1": 1.0}}
+        path = _write(tmp_path, "s.json", _twins_with(trust=trust))
+        assert run_cli("simulate", "--scenario", path, capsys=capsys) == (0, plain)
+
     @pytest.mark.parametrize(
         "case",
         [
@@ -346,6 +352,8 @@ class TestSimulate:
             "ownership-not-a-mapping",
             "attribution-threshold-negative",
             "attribution-owner-integer",
+            "attribution-unknown-owner",
+            "attribution-unknown-message-datum",
         ],
     )
     def test_attribution_is_checked_before_the_run(self, case, tmp_path, monkeypatch, capsys):
@@ -699,6 +707,28 @@ MALFORMED = {
         {"s.json": _twins_channel(observer="nobody")},
         ["simulate", "--scenario", "s.json"],
     ),
+    # each name a scenario refers to resolves: a budget or incentive for a datum nobody holds would do nothing
+    "budget-unknown-datum": ({"s.json": _twins_with(budgets={"gendre": 0.0})}, ["simulate", "--scenario", "s.json"]),
+    "incentive-unknown-datum": (
+        {"s.json": _twins_with(incentives={"twin1": {"gendre": 1.0}})},
+        ["simulate", "--scenario", "s.json"],
+    ),
+    "incentive-datum-not-held": (
+        {"s.json": _twins_with(incentives={"twin2": {"gender": 1.0}})},
+        ["simulate", "--scenario", "s.json"],
+    ),
+    "incentive-unknown-sender": (
+        {"s.json": _twins_with(incentives={"ghost": {"gender": 1.0}})},
+        ["simulate", "--scenario", "s.json"],
+    ),
+    "attribution-unknown-owner": (
+        {"s.json": _twins_with(attribution={**TWINS["attribution"], "ownership": {"S2": "ghost"}})},
+        ["simulate", "--scenario", "s.json"],
+    ),
+    "attribution-unknown-message-datum": (
+        {"s.json": _twins_with(attribution={**TWINS["attribution"], "message_nodes": {"gendre": "S1"}})},
+        ["simulate", "--scenario", "s.json"],
+    ),
     "duplicate-entity-ids": (
         {"s.json": _twins_with(entities=[*TWINS["entities"], TWINS["entities"][-1]])},
         ["simulate", "--scenario", "s.json"],
@@ -849,6 +879,12 @@ REFUSED_BY = {
     "implicit-channel-to-itself": "subject and observer must differ",
     "implicit-channel-p-2": "p must be in [0,1]",
     "implicit-channel-unknown-entity": "unknown entity",
+    "budget-unknown-datum": "unknown budgeted datum 'gendre'",
+    "incentive-unknown-datum": "entity 'twin1' does not hold datum 'gendre'",
+    "incentive-datum-not-held": "entity 'twin2' does not hold datum 'gender'",
+    "incentive-unknown-sender": "entity 'ghost' does not hold datum 'gender'",
+    "attribution-unknown-owner": "scenario attribution: unknown owner 'ghost'",
+    "attribution-unknown-message-datum": "scenario attribution: unknown message_nodes datum 'gendre'",
     "duplicate-entity-ids": "duplicate entity ids",
     "entity-id-integer": "entity id must be a string, got 7",
     "datum-id-integer": "datum id must be a string, got 7",
@@ -970,7 +1006,8 @@ VALID = {
     "roles": json.loads(Path(data_path("anon_release.csv.roles.json")).read_text()),
 }
 DELETE = object()
-MUTATIONS = (None, True, False, 1e308, 10**30, "nan", [], {}, DELETE)
+# "ghost" is a name no document declares: an id, owner or datum that takes it refers to nothing
+MUTATIONS = (None, True, False, 1e308, 10**30, "nan", "ghost", [], {}, DELETE)
 
 
 def _points(doc, path=()):

@@ -5,7 +5,9 @@ and nowhere else. The private helpers of ``society``, ``causal``, ``anonymity`` 
 stay private to their module: no other module imports one or reaches it as an attribute.
 A value's type rule lives in the record or check that owns the value, so no reader of a
 document (``cli``, and the ``*from_json*`` and ``load_*`` functions of ``society`` and
-``causal``) names ``_integer`` or ``_number``.
+``causal``) names ``_integer`` or ``_number``. A name a record refers to resolves through
+``measures._known``, so no other module refuses an unknown name itself, save ``cli``'s
+unknown scenario, whose message lists the choices.
 """
 
 import ast
@@ -18,6 +20,7 @@ import infoflow
 SOURCES = sorted(Path(infoflow.__file__).parent.glob("*.py"))
 PRIVATE_TO = {"society", "causal", "anonymity", "cli"}
 TYPE_RULES = {"_integer", "_number"}
+HINTED = {("cli", "unknown scenario ")}  # (module, opening text) of a refusal that lists the accepted choices
 
 
 def _tree(path: Path) -> ast.Module:
@@ -74,6 +77,21 @@ def _type_rule_uses(tree: ast.AST) -> list[str]:
     return [f"{name} (line {line})" for name, line in names if name in TYPE_RULES]
 
 
+def _unknown_refusals(tree: ast.AST) -> list[tuple[str, int]]:
+    """(opening text, line) of each ``ValueError`` raised in ``tree`` whose message opens with "unknown "."""
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args
+                and _raised_name(node) == "ValueError"):
+            continue
+        text = node.exc.args[0]
+        if isinstance(text, ast.JoinedStr) and text.values:
+            text = text.values[0]
+        if isinstance(text, ast.Constant) and isinstance(text.value, str) and text.value.startswith("unknown "):
+            found.append((text.value, node.lineno))
+    return found
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_capacity_errors_are_raised_only_in_measures(path):
     raised = [n.lineno for n in ast.walk(_tree(path)) if isinstance(n, ast.Raise) and n.exc is not None
@@ -99,3 +117,15 @@ def test_readers_leave_type_rules_to_the_records(path):
 def test_the_type_rule_guard_sees_imports_calls_and_references():
     tree = ast.parse("from .measures import _number\nm._integer(1, 'x')\nconvert = {'k': _number}\n")
     assert _type_rule_uses(tree) == ["_number (line 1)", "_integer (line 2)", "_number (line 3)"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_unknown_names_are_refused_only_in_measures(path):
+    refusals = [(text, line) for text, line in _unknown_refusals(_tree(path)) if (path.stem, text) not in HINTED]
+    assert path.name == "measures.py" or refusals == []
+
+
+def test_the_membership_guard_sees_plain_and_formatted_messages():
+    tree = ast.parse('raise ValueError(f"unknown node {n!r}")\nraise ValueError("unknown role")\n'
+                     'raise KeyError("unknown x")\nraise ValueError(f"{n} is unknown")\n')
+    assert _unknown_refusals(tree) == [("unknown node ", 1), ("unknown role", 2)]

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from infoflow import CapacityError, Dist, InfoMeasure, Joint, entropy, mutual_information
 from infoflow.causal import Node
 from infoflow.channels import Channel, randomized_response
-from infoflow.measures import _at_least, _check_size, _distinct, _nonneg, _number, _unit
+from infoflow.measures import _at_least, _check_size, _distinct, _known, _nonneg, _number, _unit
 from helpers import entropy_cells, mi_cells
 
 
@@ -248,3 +248,12 @@ def test_uniqueness_rule_names_the_first_repeat(items, first):
     _distinct(list(dict.fromkeys(items)), "ids")
     with pytest.raises(ValueError, match=f"^duplicate ids: {re.escape(first)}$"):
         _distinct(items, "ids")
+
+
+@pytest.mark.parametrize("known", [("conjunct", "delegated"), {"conjunct": 0, "delegated": 1}, {"conjunct"}])
+def test_membership_rule_returns_a_known_value_and_names_an_unknown_one(known):
+    assert _known("conjunct", known, "governance tag") == "conjunct"
+    with pytest.raises(ValueError, match=r"^unknown governance tag 'owned'$"):
+        _known("owned", known, "governance tag")
+    with pytest.raises(ValueError, match=r"^unknown owner of node 'S2' 'ghost'$"):
+        _known("ghost", known, "owner of node ", "S2")

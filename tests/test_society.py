@@ -148,7 +148,10 @@ class TestDecisionProb:
 
 @st.composite
 def decision_societies(draw):
-    """Societies with trust in and from outsiders, self-trust, tied, 0.0 and -0.0 trust, and data-less entities."""
+    """Societies with trust in and from outsiders, self-trust, tied, 0.0 and -0.0 trust, and data-less entities.
+
+    Incentives are drawn for (sender, datum) pairs the sender holds, the only ones a society accepts.
+    """
     ids = [f"e{k}" for k in range(draw(st.integers(2, 5)))]
     entities = [
         Entity(eid, tuple(DatumRecord(f"d{j}", "", eid, "conjunct") for j in range(draw(st.integers(0, 2)))))
@@ -159,8 +162,8 @@ def decision_societies(draw):
     trust = draw(st.dictionaries(st.tuples(names, names), values, max_size=12))
     trust |= {(ids[0], ids[0]): draw(values), (ids[0], "ghost"): 1.0, ("ghost", ids[1]): 1.0,
               (ids[-1], ids[0]): draw(st.sampled_from([0.0, -0.0]))}
-    incentives = draw(st.dictionaries(st.tuples(st.sampled_from(ids), st.sampled_from(["d0", "d1"])),
-                                      st.floats(0, 5), max_size=6))
+    held = [(e.id, r.datum) for e in entities for r in e.data]
+    incentives = draw(st.dictionaries(st.sampled_from(held), st.floats(0, 5), max_size=6)) if held else {}
     weights = st.sampled_from([0.0, 4.0]) | st.floats(0, 10)
     logistic = LogisticParams(draw(weights), draw(weights), draw(st.floats(-10, 10)))
     return Society(tuple(entities), FactorState(trust, incentives), logistic=logistic)
@@ -231,7 +234,8 @@ class TestDrawCap:
             Simulation(two_entity_scenario(ticks=DRAW_CAP // 3 + 1))
 
     def test_a_tick_without_draws_counts_as_one(self):
-        quiet = {"entities": [{"id": "a", "data": []}, {"id": "b", "data": []}], "implicit_channels": []}
+        quiet = {"entities": [{"id": "a", "data": []}, {"id": "b", "data": []}], "implicit_channels": [],
+                 "incentives": {}}
         Simulation(two_entity_scenario(**quiet, ticks=DRAW_CAP))
         with pytest.raises(CapacityError, match=f"exceeding the cap of {DRAW_CAP}"):
             Simulation(two_entity_scenario(**quiet, ticks=10**20))
