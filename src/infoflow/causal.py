@@ -417,17 +417,12 @@ def attribute_flows(
     value, and the induced flows of one such key share one InfoMeasure.
 
     ``node_of`` optionally maps datum ids to net nodes; data without a
-    mapping are skipped. Without it, each datum id must itself be a
-    node name.
+    mapping are skipped. Without it, each explicit flow's datum id must
+    itself be a node name; all are checked before any flow is measured.
     """
+    if node_of is None:
+        node_of = {ev.datum: ev.datum for ev in context_log if ev.kind == "explicit"}
     check_attribution(net, ownership, node_of, threshold)
-
-    def message_node(ev: FlowEvent) -> str | None:
-        if node_of is not None:
-            return node_of.get(ev.datum)
-        net.node(ev.datum)  # raises on unknown nodes
-        return ev.datum
-
     owned = [(node.name, ownership[node.name], node.card) for node in net.nodes if node.name in ownership]
     dense = joint(net)
     # (message, node, conditioning in order) -> the measure of I(message; node | conditioning),
@@ -440,7 +435,7 @@ def attribute_flows(
         for flow in ctx.flows:
             if flow.kind != "explicit":
                 continue
-            m = message_node(flow)
+            m = node_of.get(flow.datum)
             if m is None:
                 continue
             given = tuple(conditioning)
@@ -547,16 +542,18 @@ def load_attribution(scenario, base) -> dict | None:
 
     A ``net`` given as a path is read relative to ``base``, a ``pathlib.Path`` to the scenario file's directory.
     Each owner must be an entity of the scenario's society, and each ``message_nodes`` key a datum one of them holds.
+    Without ``message_nodes``, every datum an entity holds must itself be a node, so each is checked before the run.
     """
     block = scenario.attribution
-    if not block:
+    if block is None:
         return None
     with malformed("scenario attribution"):
-        net = block["net"]
+        data = {d: d for _, d in scenario.society.held}  # each held datum as its own message node
+        net, node_of = block["net"], block.get("message_nodes")
         settings = {
             "net": load_net(base / net) if isinstance(net, str) else net_from_json_dict(net),
             "ownership": block.get("ownership", {}),
-            "node_of": block.get("message_nodes"),
+            "node_of": data if node_of is None else node_of,
         }
         if "threshold" in block:
             settings["threshold"] = block["threshold"]
@@ -564,7 +561,6 @@ def load_attribution(scenario, base) -> dict | None:
         entities = {e.id for e in scenario.society.entities}
         for owner in settings["ownership"].values():
             _known(owner, entities, "owner")
-        data = {d for _, d in scenario.society.held}
-        for datum in settings["node_of"] or {}:
+        for datum in settings["node_of"]:
             _known(datum, data, "message_nodes datum")
     return {**settings, "window": scenario.window}

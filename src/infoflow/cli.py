@@ -121,15 +121,19 @@ def cmd_sweep(args) -> int:
 def cmd_leakage(args) -> int:
     if (args.net is None) == (args.scenario is None):
         raise ValueError("provide exactly one of --net or --scenario")
+    own = (("--q", "twins", args.q), ("--n", "ballot", args.n), ("--seed", "fork-collider", args.seed))
+    stray = [f"{opt} only with --scenario {name}" for opt, name, v in own if v is not None and args.scenario != name]
+    if stray:
+        raise ValueError("; ".join(stray))
     report = None
     if args.scenario == "twins":
-        net, report = causal.twins_scenario(q=args.q)
+        net, report = causal.twins_scenario(q=0.5 if args.q is None else args.q)
         message = args.message or "Z"
     elif args.scenario == "ballot":
-        net, report = causal.ballot_scenario(args.n)
+        net, report = causal.ballot_scenario(3 if args.n is None else args.n)
         message = args.message or "T"
     elif args.scenario == "fork-collider":
-        net = causal.fork_collider_graph(seed=args.seed)
+        net = causal.fork_collider_graph(seed=42 if args.seed is None else args.seed)
         message = args.message or "M"
     elif args.scenario is not None:
         raise ValueError(f"unknown scenario {args.scenario!r} (twins|ballot|fork-collider)")
@@ -253,9 +257,9 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--net", help="network JSON file")
     p.add_argument("--message", help="message node name")
     p.add_argument("--scenario", help="built-in scenario: twins|ballot|fork-collider")
-    p.add_argument("--n", type=int, default=3, help="voters for the ballot scenario")
-    p.add_argument("--q", type=float, default=0.5, help="ancestry-switch prior for the twins scenario")
-    p.add_argument("--seed", type=int, default=42, help="seed of the fork-collider scenario's CPTs")
+    p.add_argument("--n", type=int, help="voters of the ballot scenario (only with it; default 3)")
+    p.add_argument("--q", type=float, help="ancestry-switch prior of the twins scenario (only with it; default 0.5)")
+    p.add_argument("--seed", type=int, help="seed of the fork-collider scenario's CPTs (only with it; default 42)")
     p.add_argument("--emit-net", help="also write the network JSON here")
     p.set_defaults(handler=cmd_leakage)
 

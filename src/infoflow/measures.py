@@ -134,7 +134,9 @@ def _number(value, what: str, key=None) -> float:
 
 
 def _check_keys(doc: dict, known, what: str) -> dict:
-    """``doc``, a JSON object, refused if it has a key outside ``known``."""
+    """``doc``, a JSON object, refused if it is not one or has a key outside ``known``."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be an object, got {type(doc).__name__}")
     unknown = set(doc) - set(known)
     if unknown:
         raise ValueError(f"unknown {what} keys: {sorted(unknown)}")

@@ -305,6 +305,11 @@ class Society:
             if (holder, datum) not in self.held:
                 raise ValueError(f"entity {holder!r} does not hold datum {datum!r}")
         _distinct([(ch.subject, ch.observer, ch.datum) for ch in self.implicit_channels], "implicit channels")
+        for sender, receiver in self.factors.trust:
+            _known(sender, known, "trusting entity")
+            _known(receiver, known, "trusted entity")
+            if sender == receiver:
+                raise ValueError(f"entity {sender!r} cannot trust itself")
         data = {d for _, d in self.held}
         for d in self.budgets:
             _known(d, data, "budgeted datum")
@@ -502,8 +507,6 @@ def _decision_table(soc: Society) -> tuple[list[tuple[int, str, InfoMeasure]], n
     candidate of a block takes the block's probability at trust 0, and
     the receivers the sender has a trust entry for are then overwritten:
     the link runs once per block plus once per (block, trusted receiver).
-    Self-trust and trust by or in an entity outside the society are
-    ignored.
     """
     factors, params = soc.factors, soc.logistic
     pos = {e.id: k for k, e in enumerate(soc.entities)}
@@ -511,9 +514,8 @@ def _decision_table(soc: Society) -> tuple[list[tuple[int, str, InfoMeasure]], n
     # each sender's trusted receivers, as (offset in its blocks, trust)
     trusted: list[list[tuple[int, float]]] = [[] for _ in pos]
     for (sender, receiver), v in factors.trust.items():
-        k, r = pos.get(sender), pos.get(receiver)
-        if k is not None and r is not None and k != r:
-            trusted[k].append((r - (r > k), v))
+        k, r = pos[sender], pos[receiver]
+        trusted[k].append((r - (r > k), v))
     blocks: list[tuple[int, str, InfoMeasure]] = []
     base, cells, values, measures = [], [], [], {}  # probabilities at trust 0; trusted cells and theirs
     for k, sender in enumerate(soc.entities):
@@ -619,8 +621,10 @@ def scenario_from_json_dict(cfg: dict) -> Scenario:
         budgets=cfg.get("budgets", {}),
     )
     run = {k: cfg[k] for k in ("seed", "ticks", "window") if k in cfg}
-    _check_keys(cfg.get("attribution") or {}, ("net", "ownership", "threshold", "message_nodes"), "attribution")
-    return Scenario(society=society, attribution=cfg.get("attribution"), **run)
+    attribution = cfg.get("attribution")
+    if attribution is not None:
+        _check_keys(attribution, ("net", "ownership", "threshold", "message_nodes"), "attribution")
+    return Scenario(society=society, attribution=attribution, **run)
 
 
 def load_scenario(path) -> Scenario:

@@ -445,6 +445,16 @@ class TestAttributeFlows:
         with pytest.raises(ValueError, match="unknown node"):
             attribute_flows([], net, ownership={"nope": "a"})
 
+    def test_unknown_datum_without_a_node_map_is_refused_before_any_measure(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a flow was measured before every datum was resolved")
+
+        net, _ = twins_scenario()
+        monkeypatch.setattr(causal, "conditional_mi", refuse)
+        events = [explicit_event("twin1", "receiver", "S1"), explicit_event("twin1", "receiver", "nope")]
+        with pytest.raises(ValueError, match="unknown node 'nope'"):
+            attribute_flows(events, net, {"S2": "twin2"})
+
     @pytest.mark.parametrize("threshold", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
     def test_threshold_outside_0_inf_rejected(self, threshold):
         net, _ = twins_scenario()

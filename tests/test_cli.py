@@ -339,11 +339,11 @@ class TestSimulate:
         code, _ = run_cli("simulate", "--scenario", str(path), capsys=capsys)
         assert code == 2
 
-    def test_trust_by_or_in_an_outsider_is_ignored(self, tmp_path, capsys):
-        _, plain = run_cli("simulate", "--scenario", data_path("twins.json"), capsys=capsys)
+    def test_trust_by_or_in_an_outsider_is_refused(self, tmp_path, capsys):
         trust = {"twin1": {**TWINS["trust"]["twin1"], "ghost": 1.0}, "ghost": {"twin1": 1.0}}
         path = _write(tmp_path, "s.json", _twins_with(trust=trust))
-        assert run_cli("simulate", "--scenario", path, capsys=capsys) == (0, plain)
+        assert main(["simulate", "--scenario", path]) == 2
+        assert capsys.readouterr() == ("", f"error: {path}: unknown trusted entity 'ghost'\n")
 
     @pytest.mark.parametrize(
         "case",
@@ -354,6 +354,8 @@ class TestSimulate:
             "attribution-owner-integer",
             "attribution-unknown-owner",
             "attribution-unknown-message-datum",
+            "attribution-datum-not-a-node",
+            "attribution-empty",
         ],
     )
     def test_attribution_is_checked_before_the_run(self, case, tmp_path, monkeypatch, capsys):
@@ -682,6 +684,11 @@ MALFORMED = {
     "leakage-without-net-or-scenario": ({}, ["leakage"]),
     "leakage-unknown-scenario": ({}, ["leakage", "--scenario", "triplets"]),
     "leakage-net-without-message": ({}, ["leakage", "--net", data_path("fork_collider.json")]),
+    # each of these options is read by one built-in scenario only
+    "leakage-q-without-twins": ({}, ["leakage", "--net", data_path("fork_collider.json"), "--message", "M",
+                                     "--q", "0.3"]),
+    "leakage-n-without-ballot": ({}, ["leakage", "--scenario", "twins", "--n", "9"]),
+    "leakage-seed-without-fork-collider": ({}, ["leakage", "--scenario", "ballot", "--seed", "5"]),
     "rr-token-without-equals": ({}, ["verify-bound", "--rr", "k2", "eps=1"]),
     "rr-spec-without-eps": ({}, ["compose", "rr:k=2", "rr:k=2,eps=1"]),
     "rr-spec-without-k": ({}, ["verify-bound", "--rr", "eps=1"]),
@@ -729,6 +736,23 @@ MALFORMED = {
         {"s.json": _twins_with(attribution={**TWINS["attribution"], "message_nodes": {"gendre": "S1"}})},
         ["simulate", "--scenario", "s.json"],
     ),
+    # each held datum must be a node without message_nodes, though no flow fires
+    "attribution-datum-not-a-node": (
+        {"s.json": _twins_with(attribution={k: v for k, v in TWINS["attribution"].items() if k != "message_nodes"},
+                               incentives={}, trust={})},
+        ["simulate", "--scenario", "s.json"],
+    ),
+    "attribution-false": ({"s.json": _twins_with(attribution=False)}, ["simulate", "--scenario", "s.json"]),
+    "attribution-empty": ({"s.json": _twins_with(attribution={})}, ["simulate", "--scenario", "s.json"]),
+    "trust-by-outsider": (
+        {"s.json": _twins_with(trust={"ghost": {"twin1": 1.0}})},
+        ["simulate", "--scenario", "s.json"],
+    ),
+    "trust-in-outsider": (
+        {"s.json": _twins_with(trust={"twin1": {"ghost": 1.0}})},
+        ["simulate", "--scenario", "s.json"],
+    ),
+    "trust-in-itself": ({"s.json": _twins_with(trust={"twin1": {"twin1": 1.0}})}, ["simulate", "--scenario", "s.json"]),
     "duplicate-entity-ids": (
         {"s.json": _twins_with(entities=[*TWINS["entities"], TWINS["entities"][-1]])},
         ["simulate", "--scenario", "s.json"],
@@ -885,6 +909,15 @@ REFUSED_BY = {
     "incentive-unknown-sender": "entity 'ghost' does not hold datum 'gender'",
     "attribution-unknown-owner": "scenario attribution: unknown owner 'ghost'",
     "attribution-unknown-message-datum": "scenario attribution: unknown message_nodes datum 'gendre'",
+    "attribution-datum-not-a-node": "scenario attribution: unknown node 'gender'",
+    "attribution-false": "attribution must be an object, got bool",
+    "attribution-empty": "scenario attribution: malformed input (KeyError: 'net')",
+    "trust-by-outsider": "unknown trusting entity 'ghost'",
+    "trust-in-outsider": "unknown trusted entity 'ghost'",
+    "trust-in-itself": "entity 'twin1' cannot trust itself",
+    "leakage-q-without-twins": "error: --q only with --scenario twins",
+    "leakage-n-without-ballot": "error: --n only with --scenario ballot",
+    "leakage-seed-without-fork-collider": "error: --seed only with --scenario fork-collider",
     "duplicate-entity-ids": "duplicate entity ids",
     "entity-id-integer": "entity id must be a string, got 7",
     "datum-id-integer": "datum id must be a string, got 7",
@@ -1005,7 +1038,7 @@ VALID = {
     "prior": {"outcomes": ["a", "b", "c"], "probs": [0.2, 0.3, 0.5]},
     "roles": json.loads(Path(data_path("anon_release.csv.roles.json")).read_text()),
 }
-DELETE = object()
+DELETE, RENAME = object(), object()
 # "ghost" is a name no document declares: an id, owner or datum that takes it refers to nothing
 MUTATIONS = (None, True, False, 1e308, 10**30, "nan", "ghost", [], {}, DELETE)
 
@@ -1020,7 +1053,7 @@ def _points(doc, path=()):
 
 @st.composite
 def mutated(draw):
-    """(document type, that document with one or two points replaced or deleted)."""
+    """(document type, that document with one or two points replaced or deleted, or their keys renamed "ghost")."""
     kind = draw(st.sampled_from(sorted(VALID)))
     doc = copy.deepcopy(VALID[kind])
     for _ in range(draw(st.integers(1, 2))):
@@ -1031,9 +1064,11 @@ def mutated(draw):
         parent = doc
         for step in parents:
             parent = parent[step]
-        value = draw(st.sampled_from(MUTATIONS))
+        value = draw(st.sampled_from(MUTATIONS + (RENAME,) if isinstance(parent, dict) else MUTATIONS))
         if value is DELETE:
             del parent[key]
+        elif value is RENAME:
+            parent["ghost"] = parent.pop(key)
         else:
             parent[key] = copy.deepcopy(value)
     return kind, doc

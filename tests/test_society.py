@@ -148,9 +148,10 @@ class TestDecisionProb:
 
 @st.composite
 def decision_societies(draw):
-    """Societies with trust in and from outsiders, self-trust, tied, 0.0 and -0.0 trust, and data-less entities.
+    """Societies with tied, 0.0 and -0.0 trust and data-less entities.
 
-    Incentives are drawn for (sender, datum) pairs the sender holds, the only ones a society accepts.
+    Trust is drawn between two distinct entities and incentives for (sender, datum) pairs the sender holds,
+    the only ones a society accepts.
     """
     ids = [f"e{k}" for k in range(draw(st.integers(2, 5)))]
     entities = [
@@ -158,10 +159,9 @@ def decision_societies(draw):
         for eid in ids
     ]
     values = st.sampled_from([0.0, -0.0, 0.5, 1.0]) | st.floats(0, 1)
-    names = st.sampled_from([*ids, "ghost"])
-    trust = draw(st.dictionaries(st.tuples(names, names), values, max_size=12))
-    trust |= {(ids[0], ids[0]): draw(values), (ids[0], "ghost"): 1.0, ("ghost", ids[1]): 1.0,
-              (ids[-1], ids[0]): draw(st.sampled_from([0.0, -0.0]))}
+    pairs = st.sampled_from([(s, r) for s in ids for r in ids if s != r])
+    trust = draw(st.dictionaries(pairs, values, max_size=12))
+    trust |= {(ids[-1], ids[0]): draw(st.sampled_from([0.0, -0.0]))}
     held = [(e.id, r.datum) for e in entities for r in e.data]
     incentives = draw(st.dictionaries(st.sampled_from(held), st.floats(0, 5), max_size=6)) if held else {}
     weights = st.sampled_from([0.0, 4.0]) | st.floats(0, 10)
@@ -188,8 +188,7 @@ class TestDecisionTable:
         assert p.tobytes() == np.array(expected, dtype=np.float64).tobytes()
 
     def test_build_is_logged_at_debug(self, caplog):
-        # self-trust and trust in an entity outside the society are not trusted pairs
-        trust = {"alice": {"bob": 0.9, "alice": 1.0, "ghost": 1.0}, "bob": {"camera": 0.5}}
+        trust = {"alice": {"bob": 0.9}, "bob": {"camera": 0.5}}
         with caplog.at_level(logging.DEBUG, logger="infoflow.society"):
             Simulation(two_entity_scenario(trust=trust))
         [message] = [r.getMessage() for r in caplog.records if r.name == "infoflow.society"]
@@ -235,7 +234,7 @@ class TestDrawCap:
 
     def test_a_tick_without_draws_counts_as_one(self):
         quiet = {"entities": [{"id": "a", "data": []}, {"id": "b", "data": []}], "implicit_channels": [],
-                 "incentives": {}}
+                 "incentives": {}, "trust": {}}
         Simulation(two_entity_scenario(**quiet, ticks=DRAW_CAP))
         with pytest.raises(CapacityError, match=f"exceeding the cap of {DRAW_CAP}"):
             Simulation(two_entity_scenario(**quiet, ticks=10**20))
@@ -407,9 +406,9 @@ def random_scenario_doc(seed, n_ent=6, ticks=5):
                 rec["mechanism"] = {"kind": "randomized-response", "k": 2, "eps": float(rng.uniform(0.1, 1.5))}
             data.append(rec)
         entities.append({"id": eid, "data": data})
-        # equal trust values, an explicit zero and an entity outside the society
+        # equal trust values and an explicit zero
         friends = rng.choice([i for i in ids if i != eid], size=3, replace=False)
-        trust[eid] = {str(f): float(rng.choice([0.0, 0.75, 1.0])) for f in friends} | {"ghost": 1.0}
+        trust[eid] = {str(f): float(rng.choice([0.0, 0.75, 1.0])) for f in friends}
         incentives[eid] = {f"d{j}": float(rng.uniform(0.0, 3.0)) for j in range(len(data))}
     channels = {}
     for _ in range(4):
@@ -691,6 +690,17 @@ class TestScenarioJson:
                     {"subject": "bob", "observer": "camera", "datum": "location", "p": 0.4}
                 ]
             )
+
+    @pytest.mark.parametrize("trust, message", [
+        ({"ghost": {"bob": 1.0}}, "unknown trusting entity 'ghost'"),
+        ({"alice": {"ghost": 1.0}}, "unknown trusted entity 'ghost'"),
+        ({"alice": {"alice": 1.0}}, "entity 'alice' cannot trust itself"),
+    ])
+    def test_trust_names_two_distinct_entities(self, trust, message):
+        factors = FactorState(trust={(s, r): v for s, row in trust.items() for r, v in row.items()})
+        with pytest.raises(ValueError) as refused:
+            Society((Entity("alice"), Entity("bob")), factors)
+        assert str(refused.value) == message
 
     def test_trust_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="trust"):
