@@ -86,6 +86,55 @@ def merged_view(cards, marked) -> tuple[list[int], str, str]:
     return shape, sub, kept
 
 
+ONE_CALL_CELLS = 2**12  # a step that makes fewer cells is one broadcast multiply: numpy's cost per call dominates
+
+
+def _joint_steps(cards, parents):
+    """How ``dense_joint`` multiplies each node's factor in: (card, parents in increasing order, view, split).
+
+    The view is the ``merged_view`` shape of the product so far with
+    the parents marked, and a flag per view axis for marked. Each
+    ``np.multiply`` spans the view's axes before ``split``; one call is
+    made per state of the axes from ``split`` on and per child state.
+    ``split`` is None when the step is one broadcast multiply.
+    """
+    cards = [int(c) for c in cards]
+    for k, card in enumerate(cards):
+        ordered = sorted(int(p) for p in parents[k])
+        shape, sub, kept = merged_view(cards[:k], ordered)
+        marked = [s in kept for s in sub]
+        unmarked = [i for i, m in enumerate(marked) if not m]
+        split = None
+        if unmarked and math.prod(shape) * card >= ONE_CALL_CELLS:
+            split = unmarked[-1] + 1
+            if shape[split - 1] <= math.prod(shape[split:]):
+                split = len(shape)  # the run is no longer than the parent states after it: run along those
+        yield card, ordered, (shape, marked), split
+
+
+def multiply_calls(cards, parents) -> int:
+    """Number of ``np.multiply`` calls ``dense_joint`` makes for a net of these cards and parents."""
+    return sum(1 if split is None else math.prod(shape[split:]) * card
+               for card, _, (shape, _), split in _joint_steps(cards, parents))
+
+
+def _multiply_in(x, factor, shape, marked, split):
+    """The product ``x`` over the view ``shape`` times a factor over its marked axes and one new axis.
+
+    A helper, so the slab views of one step are gone before the next
+    step allocates: they would keep the product two steps back alive.
+    """
+    card = factor.shape[-1]
+    x = x.reshape(shape)
+    factor = factor.reshape([n if m else 1 for n, m in zip(shape, marked)] + [card])
+    if split is None:
+        return np.multiply(x[..., None], factor)
+    new = np.empty(shape + [card])
+    for states in np.ndindex(*shape[split:], card):
+        np.multiply(x[(..., *states[:-1])], factor[(..., *states)], out=new[(..., *states)])
+    return new
+
+
 def dense_joint(cards, cpts, parents) -> np.ndarray:
     """Joint over all nodes as a running product of the CPT factors, flattened row-major.
 
@@ -97,22 +146,27 @@ def dense_joint(cards, cpts, parents) -> np.ndarray:
     factors spans only the first k axes, and node k's factor multiplies
     it into one more axis: O(2^n) work for n binary nodes, and the one
     temporary is the product a node short of the result. Every cell is
-    (((c0*c1)*c2)...) in node order, the product a per-configuration
-    loop computes, bit for bit. Each step is one two-operand einsum over
-    ``merged_view`` of the product so far with the parents marked; with
-    no summed index it is a plain elementwise product, and over inner
-    loops as short as a node's states it runs several times faster than
-    a broadcast multiply.
+    (((c0*c1)*c2)...) in node order, one IEEE product of the previous
+    cell and one CPT entry, the product a per-configuration loop
+    computes, bit for bit.
+
+    Each step writes a new array over ``merged_view`` of the product so
+    far with the parents marked, plus the child's axis. numpy's inner
+    loop runs along the innermost axis a call spans, and a factor entry
+    is constant along an unmarked run, so one ``np.multiply`` per child
+    state and per state of the parents after the view's innermost
+    unmarked run makes every inner loop run along that run, not along a
+    node's 2-3 states. When that run is no longer than the parent states
+    after it, the calls run along those states instead (one per child
+    state), which keeps a node whose CPT has many cells from taking one
+    call per cell. A view with no unmarked axis (the ballot tally), or a
+    step of fewer than ONE_CALL_CELLS cells, is one broadcast multiply.
     """
     cards = [int(c) for c in cards]
     out = np.ones(())
-    for k, card in enumerate(cards):
+    for k, (card, ordered, (shape, marked), split) in enumerate(_joint_steps(cards, parents)):
         pax = [int(p) for p in parents[k]]
-        ordered = sorted(pax)
         factor = cpts[k].reshape([cards[p] for p in pax] + [card])
         factor = factor.transpose([pax.index(p) for p in ordered] + [len(pax)])
-        factor = factor.reshape([cards[p] for p in ordered if cards[p] > 1] + [card])
-        shape, sub, kept = merged_view(cards[:k], ordered)
-        new = LABELS[len(sub)]
-        out = np.einsum(f"{sub},{kept}{new}->{sub}{new}", out.reshape(shape), factor)
+        out = _multiply_in(out, factor, shape, marked, split)
     return out.reshape(-1)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import dense_joint, entropy_bits, merged_view, mi_bits
+from ._kernels import dense_joint, entropy_bits, merged_view, mi_bits, multiply_calls
 from .measures import (
     STATE_SPACE_CAP, CapacityError, InfoMeasure, _as_tuple, _at_least, _check_id, _check_keys, _check_labels,
     _check_size, _distinct, _known, _nonneg, _number, _stochastic, load_json, malformed,
@@ -113,7 +113,7 @@ class DenseJoint:
     probs: np.ndarray
 
     def marginal(self, *names: str) -> np.ndarray:
-        """Marginal tensor with axes in the requested name order; a name given twice is refused.
+        """Marginal tensor with axes in the requested name order; a repeated or unknown name is refused.
 
         When the innermost axis with more than one state is kept, the
         marginal is an einsum over the tensor's ``merged_view``: like
@@ -135,7 +135,7 @@ class DenseJoint:
         repeated = [n for i, n in enumerate(names) if n in names[:i]]
         if repeated:
             raise ValueError(f"repeated node {repeated[0]!r} in marginal")
-        keep = [self.names.index(n) for n in names]
+        keep = [self.names.index(_known(n, self.names, "node")) for n in names]
         order = sorted(keep)
         cards = self.probs.shape
         shape, sub, kept = merged_view(cards, order)
@@ -163,6 +163,7 @@ def joint(net: BayesNet) -> DenseJoint:
     """
     size = net.state_space_size()
     _check_size(size, STATE_SPACE_CAP, f"state space has {size} configurations")
+    t0 = time.perf_counter()
     name_to_idx = {n.name: i for i, n in enumerate(net.nodes)}
     cpts = [n.cpt for n in net.nodes]
     parents = [[name_to_idx[p] for p in n.parents] for n in net.nodes]
@@ -172,6 +173,9 @@ def joint(net: BayesNet) -> DenseJoint:
         raise ValueError(f"joint sums to {total}, outside tolerance")
     probs = flat.reshape(tuple(net.cards))
     probs.setflags(write=False)
+    if log.isEnabledFor(logging.DEBUG):
+        seconds = time.perf_counter() - t0
+        log.debug("joint: %d states, %d multiply calls in %.3f s", size, multiply_calls(net.cards, parents), seconds)
     return DenseJoint(names=net.names, probs=probs)
 
 

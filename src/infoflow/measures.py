@@ -30,10 +30,23 @@ class CapacityError(Exception):
 
 
 def _has_bool(values) -> bool:
-    """Whether ``values`` is a boolean or a (nested) list or tuple holding one; an ndarray is neither."""
-    if isinstance(values, (list, tuple)):
-        return any(map(_has_bool, values))
-    return isinstance(values, (bool, np.bool_))
+    """Whether ``values`` is a boolean or a (nested) list or tuple holding one; an ndarray is neither.
+
+    One nesting level at a time: the types of a level's items are
+    collected first, so a level of numbers costs one pass and no call
+    per cell.
+    """
+    level = [values]
+    while level:
+        nested = False
+        for t in set(map(type, level)):
+            if issubclass(t, (bool, np.bool_)):
+                return True
+            nested = nested or issubclass(t, (list, tuple))
+        if not nested:
+            return False
+        level = [x for v in level if isinstance(v, (list, tuple)) for x in v]
+    return False
 
 
 def _stochastic(values, shape: tuple[int, ...], what: str, rows: bool = False) -> np.ndarray:

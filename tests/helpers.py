@@ -109,6 +109,19 @@ def joint_cells(prior, rows) -> dict:
     }
 
 
+def has_bool_recursive(values) -> bool:
+    """Whether ``values`` is a boolean or a (nested) list or tuple holding one, one call per item.
+
+    ``measures._has_bool`` must give its answer on every input; an
+    ndarray is neither a boolean nor a list.
+    """
+    import numpy as np
+
+    if isinstance(values, (list, tuple)):
+        return any(map(has_bool_recursive, values))
+    return isinstance(values, (bool, np.bool_))
+
+
 def naive_net_joint(net) -> dict:
     """Per-state factor product over every configuration of a BayesNet."""
     idx = {n.name: i for i, n in enumerate(net.nodes)}

@@ -3,6 +3,7 @@ import itertools
 import json
 import logging
 import math
+import re
 import tracemalloc
 from importlib import resources
 
@@ -107,6 +108,15 @@ class TestJoint:
             tracemalloc.stop()
         assert dense.probs.nbytes == 8 * 2**20
         assert peak < 1.6 * dense.probs.nbytes
+
+    def test_joint_logs_states_multiply_calls_and_seconds_at_debug(self, caplog):
+        # the tally's CPT has 11,264 cells: a step of one multiply per CPT cell would log thousands
+        net, _ = ballot_scenario(10)
+        with caplog.at_level(logging.DEBUG, logger="infoflow.causal"):
+            joint(net)
+        [message] = [r.getMessage() for r in caplog.records if r.name == "infoflow.causal"]
+        calls = re.fullmatch(r"joint: 11264 states, (\d+) multiply calls in \d+\.\d{3} s", message)
+        assert calls and int(calls[1]) <= 21  # at most two per voter and one for the tally
 
     def test_capacity_guard_names_size(self):
         net = BayesNet(tuple(binary_root(f"R{i}") for i in range(23)))
@@ -231,6 +241,13 @@ class TestMarginal:
         twins = joint(twins_scenario()[0])
         with pytest.raises(ValueError, match="repeated node 'S2' in marginal"):
             conditional_mi(twins, "Z", "S2", ["S2"])
+
+    def test_unknown_node_is_refused_by_name(self):
+        twins = joint(twins_scenario()[0])
+        with pytest.raises(ValueError, match="^unknown node 'Q'$"):
+            twins.marginal("S1", "Q")
+        with pytest.raises(ValueError, match="^unknown node 'Q'$"):
+            conditional_mi(twins, "Z", "S2", ["Q"])
 
     def test_net_beyond_the_einsum_label_count_profiles(self):
         # 60 nodes, 51 of them single-state: the merged view drops those axes
@@ -653,7 +670,7 @@ class TestAttributionMemo:
         _, keys = per_flow_attribution(events, net, REPEATED_OWNERSHIP, REPEATED_NODE_OF)
         with caplog.at_level(logging.DEBUG, logger="infoflow.causal"):
             attribute_flows(events, net, REPEATED_OWNERSHIP, node_of=REPEATED_NODE_OF)
-        [record] = [r for r in caplog.records if r.name == "infoflow.causal"]
+        [record] = [r for r in caplog.records if r.getMessage().startswith("attribute_flows: ")]
         distinct = len(set(keys))
         assert record.levelno == logging.DEBUG
         assert record.getMessage() == (

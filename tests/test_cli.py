@@ -193,8 +193,9 @@ class TestLeakage:
         with caplog.at_level(logging.DEBUG, logger="infoflow.causal"):
             _, logged = run_cli(*argv, capsys=capsys)
         assert logged == plain
-        [message] = [r.getMessage() for r in caplog.records if r.name == "infoflow.causal"]
-        assert message.startswith("leakage_profile: 512 joint states, 9 marginals in ") and message.endswith(" s")
+        [built, profile] = [r.getMessage() for r in caplog.records if r.name == "infoflow.causal"]
+        assert re.fullmatch(r"joint: 512 states, \d+ multiply calls in \d+\.\d{3} s", built)
+        assert profile.startswith("leakage_profile: 512 joint states, 9 marginals in ") and profile.endswith(" s")
 
     def test_capacity_exits_3(self, tmp_path, capsys):
         nodes = [
@@ -1155,7 +1156,8 @@ class TestOptions:
 class TestVerbose:
     GOLDEN_RUNS = [
         (["verify-bound", "--rr", "k=2", f"eps={LN3}", "--prior", "uniform"], "verify_bound_rr.json", []),
-        (["leakage", "--scenario", "fork-collider"], "leakage_fork_collider.json", ["infoflow.causal: leakage_profile: "]),
+        (["leakage", "--scenario", "fork-collider"], "leakage_fork_collider.json",
+         ["infoflow.causal: joint: ", "infoflow.causal: leakage_profile: "]),
         (["anon", data_path("anon_release.csv"), data_path("anon_aux.csv")], "anon_attack.json",
          ["infoflow.anonymity: linkage_attack: "]),
     ]

@@ -126,28 +126,102 @@ def test_kernels_equal_their_masked_forms_exactly(kind):
         assert _kernels.mi_bits(mass) == mi_bits_outer(mass)
 
 
+def net_of(cards, cpts, parents):
+    return BayesNet(
+        tuple(
+            Node(
+                name=f"n{k}",
+                states=tuple(str(s) for s in range(int(cards[k]))),
+                parents=tuple(f"n{p}" for p in parents[k]),
+                cpt=cpts[k],
+            )
+            for k in range(len(cards))
+        )
+    )
+
+
+def shaped_net_arrays(rng, kind):
+    """cards / cpts / parents of a net of 2^12-2^14 cells whose views take one of the kernel's step shapes.
+
+    Some CPT rows are one-hot with -0.0 for their zeros, so a cell's sign bit shows whether it is the
+    product of the same entries.
+    """
+    n = int(rng.integers(12, 15))
+    cards = [2] * n
+    if kind == "all earlier":
+        # each node's parents are every earlier node (declared in random order): no unmarked axis
+        cards = [2] * 10 + [int(rng.integers(5, 17))]
+        parents = [rng.permutation(k).tolist() for k in range(len(cards))]
+    elif kind == "chain":
+        cards = [2] * 14
+        parents = [[]] + [[k - 1] for k in range(1, 14)]  # the parent is the innermost axis
+    elif kind == "separated":
+        # up to 3 parents, counting back from the node before (or the one before it) in steps of 1-3 nodes:
+        # unmarked runs between them, and after them or not
+        parents = [sorted(range(k - 1 - int(rng.integers(2)), -1, -int(rng.integers(1, 4)))[:3]) for k in range(n)]
+    elif kind == "single-state":
+        cards = [1 if k % 3 == 1 else 2 for k in range(n + n // 2)]
+        widths = [min(k, int(rng.integers(0, 3))) for k in range(len(cards))]
+        parents = [rng.choice(k, size=w, replace=False).tolist() for k, w in enumerate(widths)]
+    else:  # "after a short run": a node outside the parents sits before all of them
+        parents = [[] for _ in range(n - 1)] + [list(range(1, n - 1))]
+    cpts = []
+    for k, pars in enumerate(parents):
+        rows = rng.dirichlet(np.ones(cards[k]), size=math.prod(cards[p] for p in pars))
+        for r in np.flatnonzero(rng.random(len(rows)) < 0.2):
+            rows[r] = -0.0
+            rows[r, rng.integers(cards[k])] = 1.0
+        cpts.append(rows)
+    return cards, cpts, parents
+
+
 class TestDenseJoint:
     def test_matches_naive_net_joint(self):
         rng = np.random.default_rng(3)
         for _ in range(200):
             cards, cpts, parents = random_net_arrays(rng, int(rng.integers(1, 8)))
-            net = BayesNet(
-                tuple(
-                    Node(
-                        name=f"n{k}",
-                        states=tuple(str(s) for s in range(int(cards[k]))),
-                        parents=tuple(f"n{p}" for p in parents[k]),
-                        cpt=cpts[k],
-                    )
-                    for k in range(len(cards))
-                )
-            )
             # naive_net_joint enumerates states row-major, like dense_joint's flat output,
             # and multiplies each cell's factors in node order, as the running product does
-            expected = np.array(list(naive_net_joint(net).values()))
+            expected = np.array(list(naive_net_joint(net_of(cards, cpts, parents)).values()))
             got = _kernels.dense_joint(cards, cpts, parents)
-            assert np.array_equal(got, expected)
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
             assert got.sum() == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("kind", ["all earlier", "chain", "separated", "single-state", "after a short run"])
+    def test_step_shapes_match_naive_net_joint_bit_for_bit(self, kind):
+        rng = np.random.default_rng(sum(map(ord, kind)))
+        for _ in range(3):
+            cards, cpts, parents = shaped_net_arrays(rng, kind)
+            assert 2**12 <= math.prod(cards) <= 2**14
+            expected = np.array(list(naive_net_joint(net_of(cards, cpts, parents)).values()))
+            got = _kernels.dense_joint(cards, cpts, parents)
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+            assert np.signbit(expected).any()
+
+    def test_multiply_calls_counts_the_kernel_calls(self, monkeypatch):
+        class CountingNumpy:
+            calls = 0
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def multiply(self, *args, **kwargs):
+                self.calls += 1
+                return np.multiply(*args, **kwargs)
+
+        rng = np.random.default_rng(43)
+        kinds = ["all earlier", "chain", "separated", "single-state", "after a short run"]
+        nets = [(kind, shaped_net_arrays(rng, kind)) for kind in kinds]
+        nets += [("small", random_net_arrays(rng, 7)) for _ in range(5)]
+        for kind, (cards, cpts, parents) in nets:
+            counting = CountingNumpy()
+            monkeypatch.setattr(_kernels, "np", counting)
+            _kernels.dense_joint(cards, cpts, parents)
+            monkeypatch.undo()
+            assert counting.calls == _kernels.multiply_calls(cards, parents)
+            if kind == "after a short run":
+                # the last node's CPT has 2^(n-1) cells; its step makes one call per state, not one per cell
+                assert counting.calls < 2 * len(cards)
 
     def test_merged_view_drops_single_state_axes_and_merges_runs(self):
         # axes 0..5 with cards 2,1,3,2,1,2; marked 2 and 5

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from infoflow import CapacityError, Dist, InfoMeasure, Joint, entropy, mutual_information
 from infoflow.causal import Node
 from infoflow.channels import Channel, randomized_response
-from infoflow.measures import _at_least, _check_size, _distinct, _known, _nonneg, _number, _unit
-from helpers import entropy_cells, mi_cells
+from infoflow.measures import _at_least, _check_size, _distinct, _has_bool, _known, _nonneg, _number, _unit
+from helpers import entropy_cells, has_bool_recursive, mi_cells
 
 
 def dist(*ps, labels=None):
@@ -65,6 +65,32 @@ def test_every_table_type_refuses_cells_that_are_not_numbers(build, cells):
     with pytest.raises(ValueError, match="not a number"):
         build(*cells)
     build(1, 0)  # integers are numbers
+
+
+def random_nested(rng, depth=0):
+    """A random nesting of lists and tuples whose leaves are numbers, booleans, ndarrays, strings or None."""
+    if depth < 6 and rng.random() < 0.45:
+        items = [random_nested(rng, depth + 1) for _ in range(int(rng.integers(0, 4)))]
+        return items if rng.random() < 0.5 else tuple(items)
+    leaves = (
+        lambda: float(rng.random()), lambda: int(rng.integers(3)), lambda: True, lambda: False, lambda: np.True_,
+        lambda: np.bool_(False), lambda: np.array([True, False]), lambda: np.zeros(2), lambda: "1", lambda: None,
+    )
+    # booleans are rare leaves, so most values hold none and the scan must open every level to say so
+    weights = np.array([8, 8, 1, 1, 1, 1, 2, 2, 2, 2], dtype=float)
+    return leaves[rng.choice(len(leaves), p=weights / weights.sum())]()
+
+
+def test_has_bool_equals_the_recursive_scan():
+    rng = np.random.default_rng(41)
+    found = 0
+    for _ in range(3000):
+        values = random_nested(rng)
+        found += has_bool_recursive(values)
+        assert _has_bool(values) == has_bool_recursive(values)
+    assert 300 < found < 2700
+    for values in ([], [[]], [[], [[[True]]]], [[0.5] * 3] * 2 + [[0.5, 0.5, np.False_]], "True", np.array([True])):
+        assert _has_bool(values) == has_bool_recursive(values)
 
 
 @pytest.mark.parametrize(
