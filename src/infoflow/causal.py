@@ -309,9 +309,9 @@ def twins_scenario(q: float = 0.5) -> tuple[BayesNet, dict]:
 def ballot_scenario(n_voters: int) -> tuple[BayesNet, dict]:
     """Released tally of n iid uniform binary votes.
 
-    The report is read off the net's dense joint, which enumerates all
-    2^n voter configurations: mutual information between the tally and
-    one vote, and the posterior over that vote for every tally value
+    The report is read off exact counts of the 2^n voter configurations,
+    with no enumeration: mutual information between the tally and one
+    vote, and the posterior over that vote for every tally value
     (unanimous tallies pin it down exactly).
     """
     _at_least(n_voters, 2, "voters")
@@ -329,8 +329,8 @@ def ballot_scenario(n_voters: int) -> tuple[BayesNet, dict]:
     t_node = Node("T", tuple(str(t) for t in range(n + 1)), tuple(v.name for v in voters), cpt)
     net = BayesNet(tuple(voters) + (t_node,))
 
-    # every joint cell is 0 or 2^-n, so these sums are exact
-    jm = joint(net).marginal("T", "V1")
+    # P(T=t, V1=1) = C(n-1, t-1)/2^n, P(T=t, V1=0) = C(n-1, t)/2^n: the joint's sums of 2^-n cells, exactly
+    jm = np.array([[math.comb(n - 1, t), math.comb(n - 1, t - 1) if t else 0] for t in range(n + 1)]) / 2.0**n
     p_t = jm.sum(axis=1)
     posterior = {}
     h_v1_given_t = 0.0
@@ -423,6 +423,7 @@ def attribute_flows(
     ``node_of`` optionally maps datum ids to net nodes; data without a
     mapping are skipped. Without it, each explicit flow's datum id must
     itself be a node name; all are checked before any flow is measured.
+    Owners are names taken as given: ``load_attribution`` resolves a scenario's owners against its society.
     """
     if node_of is None:
         node_of = {ev.datum: ev.datum for ev in context_log if ev.kind == "explicit"}

@@ -20,9 +20,11 @@ import json
 import logging
 import math
 import time
+from collections.abc import Mapping
 from dataclasses import dataclass, field, fields
 from json.encoder import encode_basestring_ascii as _str
 from operator import attrgetter
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -102,16 +104,18 @@ class Entity:
                 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class FactorState:
-    """Trust in receivers and incentives to release data."""
+    """Trust in receivers and incentives to release data, each a read-only view of its checked copy."""
 
-    trust: dict[tuple[str, str], float] = field(default_factory=dict)
-    incentives: dict[tuple[str, str], float] = field(default_factory=dict)
+    trust: Mapping[tuple[str, str], float] = field(default_factory=dict)
+    incentives: Mapping[tuple[str, str], float] = field(default_factory=dict)
 
     def __post_init__(self):
-        self.trust = {k: _unit(_number(v, "trust", k), "trust", k) for k, v in self.trust.items()}
-        self.incentives = {k: _nonneg(_number(v, "incentive", k), "incentive", k) for k, v in self.incentives.items()}
+        trust = {k: _unit(_number(v, "trust", k), "trust", k) for k, v in self.trust.items()}
+        incentives = {k: _nonneg(_number(v, "incentive", k), "incentive", k) for k, v in self.incentives.items()}
+        object.__setattr__(self, "trust", MappingProxyType(trust))
+        object.__setattr__(self, "incentives", MappingProxyType(incentives))
 
     def trust_of(self, sender: str, receiver: str) -> float:
         return self.trust.get((sender, receiver), 0.0)
@@ -237,7 +241,7 @@ class Context(_Record, _ContextFields):
         return tuple.__new__(cls, (id, t, sender, receiver, flows))
 
 
-def _budgets(budgets: dict) -> dict[str, float]:
+def _budgets(budgets: Mapping) -> dict[str, float]:
     """The budget rule: each datum's budget a finite number >= 0, stored as a float."""
     return {d: _nonneg(_number(cap, "budget for ", d), "budget for ", d) for d, cap in budgets.items()}
 
@@ -276,7 +280,7 @@ class Ledger:
         self.cumulative[key] = self.cumulative.get(key, 0.0) + amount_sh
 
 
-@dataclass
+@dataclass(frozen=True)
 class Society:
     """Entities plus the factors influencing their flow decisions."""
 
@@ -284,19 +288,19 @@ class Society:
     factors: FactorState = field(default_factory=FactorState)
     implicit_channels: tuple[ImplicitChannel, ...] = ()
     logistic: LogisticParams = field(default_factory=LogisticParams)
-    budgets: dict[str, float] = field(default_factory=dict)
+    budgets: Mapping[str, float] = field(default_factory=dict)
     # (holder id, datum id) -> the record that holder keeps
-    held: dict[tuple[str, str], DatumRecord] = field(init=False, repr=False, compare=False)
+    held: Mapping[tuple[str, str], DatumRecord] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.entities = tuple(self.entities)
+        object.__setattr__(self, "entities", tuple(self.entities))
         _at_least(len(self.entities), 2, "number of entities in a society")
         ids = [e.id for e in self.entities]
         _distinct(ids, "entity ids")
-        self.budgets = _budgets(self.budgets)
+        object.__setattr__(self, "budgets", MappingProxyType(_budgets(self.budgets)))
         known = set(ids)
-        self.held = {(e.id, r.datum): r for e in self.entities for r in e.data}
-        self.implicit_channels = tuple(self.implicit_channels)
+        object.__setattr__(self, "held", MappingProxyType({(e.id, r.datum): r for e in self.entities for r in e.data}))
+        object.__setattr__(self, "implicit_channels", tuple(self.implicit_channels))
         for ch in self.implicit_channels:
             _known(ch.subject, known, "entity")
             _known(ch.observer, known, "entity")
@@ -367,7 +371,7 @@ def _raw_release_measure(rec: DatumRecord) -> InfoMeasure:
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
     """A society plus run parameters; the unit the CLI consumes."""
 
@@ -411,16 +415,16 @@ class Simulation:
     reproduce the event list exactly and factor perturbations cannot
     touch the implicit stream.
 
-    The society is read once, when the simulation is built. Every
-    (sender, datum, receiver) candidate's decision probability is fixed
-    then, from the sparse trust map (see ``_decision_table``); so are the
-    implicit channels and the content of each one's release. Changing
-    ``society.factors`` or ``society.implicit_channels`` afterwards does
-    not affect the run.
-    Each tick draws one uniform per candidate in a single batch, in the
-    order sender, datum, receiver of the society's declarations.
-    A run of more than DRAW_CAP draws in all is refused when the
-    simulation is built.
+    The scenario's records are frozen and their mappings read-only views
+    (so a society cannot be pickled or deep-copied): the run reads the
+    society as it was checked. Every (sender, datum, receiver) candidate's
+    decision probability is fixed when the simulation is built, from the
+    sparse trust map (see ``_decision_table``); so is the content of each
+    implicit channel's release. Each tick draws one uniform per candidate
+    in a single batch, in the order sender, datum, receiver of the
+    society's declarations. A run of more than DRAW_CAP draws in all is
+    refused when the simulation is built, and ``step`` refuses a tick
+    past the scenario's ``ticks``.
     """
 
     def __init__(self, scenario: Scenario):
@@ -446,6 +450,8 @@ class Simulation:
 
     def step(self) -> tuple[list[FlowEvent], list[BudgetStop]]:
         t = self.t
+        if t >= self.scenario.ticks:
+            raise ValueError(f"tick {t} is past the scenario's ticks = {self.scenario.ticks}")
         rng_explicit = np.random.default_rng([self.scenario.seed, t, 0])
         rng_implicit = np.random.default_rng([self.scenario.seed, t, 1])
         events: list[FlowEvent] = []

@@ -397,6 +397,22 @@ class TestBallot:
             assert row[v1 + v2 + v3] == pytest.approx(0.125, abs=1e-12)
             assert row.sum() == pytest.approx(0.125, abs=1e-12)
 
+    @pytest.mark.parametrize("n", range(2, 18))
+    def test_tally_table_is_the_enumerated_marginal_bit_for_bit(self, n, monkeypatch):
+        tables = []
+        monkeypatch.setattr(causal, "mi_bits", lambda table: tables.append(table) or mi_bits(table))
+        net, report = ballot_scenario(n)
+        oracle = np.ascontiguousarray(joint(net).marginal("T", "V1"))
+        [table] = tables
+        assert table.dtype == oracle.dtype and table.shape == oracle.shape == (n + 1, 2)
+        assert np.array_equal(table.view(np.uint64), oracle.view(np.uint64))
+        assert report["i_tally_v1_sh"] == mi_bits(oracle)
+
+    def test_report_enumerates_no_joint(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="infoflow.causal"):
+            ballot_scenario(10)
+        assert not [r for r in caplog.records if r.getMessage().startswith("joint: ")]
+
     def test_capacity_and_domain_errors(self):
         with pytest.raises(CapacityError):
             ballot_scenario(21)

@@ -7,10 +7,14 @@ A value's type rule lives in the record or check that owns the value, so no read
 document (``cli``, and the ``*from_json*`` and ``load_*`` functions of ``society`` and
 ``causal``) names ``_integer`` or ``_number``. A name a record refers to resolves through
 ``measures._known``, so no other module refuses an unknown name itself, save ``cli``'s
-unknown scenario, whose message lists the choices.
+unknown scenario, whose message lists the choices. Every dataclass of ``society`` is frozen
+save the run state, ``Ledger`` and ``SimulationResult``, so a scenario stays as it was checked.
 """
 
 import ast
+import dataclasses
+import inspect
+import types
 from pathlib import Path
 
 import pytest
@@ -21,6 +25,14 @@ SOURCES = sorted(Path(infoflow.__file__).parent.glob("*.py"))
 PRIVATE_TO = {"society", "causal", "anonymity", "cli"}
 TYPE_RULES = {"_integer", "_number"}
 HINTED = {("cli", "unknown scenario ")}  # (module, opening text) of a refusal that lists the accepted choices
+RUN_STATE = {"Ledger", "SimulationResult"}  # the dataclasses of society a run changes
+
+
+def _unfrozen(module) -> list[str]:
+    """The names of the dataclasses defined in ``module`` that are not frozen."""
+    return [name for name, cls in inspect.getmembers(module, inspect.isclass)
+            if cls.__module__ == module.__name__ and dataclasses.is_dataclass(cls)
+            and not cls.__dataclass_params__.frozen]
 
 
 def _tree(path: Path) -> ast.Module:
@@ -129,3 +141,15 @@ def test_the_membership_guard_sees_plain_and_formatted_messages():
     tree = ast.parse('raise ValueError(f"unknown node {n!r}")\nraise ValueError("unknown role")\n'
                      'raise KeyError("unknown x")\nraise ValueError(f"{n} is unknown")\n')
     assert _unknown_refusals(tree) == [("unknown node ", 1), ("unknown role", 2)]
+
+
+def test_scenario_records_are_frozen():
+    assert set(_unfrozen(infoflow.society)) == RUN_STATE
+
+
+def test_the_freeze_guard_sees_a_mutable_dataclass():
+    probe = types.ModuleType("probe")
+    probe.Loose = dataclasses.make_dataclass("Loose", ["x"], namespace={"__module__": "probe"})
+    probe.Fixed = dataclasses.make_dataclass("Fixed", ["x"], frozen=True, namespace={"__module__": "probe"})
+    probe.Ledger = infoflow.society.Ledger  # imported, not defined there
+    assert _unfrozen(probe) == ["Loose"]

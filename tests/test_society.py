@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import io
 import json
 import logging
@@ -6,6 +7,7 @@ import math
 import pickle
 import re
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,7 +37,7 @@ from infoflow import (
     load_scenario,
     simulate,
 )
-from infoflow.causal import check_attribution, net_to_json_dict, twins_scenario
+from infoflow.causal import attribute_flows, check_attribution, load_attribution, net_to_json_dict, twins_scenario
 from infoflow.cli import _write, main
 from infoflow.society import (
     DRAW_CAP,
@@ -53,6 +55,8 @@ from helpers import scalar_simulation
 
 LN3 = math.log(3)
 LOG2_3 = math.log2(3)
+TWINS_PATH = resources.files("infoflow.data").joinpath("twins.json")
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def flow(t, sender, receiver, datum, kind="explicit"):
@@ -66,6 +70,11 @@ def flow(t, sender, receiver, datum, kind="explicit"):
         kind=kind,
         context_id=f"c:{t}:{sender}>{receiver}",
     )
+
+
+def loaded_twins() -> Scenario:
+    with resources.as_file(TWINS_PATH) as path:
+        return load_scenario(path)
 
 
 def write_json(tmp_path, doc):
@@ -301,6 +310,14 @@ class TestSimulationDeterminism:
         assert result.records() == simulate(scenario()).records()
         assert sim.run().records() == result.records()  # a second run has no ticks left
 
+    def test_step_refuses_a_tick_past_the_scenario(self):
+        sim = Simulation(loaded_twins())
+        result = sim.run()
+        cumulative = dict(result.ledger.cumulative)
+        with pytest.raises(ValueError, match=r"tick 1 is past the scenario's ticks = 1"):
+            sim.step()
+        assert sim.t == 1 and sim.events == result.events and result.ledger.cumulative == cumulative
+
 
 def budget_scenario(seed=0, ticks=4):
     return scenario_from_json_dict(
@@ -359,7 +376,7 @@ class TestLedger:
                         assert used <= cap + 1e-9
 
     def test_cumulative_is_monotone(self):
-        sim = Simulation(two_entity_scenario(seed=5, ticks=0))
+        sim = Simulation(two_entity_scenario(seed=5, ticks=10))
         previous = {}
         for _ in range(10):
             sim.step()
@@ -473,30 +490,82 @@ class TestBatchedDraws:
         assert kinds == {"explicit", "implicit", "budget-stop"}
         assert len({r["t"] for r in records}) > 1
 
-    def test_implicit_channels_are_read_when_the_simulation_is_built(self):
+    def test_implicit_channels_cannot_be_changed_after_the_checks(self):
         camera = [{"subject": "alice", "observer": "camera", "datum": "location", "p": 1.0}]
         scenario = two_entity_scenario(ticks=3, implicit_channels=camera)
         sim = Simulation(scenario)
-        # a certain channel added to the running society never fires
         added = ImplicitChannel("alice", "bob", "location", 1.0)
-        scenario.society.implicit_channels = (*scenario.society.implicit_channels, added)
-        for _ in range(3):
-            sim.step()
-        implicit = [e for e in sim.events if e.kind == "implicit"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            scenario.society.implicit_channels = (*scenario.society.implicit_channels, added)
+        implicit = [e for e in sim.run().events if e.kind == "implicit"]
         assert {(e.sender, e.receiver) for e in implicit} == {("alice", "camera")}
-        expected = simulate(two_entity_scenario(ticks=3, implicit_channels=camera))
-        assert [e.id for e in sim.events] == [e.id for e in expected.events]
         # the channel's events share the one measure built with the simulation
         assert len({id(e.measure) for e in implicit}) == 1 < len(implicit)
 
-    def test_factors_are_read_when_the_simulation_is_built(self):
+    def test_factors_cannot_be_changed_after_the_checks(self):
         scenario = two_entity_scenario(seed=2, ticks=4)
         sim = Simulation(scenario)
-        scenario.society.factors = FactorState()  # the run keeps the factors it was built with
-        for _ in range(4):
-            sim.step()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            scenario.society.factors = FactorState()
+        with pytest.raises(TypeError):
+            scenario.society.factors.trust[("alice", "bob")] = 0.0
         expected = simulate(two_entity_scenario(seed=2, ticks=4))
-        assert [e.id for e in sim.events] == [e.id for e in expected.events]
+        assert [e.id for e in sim.run().events] == [e.id for e in expected.events]
+
+
+class TestFrozenScenario:
+    """A scenario is checked once, when it is built: no field of its records and no item of their mappings changes."""
+
+    RECORDS = {
+        "scenario": lambda sc: sc,
+        "society": lambda sc: sc.society,
+        "factors": lambda sc: sc.society.factors,
+    }
+    # (record, mapping, key, value): the first two are an outsider's trust and a trust out of range
+    MUTATIONS = [
+        ("factors", "trust", ("ghost", "twin1"), 1.0),
+        ("factors", "trust", ("twin1", "receiver"), 7.0),
+        ("factors", "incentives", ("twin1", "gender"), 100.0),
+        ("society", "budgets", "gender", 0.0),
+        ("society", "held", ("twin2", "gender"), None),
+    ]
+
+    @pytest.mark.parametrize("record", RECORDS)
+    def test_no_field_can_be_assigned(self, record):
+        target = self.RECORDS[record](loaded_twins())
+        for f in dataclasses.fields(target):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(target, f.name, getattr(target, f.name))
+
+    @pytest.mark.parametrize(("record", "name", "key", "value"), MUTATIONS)
+    def test_no_mapping_item_can_be_set(self, record, name, key, value):
+        mapping = getattr(self.RECORDS[record](loaded_twins()), name)
+        before = dict(mapping)
+        with pytest.raises(TypeError):
+            mapping[key] = value
+        assert dict(mapping) == before
+
+    def test_a_refused_mutation_leaves_the_golden_run(self):
+        scenario = loaded_twins()
+        for record, name, key, value in self.MUTATIONS:
+            with pytest.raises(TypeError):
+                getattr(self.RECORDS[record](scenario), name)[key] = value
+        result = simulate(scenario)
+        with resources.as_file(TWINS_PATH) as path:
+            induced = attribute_flows(result.events, **load_attribution(scenario, path.parent))
+        events, ledger = io.StringIO(), io.StringIO()
+        write_events_jsonl(result, events, induced)
+        write_ledger_json(result.ledger, ledger)
+        assert events.getvalue() == (GOLDEN / "twins_events.jsonl").read_text()
+        assert ledger.getvalue() == (GOLDEN / "twins_ledger.json").read_text()
+
+    @pytest.mark.parametrize("record", RECORDS)
+    def test_a_society_cannot_be_pickled_or_deep_copied(self, record):
+        target = self.RECORDS[record](loaded_twins())
+        with pytest.raises(TypeError):
+            pickle.dumps(target)
+        with pytest.raises(TypeError):
+            copy.deepcopy(target)
 
 
 class TestBundleContexts:
