@@ -43,7 +43,6 @@ from .society import (
     Context,
     DatumRecord,
     Entity,
-    FactorState,
     FlowEvent,
     ImplicitChannel,
     Ledger,

@@ -180,8 +180,8 @@ def joint(net: BayesNet) -> DenseJoint:
 
 
 def conditional_mi(dense: DenseJoint, a: str, b: str, given: list[str] | tuple[str, ...] = ()) -> float:
-    """I(a; b | given) in Sh, from the dense joint."""
-    axes = [a, b] + [g for g in given]
+    """I(a; b | given) in Sh, from the dense joint; a name repeated in ``given`` counts once."""
+    axes = [a, b, *dict.fromkeys(given)]
     m = dense.marginal(*axes)
     flat = m.reshape(m.shape[0], m.shape[1], -1)
     total = 0.0
@@ -383,7 +383,7 @@ def fork_collider_graph(seed: int = 42) -> BayesNet:
 
 
 def check_attribution(
-    net: BayesNet, ownership: dict[str, str], node_of: dict[str, str] | None = None, threshold: float = THRESHOLD_SH
+    net: BayesNet, ownership: dict[str, str], node_of: dict[str, str], threshold: float = THRESHOLD_SH
 ) -> None:
     """Refuse an ownership or datum-to-node mapping that is not a mapping or names a node the net lacks.
 
@@ -391,12 +391,12 @@ def check_attribution(
     """
     _nonneg(_number(threshold, "attribution threshold"), "attribution threshold")
     for what, mapping in (("ownership", ownership), ("message node map", node_of)):
-        if mapping is not None and not isinstance(mapping, dict):
+        if not isinstance(mapping, dict):
             raise ValueError(f"{what} must be a mapping, got {type(mapping).__name__}")
     for node_name, owner in ownership.items():
         net.node(node_name)  # raises on unknown nodes
         _check_id(owner, "owner of node ", node_name)
-    for node_name in (node_of or {}).values():
+    for node_name in node_of.values():
         net.node(node_name)
 
 
@@ -416,7 +416,8 @@ def attribute_flows(
     as sender, paired with the explicit context that caused it. Because
     a receiver accumulates messages, the leak of each flow is measured
     conditionally on the earlier explicit messages in the same context.
-    Each distinct (message, node, conditioning sequence) is evaluated
+    A message already carried in the context induces nothing, since
+    I(M; V | G) = 0 whenever M is in G. Each distinct (message, node, conditioning sequence) is evaluated
     once per call; repeats, below-threshold ones included, reuse that
     value, and the induced flows of one such key share one InfoMeasure.
 
@@ -441,7 +442,7 @@ def attribute_flows(
             if flow.kind != "explicit":
                 continue
             m = node_of.get(flow.datum)
-            if m is None:
+            if m is None or m in conditioning:  # I(m; node | conditioning) = 0 once m is in the conditioning
                 continue
             given = tuple(conditioning)
             leaks: dict[str, list[tuple[str, InfoMeasure]]] = {}
@@ -465,8 +466,7 @@ def attribute_flows(
                     for name, measure in leaked
                 ]
                 pairs.append((ctx, Context(induced_id, flow.t, owner, flow.receiver, induced_flows)))
-            if m not in conditioning:
-                conditioning.append(m)
+            conditioning.append(m)
     log.debug("attribute_flows: %d distinct conditional_mi evaluations, %d memo hits", len(memo), hits)
     return pairs
 

@@ -105,26 +105,6 @@ class Entity:
 
 
 @dataclass(frozen=True)
-class FactorState:
-    """Trust in receivers and incentives to release data, each a read-only view of its checked copy."""
-
-    trust: Mapping[tuple[str, str], float] = field(default_factory=dict)
-    incentives: Mapping[tuple[str, str], float] = field(default_factory=dict)
-
-    def __post_init__(self):
-        trust = {k: _unit(_number(v, "trust", k), "trust", k) for k, v in self.trust.items()}
-        incentives = {k: _nonneg(_number(v, "incentive", k), "incentive", k) for k, v in self.incentives.items()}
-        object.__setattr__(self, "trust", MappingProxyType(trust))
-        object.__setattr__(self, "incentives", MappingProxyType(incentives))
-
-    def trust_of(self, sender: str, receiver: str) -> float:
-        return self.trust.get((sender, receiver), 0.0)
-
-    def incentive_of(self, sender: str, datum: str) -> float:
-        return self.incentives.get((sender, datum), 0.0)
-
-
-@dataclass(frozen=True)
 class LogisticParams:
     """Weights of the decision link: p = logistic(alpha*trust + beta*incentive - gamma).
 
@@ -282,10 +262,11 @@ class Ledger:
 
 @dataclass(frozen=True)
 class Society:
-    """Entities plus the factors influencing their flow decisions."""
+    """Entities plus the factors of their flow decisions: trust in receivers and incentives to release data."""
 
     entities: tuple[Entity, ...]
-    factors: FactorState = field(default_factory=FactorState)
+    trust: Mapping[tuple[str, str], float] = field(default_factory=dict)
+    incentives: Mapping[tuple[str, str], float] = field(default_factory=dict)
     implicit_channels: tuple[ImplicitChannel, ...] = ()
     logistic: LogisticParams = field(default_factory=LogisticParams)
     budgets: Mapping[str, float] = field(default_factory=dict)
@@ -293,6 +274,10 @@ class Society:
     held: Mapping[tuple[str, str], DatumRecord] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        trust = {k: _unit(_number(v, "trust", k), "trust", k) for k, v in self.trust.items()}
+        incentives = {k: _nonneg(_number(v, "incentive", k), "incentive", k) for k, v in self.incentives.items()}
+        object.__setattr__(self, "trust", MappingProxyType(trust))
+        object.__setattr__(self, "incentives", MappingProxyType(incentives))
         object.__setattr__(self, "entities", tuple(self.entities))
         _at_least(len(self.entities), 2, "number of entities in a society")
         ids = [e.id for e in self.entities]
@@ -305,11 +290,11 @@ class Society:
             _known(ch.subject, known, "entity")
             _known(ch.observer, known, "entity")
         # a channel observes its subject's datum, and an incentive is to release the sender's own
-        for holder, datum in [*((ch.subject, ch.datum) for ch in self.implicit_channels), *self.factors.incentives]:
+        for holder, datum in [*((ch.subject, ch.datum) for ch in self.implicit_channels), *self.incentives]:
             if (holder, datum) not in self.held:
                 raise ValueError(f"entity {holder!r} does not hold datum {datum!r}")
         _distinct([(ch.subject, ch.observer, ch.datum) for ch in self.implicit_channels], "implicit channels")
-        for sender, receiver in self.factors.trust:
+        for sender, receiver in self.trust:
             _known(sender, known, "trusting entity")
             _known(receiver, known, "trusted entity")
             if sender == receiver:
@@ -332,19 +317,14 @@ def _logit(params: LogisticParams, trust: float, incentive: float) -> float:
     return params.alpha * trust + params.beta * incentive - params.gamma
 
 
-def decision_prob(
-    factors: FactorState,
-    sender: str,
-    receiver: str,
-    datum: str,
-    params: LogisticParams = LogisticParams(),
-) -> float:
-    """Probability the sender decides to release datum to receiver.
+def decision_prob(society: Society, sender: str, receiver: str, datum: str) -> float:
+    """Probability the sender decides to release datum to receiver, by the society's own logistic weights.
 
     Monotone non-decreasing in both trust(sender, receiver) and
-    incentive(sender, datum).
+    incentive(sender, datum), each 0 where the society gives none.
     """
-    return _logistic(_logit(params, factors.trust_of(sender, receiver), factors.incentive_of(sender, datum)))
+    trust, incentive = society.trust.get((sender, receiver), 0.0), society.incentives.get((sender, datum), 0.0)
+    return _logistic(_logit(society.logistic, trust, incentive))
 
 
 def release_measure(rec: DatumRecord) -> InfoMeasure:
@@ -514,19 +494,19 @@ def _decision_table(soc: Society) -> tuple[list[tuple[int, str, InfoMeasure]], n
     the receivers the sender has a trust entry for are then overwritten:
     the link runs once per block plus once per (block, trusted receiver).
     """
-    factors, params = soc.factors, soc.logistic
+    params = soc.logistic
     pos = {e.id: k for k, e in enumerate(soc.entities)}
     width = len(pos) - 1
     # each sender's trusted receivers, as (offset in its blocks, trust)
     trusted: list[list[tuple[int, float]]] = [[] for _ in pos]
-    for (sender, receiver), v in factors.trust.items():
+    for (sender, receiver), v in soc.trust.items():
         k, r = pos[sender], pos[receiver]
         trusted[k].append((r - (r > k), v))
     blocks: list[tuple[int, str, InfoMeasure]] = []
     base, cells, values, measures = [], [], [], {}  # probabilities at trust 0; trusted cells and theirs
     for k, sender in enumerate(soc.entities):
         for rec in sender.data:
-            incentive = factors.incentive_of(sender.id, rec.datum)
+            incentive = soc.incentives.get((sender.id, rec.datum), 0.0)
             start = len(blocks) * width
             base.append(_logistic(_logit(params, 0.0, incentive)))
             for j, v in trusted[k]:
@@ -576,12 +556,8 @@ def ledger_report(ledger: Ledger) -> list[dict]:
 # scenario JSON and event-log output
 # ---------------------------------------------------------------------------
 
-# the top level spreads a Scenario, its Society and the Society's FactorState
-_SCENARIO_KEYS = (
-    ({f.name for f in fields(Scenario)} - {"society"})
-    | ({f.name for f in fields(Society) if f.init} - {"factors"})
-    | {f.name for f in fields(FactorState)}
-)
+# the top level spreads a Scenario and its Society
+_SCENARIO_KEYS = ({f.name for f in fields(Scenario)} - {"society"}) | {f.name for f in fields(Society) if f.init}
 
 
 @functools.cache
@@ -614,14 +590,11 @@ def _data_from_json(docs: list) -> tuple[DatumRecord, ...]:
 def scenario_from_json_dict(cfg: dict) -> Scenario:
     _check_keys(cfg, _SCENARIO_KEYS, "scenario")
     entities = [_from_json(Entity, ent, "entity", data=_data_from_json) for ent in cfg.get("entities", [])]
-    factors = FactorState(
-        trust={(s, r): v for s, row in cfg.get("trust", {}).items() for r, v in row.items()},
-        incentives={(s, d): v for s, row in cfg.get("incentives", {}).items() for d, v in row.items()},
-    )
     channels = [_from_json(ImplicitChannel, ch, "implicit channel") for ch in cfg.get("implicit_channels", [])]
     society = Society(
         entities=entities,
-        factors=factors,
+        trust={(s, r): v for s, row in cfg.get("trust", {}).items() for r, v in row.items()},
+        incentives={(s, d): v for s, row in cfg.get("incentives", {}).items() for d, v in row.items()},
         implicit_channels=channels,
         logistic=_from_json(LogisticParams, cfg.get("logistic", {}), "logistic"),
         budgets=cfg.get("budgets", {}),

@@ -138,6 +138,23 @@ def naive_net_joint(net) -> dict:
     return out
 
 
+def naive_conditional_mi(net, a: str, b: str, given=()) -> float:
+    """I(a; b | given) in Sh via the naive joint: the sum of p(x, y, g) log2(p(x, y, g) p(g) / (p(x, g) p(y, g))).
+
+    ``given`` is read state by state off each configuration, so a name
+    may repeat in it, or be ``a`` or ``b``: such a term is log2(1) = 0.
+    """
+    idx = {n.name: i for i, n in enumerate(net.nodes)}
+    cells, xg, yg, g_only = {}, {}, {}, {}
+    for combo, p in naive_net_joint(net).items():
+        x, y, g = combo[idx[a]], combo[idx[b]], tuple(combo[idx[n]] for n in given)
+        for table, key in ((cells, (x, y, g)), (xg, (x, g)), (yg, (y, g)), (g_only, g)):
+            table[key] = table.get(key, 0.0) + p
+    return sum(
+        p * math.log2(p * g_only[g] / (xg[x, g] * yg[y, g])) for (x, y, g), p in cells.items() if p > 0
+    )
+
+
 def sum_marginal(probs, keep):
     """Marginal of a dense tensor keeping axes ``keep`` in that order, by one ``ndarray.sum``.
 

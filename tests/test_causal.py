@@ -1,4 +1,5 @@
 import collections
+import functools
 import itertools
 import json
 import logging
@@ -9,6 +10,8 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infoflow import (
     BayesNet,
@@ -31,7 +34,7 @@ from infoflow._kernels import entropy_bits, mi_bits
 from infoflow.causal import STATE_SPACE_CAP, load_net, net_from_json_dict, net_to_json_dict
 from infoflow.society import scenario_from_json_dict, simulate
 from infoflow.cli import main
-from helpers import entropy_cells, mi_cells, naive_net_joint, naive_pair_mi, sum_marginal
+from helpers import entropy_cells, mi_cells, naive_conditional_mi, naive_net_joint, naive_pair_mi, sum_marginal
 
 
 def binary_root(name, p1=0.5):
@@ -362,6 +365,26 @@ class TestTwins:
             twins_scenario(q=0.0)
 
 
+class TestConditionalMI:
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_plain_python_oracle(self, data):
+        net = random_small_net(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))),
+                               n_nodes=data.draw(st.integers(2, 6)))
+        a, b = data.draw(st.lists(st.sampled_from(net.names), min_size=2, max_size=2, unique=True))
+        others = [n for n in net.names if n not in (a, b)]
+        cond = data.draw(st.lists(st.sampled_from(others), max_size=5)) if others else []
+        got = conditional_mi(joint(net), a, b, cond)
+        assert got == pytest.approx(naive_conditional_mi(net, a, b, cond), abs=1e-12)
+
+    def test_a_repeated_conditioning_name_counts_once(self):
+        dense = joint(twins_scenario()[0])
+        once = conditional_mi(dense, "Z", "S2", ["S1"])
+        assert once == 0.31127812445913283
+        assert conditional_mi(dense, "Z", "S2", ["S1", "S1"]) == once
+        assert conditional_mi(dense, "S1", "S2", ["Z", "Z", "Z"]) == conditional_mi(dense, "S1", "S2", ["Z"])
+
+
 class TestBallot:
     def test_three_voters_against_enumeration(self):
         # enumerate the 8 voter configurations by hand
@@ -555,9 +578,15 @@ REPEATED_OWNERSHIP = {"A": "alice", "B": "bob", "C": "carol", "D": "dave"}
 REPEATED_NODE_OF = {"m": "M", "x": "X", "g": "G"}
 
 
-def per_flow_attribution(events, net, ownership, node_of, threshold=1e-6):
-    """Induced pairs from one fresh conditional_mi per flow and owned node, and every key evaluated."""
-    dense = joint(net)
+def per_flow_attribution(events, net, ownership, node_of, threshold=1e-6, cmi=None):
+    """Induced pairs from one fresh measure per flow and owned node, and every key evaluated.
+
+    ``cmi(a, b, given)`` is the measure, by default ``conditional_mi`` on the net's dense joint. A message
+    already in the context is measured too: only a measure that allows it in ``given`` can take one.
+    """
+    if cmi is None:
+        dense = joint(net)
+        cmi = functools.partial(conditional_mi, dense)
     pairs, keys = [], []
     for ctx in bundle_contexts(events):
         conditioning = []
@@ -571,7 +600,7 @@ def per_flow_attribution(events, net, ownership, node_of, threshold=1e-6):
                 if node.name == m or owner is None or owner in (flow.sender, flow.receiver):
                     continue
                 keys.append((m, node.name, tuple(conditioning)))
-                mi = conditional_mi(dense, m, node.name, conditioning)
+                mi = cmi(m, node.name, tuple(conditioning))
                 if mi > threshold:
                     leaks.setdefault(owner, []).append((node.name, mi))
             for owner, leaked in leaks.items():
@@ -587,6 +616,18 @@ def pair_summary(pairs):
         (cause.id, ctx.id, ctx.sender, ctx.receiver, [(f.id, f.datum, f.measure.selective_sh) for f in ctx.flows])
         for cause, ctx in pairs
     ]
+
+
+def assert_pairs_close(pairs, expected):
+    """``pair_summary(pairs)`` equals ``expected`` with each leak within 1e-12 Sh, the other fields exactly."""
+    got = pair_summary(pairs)
+
+    def fields(summary):
+        return [(*head, [(fid, name) for fid, name, _ in flows]) for *head, flows in summary]
+
+    assert fields(got) == fields(expected)
+    leaks = [mi for *_, flows in expected for _, _, mi in flows]
+    assert [mi for *_, flows in got for _, _, mi in flows] == pytest.approx(leaks, abs=1e-12)
 
 
 class TestAttributionMemo:
@@ -663,8 +704,8 @@ class TestAttributionMemo:
         rng = np.random.default_rng(seed)
         net = random_small_net(rng, n_nodes=int(rng.integers(3, 7)))
         names = rng.permutation([node.name for node in net.nodes]).tolist()
-        # messages come from unowned nodes and none repeats in a context: a node both
-        # measured and conditioned on is conditional_mi's repeated-node refusal, not a memo question
+        # messages come from unowned nodes and may repeat within a context; an owned node both
+        # measured and conditioned on is conditional_mi's repeated-node refusal (ROADMAP item 1)
         split = int(rng.integers(1, len(names)))
         messages, entities = names[:split], ["a", "b", "c", "d"]
         ownership = {name: entities[int(rng.integers(4))] for name in names[split:]}
@@ -672,13 +713,15 @@ class TestAttributionMemo:
         events = []
         for t in range(3):
             for p in rng.choice(len(pairs), size=int(rng.integers(1, 5)), replace=False).tolist():
-                sent = rng.choice(messages, size=int(rng.integers(1, split + 1)), replace=False).tolist()
+                sent = rng.choice(messages, size=int(rng.integers(1, split + 3))).tolist()
                 events += [explicit_event(*pairs[p], name, t=t) for name in sent]
         node_of = {name: name for name in names}
         threshold = [1e-6, 0.05][seed % 2]
-        expected, _ = per_flow_attribution(events, net, ownership, node_of, threshold)
+        cmi = functools.cache(functools.partial(naive_conditional_mi, net))
+        expected, keys = per_flow_attribution(events, net, ownership, node_of, threshold, cmi=cmi)
+        assert any(m in cond for m, _, cond in keys)  # a context carries a message twice
         pairs = attribute_flows(events, net, ownership, threshold=threshold, node_of=node_of)
-        assert pair_summary(pairs) == expected
+        assert_pairs_close(pairs, expected)
         assert all(f.measure.logons == net.node(f.datum).card for _, ctx in pairs for f in ctx.flows)
 
     def test_counts_are_logged_at_debug(self, caplog):

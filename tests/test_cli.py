@@ -287,6 +287,25 @@ class TestSimulate:
             "x:0:twin1>receiver:gender~twin2,,",
         ]
 
+    def test_a_datum_sent_twice_in_a_context_induces_nothing_the_second_time(self, tmp_path, capsys):
+        # at two ticks and window 2, one context carries gender, zygosity, then gender again
+        path = _write(tmp_path, "s.json", _twins_with(ticks=2, window=2))
+        code, out = run_cli("simulate", "--scenario", path, capsys=capsys)
+        assert code == 0
+        records = json.loads(out)["events"]
+        flows = [r["id"] for r in records if r["record"] == "flow"]
+        assert flows == ["x:0:twin1>receiver:gender", "x:0:twin1>receiver:zygosity", "x:1:twin1>receiver:gender"]
+        induced = [r["context"]["id"] for r in records if r["record"] == "induced-context"]
+        assert induced == ["x:0:twin1>receiver:gender~twin2", "x:0:twin1>receiver:zygosity~twin2"]
+
+    def test_a_leaked_node_already_in_the_conditioning_is_still_refused(self, tmp_path, capsys):
+        # zygosity first, then gender: Z is both conditioned on and measured, ROADMAP item 1's open refusal
+        first = TWINS["entities"][0]
+        swapped = {**first, "data": first["data"][::-1]}
+        path = _write(tmp_path, "s.json", _twins_with(entities=[swapped, *TWINS["entities"][1:]]))
+        assert main(["simulate", "--scenario", path]) == 2
+        assert capsys.readouterr().err == "error: scenario attribution: repeated node 'Z' in marginal\n"
+
     def test_run_beyond_the_draw_cap_exits_3_naming_size_and_cap(self, tmp_path, capsys):
         # refused when the simulation is built, before the first tick
         doc = json.loads(Path(data_path("twins.json")).read_text())
@@ -579,6 +598,10 @@ MALFORMED = {
         {"s.json": _twins_with(attribution={**TWINS["attribution"], "ownership": ["S2"]})},
         ["simulate", "--scenario", "s.json"],
     ),
+    "ownership-null": (
+        {"s.json": _twins_with(attribution={**TWINS["attribution"], "ownership": None})},
+        ["simulate", "--scenario", "s.json"],
+    ),
     "attribution-unknown-message-node": (
         {"s.json": _twins_with(attribution={**TWINS["attribution"], "message_nodes": {"gender": "nope"}})},
         ["simulate", "--scenario", "s.json"],
@@ -862,6 +885,7 @@ MALFORMED = {
 
 # the check a row is written to reach, where a different check would also exit 2
 REFUSED_BY = {
+    "ownership-null": "scenario attribution: ownership must be a mapping, got NoneType",
     "attribution-threshold-not-a-number": "attribution threshold must be a number, got 'high'",
     "attribution-threshold-string-number": "attribution threshold must be a number, got '1e-3'",
     "attribution-threshold-boolean": "attribution threshold must be a number, got True",

@@ -20,7 +20,6 @@ from infoflow import (
     Context,
     DatumRecord,
     Entity,
-    FactorState,
     FlowEvent,
     ImplicitChannel,
     InfoMeasure,
@@ -107,18 +106,25 @@ def two_entity_scenario(**overrides):
     return scenario_from_json_dict(cfg)
 
 
+def decision_society(trust=0.0, incentive=0.0, logistic=LogisticParams()):
+    """Entities "a", holding datum "d", and "b": a's trust in b and incentive to release d as given."""
+    entities = (Entity("a", (DatumRecord("d", "", "a", "conjunct"),)), Entity("b"))
+    return Society(entities, {("a", "b"): trust}, {("a", "d"): incentive}, logistic=logistic)
+
+
 class TestDecisionProb:
     def test_baseline_suppression(self):
-        p = decision_prob(FactorState(), "a", "b", "d")
+        p = decision_prob(Society((Entity("a"), Entity("b"))), "a", "b", "d")
         assert p == pytest.approx(1 / (1 + math.exp(3)), abs=1e-12)
 
     def test_full_trust(self):
-        f = FactorState(trust={("a", "b"): 1.0})
-        assert decision_prob(f, "a", "b", "d") == pytest.approx(1 / (1 + math.exp(-1)), abs=1e-12)
+        assert decision_prob(decision_society(trust=1.0), "a", "b", "d") == pytest.approx(
+            1 / (1 + math.exp(-1)), abs=1e-12
+        )
 
     def test_degenerate_gamma_suppresses_everything(self):
-        params = LogisticParams(alpha=0.0, beta=0.0, gamma=700.0)
-        assert decision_prob(FactorState(), "a", "b", "d", params) == pytest.approx(0.0, abs=1e-12)
+        soc = decision_society(1.0, 5.0, LogisticParams(alpha=0.0, beta=0.0, gamma=700.0))
+        assert decision_prob(soc, "a", "b", "d") == pytest.approx(0.0, abs=1e-12)
 
     def test_monotone_in_trust_and_incentive(self):
         import numpy as np
@@ -127,21 +133,9 @@ class TestDecisionProb:
         for _ in range(50):
             t0, inc0 = rng.uniform(0, 1), rng.uniform(0, 4)
             bump_t, bump_i = rng.uniform(0, 1 - t0), rng.uniform(0, 3)
-            base = decision_prob(
-                FactorState(trust={("a", "b"): t0}, incentives={("a", "d"): inc0}), "a", "b", "d"
-            )
-            more_trust = decision_prob(
-                FactorState(trust={("a", "b"): t0 + bump_t}, incentives={("a", "d"): inc0}),
-                "a",
-                "b",
-                "d",
-            )
-            more_inc = decision_prob(
-                FactorState(trust={("a", "b"): t0}, incentives={("a", "d"): inc0 + bump_i}),
-                "a",
-                "b",
-                "d",
-            )
+            base = decision_prob(decision_society(t0, inc0), "a", "b", "d")
+            more_trust = decision_prob(decision_society(t0 + bump_t, inc0), "a", "b", "d")
+            more_inc = decision_prob(decision_society(t0, inc0 + bump_i), "a", "b", "d")
             assert more_trust >= base - 1e-15
             assert more_inc >= base - 1e-15
 
@@ -175,20 +169,23 @@ def decision_societies(draw):
     incentives = draw(st.dictionaries(st.sampled_from(held), st.floats(0, 5), max_size=6)) if held else {}
     weights = st.sampled_from([0.0, 4.0]) | st.floats(0, 10)
     logistic = LogisticParams(draw(weights), draw(weights), draw(st.floats(-10, 10)))
-    return Society(tuple(entities), FactorState(trust, incentives), logistic=logistic)
+    return Society(tuple(entities), trust, incentives, logistic=logistic)
 
 
 class TestDecisionTable:
     @given(decision_societies())
+    @example(decision_society(0.5, 2.0, LogisticParams(alpha=1.5, beta=0.25, gamma=-2.0)))
+    @example(decision_society(1.0, 5.0, LogisticParams(alpha=0.0, beta=0.0, gamma=700.0)))
     @settings(max_examples=150, deadline=None)
     def test_probabilities_equal_decision_prob_exactly(self, soc):
+        """The table's probabilities are ``decision_prob``'s, which weighs the factors by the society's own weights."""
         blocks, p, _ = _decision_table(soc)
         ids = [e.id for e in soc.entities]
         assert [(k, d) for k, d, _ in blocks] == [(k, r.datum) for k, e in enumerate(soc.entities) for r in e.data]
         assert [m for *_, m in blocks] == [release_measure(r) for e in soc.entities for r in e.data]
         assert len({id(m) for *_, m in blocks}) <= 1  # every datum here has the same content, so one measure
         expected = [
-            decision_prob(soc.factors, ids[k], receiver, datum, soc.logistic)
+            decision_prob(soc, ids[k], receiver, datum)
             for k, datum, _ in blocks
             for receiver in ids
             if receiver != ids[k]
@@ -506,9 +503,9 @@ class TestBatchedDraws:
         scenario = two_entity_scenario(seed=2, ticks=4)
         sim = Simulation(scenario)
         with pytest.raises(dataclasses.FrozenInstanceError):
-            scenario.society.factors = FactorState()
+            scenario.society.trust = {}
         with pytest.raises(TypeError):
-            scenario.society.factors.trust[("alice", "bob")] = 0.0
+            scenario.society.trust[("alice", "bob")] = 0.0
         expected = simulate(two_entity_scenario(seed=2, ticks=4))
         assert [e.id for e in sim.run().events] == [e.id for e in expected.events]
 
@@ -519,13 +516,12 @@ class TestFrozenScenario:
     RECORDS = {
         "scenario": lambda sc: sc,
         "society": lambda sc: sc.society,
-        "factors": lambda sc: sc.society.factors,
     }
     # (record, mapping, key, value): the first two are an outsider's trust and a trust out of range
     MUTATIONS = [
-        ("factors", "trust", ("ghost", "twin1"), 1.0),
-        ("factors", "trust", ("twin1", "receiver"), 7.0),
-        ("factors", "incentives", ("twin1", "gender"), 100.0),
+        ("society", "trust", ("ghost", "twin1"), 1.0),
+        ("society", "trust", ("twin1", "receiver"), 7.0),
+        ("society", "incentives", ("twin1", "gender"), 100.0),
         ("society", "budgets", "gender", 0.0),
         ("society", "held", ("twin2", "gender"), None),
     ]
@@ -766,9 +762,9 @@ class TestScenarioJson:
         ({"alice": {"alice": 1.0}}, "entity 'alice' cannot trust itself"),
     ])
     def test_trust_names_two_distinct_entities(self, trust, message):
-        factors = FactorState(trust={(s, r): v for s, row in trust.items() for r, v in row.items()})
+        trust = {(s, r): v for s, row in trust.items() for r, v in row.items()}
         with pytest.raises(ValueError) as refused:
-            Society((Entity("alice"), Entity("bob")), factors)
+            Society((Entity("alice"), Entity("bob")), trust)
         assert str(refused.value) == message
 
     def test_trust_out_of_range_rejected(self):
@@ -778,6 +774,18 @@ class TestScenarioJson:
     def test_society_needs_two_entities(self):
         with pytest.raises(ValueError, match="number of entities in a society must be >= 2, got 1"):
             Society(entities=(Entity("only"),))
+
+    @pytest.mark.parametrize("factors, message", [
+        ({"trust": {"only": {"ghost": 2}}}, "trust('only', 'ghost') must be in [0,1], got 2.0"),
+        ({"incentives": {"only": {"ghost": -1}}}, "incentive('only', 'ghost') must be finite and >= 0, got -1.0"),
+        ({"trust": {"only": {"ghost": 2}}, "incentives": {"only": {"ghost": -1}}},
+         "trust('only', 'ghost') must be in [0,1], got 2.0"),
+    ], ids=["trust", "incentive", "trust-and-incentive"])
+    def test_factor_values_are_refused_before_the_society_rules(self, factors, message):
+        # one entity and outsiders in the keys break three society rules, yet the values are refused first
+        with pytest.raises(ValueError) as refused:
+            scenario_from_json_dict({"entities": [{"id": "only"}], **factors})
+        assert str(refused.value) == message
 
     def test_negative_seed_rejected(self):
         society = two_entity_scenario().society
@@ -854,7 +862,7 @@ class TestScenarioJson:
         scenario = two_entity_scenario(trust={"alice": {"bob": 1}}, budgets={"location": 2},
                                        logistic={"alpha": 4, "beta": 1, "gamma": 3})
         soc = scenario.society
-        values = [soc.factors.trust[("alice", "bob")], soc.budgets["location"], soc.logistic.alpha]
+        values = [soc.trust[("alice", "bob")], soc.budgets["location"], soc.logistic.alpha]
         assert values == [1.0, 2.0, 4.0] and all(type(v) is float for v in values)
 
 
@@ -893,9 +901,9 @@ TYPED_FIELDS = {
     "mechanism eps": (("entities", 0, "data", 0, "mechanism", "eps"), "number", "mechanism eps",
                       lambda v: ReleaseMechanism("randomized-response", 2, v)),
     "trust": (("trust", "alice", "bob"), "number", "trust('alice', 'bob')",
-              lambda v: FactorState(trust={("alice", "bob"): v})),
+              lambda v: Society(PAIR, trust={("alice", "bob"): v})),
     "incentive": (("incentives", "alice", "location"), "number", "incentive('alice', 'location')",
-                  lambda v: FactorState(incentives={("alice", "location"): v})),
+                  lambda v: Society(PAIR, incentives={("alice", "location"): v})),
     "implicit channel p": (("implicit_channels", 0, "p"), "number", "implicit channel p",
                            lambda v: ImplicitChannel("alice", "bob", "location", v)),
     "alpha": (("logistic", "alpha"), "number", "logistic alpha", lambda v: LogisticParams(alpha=v)),
@@ -938,7 +946,7 @@ class TestLibraryRefusesWhatTheReaderRefuses:
         (lambda: InfoMeasure(0.5, 2, True), "metrons must be an integer, got True"),
         (lambda: InfoMeasure(True, 2, 1), "selective_sh must be a number, got True"),
         (lambda: Ledger(budgets={"x": "1"}), "budget for 'x' must be a number, got '1'"),
-        (lambda: check_attribution(TWINS_NET, {}, threshold=True), "attribution threshold must be a number, got True"),
+        (lambda: check_attribution(TWINS_NET, {}, {}, threshold=True), "attribution threshold must be a number, got True"),
     ])
     def test_records_without_a_document_refuse_other_types(self, build, message):
         with pytest.raises(ValueError) as refused:
