@@ -217,8 +217,8 @@ class Dist:
 
     @classmethod
     def uniform(cls, outcomes) -> "Dist":
-        n = len(outcomes)
-        return cls(outcomes, np.full(n, 1.0 / n))
+        outcomes = _check_labels(outcomes, "outcomes")  # an empty space is refused by name, before 1 / 0
+        return cls(outcomes, np.full(len(outcomes), 1.0 / len(outcomes)))
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Dist":

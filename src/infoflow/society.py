@@ -221,36 +221,37 @@ class Context(_Record, _ContextFields):
         return tuple.__new__(cls, (id, t, sender, receiver, flows))
 
 
-def _budgets(budgets: Mapping) -> dict[str, float]:
-    """The budget rule: each datum's budget a finite number >= 0, stored as a float."""
-    return {d: _nonneg(_number(cap, "budget for ", d), "budget for ", d) for d, cap in budgets.items()}
+def _budgets(budgets: Mapping) -> Mapping[str, float]:
+    """The budget rule: each datum's budget a finite number >= 0, stored as a float in a read-only view."""
+    return MappingProxyType({d: _nonneg(_number(v, "budget for ", d), "budget for ", d) for d, v in budgets.items()})
 
 
-@dataclass
+@dataclass(frozen=True)
 class Ledger:
-    """Per-(sender, receiver, datum) sum of certified per-release caps, in Sh."""
+    """Per-(sender, receiver, datum) sum of certified per-release caps, in Sh, against read-only per-datum budgets."""
 
-    budgets: dict[str, float] = field(default_factory=dict)
+    budgets: Mapping[str, float] = field(default_factory=dict)
     cumulative: dict[tuple[str, str, str], float] = field(default_factory=dict)
 
     def __post_init__(self):
-        self.budgets = _budgets(self.budgets)
+        object.__setattr__(self, "budgets", _budgets(self.budgets))
+
+    @classmethod
+    def of(cls, society: Society) -> Ledger:
+        """An empty ledger that reads ``society``'s budgets, which the society checked: one copy, checked once."""
+        ledger = cls.__new__(cls)
+        object.__setattr__(ledger, "budgets", society.budgets)
+        object.__setattr__(ledger, "cumulative", {})
+        return ledger
 
     def headroom(self, sender: str, receiver: str, datum: str) -> float | None:
         cap = self.budgets.get(datum)
-        if cap is None:
-            return None
-        used = self.cumulative.get((sender, receiver, datum), 0.0)
-        return max(cap - used, 0.0)
-
-    def would_exceed(self, sender: str, receiver: str, datum: str, amount_sh: float) -> bool:
-        """The budget rule: a release may take the cumulative content up to the budget, plus 1e-9 Sh of rounding."""
-        cap = self.budgets.get(datum)
-        return cap is not None and self.cumulative.get((sender, receiver, datum), 0.0) + amount_sh > cap + 1e-9
+        return None if cap is None else max(cap - self.cumulative.get((sender, receiver, datum), 0.0), 0.0)
 
     def charge(self, sender: str, receiver: str, datum: str, amount_sh: float) -> float | None:
-        """Record a release, or, if it would exceed the datum's budget, record nothing and return the headroom."""
-        if self.would_exceed(sender, receiver, datum, amount_sh):
+        """The budget rule: record a release up to the budget plus 1e-9 Sh, or record nothing and give the headroom."""
+        cap = self.budgets.get(datum)
+        if cap is not None and self.cumulative.get((sender, receiver, datum), 0.0) + amount_sh > cap + 1e-9:
             return self.headroom(sender, receiver, datum)
         self.record(sender, receiver, datum, amount_sh)
         return None
@@ -282,7 +283,7 @@ class Society:
         _at_least(len(self.entities), 2, "number of entities in a society")
         ids = [e.id for e in self.entities]
         _distinct(ids, "entity ids")
-        object.__setattr__(self, "budgets", MappingProxyType(_budgets(self.budgets)))
+        object.__setattr__(self, "budgets", _budgets(self.budgets))
         known = set(ids)
         object.__setattr__(self, "held", MappingProxyType({(e.id, r.datum): r for e in self.entities for r in e.data}))
         object.__setattr__(self, "implicit_channels", tuple(self.implicit_channels))
@@ -291,17 +292,27 @@ class Society:
             _known(ch.observer, known, "entity")
         # a channel observes its subject's datum, and an incentive is to release the sender's own
         for holder, datum in [*((ch.subject, ch.datum) for ch in self.implicit_channels), *self.incentives]:
-            if (holder, datum) not in self.held:
-                raise ValueError(f"entity {holder!r} does not hold datum {datum!r}")
+            _holds(holder, datum, self.held)
         _distinct([(ch.subject, ch.observer, ch.datum) for ch in self.implicit_channels], "implicit channels")
         for sender, receiver in self.trust:
-            _known(sender, known, "trusting entity")
-            _known(receiver, known, "trusted entity")
-            if sender == receiver:
-                raise ValueError(f"entity {sender!r} cannot trust itself")
+            _trust_pair(sender, receiver, known)
         data = {d for _, d in self.held}
         for d in self.budgets:
             _known(d, data, "budgeted datum")
+
+
+def _holds(holder: str, datum: str, held: Mapping[tuple[str, str], DatumRecord]) -> None:
+    """The holding rule: ``holder`` is an entity that keeps a record of ``datum``."""
+    if (holder, datum) not in held:
+        raise ValueError(f"entity {holder!r} does not hold datum {datum!r}")
+
+
+def _trust_pair(sender: str, receiver: str, known) -> None:
+    """The trust rule: a (sender, receiver) key names two distinct entities of the society."""
+    _known(sender, known, "trusting entity")
+    _known(receiver, known, "trusted entity")
+    if sender == receiver:
+        raise ValueError(f"entity {sender!r} cannot trust itself")
 
 
 def _logistic(x: float) -> float:
@@ -321,8 +332,11 @@ def decision_prob(society: Society, sender: str, receiver: str, datum: str) -> f
     """Probability the sender decides to release datum to receiver, by the society's own logistic weights.
 
     Monotone non-decreasing in both trust(sender, receiver) and
-    incentive(sender, datum), each 0 where the society gives none.
+    incentive(sender, datum), each 0 where the society gives none. Its
+    keys are refused as the society refuses a trust or incentive key.
     """
+    _trust_pair(sender, receiver, {e.id for e in society.entities})
+    _holds(sender, datum, society.held)
     trust, incentive = society.trust.get((sender, receiver), 0.0), society.incentives.get((sender, datum), 0.0)
     return _logistic(_logit(society.logistic, trust, incentive))
 
@@ -410,7 +424,7 @@ class Simulation:
     def __init__(self, scenario: Scenario):
         self.scenario = scenario
         self.society = scenario.society
-        self.ledger = Ledger(budgets=scenario.society.budgets)
+        self.ledger = Ledger.of(scenario.society)
         self.t = 0
         self.events: list[FlowEvent] = []
         self.stops: list[BudgetStop] = []

@@ -362,6 +362,25 @@ def event_records(result, induced=()) -> list:
     return recs
 
 
+def budget_oracle(budgets: dict, ops) -> tuple[dict, list]:
+    """Cumulative sums and what each call returns for ``ops``, (``"charge"`` or ``"record"``, key, amount) triples.
+
+    A charge whose datum has a budget and would take the key's sum past the
+    budget plus 1e-9 Sh records nothing and returns the headroom, the budget
+    less the sum and at least 0.0; every other call adds its amount.
+    """
+    cumulative, returned = {}, []
+    for op, key, amount in ops:
+        used = cumulative.get(key, 0.0)
+        cap = budgets.get(key[2])
+        if op == "charge" and cap is not None and used + amount > cap + 1e-9:
+            returned.append(max(cap - used, 0.0))
+        else:
+            cumulative[key] = used + amount
+            returned.append(None)
+    return cumulative, returned
+
+
 def ledger_rows(ledger) -> list:
     """Per-(sender, receiver, datum) cumulative content, budget and headroom, sorted by key."""
     rows = []

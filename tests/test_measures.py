@@ -139,6 +139,12 @@ class TestDist:
         with pytest.raises(ValueError, match="unique"):
             Dist(("a", "a"), np.array([0.5, 0.5]))
 
+    def test_uniform_over_no_outcomes_is_refused_as_the_constructor_refuses_it(self):
+        for build in (lambda: Dist.uniform(()), lambda: Dist((), [])):
+            with pytest.raises(ValueError) as refused:
+                build()
+            assert str(refused.value) == "outcomes must be non-empty"
+
     def test_immutable(self):
         d = dist(0.5, 0.5)
         with pytest.raises(ValueError):

@@ -36,6 +36,7 @@ from infoflow import (
     load_scenario,
     simulate,
 )
+from infoflow import society as society_module
 from infoflow.causal import attribute_flows, check_attribution, load_attribution, net_to_json_dict, twins_scenario
 from infoflow.cli import _write, main
 from infoflow.society import (
@@ -114,8 +115,24 @@ def decision_society(trust=0.0, incentive=0.0, logistic=LogisticParams()):
 
 class TestDecisionProb:
     def test_baseline_suppression(self):
-        p = decision_prob(Society((Entity("a"), Entity("b"))), "a", "b", "d")
+        p = decision_prob(decision_society(), "a", "b", "d")
         assert p == pytest.approx(1 / (1 + math.exp(3)), abs=1e-12)
+
+    @pytest.mark.parametrize("sender, receiver, datum, trust, incentives, message", [
+        ("ghost", "b", "nothing", {("ghost", "b"): 0.5}, {}, "unknown trusting entity 'ghost'"),
+        ("a", "ghost", "d", {("a", "ghost"): 0.5}, {}, "unknown trusted entity 'ghost'"),
+        ("a", "a", "d", {("a", "a"): 0.5}, {}, "entity 'a' cannot trust itself"),
+        ("b", "a", "d", {}, {("b", "d"): 1.0}, "entity 'b' does not hold datum 'd'"),
+        ("a", "b", "e", {}, {("a", "e"): 1.0}, "entity 'a' does not hold datum 'e'"),
+    ])
+    def test_refuses_what_the_society_refuses_in_its_words(self, sender, receiver, datum, trust, incentives, message):
+        """A key the society would refuse as a trust or incentive entry is refused, with the society's message."""
+        soc = decision_society()
+        with pytest.raises(ValueError) as refused:
+            decision_prob(soc, sender, receiver, datum)
+        with pytest.raises(ValueError) as society_refused:
+            Society(soc.entities, trust, incentives)
+        assert str(refused.value) == str(society_refused.value) == message
 
     def test_full_trust(self):
         assert decision_prob(decision_society(trust=1.0), "a", "b", "d") == pytest.approx(
@@ -344,6 +361,21 @@ def budget_scenario(seed=0, ticks=4):
     )
 
 
+@st.composite
+def ledger_runs(draw):
+    """Budgets and a sequence of ``charge`` and ``record`` calls with ties at the budget plus 1e-9 Sh and -0.0 amounts.
+
+    Datum "e" has no budget; amounts near the budgets make the tie cases likely.
+    """
+    caps = st.sampled_from([0.0, -0.0, 0.5, 1.0]) | st.floats(0, 2)
+    budgets = {d: draw(caps) for d in ("d", "f") if draw(st.booleans())}
+    keys = st.tuples(st.sampled_from(["a", "b"]), st.sampled_from(["a", "b"]), st.sampled_from(["d", "e", "f"]))
+    ties = [1e-9, 0.5 + 1e-9, 1.0 + 1e-9, math.nextafter(1.0 + 1e-9, math.inf), math.nextafter(1e-9, 0.0)]
+    amounts = st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0, *ties]) | st.floats(0, 2)
+    ops = draw(st.lists(st.tuples(st.sampled_from(["charge", "charge", "record"]), keys, amounts), max_size=12))
+    return budgets, ops
+
+
 class TestLedger:
     def test_single_release_records_log2_3(self):
         scenario = budget_scenario(ticks=1, seed=0)
@@ -385,7 +417,45 @@ class TestLedger:
         ledger = Ledger(budgets={"salary": 1.0}, cumulative={("a", "b", "salary"): 0.25, ("a", "b", "age"): 3.0})
         assert ledger.headroom("a", "b", "salary") == 0.75
         assert ledger.headroom("a", "b", "age") is None
-        assert not ledger.would_exceed("a", "b", "age", 1e300)
+
+    @given(ledger_runs())
+    @example(({"d": 1.0}, [("charge", ("a", "b", "d"), 1.0 + 1e-9), ("charge", ("a", "b", "d"), 5e-324)]))
+    @example(({"d": 1.0}, [("charge", ("a", "b", "d"), math.nextafter(1.0 + 1e-9, math.inf))]))
+    @example(({"d": -0.0}, [("charge", ("a", "b", "d"), -0.0), ("record", ("a", "b", "d"), 1.0),
+                            ("charge", ("a", "b", "d"), 0.0), ("charge", ("a", "b", "e"), 1e300)]))
+    @settings(max_examples=300, deadline=None)
+    def test_charge_and_record_equal_the_budget_oracle(self, run):
+        """Every cumulative sum and every headroom ``charge`` returns, bit for bit, against a plain-Python ledger."""
+        budgets, ops = run
+        ledger = Ledger(budgets=budgets)
+        returned = [getattr(ledger, op)(*key, amount) for op, key, amount in ops]
+        cumulative, expected = helpers.budget_oracle(budgets, ops)
+        assert [None if x is None else x.hex() for x in returned] == [None if x is None else x.hex() for x in expected]
+        assert {k: v.hex() for k, v in ledger.cumulative.items()} == {k: v.hex() for k, v in cumulative.items()}
+        assert list(ledger.cumulative) == list(cumulative)
+
+    def test_budgets_are_read_only(self):
+        for ledger in (Ledger(budgets={"salary": 1.0}), Simulation(budget_scenario()).ledger):
+            with pytest.raises(TypeError):
+                ledger.budgets["salary"] = -1.0
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                ledger.budgets = {"salary": "x"}
+
+    def test_a_simulation_reads_the_society_budgets(self):
+        scenario = budget_scenario(seed=0, ticks=4)
+        sim = Simulation(scenario)
+        assert sim.ledger.budgets is scenario.society.budgets
+        assert len(sim.run().events) == 2  # the budget the society checked stops the third release
+
+    def test_a_simulation_does_not_check_the_budgets_again(self, monkeypatch):
+        scenario = budget_scenario(seed=0, ticks=4)
+        calls = []
+        budgets = society_module._budgets
+        monkeypatch.setattr(society_module, "_budgets", lambda b: calls.append(b) or budgets(b))
+        Simulation(scenario)
+        assert calls == []
+        Ledger(budgets={"salary": 1.0})  # a ledger built on its own still checks its budgets
+        assert calls == [{"salary": 1.0}]
 
     def test_charge_records_a_release_or_returns_the_headroom(self):
         ledger = Ledger(budgets={"salary": 1.0})
