@@ -63,6 +63,16 @@ class Node:
         return len(self.states)
 
 
+def _check_dag(name: str, parents: tuple[str, ...], declared: dict[str, Node], rows: int) -> None:
+    """The DAG rules: each parent of ``name`` is declared before it, and its ``rows`` are one per parent combination."""
+    for p in parents:
+        if p not in declared:
+            raise ValueError(f"parent {p!r} of {name!r} not declared earlier (order must be topological)")
+    expect = math.prod(declared[p].card for p in parents)
+    if rows != expect:
+        raise ValueError(f"cpt of {name!r} has {rows} rows, expected exactly one row per parent combination: {expect}")
+
+
 @dataclass(frozen=True, eq=False)
 class BayesNet:
     """DAG of categorical nodes; declaration order must be topological."""
@@ -75,18 +85,7 @@ class BayesNet:
         _distinct([node.name for node in self.nodes], "node names")
         seen: dict[str, Node] = {}
         for node in self.nodes:
-            for p in node.parents:
-                if p not in seen:
-                    raise ValueError(
-                        f"parent {p!r} of {node.name!r} not declared earlier (order must be topological)"
-                    )
-            expect_rows = 1
-            for p in node.parents:
-                expect_rows *= seen[p].card
-            if node.cpt.shape[0] != expect_rows:
-                raise ValueError(
-                    f"cpt of {node.name!r} has {node.cpt.shape[0]} rows, expected {expect_rows}"
-                )
+            _check_dag(node.name, node.parents, seen, node.cpt.shape[0])
             seen[node.name] = node
         object.__setattr__(self, "_by_name", seen)
 
@@ -132,9 +131,7 @@ class DenseJoint:
         joints below about 2^10 cells einsum is the slower of the two.
         Variable elimination (ROADMAP item 3) replaces both paths.
         """
-        repeated = [n for i, n in enumerate(names) if n in names[:i]]
-        if repeated:
-            raise ValueError(f"repeated node {repeated[0]!r} in marginal")
+        _distinct(names, "nodes in marginal")
         keep = [self.names.index(_known(n, self.names, "node")) for n in names]
         order = sorted(keep)
         cards = self.probs.shape
@@ -290,7 +287,7 @@ def twins_scenario(q: float = 0.5) -> tuple[BayesNet, dict]:
     )
     net = BayesNet((z, s1, s2))
     dense = joint(net)
-    probs = dense.marginal("Z", "S1", "S2")
+    probs = dense.probs  # axes Z, S1, S2
 
     def h_s2_given(z_idx: int, s1_idx: int) -> float:
         cell = probs[z_idx, s1_idx]
@@ -520,18 +517,16 @@ def net_from_json_dict(d: dict) -> BayesNet:
                 raise ValueError(f"root node {name!r} expects a flat cpt list")
             cpt = cpt_spec
         else:
-            for p in parents:
-                if p not in declared:
-                    raise ValueError(f"parent {p!r} of {name!r} not declared earlier")
             if not isinstance(cpt_spec, dict):
                 raise ValueError(f"node {name!r} with parents expects a cpt object keyed by parent states")
             # counted before the combinations are built: their number is a product of cards
-            if len(cpt_spec) != math.prod(declared[p].card for p in parents):
-                raise ValueError(f"cpt of {name!r} must have exactly one row per parent combination")
+            _check_dag(name, parents, declared, len(cpt_spec))
+            keys = _combo_keys([declared[p].states for p in parents])
             try:
-                cpt = [cpt_spec[key] for key in _combo_keys([declared[p].states for p in parents])]
-            except KeyError:
-                raise ValueError(f"cpt of {name!r} must have exactly one row per parent combination") from None
+                cpt = [cpt_spec[key] for key in keys]
+            except KeyError:  # a key names no combination, so fewer rows than combinations name one
+                _check_dag(name, parents, declared, sum(key in cpt_spec for key in keys))
+                raise
         node = Node(name, spec["states"], parents, cpt)
         declared[name] = node
         nodes.append(node)

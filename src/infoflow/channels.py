@@ -173,9 +173,15 @@ def _product(prior: Dist, c: Channel) -> np.ndarray:
     return prior.probs[:, None] * c.rows
 
 
+def _renormalised(table: np.ndarray, sums: np.ndarray) -> np.ndarray:
+    """``table`` as is, or over ``sums`` if one is more than SUM_TOL off 1, as a product of accepted tables can be."""
+    return table / sums if np.abs(sums - 1.0).max() > SUM_TOL else table
+
+
 def push_through(prior: Dist, c: Channel) -> Joint:
-    """Joint (input, output) mass from a prior fed through a channel."""
-    return Joint(c.input_outcomes, c.output_outcomes, _product(prior, c))
+    """Joint (input, output) mass from a prior fed through a channel, divided by its sum as ``_renormalised`` says."""
+    mass = _product(prior, c)
+    return Joint(c.input_outcomes, c.output_outcomes, _renormalised(mass, mass.sum()))
 
 
 def dp_to_mi_bound(eps: float) -> float:
@@ -202,11 +208,10 @@ def compose(c1: Channel, c2: Channel) -> Channel:
 
     p(y1,y2|x) = p1(y1|x) * p2(y2|x); output labels are "(y1,y2)". A
     product of more than STATE_SPACE_CAP cells is refused before it is
-    built. Parts' rows each within SUM_TOL of 1 can make a product row
-    about 2*SUM_TOL off; if one is more than SUM_TOL off, every row is
-    divided by its sum, so a product of accepted channels is accepted.
-    Its eps never exceeds the sum of its parts', save that a
-    renormalised product's can by rounding: by at most about 4*SUM_TOL.
+    built. Its rows are divided by their sums as ``_renormalised`` says,
+    so a product of accepted channels is accepted. Its eps never exceeds
+    the sum of its parts', save that a renormalised product's can by
+    rounding: by at most about 4*SUM_TOL.
     """
     if c1.input_outcomes != c2.input_outcomes:
         raise ValueError(
@@ -217,10 +222,7 @@ def compose(c1: Channel, c2: Channel) -> Channel:
     _check_size(cells, STATE_SPACE_CAP, f"the product of a {n_in}x{n1} and a {n_in}x{n2} channel has {cells} cells")
     outputs = tuple(f"({a},{b})" for a in c1.output_outcomes for b in c2.output_outcomes)
     rows = (c1.rows[:, :, None] * c2.rows[:, None, :]).reshape(n_in, -1)
-    sums = rows.sum(axis=1, keepdims=True)
-    if np.abs(sums - 1.0).max() > SUM_TOL:
-        rows /= sums
-    return Channel(c1.input_outcomes, outputs, rows)
+    return Channel(c1.input_outcomes, outputs, _renormalised(rows, rows.sum(axis=1, keepdims=True)))
 
 
 def post_process(c: Channel, fn) -> Channel:

@@ -38,16 +38,20 @@ def _emit(doc, fmt: str, out=None) -> None:
         _write(doc, fmt, buf)
         sys.stdout.write(buf.getvalue())
         return
-    _stream(out, lambda fh: _write(doc, fmt, fh))
+    _stream((out, lambda fh: _write(doc, fmt, fh)))
 
 
-def _stream(path, write) -> None:
-    """Call ``write`` on a new file at ``path``; if it fails to encode a value, no file is left."""
+def _stream(*outputs) -> None:
+    """``write`` a new file at ``path`` for each ``(path, write)``; if one fails to encode a value, none is kept."""
+    written = []
     try:
-        with open(path, "w", newline="") as fh:
-            write(fh)
+        for path, write in outputs:
+            with open(path, "w", newline="") as fh:
+                written.append(path)
+                write(fh)
     except ValueError:  # a non-finite number
-        Path(path).unlink()
+        for path in written:
+            Path(path).unlink()
         raise
 
 
@@ -166,18 +170,12 @@ def cmd_simulate(args) -> int:
         return EXIT_OK
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    # both files are streamed; if either fails to encode, neither is left
-    events = outdir / ("events.jsonl" if args.fmt == "json" else "events.csv")
-    try:
-        if args.fmt == "json":
-            _stream(events, lambda fh: society.write_events_jsonl(result, fh, induced))
-            _stream(outdir / "ledger.json", lambda fh: society.write_ledger_json(result.ledger, fh))
-        else:
-            _stream(events, lambda fh: society.write_events_csv(result, fh, induced))
-            _emit(society.ledger_report(result.ledger), "csv", outdir / "ledger.csv")
-    except ValueError:
-        events.unlink(missing_ok=True)
-        raise
+    if args.fmt == "json":
+        _stream((outdir / "events.jsonl", lambda fh: society.write_events_jsonl(result, fh, induced)),
+                (outdir / "ledger.json", lambda fh: society.write_ledger_json(result.ledger, fh)))
+    else:
+        _stream((outdir / "events.csv", lambda fh: society.write_events_csv(result, fh, induced)),
+                (outdir / "ledger.csv", lambda fh: _write(society.ledger_report(result.ledger), "csv", fh)))
     return EXIT_OK
 
 

@@ -126,10 +126,13 @@ def _known(value, known, what: str, key=None):
     return value
 
 
-def _check_id(value, what: str, key=None) -> None:
-    """Refuse an id, a name or a datum value that is not a string."""
+def _check_id(value, what: str, key=None, reserved: str = "") -> None:
+    """Refuse an id, a name or a datum value that is not a string, or holds a ``reserved`` character."""
     if not isinstance(value, str):
         raise ValueError(f"{_named(what, key)} must be a string, got {value!r}")
+    for c in reserved:  # a plain loop: most calls reserve nothing, and a generator would cost each of them
+        if c in value:
+            raise ValueError(f"{_named(what, key)} {value!r} must not contain any of {', '.join(map(repr, reserved))}")
 
 
 def _integer(value, what: str) -> int:

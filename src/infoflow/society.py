@@ -46,6 +46,7 @@ GOVERNANCE_TAGS = (
 FLOW_KINDS = ("explicit", "implicit")
 DRAW_CAP = 2**24  # draws in one run: ticks * (explicit candidates + implicit channels)
 _ID_TAG = {"explicit": "x", "implicit": "i"}  # flow ids open with the kind's tag
+_ID_SEPARATORS = ">:~"  # flow and context ids join entity and datum ids with these, so no such id holds one
 _BATCH = 128  # event-log lines or ledger rows joined per write; a larger batch holds more text at once
 
 log = logging.getLogger(__name__)
@@ -62,8 +63,7 @@ class ReleaseMechanism:
     def __post_init__(self):
         _integer(self.k, "mechanism k")
         object.__setattr__(self, "eps", _number(self.eps, "mechanism eps"))
-        if self.kind != "randomized-response":
-            raise ValueError(f"unsupported mechanism kind {self.kind!r}")
+        _known(self.kind, ("randomized-response",), "mechanism kind")
         _check_rr(self.k, self.eps)
 
 
@@ -80,7 +80,7 @@ class DatumRecord:
 
     def __post_init__(self):
         _at_least(_integer(self.domain_size, "datum domain_size"), 1, "domain_size")
-        _check_id(self.datum, "datum id")
+        _check_id(self.datum, "datum id", reserved=_ID_SEPARATORS)
         _check_id(self.value, "value of datum ", self.datum)
         _check_id(self.owner, "owner of datum ", self.datum)
         _known(self.governance, GOVERNANCE_TAGS, "governance tag")
@@ -92,7 +92,7 @@ class Entity:
     data: tuple[DatumRecord, ...] = ()
 
     def __post_init__(self):
-        _check_id(self.id, "entity id")
+        _check_id(self.id, "entity id", reserved=_ID_SEPARATORS)
         object.__setattr__(self, "data", tuple(self.data))
         _distinct([r.datum for r in self.data], "datum ids on entity ", self.id)
         for r in self.data:
@@ -430,7 +430,7 @@ class Simulation:
         self.stops: list[BudgetStop] = []
         self._ids = [e.id for e in scenario.society.entities]
         t0 = time.perf_counter()
-        self._blocks, self._p, pairs = _decision_table(scenario.society)
+        self._blocks, self._p = _decision_table(scenario.society)
         self._implicit = [
             (ch, _raw_release_measure(scenario.society.held[(ch.subject, ch.datum)]))
             for ch in scenario.society.implicit_channels
@@ -440,7 +440,7 @@ class Simulation:
         draws = scenario.ticks * per_tick
         _check_size(draws, DRAW_CAP, f"{scenario.ticks} ticks of {per_tick} draws make {draws} draws")
         log.debug("Simulation: %d candidates in %d blocks, %d trusted pairs, built in %.6f s",
-                  len(self._p), len(self._blocks), pairs, time.perf_counter() - t0)
+                  len(self._p), len(self._blocks), len(scenario.society.trust), time.perf_counter() - t0)
 
     def step(self) -> tuple[list[FlowEvent], list[BudgetStop]]:
         t = self.t
@@ -496,8 +496,8 @@ def simulate(scenario: Scenario) -> SimulationResult:
     return Simulation(scenario).run()
 
 
-def _decision_table(soc: Society) -> tuple[list[tuple[int, str, InfoMeasure]], np.ndarray, int]:
-    """Explicit-flow candidates, their decision probabilities and the number of trusted pairs.
+def _decision_table(soc: Society) -> tuple[list[tuple[int, str, InfoMeasure]], np.ndarray]:
+    """Explicit-flow candidates and their decision probabilities.
 
     Candidates run over senders, then each sender's data, then receivers
     (every other entity), in declaration order. With n entities, block
@@ -532,7 +532,7 @@ def _decision_table(soc: Society) -> tuple[list[tuple[int, str, InfoMeasure]], n
             blocks.append((k, rec.datum, measures[content]))
     p = np.repeat(np.array(base, dtype=np.float64), width)
     p[cells] = values
-    return blocks, p, sum(map(len, trusted))
+    return blocks, p
 
 
 def bundle_contexts(events: list[FlowEvent], window: int = 1) -> list[Context]:

@@ -238,11 +238,11 @@ class TestMarginal:
 
     def test_repeated_node_is_refused_by_name(self):
         dense = joint(fork_collider_graph(seed=42))
-        with pytest.raises(ValueError, match="repeated node 'M' in marginal"):
+        with pytest.raises(ValueError, match="^duplicate nodes in marginal: 'M'$"):
             dense.marginal("M", "A", "M")
         # a conditioning set that holds a queried node reaches it too
         twins = joint(twins_scenario()[0])
-        with pytest.raises(ValueError, match="repeated node 'S2' in marginal"):
+        with pytest.raises(ValueError, match="^duplicate nodes in marginal: 'S2'$"):
             conditional_mi(twins, "Z", "S2", ["S2"])
 
     def test_unknown_node_is_refused_by_name(self):
@@ -363,6 +363,13 @@ class TestTwins:
     def test_rejects_degenerate_prior(self):
         with pytest.raises(ValueError):
             twins_scenario(q=0.0)
+
+    @pytest.mark.parametrize("q", [1e-9, 0.1, 0.3, 0.5, 2 / 3, 0.9, 1 - 1e-9])
+    def test_the_joint_is_its_marginal_over_every_node_bit_for_bit(self, q):
+        # the report indexes dense.probs by (Z, S1, S2)
+        dense = joint(twins_scenario(q)[0])
+        assert dense.names == ("Z", "S1", "S2")
+        assert np.array_equal(dense.marginal(*dense.names).view(np.uint64), dense.probs.view(np.uint64))
 
 
 class TestConditionalMI:
@@ -770,6 +777,25 @@ class TestNetJson:
         doc["nodes"][1]["cpt"] = [[0.5, 0.5], [0.5, 0.5]]
         with pytest.raises(ValueError, match="keyed by parent states"):
             net_from_json_dict(doc)
+
+    def test_the_reader_and_the_net_state_each_dag_rule_in_one_wording(self):
+        root = {"name": "A", "states": ["0", "1"], "parents": [], "cpt": [0.5, 0.5]}
+        child = {"name": "B", "states": ["0", "1"], "parents": ["A"]}
+        late = "parent 'A' of 'B' not declared earlier (order must be topological)"
+        with pytest.raises(ValueError) as read:
+            net_from_json_dict({"nodes": [{**child, "cpt": {"0": [1, 0], "1": [0, 1]}}, root]})
+        with pytest.raises(ValueError) as built:
+            BayesNet((copy_node("B", "A"), binary_root("A")))
+        assert str(read.value) == str(built.value) == late
+        # too few keys, a key that names no combination, and a built net's short cpt give one message
+        rows = "cpt of 'B' has 1 rows, expected exactly one row per parent combination: 2"
+        for cpt in ({"0": [1, 0]}, {"0": [1, 0], "2": [0, 1]}):
+            with pytest.raises(ValueError) as read:
+                net_from_json_dict({"nodes": [root, {**child, "cpt": cpt}]})
+            assert str(read.value) == rows
+        with pytest.raises(ValueError) as built:
+            BayesNet((binary_root("A"), Node("B", ("0", "1"), ("A",), np.array([[1.0, 0.0]]))))
+        assert str(built.value) == rows
 
     def test_load_net(self, tmp_path):
         path = tmp_path / "net.json"

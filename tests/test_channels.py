@@ -167,6 +167,22 @@ class TestCheckMiBound:
         with pytest.raises(ValueError, match="prior"):
             push_through(Dist.uniform(("a", "b")), randomized_response(2, 1.0))
 
+    def test_push_through_accepts_the_pair_the_certificate_accepts(self):
+        # each table sums to 1 + 9e-10, within tolerance; their product sums to about 1 + 1.8e-9
+        prior = Dist(("0", "1"), [0.5 + 9e-10, 0.5])
+        c = Channel(("0", "1"), ("x", "y"), [[0.5 + 9e-10, 0.5]] * 2)
+        mass = push_through(prior, c).mass
+        assert abs(mass.sum() - 1.0) < 1e-15
+        assert mutual_information(push_through(prior, c)) == pytest.approx(check_mi_bound(c, prior).mi_sh, abs=1e-12)
+
+    def test_push_through_within_tolerance_is_the_product_bit_for_bit(self):
+        rng = np.random.default_rng(8)
+        for _ in range(30):
+            n_in = int(rng.integers(1, 6))
+            c, prior = random_channel(n_in, int(rng.integers(1, 6)), rng), random_prior(n_in, rng)
+            product = prior.probs[:, None] * c.rows
+            assert push_through(prior, c).mass.view(np.uint64).tolist() == product.view(np.uint64).tolist()
+
     def test_certificate_json(self):
         cert = check_mi_bound(randomized_response(2, LN3), Dist.uniform(("0", "1")))
         doc = json.loads(json.dumps(cert.to_json_dict()))

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import infoflow
 from infoflow import causal, cli, society
-from infoflow.cli import _emit, main
+from infoflow.cli import _emit, _stream, main
 from infoflow.society import write_events_jsonl, write_ledger_json
 from helpers import joint_cells, mi_cells
 
@@ -304,7 +304,7 @@ class TestSimulate:
         swapped = {**first, "data": first["data"][::-1]}
         path = _write(tmp_path, "s.json", _twins_with(entities=[swapped, *TWINS["entities"][1:]]))
         assert main(["simulate", "--scenario", path]) == 2
-        assert capsys.readouterr().err == "error: scenario attribution: repeated node 'Z' in marginal\n"
+        assert capsys.readouterr().err == "error: scenario attribution: duplicate nodes in marginal: 'Z'\n"
 
     def test_run_beyond_the_draw_cap_exits_3_naming_size_and_cap(self, tmp_path, capsys):
         # refused when the simulation is built, before the first tick
@@ -786,6 +786,11 @@ MALFORMED = {
         ["simulate", "--scenario", "s.json"],
     ),
     "datum-id-integer": ({"s.json": _twins_datum(datum=7)}, ["simulate", "--scenario", "s.json"]),
+    "entity-id-separator": (
+        {"s.json": _twins_with(entities=[*TWINS["entities"][:2], {"id": "re:ceiver", "data": []}])},
+        ["simulate", "--scenario", "s.json"],
+    ),
+    "datum-id-separator": ({"s.json": _twins_datum(datum="gen~der")}, ["simulate", "--scenario", "s.json"]),
     "datum-owner-integer": ({"s.json": _twins_datum(owner=1)}, ["simulate", "--scenario", "s.json"]),
     "datum-value-integer": ({"s.json": _twins_datum(value=5)}, ["simulate", "--scenario", "s.json"]),
     "implicit-channel-observer-integer": ({"s.json": _twins_channel(observer=7)}, ["simulate", "--scenario", "s.json"]),
@@ -921,7 +926,7 @@ REFUSED_BY = {
     "sweep-seed-negative": "seed must be >= 0, got -1",
     "fork-collider-seed-negative": "seed must be >= 0, got -1",
     "dp-seed-negative": "seed must be >= 0, got -1",
-    "mechanism-kind": "unsupported mechanism kind",
+    "mechanism-kind": "unknown mechanism kind 'laplace'",
     "governance-tag": "unknown governance tag",
     "domain-size-zero": "domain_size must be >= 1",
     "gamma-beyond-float": "gamma must be finite",
@@ -946,6 +951,8 @@ REFUSED_BY = {
     "duplicate-entity-ids": "duplicate entity ids",
     "entity-id-integer": "entity id must be a string, got 7",
     "datum-id-integer": "datum id must be a string, got 7",
+    "entity-id-separator": "entity id 're:ceiver' must not contain any of '>', ':', '~'",
+    "datum-id-separator": "datum id 'gen~der' must not contain any of '>', ':', '~'",
     "datum-owner-integer": "owner of datum 'gender' must be a string, got 1",
     "datum-value-integer": "value of datum 'gender' must be a string, got 5",
     "implicit-channel-observer-integer": "implicit channel observer must be a string, got 7",
@@ -999,6 +1006,16 @@ class TestMalformedInput:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert REFUSED_BY.get(case, "") in lines[0]
         assert captured.out == ""  # nothing is reported for a refused input
+
+    def test_ids_that_would_give_two_flows_one_id_are_refused(self, tmp_path, capsys):
+        # a>b sending to c and a sending to b>c would both log x:0:a>b>c:d at tick 0
+        def holder(entity):
+            return {"id": entity, "data": [{"datum": "d", "owner": entity, "governance": "conjunct"}]}
+
+        doc = {"entities": [holder("a>b"), holder("a"), {"id": "c"}, {"id": "b>c"}], "logistic": {"gamma": -50}}
+        path = _write(tmp_path, "s.json", json.dumps(doc))
+        assert main(["simulate", "--scenario", path]) == 2
+        assert capsys.readouterr().err == f"error: {path}: entity id 'a>b' must not contain any of '>', ':', '~'\n"
 
     def test_huge_tick_count_is_refused_at_once(self, tmp_path, capsys):
         files, argv = MALFORMED["ticks-1e308"]
@@ -1238,6 +1255,18 @@ class TestStrictOutput:
         with pytest.raises(ValueError):
             _emit({"x": math.inf}, "json", out)
         assert not out.exists()
+
+    def test_a_failed_output_removes_every_file_the_command_wrote(self, tmp_path):
+        first, second, other = tmp_path / "first.txt", tmp_path / "second.txt", tmp_path / "other.txt"
+        other.write_text("kept")
+
+        def fail(fh):
+            fh.write("partial")
+            raise ValueError("Out of range float values are not JSON compliant: inf")
+
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            _stream((first, lambda fh: fh.write("done")), (second, fail), (tmp_path / "never.txt", lambda fh: fh.write("x")))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["other.txt"]
 
     def test_event_log_refuses_nan(self):
         result = society.simulate(society.load_scenario(data_path("twins.json")))

@@ -1,6 +1,7 @@
 """Layout rules of the package, read from its source.
 
-Each refusal rule is stated once, in ``measures``, so a capacity refusal is raised there
+Each refusal rule is stated once, so no refusal message is raised at two sites, and the rules
+shared by modules live in ``measures``: a capacity, duplicate or repeat refusal is raised there
 and nowhere else. The private helpers of ``society``, ``causal``, ``anonymity`` and ``cli``
 stay private to their module: no other module imports one or reaches it as an attribute.
 A value's type rule lives in the record or check that owns the value, so no reader of a
@@ -12,6 +13,7 @@ save the run state, ``Ledger`` and ``SimulationResult``, so a scenario stays as 
 """
 
 import ast
+import collections
 import dataclasses
 import inspect
 import types
@@ -89,19 +91,43 @@ def _type_rule_uses(tree: ast.AST) -> list[str]:
     return [f"{name} (line {line})" for name, line in names if name in TYPE_RULES]
 
 
-def _unknown_refusals(tree: ast.AST) -> list[tuple[str, int]]:
-    """(opening text, line) of each ``ValueError`` raised in ``tree`` whose message opens with "unknown "."""
+def _messages(tree: ast.AST) -> list[tuple[str, str, int]]:
+    """(exception, message, line) of each exception raised in ``tree`` with a literal message; an f-string's
+    fields read ``{}``."""
     found = []
     for node in ast.walk(tree):
-        if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args
-                and _raised_name(node) == "ValueError"):
+        if not (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args):
             continue
         text = node.exc.args[0]
-        if isinstance(text, ast.JoinedStr) and text.values:
-            text = text.values[0]
-        if isinstance(text, ast.Constant) and isinstance(text.value, str) and text.value.startswith("unknown "):
-            found.append((text.value, node.lineno))
+        if isinstance(text, ast.JoinedStr):
+            text = "".join(v.value if isinstance(v, ast.Constant) else "{}" for v in text.values)
+        elif isinstance(text, ast.Constant) and isinstance(text.value, str):
+            text = text.value
+        else:
+            continue
+        found.append((_raised_name(node), text, node.lineno))
     return found
+
+
+def _unknown_refusals(tree: ast.AST) -> list[tuple[str, int]]:
+    """(opening text, line) of each ``ValueError`` raised in ``tree`` whose message opens with "unknown "."""
+    return [(text.split("{}")[0], line) for exc, text, line in _messages(tree)
+            if exc == "ValueError" and text.startswith("unknown ")]
+
+
+def _repeated_messages(trees: dict[str, ast.AST]) -> dict[str, list[str]]:
+    """Each message raised at more than one site of ``trees`` (name -> tree), with its ``name:line`` sites."""
+    sites = collections.defaultdict(list)
+    for name, tree in trees.items():
+        for _, text, line in _messages(tree):
+            sites[text].append(f"{name}:{line}")
+    return {text: where for text, where in sites.items() if len(where) > 1}
+
+
+def _repeat_refusals(tree: ast.AST) -> list[tuple[str, int]]:
+    """(message, line) of each exception raised in ``tree`` that refuses a duplicate or a repeat."""
+    return [(text, line) for _, text, line in _messages(tree)
+            if "duplicate" in text.lower() or "repeated" in text.lower()]
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -141,6 +167,30 @@ def test_the_membership_guard_sees_plain_and_formatted_messages():
     tree = ast.parse('raise ValueError(f"unknown node {n!r}")\nraise ValueError("unknown role")\n'
                      'raise KeyError("unknown x")\nraise ValueError(f"{n} is unknown")\n')
     assert _unknown_refusals(tree) == [("unknown node ", 1), ("unknown role", 2)]
+
+
+def test_no_refusal_message_is_raised_at_two_sites():
+    assert _repeated_messages({path.name: _tree(path) for path in SOURCES}) == {}
+
+
+def test_the_message_guard_sees_one_message_at_two_sites_of_two_modules():
+    trees = {
+        "a.py": ast.parse('raise ValueError(f"cpt of {name!r} is short")\nraise ValueError("x")\n'),
+        "b.py": ast.parse('if bad:\n    raise ValueError(f"cpt of {node.name!r} is short") from None\n'
+                          'raise ValueError(f"cpt of {name!r} is long")\nraise ValueError(message)\n'),
+    }
+    assert _repeated_messages(trees) == {"cpt of {} is short": ["a.py:1", "b.py:2"]}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_duplicates_and_repeats_are_refused_only_in_measures(path):
+    assert path.name == "measures.py" or _repeat_refusals(_tree(path)) == []
+
+
+def test_the_repeat_guard_sees_both_words_in_any_case_and_position():
+    tree = ast.parse('raise ValueError(f"repeated node {n!r} in marginal")\nraise ValueError("Duplicate key")\n'
+                     'raise KeyError(f"{x} is duplicated")\nraise ValueError(f"unknown node {n!r}")\n')
+    assert _repeat_refusals(tree) == [("repeated node {} in marginal", 1), ("Duplicate key", 2), ("{} is duplicated", 3)]
 
 
 def test_scenario_records_are_frozen():

@@ -196,7 +196,7 @@ class TestDecisionTable:
     @settings(max_examples=150, deadline=None)
     def test_probabilities_equal_decision_prob_exactly(self, soc):
         """The table's probabilities are ``decision_prob``'s, which weighs the factors by the society's own weights."""
-        blocks, p, _ = _decision_table(soc)
+        blocks, p = _decision_table(soc)
         ids = [e.id for e in soc.entities]
         assert [(k, d) for k, d, _ in blocks] == [(k, r.datum) for k, e in enumerate(soc.entities) for r in e.data]
         assert [m for *_, m in blocks] == [release_measure(r) for e in soc.entities for r in e.data]
@@ -244,6 +244,40 @@ class TestEntityInvariants:
     def test_flow_of_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="kind must be one of"):
             flow(0, "a", "b", "d", kind="ambient")
+
+
+ID_TEXT = st.text(alphabet="ab", min_size=1, max_size=3) | st.text(alphabet="ab>:~", min_size=1, max_size=3)
+
+
+@st.composite
+def separator_scenarios(draw):
+    """Documents of 2-4 entities whose ids and data ids may hold a flow-id separator; every candidate fires."""
+    ids = draw(st.lists(ID_TEXT, min_size=2, max_size=4, unique=True))
+    entities = [
+        {"id": e, "data": [{"datum": d, "owner": e, "governance": "conjunct"}
+                           for d in draw(st.lists(ID_TEXT, max_size=2, unique=True))]}
+        for e in ids
+    ]
+    channels = [{"subject": e["id"], "observer": o, "datum": r["datum"], "p": 1.0}
+                for e in entities for r in e["data"] for o in ids if o != e["id"]]
+    return {"entities": entities, "implicit_channels": channels, "logistic": {"gamma": -50}, "ticks": 2}
+
+
+class TestFlowIds:
+    @given(separator_scenarios())
+    @example({"entities": [{"id": "a>b", "data": [{"datum": "d", "owner": "a>b", "governance": "conjunct"}]},
+                           {"id": "a", "data": [{"datum": "d", "owner": "a", "governance": "conjunct"}]},
+                           {"id": "c"}, {"id": "b>c"}], "logistic": {"gamma": -50}})
+    @settings(max_examples=150, deadline=None)
+    def test_an_accepted_scenario_logs_unique_flow_ids(self, doc):
+        names = [e["id"] for e in doc["entities"]] + [r["datum"] for e in doc["entities"] for r in e.get("data", [])]
+        reserved = [n for n in names if set(n) & set(">:~")]
+        if reserved:
+            with pytest.raises(ValueError, match="must not contain any of '>', ':', '~'"):
+                scenario_from_json_dict(doc)
+            return
+        ids = [f.id for f in simulate(scenario_from_json_dict(doc)).events]
+        assert len(ids) == len(set(ids))
 
 
 class TestDrawCap:
