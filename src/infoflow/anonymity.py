@@ -216,6 +216,8 @@ def read_table(csv_path, roles_path=None) -> Table:
         missing = [n for n in header if n not in roles]
         if missing:
             raise ValueError(f"sidecar {roles_path} missing roles for columns {missing}")
+        for n in roles:
+            _known(n, header, "roles sidecar column")
         return Table(tuple((n, roles[n]) for n in header), reader)
 
 

@@ -104,6 +104,13 @@ class BayesNet:
         return math.prod(self.cards)
 
 
+def _joint_size(net: BayesNet) -> int:
+    """The size rule of a dense joint: ``net``'s state space, refused beyond STATE_SPACE_CAP configurations."""
+    size = net.state_space_size()
+    _check_size(size, STATE_SPACE_CAP, f"state space has {size} configurations")
+    return size
+
+
 @dataclass(frozen=True, eq=False)
 class DenseJoint:
     """Exact joint over all nodes as a dense probability tensor."""
@@ -158,8 +165,7 @@ def joint(net: BayesNet) -> DenseJoint:
     Refuses state spaces beyond STATE_SPACE_CAP configurations; exact
     enumeration is a desk-scale tool.
     """
-    size = net.state_space_size()
-    _check_size(size, STATE_SPACE_CAP, f"state space has {size} configurations")
+    size = _joint_size(net)
     t0 = time.perf_counter()
     name_to_idx = {n.name: i for i, n in enumerate(net.nodes)}
     cpts = [n.cpt for n in net.nodes]
@@ -538,16 +544,18 @@ def load_net(path) -> BayesNet:
 
 
 def load_attribution(scenario, base) -> dict | None:
-    """``attribute_flows`` arguments from a scenario's attribution block, read and checked; None without a block.
+    """``attribute_flows`` arguments from a scenario's attribution block, read and checked whole; None without a block.
 
-    A ``net`` given as a path is read relative to ``base``, a ``pathlib.Path`` to the scenario file's directory.
-    Each owner must be an entity of the scenario's society, and each ``message_nodes`` key a datum one of them holds.
-    Without ``message_nodes``, every datum an entity holds must itself be a node, so each is checked before the run.
+    The one reader of the block checks it before the run: its keys, its values, the names it refers to and the size
+    of its net's joint (a CapacityError beyond STATE_SPACE_CAP). A ``net`` given as a path is read relative to
+    ``base``, a ``pathlib.Path`` to the scenario file's directory. Each owner must be an entity of the society, each
+    ``message_nodes`` key a datum one of them holds and, without ``message_nodes``, each held datum a node.
     """
     block = scenario.attribution
     if block is None:
         return None
     with malformed("scenario attribution"):
+        _check_keys(block, ("net", "ownership", "threshold", "message_nodes"), "attribution")
         data = {d: d for _, d in scenario.society.held}  # each held datum as its own message node
         net, node_of = block["net"], block.get("message_nodes")
         settings = {
@@ -558,9 +566,9 @@ def load_attribution(scenario, base) -> dict | None:
         if "threshold" in block:
             settings["threshold"] = block["threshold"]
         check_attribution(**settings)
-        entities = {e.id for e in scenario.society.entities}
         for owner in settings["ownership"].values():
-            _known(owner, entities, "owner")
+            _known(owner, scenario.society.index, "owner")
         for datum in settings["node_of"]:
             _known(datum, data, "message_nodes datum")
+        _joint_size(settings["net"])
     return {**settings, "window": scenario.window}

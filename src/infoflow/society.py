@@ -271,6 +271,8 @@ class Society:
     implicit_channels: tuple[ImplicitChannel, ...] = ()
     logistic: LogisticParams = field(default_factory=LogisticParams)
     budgets: Mapping[str, float] = field(default_factory=dict)
+    # entity id -> its position in entities, in that order: the one index of the society's ids
+    index: Mapping[str, int] = field(init=False, repr=False, compare=False)
     # (holder id, datum id) -> the record that holder keeps
     held: Mapping[tuple[str, str], DatumRecord] = field(init=False, repr=False, compare=False)
 
@@ -281,21 +283,23 @@ class Society:
         object.__setattr__(self, "incentives", MappingProxyType(incentives))
         object.__setattr__(self, "entities", tuple(self.entities))
         _at_least(len(self.entities), 2, "number of entities in a society")
-        ids = [e.id for e in self.entities]
-        _distinct(ids, "entity ids")
+        _distinct([e.id for e in self.entities], "entity ids")
         object.__setattr__(self, "budgets", _budgets(self.budgets))
-        known = set(ids)
+        index = {e.id: k for k, e in enumerate(self.entities)}
+        object.__setattr__(self, "index", MappingProxyType(index))
         object.__setattr__(self, "held", MappingProxyType({(e.id, r.datum): r for e in self.entities for r in e.data}))
+        for r in self.held.values():
+            _known(r.owner, index, "owner of datum ", r.datum)
         object.__setattr__(self, "implicit_channels", tuple(self.implicit_channels))
         for ch in self.implicit_channels:
-            _known(ch.subject, known, "entity")
-            _known(ch.observer, known, "entity")
+            _known(ch.subject, index, "entity")
+            _known(ch.observer, index, "entity")
         # a channel observes its subject's datum, and an incentive is to release the sender's own
         for holder, datum in [*((ch.subject, ch.datum) for ch in self.implicit_channels), *self.incentives]:
             _holds(holder, datum, self.held)
         _distinct([(ch.subject, ch.observer, ch.datum) for ch in self.implicit_channels], "implicit channels")
         for sender, receiver in self.trust:
-            _trust_pair(sender, receiver, known)
+            _trust_pair(sender, receiver, index)
         data = {d for _, d in self.held}
         for d in self.budgets:
             _known(d, data, "budgeted datum")
@@ -335,7 +339,7 @@ def decision_prob(society: Society, sender: str, receiver: str, datum: str) -> f
     incentive(sender, datum), each 0 where the society gives none. Its
     keys are refused as the society refuses a trust or incentive key.
     """
-    _trust_pair(sender, receiver, {e.id for e in society.entities})
+    _trust_pair(sender, receiver, society.index)
     _holds(sender, datum, society.held)
     trust, incentive = society.trust.get((sender, receiver), 0.0), society.incentives.get((sender, datum), 0.0)
     return _logistic(_logit(society.logistic, trust, incentive))
@@ -373,7 +377,7 @@ class Scenario:
     seed: int = 0
     ticks: int = 1
     window: int = 1
-    attribution: dict | None = None
+    attribution: dict | None = None  # the block as the document gives it: causal.load_attribution reads and checks it
 
     def __post_init__(self):
         _at_least(_integer(self.seed, "seed"), 0, "seed")
@@ -428,7 +432,7 @@ class Simulation:
         self.t = 0
         self.events: list[FlowEvent] = []
         self.stops: list[BudgetStop] = []
-        self._ids = [e.id for e in scenario.society.entities]
+        self._ids = list(scenario.society.index)
         t0 = time.perf_counter()
         self._blocks, self._p = _decision_table(scenario.society)
         self._implicit = [
@@ -509,7 +513,7 @@ def _decision_table(soc: Society) -> tuple[list[tuple[int, str, InfoMeasure]], n
     the link runs once per block plus once per (block, trusted receiver).
     """
     params = soc.logistic
-    pos = {e.id: k for k, e in enumerate(soc.entities)}
+    pos = soc.index
     width = len(pos) - 1
     # each sender's trusted receivers, as (offset in its blocks, trust)
     trusted: list[list[tuple[int, float]]] = [[] for _ in pos]
@@ -614,10 +618,7 @@ def scenario_from_json_dict(cfg: dict) -> Scenario:
         budgets=cfg.get("budgets", {}),
     )
     run = {k: cfg[k] for k in ("seed", "ticks", "window") if k in cfg}
-    attribution = cfg.get("attribution")
-    if attribution is not None:
-        _check_keys(attribution, ("net", "ownership", "threshold", "message_nodes"), "attribution")
-    return Scenario(society=society, attribution=attribution, **run)
+    return Scenario(society=society, attribution=cfg.get("attribution"), **run)
 
 
 def load_scenario(path) -> Scenario:

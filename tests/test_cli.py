@@ -376,6 +376,7 @@ class TestSimulate:
             "attribution-unknown-message-datum",
             "attribution-datum-not-a-node",
             "attribution-empty",
+            "attribution-typo",
         ],
     )
     def test_attribution_is_checked_before_the_run(self, case, tmp_path, monkeypatch, capsys):
@@ -387,6 +388,20 @@ class TestSimulate:
         paths = {name: _write(tmp_path, name, text) for name, text in files.items()}
         assert main([paths.get(arg, arg) for arg in argv]) == 2
         assert capsys.readouterr().err.startswith("error: scenario attribution: ")
+
+    def test_an_attribution_net_beyond_the_cap_exits_3_before_the_first_tick(self, tmp_path, monkeypatch, capsys):
+        def refuse(self):
+            raise AssertionError("a tick was run for a scenario whose attribution net is beyond the cap")
+
+        monkeypatch.setattr(society.Simulation, "step", refuse)
+        roots = [{"name": f"R{i}", "states": ["0", "1"], "parents": [], "cpt": [0.5, 0.5]} for i in range(21)]
+        net = {"nodes": [*TWINS["attribution"]["net"]["nodes"], *roots]}  # 2^3 * 2^21 states
+        path = _write(tmp_path, "s.json", _twins_with(attribution={**TWINS["attribution"], "net": net}, ticks=2**20))
+        out = tmp_path / "out"
+        assert main(["simulate", "--scenario", path, "--out", str(out)]) == 3
+        err = f"error: state space has {2**24} configurations, exceeding the cap of {2**22}\n"
+        assert capsys.readouterr() == ("", err)
+        assert not out.exists()
 
     def test_debug_logging_leaves_the_report_unchanged(self, caplog, capsys):
         _, plain = run_cli("simulate", "--scenario", data_path("twins.json"), capsys=capsys)
@@ -792,6 +807,15 @@ MALFORMED = {
     ),
     "datum-id-separator": ({"s.json": _twins_datum(datum="gen~der")}, ["simulate", "--scenario", "s.json"]),
     "datum-owner-integer": ({"s.json": _twins_datum(owner=1)}, ["simulate", "--scenario", "s.json"]),
+    # an owner names an entity of the society, as every other name a scenario refers to does
+    "datum-owner-unknown": (
+        {"s.json": _twins_with(entities=[
+            {**TWINS["entities"][0], "data": [TWINS["entities"][0]["data"][0],
+                                              {**TWINS["entities"][0]["data"][1], "owner": "gh:ost"}]},
+            *TWINS["entities"][1:],
+        ])},
+        ["simulate", "--scenario", "s.json"],
+    ),
     "datum-value-integer": ({"s.json": _twins_datum(value=5)}, ["simulate", "--scenario", "s.json"]),
     "implicit-channel-observer-integer": ({"s.json": _twins_channel(observer=7)}, ["simulate", "--scenario", "s.json"]),
     "attribution-threshold-negative": (
@@ -877,6 +901,12 @@ MALFORMED = {
         {"t.csv": "a\nx\ny\n", "t.csv.roles.json": '{"roles": {"a": "sensitive"}, "role": {}}'},
         ["anon", "t.csv", "--dp", "1", "--sensitive", "a"],
     ),
+    # a role for a column the table lacks: a misspelt column name would otherwise go unnoticed
+    "roles-unknown-column": (
+        {"r.json": json.dumps({"roles": {"zip": "quasi-identifier", "age": "quasi-identifier",
+                                         "diagnosis": "sensitive", "diagnosys": "sensitive"}})},
+        ["anon", data_path("anon_release.csv"), "--dp", "1", "--sensitive", "diagnosis", "--roles", "r.json"],
+    ),
     "linkage-without-sensitive-column": (
         {"r.csv": "zip,age,diag\n1,20,a\n1,20,b\n",
          "r.csv.roles.json": json.dumps({"roles": {"zip": "quasi-identifier", "age": "quasi-identifier",
@@ -954,6 +984,7 @@ REFUSED_BY = {
     "entity-id-separator": "entity id 're:ceiver' must not contain any of '>', ':', '~'",
     "datum-id-separator": "datum id 'gen~der' must not contain any of '>', ':', '~'",
     "datum-owner-integer": "owner of datum 'gender' must be a string, got 1",
+    "datum-owner-unknown": "s.json: unknown owner of datum 'zygosity' 'gh:ost'",
     "datum-value-integer": "value of datum 'gender' must be a string, got 5",
     "implicit-channel-observer-integer": "implicit channel observer must be a string, got 7",
     "attribution-threshold-negative": "attribution threshold must be finite and >= 0, got -1.0",
@@ -990,6 +1021,7 @@ REFUSED_BY = {
     "net-unknown-key": "unknown network keys: ['edges']",
     "node-unknown-key": "unknown node keys: ['parent']",
     "roles-unknown-key": "unknown roles sidecar keys: ['role']",
+    "roles-unknown-column": "anon_release.csv: unknown roles sidecar column 'diagnosys'",
 }
 
 

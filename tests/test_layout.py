@@ -10,6 +10,8 @@ document (``cli``, and the ``*from_json*`` and ``load_*`` functions of ``society
 ``measures._known``, so no other module refuses an unknown name itself, save ``cli``'s
 unknown scenario, whose message lists the choices. Every dataclass of ``society`` is frozen
 save the run state, ``Ledger`` and ``SimulationResult``, so a scenario stays as it was checked.
+The entity ids are collected once, by ``Society.__post_init__`` into ``Society.index``, and every
+other function reads that index rather than rebuilding the ids from ``.entities``.
 """
 
 import ast
@@ -27,6 +29,7 @@ SOURCES = sorted(Path(infoflow.__file__).parent.glob("*.py"))
 PRIVATE_TO = {"society", "causal", "anonymity", "cli"}
 TYPE_RULES = {"_integer", "_number"}
 HINTED = {("cli", "unknown scenario ")}  # (module, opening text) of a refusal that lists the accepted choices
+ENTITY_INDEX = ("society", "Society.__post_init__")  # (module, function) of the one collector of the entity ids
 RUN_STATE = {"SimulationResult"}  # the dataclasses of society a run changes; a Ledger changes only its cumulative dict
 
 
@@ -130,6 +133,30 @@ def _repeat_refusals(tree: ast.AST) -> list[tuple[str, int]]:
             if "duplicate" in text.lower() or "repeated" in text.lower()]
 
 
+def _entity_id_collectors(tree: ast.AST) -> list[tuple[str, int]]:
+    """(function, line) of each comprehension in ``tree`` whose items, or the members of its tuple items, are the
+    ``.id`` of what it iterates over an ``.entities``; the function is dotted by its classes, ``<module>`` outside."""
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = node.name if scope == "<module>" else f"{scope}.{node.name}"
+        if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
+            over = {name.id for gen in node.generators
+                    if any(isinstance(a, ast.Attribute) and a.attr == "entities" for a in ast.walk(gen.iter))
+                    for name in ast.walk(gen.target) if isinstance(name, ast.Name)}
+            items = [node.key, node.value] if isinstance(node, ast.DictComp) else [node.elt]
+            parts = [part for item in items for part in (item.elts if isinstance(item, ast.Tuple) else [item])]
+            if any(isinstance(part, ast.Attribute) and part.attr == "id" and isinstance(part.value, ast.Name)
+                   and part.value.id in over for part in parts):
+                found.append((scope, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, "<module>")
+    return found
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_capacity_errors_are_raised_only_in_measures(path):
     raised = [n.lineno for n in ast.walk(_tree(path)) if isinstance(n, ast.Raise) and n.exc is not None
@@ -203,3 +230,23 @@ def test_the_freeze_guard_sees_a_mutable_dataclass():
     probe.Fixed = dataclasses.make_dataclass("Fixed", ["x"], frozen=True, namespace={"__module__": "probe"})
     probe.SimulationResult = infoflow.society.SimulationResult  # imported, not defined there
     assert _unfrozen(probe) == ["Loose"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_the_society_collects_the_entity_ids(path):
+    assert [(f, line) for f, line in _entity_id_collectors(_tree(path)) if (path.stem, f) != ENTITY_INDEX] == []
+
+
+def test_the_entity_id_guard_sees_lists_sets_maps_and_tuples_of_ids():
+    tree = ast.parse(
+        "class Society:\n"
+        "    def __post_init__(self):\n"
+        "        index = {e.id: k for k, e in enumerate(self.entities)}\n"
+        "def decision_prob(soc):\n"
+        "    return {e.id for e in soc.entities}, [(e.id, d) for e in soc.entities for d in e.data]\n"
+        "ids = list(x.id for x in society.entities)\n"
+        "other = [c.id for c in soc.channels], [e.data for e in soc.entities], list(soc.index)\n"
+    )
+    assert _entity_id_collectors(tree) == [
+        ("Society.__post_init__", 3), ("decision_prob", 5), ("decision_prob", 5), ("<module>", 6),
+    ]

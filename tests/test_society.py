@@ -829,8 +829,9 @@ class TestScenarioJson:
         twins["attribution"]["treshold"] = 1
         path = tmp_path / "twins.json"
         path.write_text(json.dumps(twins))
-        with pytest.raises(ValueError, match=r"unknown attribution keys: \['treshold'\]"):
-            load_scenario(path)
+        scenario = load_scenario(path)  # the block is read, and its keys checked, by its one reader
+        with pytest.raises(ValueError, match=r"^scenario attribution: unknown attribution keys: \['treshold'\]$"):
+            load_attribution(scenario, path.parent)
 
     def test_absent_keys_take_the_dataclass_defaults(self):
         sc = two_entity_scenario()
