@@ -221,12 +221,15 @@ def read_table(csv_path, roles_path=None) -> Table:
         return Table(tuple((n, roles[n]) for n in header), reader)
 
 
+def table_files(t: Table, csv_path) -> list:
+    """The ``(path, write)`` pairs of ``t`` as a CSV with its role sidecar beside it, where ``read_table`` looks."""
+    roles = json.dumps({"roles": dict(t.columns)}, indent=2, sort_keys=True) + "\n"
+    return [(csv_path, lambda fh: csv.writer(fh, lineterminator="\n").writerows(chain([t.column_names()], t.rows))),
+            (default_roles_path(csv_path), lambda fh: fh.write(roles))]
+
+
 def write_table(t: Table, csv_path) -> None:
     """Write ``t`` as a CSV with its role sidecar beside it, where ``read_table`` looks by default."""
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(t.column_names())
-        writer.writerows(t.rows)
-    with open(default_roles_path(csv_path), "w") as fh:
-        json.dump({"roles": {n: r for n, r in t.columns}}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    for path, write in table_files(t, csv_path):
+        with open(path, "w", newline="") as fh:
+            write(fh)

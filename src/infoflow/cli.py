@@ -21,7 +21,7 @@ import sys
 from pathlib import Path
 
 from . import causal, society
-from .anonymity import dp_release, linkage_attack, read_table, write_table
+from .anonymity import dp_release, linkage_attack, read_table, table_files
 from .channels import Channel, _check_eps, bound_sweep, check_mi_bound, compose, randomized_response, realized_epsilon
 from .measures import CapacityError, Dist, _check_keys, _distinct, load_json, malformed
 
@@ -31,28 +31,29 @@ EXIT_INPUT = 2
 EXIT_CAPACITY = 3
 
 
-def _emit(doc, fmt: str, out=None) -> None:
-    """Write a report to ``out`` (stdout when None); a report that fails to serialize leaves no output."""
-    if out is None:
-        buf = io.StringIO()
-        _write(doc, fmt, buf)
-        sys.stdout.write(buf.getvalue())
-        return
-    _stream((out, lambda fh: _write(doc, fmt, fh)))
+def _emit(report, fmt: str, out, files) -> None:
+    """Write each ``(path, write)`` of ``files``, then ``report`` (if not None) to ``out``, or to stdout when None.
 
-
-def _stream(*outputs) -> None:
-    """``write`` a new file at ``path`` for each ``(path, write)``; if one fails to encode a value, none is kept."""
+    Two outputs that name one file are refused before any is opened; if any step fails, no file written is kept.
+    """
+    outputs, buf = list(files), io.StringIO()
+    if report is not None and out is None:  # the stdout text, built before any file
+        _write(report, fmt, buf)
+    elif report is not None:
+        outputs.append((out, lambda fh: _write(report, fmt, fh)))
+    if len(outputs) > 1:  # resolving a path costs a stat per component; one output cannot repeat
+        _distinct([str(Path(path).resolve()) for path, _ in outputs], "output file")
     written = []
     try:
         for path, write in outputs:
             with open(path, "w", newline="") as fh:
                 written.append(path)
                 write(fh)
-    except ValueError:  # a non-finite number
+    except BaseException:
         for path in written:
             Path(path).unlink()
         raise
+    sys.stdout.write(buf.getvalue())
 
 
 def _write(doc, fmt: str, fh) -> None:
@@ -102,27 +103,25 @@ def _load_prior(spec: str, channel: Channel) -> Dist:
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each returns (exit code, report or None, (path, write) files), and main writes them
 # ---------------------------------------------------------------------------
 
 
-def cmd_verify_bound(args) -> int:
+def cmd_verify_bound(args):
     if (args.rr is None) == (args.channel is None):
         raise ValueError("provide exactly one of --rr or --channel")
     chan = _rr_from_kv(_parse_kv(args.rr)) if args.rr else _load_channel_spec(args.channel)
     prior = _load_prior(args.prior, chan)
     cert = check_mi_bound(chan, prior)
-    _emit(cert.to_json_dict(), args.fmt, args.out)
-    return EXIT_OK if cert.holds else EXIT_BOUND_VIOLATED
+    return EXIT_OK if cert.holds else EXIT_BOUND_VIOLATED, cert.to_json_dict(), ()
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args):
     result = bound_sweep(args.cases, seed=args.seed)
-    _emit(result.to_json_dict(), args.fmt, args.out)
-    return EXIT_OK if result.violations == 0 else EXIT_BOUND_VIOLATED
+    return EXIT_OK if result.violations == 0 else EXIT_BOUND_VIOLATED, result.to_json_dict(), ()
 
 
-def cmd_leakage(args) -> int:
+def cmd_leakage(args):
     if (args.net is None) == (args.scenario is None):
         raise ValueError("provide exactly one of --net or --scenario")
     own = (("--q", "twins", args.q), ("--n", "ballot", args.n), ("--seed", "fork-collider", args.seed))
@@ -150,13 +149,11 @@ def cmd_leakage(args) -> int:
     doc = profile.to_json_dict()
     if report is not None:
         doc["report"] = report
-    if args.emit_net:
-        _emit(causal.net_to_json_dict(net), "json", args.emit_net)
-    _emit(doc if args.fmt == "json" else profile.rows_sorted(), args.fmt, args.out)
-    return EXIT_OK
+    files = [(args.emit_net, lambda fh: _write(causal.net_to_json_dict(net), "json", fh))] if args.emit_net else []
+    return EXIT_OK, doc if args.fmt == "json" else profile.rows_sorted(), files
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args):
     if args.out is None and args.fmt == "csv":
         raise ValueError("simulate --format csv writes events.csv and ledger.csv: it needs --out")
     scenario = society.load_scenario(args.scenario)
@@ -166,20 +163,19 @@ def cmd_simulate(args) -> int:
     with malformed("scenario attribution"):
         induced = causal.attribute_flows(result.events, **attribution) if attribution else []
     if args.out is None:
-        _emit({"events": result.records(induced), "ledger": society.ledger_report(result.ledger)}, "json")
-        return EXIT_OK
+        return EXIT_OK, {"events": result.records(induced), "ledger": society.ledger_report(result.ledger)}, ()
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     if args.fmt == "json":
-        _stream((outdir / "events.jsonl", lambda fh: society.write_events_jsonl(result, fh, induced)),
-                (outdir / "ledger.json", lambda fh: society.write_ledger_json(result.ledger, fh)))
-    else:
-        _stream((outdir / "events.csv", lambda fh: society.write_events_csv(result, fh, induced)),
-                (outdir / "ledger.csv", lambda fh: _write(society.ledger_report(result.ledger), "csv", fh)))
-    return EXIT_OK
+        return EXIT_OK, None, [
+            (outdir / "events.jsonl", lambda fh: society.write_events_jsonl(result, fh, induced)),
+            (outdir / "ledger.json", lambda fh: society.write_ledger_json(result.ledger, fh))]
+    return EXIT_OK, None, [
+        (outdir / "events.csv", lambda fh: society.write_events_csv(result, fh, induced)),
+        (outdir / "ledger.csv", lambda fh: _write(society.ledger_report(result.ledger), "csv", fh))]
 
 
-def cmd_anon(args) -> int:
+def cmd_anon(args):
     # the option combination is checked before any table is read
     if (args.aux is None) == (args.dp is None):
         raise ValueError("provide exactly one of AUX or --dp")
@@ -192,8 +188,7 @@ def cmd_anon(args) -> int:
         raise ValueError(f"{', '.join(stray)}: only with {mode}")
     if args.aux is not None:
         report = linkage_attack(read_table(args.release, args.roles), read_table(args.aux, args.aux_roles))
-        _emit(report.to_json_dict(), args.fmt, args.out)
-        return EXIT_OK
+        return EXIT_OK, report.to_json_dict(), ()
     if args.sensitive is None:
         raise ValueError("--sensitive is required with --dp")
     spec = args.dp.removeprefix("eps=")
@@ -202,13 +197,10 @@ def cmd_anon(args) -> int:
         _check_eps(eps)
     seed = 0 if args.seed is None else args.seed
     released, cert = dp_release(read_table(args.release, args.roles), args.sensitive, eps, seed=seed)
-    if args.release_out:
-        write_table(released, args.release_out)
-    _emit(cert.to_json_dict(), args.fmt, args.out)
-    return EXIT_OK
+    return EXIT_OK, cert.to_json_dict(), table_files(released, args.release_out) if args.release_out else ()
 
 
-def cmd_compose(args) -> int:
+def cmd_compose(args):
     c1 = _load_channel_spec(args.first)
     c2 = _load_channel_spec(args.second)
     product = compose(c1, c2)
@@ -219,8 +211,7 @@ def cmd_compose(args) -> int:
         "eps_report": realized_epsilon(product).to_json_dict(),
         "certificate": cert.to_json_dict(),
     }
-    _emit(doc, args.fmt, args.out)
-    return EXIT_OK if cert.holds else EXIT_BOUND_VIOLATED
+    return EXIT_OK if cert.holds else EXIT_BOUND_VIOLATED, doc, ()
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +298,9 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     with _debug_to_stderr(args.verbose):
         try:
-            return args.handler(args)
+            code, report, files = args.handler(args)
+            _emit(report, args.fmt, args.out, files)
+            return code
         except CapacityError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_CAPACITY

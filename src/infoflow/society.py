@@ -421,7 +421,7 @@ class Simulation:
     implicit channel's release. Each tick draws one uniform per candidate
     in a single batch, in the order sender, datum, receiver of the
     society's declarations. A run of more than DRAW_CAP draws in all is
-    refused when the simulation is built, and ``step`` refuses a tick
+    refused before the decision table is built, and ``step`` refuses a tick
     past the scenario's ``ticks``.
     """
 
@@ -433,16 +433,17 @@ class Simulation:
         self.events: list[FlowEvent] = []
         self.stops: list[BudgetStop] = []
         self._ids = list(scenario.society.index)
+        # the draws are counted before the table is built; a tick without a candidate costs its generators: one draw
+        candidates = len(scenario.society.held) * (len(self._ids) - 1)
+        per_tick = max(candidates + len(scenario.society.implicit_channels), 1)
+        draws = scenario.ticks * per_tick
+        _check_size(draws, DRAW_CAP, f"{scenario.ticks} ticks of {per_tick} draws make {draws} draws")
         t0 = time.perf_counter()
         self._blocks, self._p = _decision_table(scenario.society)
         self._implicit = [
             (ch, _raw_release_measure(scenario.society.held[(ch.subject, ch.datum)]))
             for ch in scenario.society.implicit_channels
         ]
-        # a tick without a candidate still costs its generators, so it counts as one draw
-        per_tick = max(len(self._p) + len(self._implicit), 1)
-        draws = scenario.ticks * per_tick
-        _check_size(draws, DRAW_CAP, f"{scenario.ticks} ticks of {per_tick} draws make {draws} draws")
         log.debug("Simulation: %d candidates in %d blocks, %d trusted pairs, built in %.6f s",
                   len(self._p), len(self._blocks), len(scenario.society.trust), time.perf_counter() - t0)
 

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import infoflow
 from infoflow import causal, cli, society
-from infoflow.cli import _emit, _stream, main
+from infoflow.cli import _emit, main
 from infoflow.society import write_events_jsonl, write_ledger_json
 from helpers import joint_cells, mi_cells
 
@@ -1283,10 +1283,10 @@ class TestVerbose:
 
 class TestStrictOutput:
     def test_non_finite_report_leaves_no_file(self, tmp_path):
-        out = tmp_path / "report.json"
+        out, table = tmp_path / "report.json", tmp_path / "table.csv"
         with pytest.raises(ValueError):
-            _emit({"x": math.inf}, "json", out)
-        assert not out.exists()
+            _emit({"x": math.inf}, "json", out, [(table, lambda fh: fh.write("a\n"))])
+        assert list(tmp_path.iterdir()) == []
 
     def test_a_failed_output_removes_every_file_the_command_wrote(self, tmp_path):
         first, second, other = tmp_path / "first.txt", tmp_path / "second.txt", tmp_path / "other.txt"
@@ -1296,9 +1296,44 @@ class TestStrictOutput:
             fh.write("partial")
             raise ValueError("Out of range float values are not JSON compliant: inf")
 
+        files = [(first, lambda fh: fh.write("done")), (second, fail),
+                 (tmp_path / "never.txt", lambda fh: fh.write("x"))]
         with pytest.raises(ValueError, match="not JSON compliant"):
-            _stream((first, lambda fh: fh.write("done")), (second, fail), (tmp_path / "never.txt", lambda fh: fh.write("x")))
+            _emit({"x": 1}, "json", tmp_path / "report.json", files)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["other.txt"]
+
+    def test_a_log_that_cannot_be_opened_leaves_no_other_log(self, tmp_path, capsys):
+        (tmp_path / "ledger.json").mkdir()
+        assert main(["simulate", "--scenario", data_path("twins.json"), "--out", str(tmp_path)]) == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["ledger.json"]
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "ledger.json" in err
+
+    @pytest.mark.parametrize("argv, written", [
+        (["leakage", "--scenario", "twins", "--emit-net", "net.json"], ["net.json"]),
+        (["anon", data_path("anon_release.csv"), "--dp", "eps=1", "--sensitive", "diagnosis", "--release-out",
+          "rel.csv"], ["rel.csv", "rel.csv.roles.json"]),
+    ], ids=["leakage", "anon"])
+    def test_a_report_that_cannot_be_opened_leaves_no_other_file(self, argv, written, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, "--out", "missing/r.json"]) == 2
+        assert list(tmp_path.iterdir()) == []
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "missing" in err
+        assert main(argv) == 0  # the same command without the bad --out writes them
+        assert sorted(p.name for p in tmp_path.iterdir()) == written
+
+    @pytest.mark.parametrize("argv, twice", [
+        (["leakage", "--scenario", "twins", "--emit-net", "r.json", "--out", "./r.json"], "r.json"),
+        (["anon", data_path("anon_release.csv"), "--dp", "eps=1", "--sensitive", "diagnosis", "--release-out",
+          "rel.csv", "--out", "rel.csv.roles.json"], "rel.csv.roles.json"),
+    ], ids=["leakage", "anon"])
+    def test_two_outputs_naming_one_file_are_refused_before_any_is_written(self, argv, twice, tmp_path, monkeypatch,
+                                                                           capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: duplicate output file: {str(tmp_path.resolve() / twice)!r}\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_event_log_refuses_nan(self):
         result = society.simulate(society.load_scenario(data_path("twins.json")))

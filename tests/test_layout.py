@@ -12,6 +12,8 @@ unknown scenario, whose message lists the choices. Every dataclass of ``society`
 save the run state, ``Ledger`` and ``SimulationResult``, so a scenario stays as it was checked.
 The entity ids are collected once, by ``Society.__post_init__`` into ``Society.index``, and every
 other function reads that index rather than rebuilding the ids from ``.entities``.
+A command's handler returns what it writes, and ``cli.main`` writes it in one ``cli._emit`` call, the only
+place ``cli`` opens a file, so one rule decides what a failed command leaves.
 """
 
 import ast
@@ -30,6 +32,7 @@ PRIVATE_TO = {"society", "causal", "anonymity", "cli"}
 TYPE_RULES = {"_integer", "_number"}
 HINTED = {("cli", "unknown scenario ")}  # (module, opening text) of a refusal that lists the accepted choices
 ENTITY_INDEX = ("society", "Society.__post_init__")  # (module, function) of the one collector of the entity ids
+OUTPUT_CALLS = {"_emit", "open"}  # the calls of cli that write a command's output
 RUN_STATE = {"SimulationResult"}  # the dataclasses of society a run changes; a Ledger changes only its cumulative dict
 
 
@@ -133,14 +136,21 @@ def _repeat_refusals(tree: ast.AST) -> list[tuple[str, int]]:
             if "duplicate" in text.lower() or "repeated" in text.lower()]
 
 
+def _scoped(node: ast.AST, scope: str = "<module>"):
+    """(scope, node) of ``node`` and each node under it; the scope is the function a node is in, dotted by its
+    classes, ``<module>`` outside."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        scope = node.name if scope == "<module>" else f"{scope}.{node.name}"
+    yield scope, node
+    for child in ast.iter_child_nodes(node):
+        yield from _scoped(child, scope)
+
+
 def _entity_id_collectors(tree: ast.AST) -> list[tuple[str, int]]:
     """(function, line) of each comprehension in ``tree`` whose items, or the members of its tuple items, are the
-    ``.id`` of what it iterates over an ``.entities``; the function is dotted by its classes, ``<module>`` outside."""
+    ``.id`` of what it iterates over an ``.entities``."""
     found = []
-
-    def visit(node: ast.AST, scope: str) -> None:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            scope = node.name if scope == "<module>" else f"{scope}.{node.name}"
+    for scope, node in _scoped(tree):
         if isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)):
             over = {name.id for gen in node.generators
                     if any(isinstance(a, ast.Attribute) and a.attr == "entities" for a in ast.walk(gen.iter))
@@ -150,10 +160,18 @@ def _entity_id_collectors(tree: ast.AST) -> list[tuple[str, int]]:
             if any(isinstance(part, ast.Attribute) and part.attr == "id" and isinstance(part.value, ast.Name)
                    and part.value.id in over for part in parts):
                 found.append((scope, node.lineno))
-        for child in ast.iter_child_nodes(node):
-            visit(child, scope)
+    return found
 
-    visit(tree, "<module>")
+
+def _output_calls(tree: ast.AST) -> list[tuple[str, str, int]]:
+    """(function, callee, line) of each call in ``tree`` of ``_emit`` or of an ``open``, by name or as an
+    attribute (``io.open``, ``path.open``)."""
+    found = []
+    for scope, node in _scoped(tree):
+        if isinstance(node, ast.Call):
+            callee = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+            if callee in OUTPUT_CALLS:
+                found.append((scope, callee, node.lineno))
     return found
 
 
@@ -249,4 +267,28 @@ def test_the_entity_id_guard_sees_lists_sets_maps_and_tuples_of_ids():
     )
     assert _entity_id_collectors(tree) == [
         ("Society.__post_init__", 3), ("decision_prob", 5), ("decision_prob", 5), ("<module>", 6),
+    ]
+
+
+def test_each_command_writes_its_output_in_one_step():
+    calls = _output_calls(_tree(Path(infoflow.__file__).parent / "cli.py"))
+    assert [(f, callee) for f, callee, _ in calls if callee == "_emit"] == [("main", "_emit")]
+    assert [(f, callee) for f, callee, _ in calls if f != "_emit"] == [("main", "_emit")]
+
+
+def test_the_output_guard_sees_named_and_attribute_calls_in_any_scope():
+    tree = ast.parse(
+        "def main(args):\n"
+        "    _emit(*args.handler(args))\n"
+        "def cmd_simulate(args):\n"
+        "    with open(args.out, 'w') as fh, Path(args.out).open('w') as gh:\n"
+        "        cli._emit(None, 'json', None, [(p, w)])\n"
+        "class Writer:\n"
+        "    def close(self):\n"
+        "        io.open(self.path).close()\n"
+        "opened, emitted = open, _emit\n"
+    )
+    assert _output_calls(tree) == [
+        ("main", "_emit", 2), ("cmd_simulate", "open", 4), ("cmd_simulate", "open", 4), ("cmd_simulate", "_emit", 5),
+        ("Writer.close", "open", 8),
     ]

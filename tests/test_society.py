@@ -296,6 +296,19 @@ class TestDrawCap:
         with pytest.raises(CapacityError, match=f"exceeding the cap of {DRAW_CAP}"):
             Simulation(two_entity_scenario(**quiet, ticks=10**20))
 
+    def test_candidates_are_counted_before_the_decision_table_is_built(self, monkeypatch):
+        def refuse(soc):
+            raise AssertionError("a decision table was built for a run beyond the draw cap")
+
+        monkeypatch.setattr(society_module, "_decision_table", refuse)
+        # 4,097 senders of one datum each, to 4,096 receivers each: 16,781,312 candidates
+        entities = [{"id": f"e{k}", "data": [{"datum": "d", "value": "v", "owner": f"e{k}", "governance": "conjunct"}]}
+                    for k in range(4097)]
+        scenario = two_entity_scenario(entities=entities, implicit_channels=[], incentives={}, trust={}, ticks=1)
+        with pytest.raises(CapacityError, match=f"^1 ticks of 16781312 draws make 16781312 draws, exceeding the cap "
+                                                f"of {DRAW_CAP}$"):
+            Simulation(scenario)
+
 
 class TestSimulationDeterminism:
     def test_equal_seeds_equal_logs(self):
