@@ -27,10 +27,12 @@ def entropy_bits(p: np.ndarray) -> float:
 
 
 def mi_bits(mass: np.ndarray) -> float:
+    # the positive cells in row-major order, gathered only when some cell is 0
+    cells, prod = mass.ravel(), (mass.sum(axis=1)[:, None] * mass.sum(axis=0)).ravel()
+    if not np.minimum.reduce(cells) > 0.0:
+        m = cells > 0.0
+        cells, prod = cells[m], prod[m]
     # rounding can sum to a hair below 0; mutual information is never negative
-    m = mass > 0.0
-    cells = mass[m]
-    prod = (mass.sum(axis=1)[:, None] * mass.sum(axis=0))[m]
     return max(float((cells * np.log2(cells / prod)).sum()), 0.0)
 
 

@@ -25,7 +25,9 @@ from pathlib import Path
 import numpy as np
 
 from .channels import BoundCertificate, Channel, check_mi_bound, randomized_response
-from .measures import Dist, _at_least, _check_keys, _distinct, _known, _unit, load_json, malformed
+from .measures import (
+    STATE_SPACE_CAP, Dist, _at_least, _check_keys, _check_size, _distinct, _known, _unit, load_json, malformed,
+)
 
 log = logging.getLogger(__name__)
 
@@ -161,7 +163,9 @@ def dp_release(
     Returns the released table and the information-cap certificate for
     the mechanism under the column's empirical prior. ``eps=None``
     releases the column unchanged through the identity channel, whose
-    certificate is flagged unbounded.
+    certificate is flagged unbounded. Either channel has k*k cells for
+    k categories; more than STATE_SPACE_CAP are refused before either
+    is built.
 
     The release stream is one ``default_rng(seed).random()`` uniform per
     row, in row order, inverted through the row's cumulative channel
@@ -176,6 +180,7 @@ def dp_release(
     index = {c: i for i, c in enumerate(categories)}
     codes = np.fromiter(map(index.__getitem__, values), dtype=np.intp, count=len(values))
     log.debug("dp_release: %d rows, %d categories", len(values), k)
+    _check_size(k * k, STATE_SPACE_CAP, f"a release channel over {k} categories has {k * k} cells")
     if eps is None:
         chan = Channel(categories, categories, np.eye(k))
         released = t

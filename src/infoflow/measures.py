@@ -135,9 +135,9 @@ def _check_id(value, what: str, key=None, reserved: str = "") -> None:
             raise ValueError(f"{_named(what, key)} {value!r} must not contain any of {', '.join(map(repr, reserved))}")
 
 
-def _integer(value, what: str) -> int:
-    """Refuse a value that is not an integer (a boolean, a string or a float such as 2.7 or 1e308)."""
-    if isinstance(value, bool) or not isinstance(value, int):
+def _integer(value, what: str, kinds=int) -> int:
+    """Refuse a value that is not an integer of ``kinds`` (a boolean, a string or a float such as 2.7 or 1e308)."""
+    if isinstance(value, bool) or not isinstance(value, kinds):
         raise ValueError(f"{what} must be an integer, got {value!r}")
     return value
 

@@ -333,6 +333,27 @@ class TestSweep:
         with pytest.raises(ValueError, match=r"seed must be >= 0, got -1"):
             bound_sweep(1, seed=-1)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"n_cases": 2.5}, "n_cases must be an integer, got 2.5"),
+            ({"n_cases": 1e12}, "n_cases must be an integer, got 1000000000000.0"),  # not the cap's refusal
+            ({"n_cases": True}, "n_cases must be an integer, got True"),
+            ({"n_cases": "5"}, "n_cases must be an integer, got '5'"),
+            ({"n_cases": 5, "seed": 1.0}, "seed must be an integer, got 1.0"),
+            ({"n_cases": 5, "seed": False}, "seed must be an integer, got False"),
+            ({"n_cases": 5, "seed": "2"}, "seed must be an integer, got '2'"),
+        ],
+    )
+    def test_refuses_a_non_integer_by_name(self, kwargs, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            bound_sweep(**kwargs)
+
+    def test_accepts_numpy_integers(self):
+        a, b = bound_sweep(np.int64(5), seed=np.int64(2)), bound_sweep(5, seed=2)
+        assert (a.cases, a.seed) == (5, 2)
+        assert (a.violations, a.max_mi_sh, a.min_slack_sh) == (b.violations, b.max_mi_sh, b.min_slack_sh)
+
     def test_reproducible(self):
         a = bound_sweep(20, seed=9)
         b = bound_sweep(20, seed=9)
@@ -395,6 +416,35 @@ class TestSweepStreams:
         monkeypatch.setattr(channels, "_SEED_CHUNK", 7)
         result = bound_sweep(60, seed=2**100 + 7)
         assert (result.violations, result.max_mi_sh, result.min_slack_sh) == dirichlet_sweep(60, 2**100 + 7, certify)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_sweep_of_one_case_per_chunk(self, seed, monkeypatch):
+        monkeypatch.setattr(channels, "_SEED_CHUNK", 1)
+        result = bound_sweep(40, seed=seed)
+        assert (result.violations, result.max_mi_sh, result.min_slack_sh) == dirichlet_sweep(40, seed, certify)
+
+    def test_sweep_of_one_chunk_holding_every_shape(self):
+        assert len(channels._shape_groups(3, 0, channels._SEED_CHUNK)) == 7 * 7
+        result = bound_sweep(channels._SEED_CHUNK, seed=3)
+        expected = dirichlet_sweep(channels._SEED_CHUNK, 3, certify)
+        assert (result.violations, result.max_mi_sh, result.min_slack_sh) == expected
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_grouped_draws_are_the_scalar_draws(self, seed):
+        # one integers(2, 9, size=2) and one exponential block a case: the scalar draws' stream and end state
+        expected = {}
+        for case in range(4096):
+            scalar, grouped = np.random.default_rng([seed, case]), np.random.default_rng([seed, case])
+            n_in, n_out = int(scalar.integers(2, 9)), int(scalar.integers(2, 9))
+            rows, prior = scalar.standard_exponential((n_in, n_out)), scalar.standard_exponential(n_in)
+            block = np.concatenate([rows.ravel(), prior])
+            expected.setdefault((n_in, n_out), []).append(block)
+            assert grouped.integers(2, 9, size=2).tolist() == [n_in, n_out]
+            assert np.array_equal(grouped.standard_exponential(n_in * n_out + n_in), block)
+            assert grouped.bit_generator.state == scalar.bit_generator.state
+        groups = channels._shape_groups(seed, 0, 4096)
+        assert list(groups) == list(expected)
+        assert all(np.array_equal(groups[shape], np.stack(expected[shape])) for shape in groups)
 
 
 class TestChannelType:

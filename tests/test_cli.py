@@ -462,6 +462,21 @@ class TestAnon:
         assert code == 0
         assert json.loads(out)["bound_sh"] == pytest.approx(math.log2(3), abs=1e-9)
 
+    @pytest.mark.parametrize("dp", ["eps=none", "eps=1"])
+    def test_release_beyond_the_cell_cap_exits_3_before_a_channel_is_built(self, dp, tmp_path, capsys):
+        (tmp_path / "t.csv").write_text("diag\n" + "".join(f"d{i}\n" for i in range(2049)))
+        (tmp_path / "t.csv.roles.json").write_text(json.dumps({"roles": {"diag": "sensitive"}}))
+        tracemalloc.start()
+        try:
+            code = main(["anon", str(tmp_path / "t.csv"), "--dp", dp, "--sensitive", "diag"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        size = f"a release channel over 2049 categories has {2049 * 2049} cells"
+        assert capsys.readouterr().err == f"error: {size}, exceeding the cap of {2**22}\n"
+        assert peak < 2**22  # the refused 2049x2049 matrix would take 32 MB
+
     def test_missing_sidecar_exits_2(self, tmp_path, capsys):
         (tmp_path / "t.csv").write_text("a\n1\n")
         code, _ = run_cli("anon", str(tmp_path / "t.csv"), "--dp", "1.0", "--sensitive", "a", capsys=capsys)
