@@ -16,9 +16,8 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from collections import Counter
-from dataclasses import asdict, dataclass
-from itertools import chain
+from dataclasses import asdict, dataclass, field
+from itertools import chain, repeat
 from operator import itemgetter
 from pathlib import Path
 
@@ -32,36 +31,55 @@ from .measures import (
 log = logging.getLogger(__name__)
 
 ROLES = ("identifier", "quasi-identifier", "sensitive")
+_INTP_MAX = np.iinfo(np.intp).max
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Table:
-    """Rectangular table of strings with a role per column.
+    """Rectangular table of strings with a role per column, held by column.
 
-    ``rows`` may be any iterable of rows; it is consumed once and kept
-    as a tuple of tuples. A column name, role or cell that is not a
-    string is refused, not converted.
+    ``Table(columns, rows)`` consumes ``rows``, any iterable of rows,
+    once. A column name, role or cell that is not a string is refused,
+    not converted. ``cells`` holds one tuple per column; ``rows``,
+    ``column`` and ``project`` are views built from it.
     """
 
     columns: tuple[tuple[str, str], ...]  # (name, role)
-    rows: tuple[tuple[str, ...], ...]
+    cells: tuple[tuple[str, ...], ...]  # one tuple per column
+    height: int  # the row count, kept apart so that a zero-column table keeps it
+    _codes: dict = field(compare=False, repr=False)  # column index -> (categories, codes), filled by coded
 
-    def __post_init__(self):
-        object.__setattr__(self, "columns", tuple((n, r) for n, r in self.columns))
-        if set(map(type, chain.from_iterable(self.columns))) - {str}:
-            raise ValueError(f"column names and roles must be strings, got {self.columns}")
-        _distinct([n for n, _ in self.columns], "column names")
-        for _, role in self.columns:
+    def __init__(self, columns, rows):
+        columns = tuple((n, r) for n, r in columns)
+        if set(map(type, chain.from_iterable(columns))) - {str}:
+            raise ValueError(f"column names and roles must be strings, got {columns}")
+        _distinct([n for n, _ in columns], "column names")
+        for _, role in columns:
             _known(role, ROLES, "column role")
-        width = len(self.columns)
-        rows = tuple(map(tuple, self.rows))
+        width = len(columns)
+        rows = tuple(map(tuple, rows))  # tuples of strings, unlike lists, drop out of the garbage collector's scans
         if set(map(len, rows)) - {width}:
             i = next(i for i, row in enumerate(rows) if len(row) != width)
             raise ValueError(f"row {i} has {len(rows[i])} cells, expected {width}")
-        odd = set(map(type, chain.from_iterable(rows))) - {str}
+        cells = tuple(tuple(map(itemgetter(i), rows)) for i in range(width))
+        odd = set(map(type, chain.from_iterable(cells))) - {str}
         if odd:
             raise ValueError(f"table cells must be strings, found {', '.join(sorted(t.__name__ for t in odd))}")
-        object.__setattr__(self, "rows", rows)
+        self._set(columns, cells, len(rows))
+
+    def _set(self, columns, cells, height) -> None:
+        for name, value in (("columns", columns), ("cells", cells), ("height", height), ("_codes", {})):
+            object.__setattr__(self, name, value)
+
+    def _replaced(self, i: int, cells: tuple[str, ...]) -> Table:
+        """This table with column ``i`` replaced by ``cells``, unchecked: the caller draws them from its categories."""
+        t = object.__new__(Table)
+        t._set(self.columns, self.cells[:i] + (cells,) + self.cells[i + 1:], self.height)
+        return t
+
+    @property
+    def rows(self) -> tuple[tuple[str, ...], ...]:
+        return tuple(_rows_of(self.cells, self.height))
 
     def column_names(self, role: str | None = None) -> list[str]:
         return [n for n, r in self.columns if role is None or r == role]
@@ -72,14 +90,31 @@ class Table:
         return names.index(_known(name, names, "column"))
 
     def column(self, name: str) -> list[str]:
-        return list(map(itemgetter(self._index(name)), self.rows))
+        return list(self.cells[self._index(name)])
 
     def project(self, names: list[str]) -> list[tuple[str, ...]]:
         """Each row's cells in the named columns, as tuples."""
-        idxs = list(map(self._index, names))
-        if len(idxs) == 1:  # itemgetter of one index returns the cell, not a tuple
-            return [(cell,) for cell in self.column(names[0])]
-        return list(map(itemgetter(*idxs), self.rows))
+        return list(_rows_of([self.cells[self._index(n)] for n in names], self.height))
+
+    def coded(self, name: str) -> tuple[tuple[str, ...], np.ndarray]:
+        """The column's sorted distinct values and each row's index into them, computed once.
+
+        ``categories[codes]`` is the column; the codes are read-only.
+        """
+        i = self._index(name)
+        if i not in self._codes:
+            cells = self.cells[i]
+            categories = tuple(sorted(set(cells)))
+            index = dict(zip(categories, range(len(categories))))
+            codes = np.fromiter(map(index.__getitem__, cells), dtype=np.intp, count=len(cells))
+            codes.flags.writeable = False
+            self._codes[i] = categories, codes
+        return self._codes[i]
+
+
+def _rows_of(cells, height: int):
+    """The rows of the columns ``cells``, as tuples; with no column, ``height`` empty rows."""
+    return zip(*cells) if cells else repeat((), height)
 
 
 @dataclass(frozen=True)
@@ -99,19 +134,35 @@ class AnonReport:
         return asdict(self)
 
 
-def _qi_classes(t: Table) -> Counter[tuple[str, ...]]:
-    """Row count of each equivalence class over all quasi-identifier columns."""
-    if not t.rows:
-        raise ValueError("table is empty")
-    qi = t.column_names("quasi-identifier")
-    if not qi:
-        raise ValueError("no quasi-identifier columns designated")
-    return Counter(t.project(qi))
+def _combined(codes: list[np.ndarray], radices: list[int]) -> tuple[np.ndarray, int]:
+    """One key per row for its combination of codes, and a bound on the keys.
+
+    The codes combine in mixed radix; where the radix product could
+    overflow ``intp``, the keys so far are first compacted to their rank.
+    """
+    key, span = codes[0], radices[0]
+    for c, k in zip(codes[1:], radices[1:]):
+        if span * k > _INTP_MAX:
+            ranks, key = np.unique(key, return_inverse=True)
+            span = len(ranks)
+        key, span = key * k + c, span * k
+    return key, span
+
+
+def _classes(t: Table, names: list[str]) -> tuple[np.ndarray, int]:
+    """Each row's equivalence class over the columns ``names``, below the returned bound."""
+    coded = [t.coded(n) for n in names]
+    return _combined([codes for _, codes in coded], [len(categories) for categories, _ in coded])
 
 
 def k_anonymity_level(t: Table) -> int:
     """Smallest equivalence-class size over the quasi-identifier columns."""
-    return min(_qi_classes(t).values())
+    if not t.height:
+        raise ValueError("table is empty")
+    qi = t.column_names("quasi-identifier")
+    if not qi:
+        raise ValueError("no quasi-identifier columns designated")
+    return int(np.unique(_classes(t, qi)[0], return_counts=True)[1].min())
 
 
 def linkage_attack(release: Table, auxiliary: Table) -> AnonReport:
@@ -121,6 +172,7 @@ def linkage_attack(release: Table, auxiliary: Table) -> AnonReport:
     size 1 (unique re-identification); homogeneity_rate is the fraction
     of matched classes carrying a single sensitive value (attribute
     disclosure even when k > 1). The release needs a sensitive column.
+    An auxiliary value absent from the release's column matches no class.
     """
     qi = release.column_names("quasi-identifier")
     aux_qi = set(auxiliary.column_names("quasi-identifier"))
@@ -130,25 +182,31 @@ def linkage_attack(release: Table, auxiliary: Table) -> AnonReport:
     sensitive = release.column_names("sensitive")
     if not sensitive:
         raise ValueError("release has no 'sensitive' column: homogeneity is undefined without one")
-    # the release's classes are counted once, on every quasi-identifier; merged by
-    # their shared cells they give the classes the auxiliary rows can join
-    classes = _qi_classes(release)
-    at = [qi.index(n) for n in shared]
-    sizes: Counter[tuple[str, ...]] = Counter()
-    for key, n in classes.items():
-        sizes[tuple(key[i] for i in at)] += n
-    keys = release.project(shared)
-    aux_keys = auxiliary.project(shared)
-    matched = sizes.keys() & set(aux_keys)
-    reid_hits = sum(1 for key in aux_keys if sizes.get(key) == 1)
-    # distinct sensitive values per class: count the distinct (key, value) pairs
-    spread = Counter(map(itemgetter(0), set(zip(keys, release.project(sensitive)))))
-    homogeneous = sum(1 for key in matched if spread[key] == 1)
-    log.debug("linkage_attack: %d classes, %d matched, %d auxiliary rows", len(sizes), len(matched), len(aux_keys))
+    k_achieved = k_anonymity_level(release)
+    # auxiliary cells take the release's codes (-1: absent from the release); the rows with
+    # no absent cell join the release's rows in one key space over the shared columns
+    coded = [release.coded(n) for n in shared]
+    aux = [np.fromiter(map(dict(zip(categories, range(len(categories)))).get, auxiliary.column(n), repeat(-1)),
+                       dtype=np.intp, count=auxiliary.height) for n, (categories, _) in zip(shared, coded)]
+    found = np.logical_and.reduce([codes >= 0 for codes in aux])
+    joined = _combined([np.concatenate((codes, a[found])) for (_, codes), a in zip(coded, aux)],
+                       [len(categories) for categories, _ in coded])[0]
+    keys, joined = np.unique(joined, return_inverse=True)
+    cls, aux_cls = joined[:release.height], joined[release.height:]
+    sizes = np.bincount(cls, minlength=len(keys))
+    matched = np.unique(aux_cls[sizes[aux_cls] > 0])
+    reid_hits = np.count_nonzero(sizes[aux_cls] == 1)
+    # distinct sensitive values per class: count the distinct (class, value) pairs
+    values, bound = _classes(release, sensitive)
+    pairs = np.unique(_combined([cls, values], [len(keys), bound])[0], return_index=True)[1]
+    spread = np.bincount(cls[pairs], minlength=len(keys))
+    homogeneous = np.count_nonzero(spread[matched] == 1)
+    log.debug("linkage_attack: %d classes, %d matched, %d auxiliary rows",
+              np.count_nonzero(sizes), len(matched), auxiliary.height)
     return AnonReport(
-        k_achieved=min(classes.values()),
-        homogeneity_rate=homogeneous / len(matched) if matched else 0.0,
-        reid_rate=reid_hits / len(aux_keys) if aux_keys else 0.0,
+        k_achieved=k_achieved,
+        homogeneity_rate=homogeneous / len(matched) if len(matched) else 0.0,
+        reid_rate=reid_hits / auxiliary.height if auxiliary.height else 0.0,
     )
 
 
@@ -172,29 +230,24 @@ def dp_release(
     row: bit for bit what ``rng.choice(k, p=row)`` per row draws.
     """
     _at_least(seed, 0, "seed")
-    col = t._index(sensitive_column)
-    values = t.column(sensitive_column)
-    categories = tuple(sorted(set(values)))
+    categories, codes = t.coded(sensitive_column)
     k = len(categories)
     _at_least(k, 2, f"categories in column {sensitive_column!r}")
-    index = {c: i for i, c in enumerate(categories)}
-    codes = np.fromiter(map(index.__getitem__, values), dtype=np.intp, count=len(values))
-    log.debug("dp_release: %d rows, %d categories", len(values), k)
+    log.debug("dp_release: %d rows, %d categories", t.height, k)
     _check_size(k * k, STATE_SPACE_CAP, f"a release channel over {k} categories has {k * k} cells")
     if eps is None:
         chan = Channel(categories, categories, np.eye(k))
         released = t
     else:
         chan = randomized_response(k, eps, outcomes=categories)
-        u = np.random.default_rng(seed).random(len(values))
+        u = np.random.default_rng(seed).random(t.height)
         cdf = chan.rows.cumsum(axis=1)
         cdf /= cdf[:, -1:]
         drawn = np.empty_like(codes)
         for c in range(k):
             rows_c = codes == c
             drawn[rows_c] = np.searchsorted(cdf[c], u[rows_c], side="right")
-        new_values = map(categories.__getitem__, drawn.tolist())
-        released = Table(t.columns, (row[:col] + (v,) + row[col + 1:] for row, v in zip(t.rows, new_values)))
+        released = t._replaced(t._index(sensitive_column), tuple(np.array(categories, dtype=object)[drawn].tolist()))
     counts = np.bincount(codes, minlength=k).astype(np.float64)
     cert = check_mi_bound(chan, Dist(categories, counts / counts.sum()))
     return released, cert
@@ -229,7 +282,8 @@ def read_table(csv_path, roles_path=None) -> Table:
 def table_files(t: Table, csv_path) -> list:
     """The ``(path, write)`` pairs of ``t`` as a CSV with its role sidecar beside it, where ``read_table`` looks."""
     roles = json.dumps({"roles": dict(t.columns)}, indent=2, sort_keys=True) + "\n"
-    return [(csv_path, lambda fh: csv.writer(fh, lineterminator="\n").writerows(chain([t.column_names()], t.rows))),
+    return [(csv_path, lambda fh: csv.writer(fh, lineterminator="\n").writerows(
+                chain([t.column_names()], _rows_of(t.cells, t.height)))),
             (default_roles_path(csv_path), lambda fh: fh.write(roles))]
 
 

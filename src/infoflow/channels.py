@@ -24,8 +24,8 @@ import numpy as np
 
 from ._kernels import mi_bits, scan_log_ratio
 from .measures import (
-    STATE_SPACE_CAP, SUM_TOL, Dist, Joint, _at_least, _check_keys, _check_labels, _check_size, _integer, _nonneg,
-    _stochastic,
+    INTEGERS, STATE_SPACE_CAP, SUM_TOL, Dist, Joint, _at_least, _check_keys, _check_labels, _check_size, _integer,
+    _nonneg, _stochastic,
 )
 
 log = logging.getLogger(__name__)
@@ -411,8 +411,8 @@ def bound_sweep(n_cases: int, seed: int = 0) -> SweepResult:
     An n_cases or seed that is not a Python or numpy integer, more than
     SWEEP_CASE_CAP cases, or a negative seed, are refused.
     """
-    _integer(n_cases, "n_cases", (int, np.integer))
-    _integer(seed, "seed", (int, np.integer))
+    _integer(n_cases, "n_cases", INTEGERS)
+    _integer(seed, "seed", INTEGERS)
     _at_least(n_cases, 1, "n_cases")
     _check_size(n_cases, SWEEP_CASE_CAP, f"a sweep of {n_cases} cases")
     _at_least(seed, 0, "seed")

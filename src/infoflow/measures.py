@@ -22,6 +22,8 @@ from ._kernels import entropy_bits, mi_bits
 
 SUM_TOL = 1e-9
 
+INTEGERS = (int, np.integer)  # the integer types a record or check accepts where numpy may hand it one
+
 STATE_SPACE_CAP = 2**22  # cells of a dense table: a net's joint, a randomized-response matrix, a composed channel
 
 
@@ -136,10 +138,10 @@ def _check_id(value, what: str, key=None, reserved: str = "") -> None:
 
 
 def _integer(value, what: str, kinds=int) -> int:
-    """Refuse a value that is not an integer of ``kinds`` (a boolean, a string or a float such as 2.7 or 1e308)."""
+    """``value`` as an ``int``; refused unless an integer of ``kinds`` (so a bool, a str or a float such as 1e308)."""
     if isinstance(value, bool) or not isinstance(value, kinds):
         raise ValueError(f"{what} must be an integer, got {value!r}")
-    return value
+    return int(value)
 
 
 def _number(value, what: str, key=None) -> float:

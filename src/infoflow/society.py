@@ -31,8 +31,8 @@ import numpy as np
 
 from .channels import _check_rr, dp_to_mi_bound
 from .measures import (
-    InfoMeasure, _at_least, _check_id, _check_keys, _check_size, _distinct, _integer, _known, _nonneg, _number,
-    _unit, load_json,
+    INTEGERS, InfoMeasure, _at_least, _check_id, _check_keys, _check_size, _distinct, _integer, _known, _nonneg,
+    _number, _unit, load_json,
 )
 
 GOVERNANCE_TAGS = (
@@ -61,7 +61,7 @@ class ReleaseMechanism:
     eps: float
 
     def __post_init__(self):
-        _integer(self.k, "mechanism k")
+        object.__setattr__(self, "k", _integer(self.k, "mechanism k", INTEGERS))
         object.__setattr__(self, "eps", _number(self.eps, "mechanism eps"))
         _known(self.kind, ("randomized-response",), "mechanism kind")
         _check_rr(self.k, self.eps)
@@ -79,7 +79,8 @@ class DatumRecord:
     mechanism: ReleaseMechanism | None = None
 
     def __post_init__(self):
-        _at_least(_integer(self.domain_size, "datum domain_size"), 1, "domain_size")
+        object.__setattr__(self, "domain_size", _integer(self.domain_size, "datum domain_size", INTEGERS))
+        _at_least(self.domain_size, 1, "domain_size")
         _check_id(self.datum, "datum id", reserved=_ID_SEPARATORS)
         _check_id(self.value, "value of datum ", self.datum)
         _check_id(self.owner, "owner of datum ", self.datum)
@@ -380,14 +381,18 @@ class Scenario:
     attribution: dict | None = None  # the block as the document gives it: causal.load_attribution reads and checks it
 
     def __post_init__(self):
-        _at_least(_integer(self.seed, "seed"), 0, "seed")
-        _at_least(_integer(self.ticks, "ticks"), 0, "ticks")
-        _window(self.window)
+        object.__setattr__(self, "seed", _integer(self.seed, "seed", INTEGERS))
+        _at_least(self.seed, 0, "seed")
+        object.__setattr__(self, "ticks", _integer(self.ticks, "ticks", INTEGERS))
+        _at_least(self.ticks, 0, "ticks")
+        object.__setattr__(self, "window", _window(self.window))
 
 
-def _window(window: int) -> None:
-    """The window rule: an integer >= 1 of ticks that one context spans."""
-    _at_least(_integer(window, "window"), 1, "window")
+def _window(window: int) -> int:
+    """The window rule: an integer >= 1 of ticks that one context spans, as an ``int``."""
+    window = _integer(window, "window", INTEGERS)
+    _at_least(window, 1, "window")
+    return window
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 from importlib import resources
@@ -51,7 +52,7 @@ class TestKAnonymity:
         assert k_anonymity_level(fixture_release()) == 2
 
     def test_empty_table(self):
-        with pytest.raises(ValueError, match="empty"):
+        with pytest.raises(ValueError, match="^table is empty$"):
             k_anonymity_level(Table((("zip", QI),), ()))
 
     def test_requires_quasi_identifiers(self):
@@ -131,6 +132,27 @@ class TestLinkageAttack:
         assert report.to_json_dict() == naive_linkage(columns, rows, aux_columns, aux_rows)
 
 
+    def test_matches_naive_join_when_the_class_keys_overflow_a_radix(self):
+        # 8 quasi-identifiers of 300 categories each: 300**8 > 2**63 keys, so the codes are compacted.
+        # Two rows 2**64 apart in mixed radix would share one wrapped int64 key without it.
+        rng = np.random.default_rng(5)
+        codes = rng.permuted(np.tile(np.arange(300), (8, 2)), axis=1).T.tolist()
+        codes += [[0] * 8, [2**64 // 300**p % 300 for p in range(7, -1, -1)]]
+        base = [tuple(f"v{c:03d}" for c in row) for row in codes]
+        qi = [f"q{i}" for i in range(8)]
+        columns = [(n, QI) for n in qi] + [("diag", "sensitive")]
+        rows = [key + (f"d{int(rng.integers(2))}",) for key in base[:-2] for _ in range(int(rng.integers(1, 4)))]
+        rows += [base[-2] + ("d0",), base[-1] + ("d1",)]
+        aux_columns = [("who", "identifier")] + [(n, QI) for n in reversed(qi)]
+        picks = [*rng.choice(len(base) - 2, size=200, replace=False), len(base) - 2, len(base) - 1]
+        aux_rows = [(f"p{i}",) + base[i][::-1] for i in picks] + [("x",) + ("v000",) * 7 + ("absent",)]
+        release = Table(tuple(columns), tuple(rows))
+        assert math.prod(len(release.coded(n)[0]) for n in qi) == 300**8 > 2**63
+        report = linkage_attack(release, Table(tuple(aux_columns), tuple(aux_rows)))
+        assert report.to_json_dict() == naive_linkage(columns, rows, aux_columns, aux_rows)
+        assert 0 < report.homogeneity_rate < 1 and 0 < report.reid_rate < 1
+
+
 class TestAnonReport:
     @pytest.mark.parametrize(
         "fields, message",
@@ -172,6 +194,14 @@ class TestDpRelease:
         domain = set(fixture_release().column("diagnosis"))
         assert set(released.column("diagnosis")) <= domain
         assert released.column_names() == fixture_release().column_names()
+
+    def test_input_table_is_left_unchanged(self):
+        t = fixture_release()
+        rows, codes = t.rows, t.coded("diagnosis")[1].copy()
+        released, _ = dp_release(t, "diagnosis", 0.3, seed=2)
+        assert released.rows != rows
+        assert t.rows == rows == fixture_release().rows
+        assert np.array_equal(t.coded("diagnosis")[1], codes)
 
     def test_deterministic_under_seed(self):
         a, _ = dp_release(fixture_release(), "diagnosis", 0.7, seed=11)
@@ -256,6 +286,14 @@ class TestTableIo:
         with pytest.raises(ValueError, match="cells"):
             Table((("a", QI), ("b", QI)), (("1",),))
 
+    def test_ragged_row_named_by_index(self):
+        with pytest.raises(ValueError, match=re.escape("row 2 has 3 cells, expected 2")):
+            Table((("a", QI), ("b", QI)), (("1", "2"), ("3", "4"), ("5", "6", "7"), ("8",)))
+
+    def test_unhashable_cell_rejected_by_type(self):
+        with pytest.raises(ValueError, match="^table cells must be strings, found list$"):
+            Table((("a", QI), ("b", QI)), (("1", "2"), ("3", ["4"])))
+
     def test_integer_cell_rejected(self):
         with pytest.raises(ValueError, match="table cells must be strings, found int"):
             Table((("a", QI), ("b", QI)), (("1", "2"), ("3", 5)))
@@ -264,3 +302,46 @@ class TestTableIo:
     def test_non_string_column_name_or_role_rejected(self, column):
         with pytest.raises(ValueError, match="column names and roles must be strings"):
             Table((column,), (("1",),))
+
+
+class TestColumnarTable:
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_views_round_trip_the_rows(self, data):
+        width = data.draw(st.integers(0, 4))
+        names = [f"c{i}" for i in range(width)]
+        columns = tuple((n, data.draw(st.sampled_from(["identifier", QI, "sensitive"]))) for n in names)
+        rows = data.draw(st.lists(st.tuples(*[st.text(max_size=3)] * width), max_size=10))
+        rows += data.draw(st.lists(st.sampled_from(rows), max_size=4)) if rows else []  # duplicate rows
+        t = Table(columns, iter(rows))
+        assert t.height == len(rows)
+        assert t.rows == tuple(rows)
+        picked = data.draw(st.lists(st.sampled_from(names), max_size=5)) if names else []
+        assert t.project(picked) == [tuple(row[names.index(n)] for n in picked) for row in rows]
+        for i, name in enumerate(names):
+            column = [row[i] for row in rows]
+            assert t.column(name) == column
+            categories, codes = t.coded(name)
+            assert categories == tuple(sorted(set(column)))
+            assert [categories[c] for c in codes] == column
+            assert codes.dtype == np.intp and not codes.flags.writeable
+            assert t.coded(name)[1] is codes  # computed once
+
+    def test_table_is_immutable(self):
+        t = fixture_release()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            t.cells = ()
+        with pytest.raises(ValueError, match="read-only"):
+            t.coded("zip")[1][0] = 1
+        assert t == fixture_release() and hash(t) == hash(fixture_release())
+
+    def test_zero_column_table_keeps_its_row_count(self):
+        t = Table((), [(), (), ()])
+        assert t.height == 3
+        assert t.rows == ((), (), ())
+        assert t.project([]) == [(), (), ()]
+
+    def test_empty_table_stays_empty(self):
+        t = Table((("a", QI), ("b", "sensitive")), [])
+        assert (t.height, t.rows, t.column("a"), t.project(["b", "a"])) == (0, (), [], [])
+        assert t.coded("b")[0] == () and t.coded("b")[1].shape == (0,)

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import csv
 import io
 import json
 import logging
@@ -19,10 +20,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import infoflow
-from infoflow import causal, cli, society
+from infoflow import causal, cli, randomized_response, society
 from infoflow.cli import _emit, main
 from infoflow.society import write_events_jsonl, write_ledger_json
-from helpers import joint_cells, mi_cells
+from helpers import joint_cells, mi_cells, rr_release_oracle
 
 LN3 = math.log(3)
 GOLDEN = Path(__file__).parent / "golden"
@@ -437,6 +438,27 @@ class TestAnon:
         assert json.loads(out)["bound_sh"] == pytest.approx(math.log2(3), abs=1e-9)
         assert (tmp_path / "released.csv").exists()
         assert (tmp_path / "released.csv.roles.json").exists()
+
+    def test_dp_release_out_is_the_bytes_of_the_per_row_oracle(self, tmp_path, capsys):
+        # 20k rows whose cells hold commas and quotes: the written release is what csv.writer
+        # makes of the rows that one rng.choice per row draws
+        n, eps, seed = 20000, 0.9, 11
+        header = ["zip", "s", "note", "age"]
+        sensitive = ['a,b', 'say "hi"', "plain", '"', ","]
+        rows = [[f"1{i % 37:04d}", sensitive[(i * 7) % 5], f'n"{i % 3}",x', str(i % 90)] for i in range(n)]
+        release = tmp_path / "t.csv"
+        with open(release, "w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([header] + rows)
+        roles = {"zip": "quasi-identifier", "s": "sensitive", "note": "identifier", "age": "quasi-identifier"}
+        (tmp_path / "t.csv.roles.json").write_text(json.dumps({"roles": roles}))
+        out = tmp_path / "released.csv"
+        argv = ["anon", str(release), "--dp", f"eps={eps}", "--sensitive", "s", "--seed", str(seed)]
+        assert run_cli(*argv, "--release-out", str(out), capsys=capsys)[0] == 0
+        drawn = rr_release_oracle([row[1] for row in rows], randomized_response(5, eps).rows, seed)
+        expected = io.StringIO(newline="")
+        released = [[row[0], value, *row[2:]] for row, value in zip(rows, drawn)]
+        csv.writer(expected, lineterminator="\n").writerows([header] + released)
+        assert out.read_bytes() == expected.getvalue().encode()
 
     def test_disjoint_aux(self, tmp_path, capsys):
         (tmp_path / "aux.csv").write_text("zip,age\n999,90-99\n")

@@ -928,6 +928,19 @@ class TestScenarioJson:
         with pytest.raises(ValueError, match=re.escape(message)):
             two_entity_scenario(**overrides)
 
+    def test_numpy_integers_are_accepted_and_stored_as_ints(self):
+        # as bound_sweep does; the records keep Python ints, so they stay JSON-safe
+        mechanism = ReleaseMechanism("randomized-response", np.int64(3), 1.0)
+        datum = DatumRecord("d", "v", "alice", "conjunct", domain_size=np.int32(3), mechanism=mechanism)
+        society = two_entity_scenario().society
+        scenario = Scenario(society, seed=np.int64(5), ticks=np.uint8(2), window=np.int16(3))
+        values = [mechanism.k, datum.domain_size, scenario.seed, scenario.ticks, scenario.window]
+        assert values == [3, 3, 5, 2, 3]
+        assert {type(v) for v in values} == {int}
+        assert json.dumps(values) == "[3, 3, 5, 2, 3]"
+        plain = Scenario(society, seed=5, ticks=2, window=3)
+        assert simulate(scenario).records() == simulate(plain).records()
+
     @pytest.mark.parametrize(
         "record, edit, message",
         [
