@@ -51,33 +51,44 @@ def _has_bool(values) -> bool:
     return False
 
 
-def _stochastic(values, shape: tuple[int, ...], what: str, rows: bool = False) -> np.ndarray:
+def _stochastic(values, shape: tuple[int, ...], what: str, rows: bool = False, stacked: bool = False) -> np.ndarray:
     """Frozen float64 copy of a table of numbers >= 0 (not NaN) that sum, or per row sum, to 1.
 
     A table with a cell that is not a number (a string, boolean or null cell) is refused. Booleans
     are looked for before numpy reads the table, which would take ``[true, 0]`` as the integers
-    ``[1, 0]``; an ndarray is taken as numpy already read it. A table given as lists, as a document
-    holds it, with a cell above 1 + SUM_TOL (which no stochastic table has) is refused before a
-    cell near the float maximum can overflow its sum.
+    ``[1, 0]``; an ndarray is taken as numpy already read it. A table with a cell above
+    1 + SUM_TOL (which no stochastic table has) is refused before a cell near the float maximum can
+    overflow its sum. ``stacked`` checks a stack of tables of ``shape`` along the first axis in one
+    pass; the first table in it that breaks a rule is refused in the words it would get alone.
     """
     a = np.array(values)
     if a.dtype.kind not in "iuf" or _has_bool(values):
         raise ValueError(f"{what} has an entry that is not a number: a string, a boolean or a null (NaN)")
     a = a.astype(np.float64, copy=False)
-    if a.shape != shape:
-        raise ValueError(f"{what} has shape {a.shape}, expected {shape}")
+    if a.shape[stacked:] != shape:
+        raise ValueError(f"{what} has shape {a.shape[stacked:]}, expected {shape}")
     if not a.min() >= 0:
         raise ValueError(f"{what} has a negative or NaN entry")
-    if not isinstance(values, np.ndarray) and a.max() > 1.0 + SUM_TOL:
+    if a.max() > 1.0 + SUM_TOL:
         raise ValueError(f"{what} has an entry above 1")
-    if rows:
-        deviation = np.abs(a.sum(axis=1) - 1.0)
+    if rows or stacked:
+        # the sum of each row, along the last axis, or of each table in a stack
+        deviation = np.abs((a if rows else a.reshape(len(a), -1)).sum(axis=-1) - 1.0)
         if deviation.max() > SUM_TOL:
+            if stacked:  # refuse the first bad table by its own message
+                _stochastic(a[np.argwhere(deviation > SUM_TOL)[0, 0]], shape, what, rows)
             raise ValueError(f"{what} rows {np.flatnonzero(deviation > SUM_TOL).tolist()} are not stochastic")
     elif abs(a.sum() - 1.0) > SUM_TOL:
         raise ValueError(f"{what} sums to {a.sum()}, not 1")
     a.setflags(write=False)
     return a
+
+
+def _prechecked(cls, **fields):
+    """A frozen dataclass ``cls`` holding ``fields`` that passed its checks already, built without ``__post_init__``."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)  # a frozen dataclass refuses setattr; its instance dict does not
+    return obj
 
 
 # A ``key`` given to a rule below is written, as its repr, after ``what`` in a refusal, so a caller that checks many

@@ -32,7 +32,7 @@ import numpy as np
 from .channels import _check_rr, dp_to_mi_bound
 from .measures import (
     INTEGERS, InfoMeasure, _at_least, _check_id, _check_keys, _check_size, _distinct, _integer, _known, _nonneg,
-    _number, _unit, load_json,
+    _number, _prechecked, _unit, load_json,
 )
 
 GOVERNANCE_TAGS = (
@@ -240,10 +240,7 @@ class Ledger:
     @classmethod
     def of(cls, society: Society) -> Ledger:
         """An empty ledger that reads ``society``'s budgets, which the society checked: one copy, checked once."""
-        ledger = cls.__new__(cls)
-        object.__setattr__(ledger, "budgets", society.budgets)
-        object.__setattr__(ledger, "cumulative", {})
-        return ledger
+        return _prechecked(cls, budgets=society.budgets, cumulative={})
 
     def headroom(self, sender: str, receiver: str, datum: str) -> float | None:
         cap = self.budgets.get(datum)

@@ -447,6 +447,91 @@ class TestSweepStreams:
         assert all(np.array_equal(groups[shape], np.stack(expected[shape])) for shape in groups)
 
 
+def spoil_nan(table):
+    table.flat[1] = np.nan
+
+
+def spoil_sum(table):
+    table[-1] *= 0.5  # a channel's last row, or a prior's last cell
+
+
+class TestSweepGroupCheck:
+    """A sweep checks each (seeding chunk, shape) group's rows and priors once; each case is still certified."""
+
+    def refusal(self, build):
+        with pytest.raises(ValueError) as refused:
+            build()
+        return str(refused.value)
+
+    @pytest.mark.parametrize("spoil", [spoil_nan, spoil_sum])
+    def test_a_bad_channel_draw_is_refused_as_its_channel_is(self, spoil, monkeypatch):
+        spoiled, channel_rows = [], channels._channel_rows
+
+        def bad_rows(draws):
+            rows = channel_rows(draws)
+            if len(spoiled) == 0 and len(rows) > 2:  # the middle case of the first group of three or more
+                spoil(rows[len(rows) // 2])
+                spoiled.append(rows[len(rows) // 2].copy())
+            return rows
+
+        monkeypatch.setattr(channels, "_channel_rows", bad_rows)
+        message = self.refusal(lambda: bound_sweep(200, seed=4))
+        n_in, n_out = spoiled[0].shape
+        inputs, outputs = tuple(f"x{i}" for i in range(n_in)), tuple(f"y{j}" for j in range(n_out))
+        assert message == self.refusal(lambda: Channel(inputs, outputs, spoiled[0]))
+
+    @pytest.mark.parametrize("spoil", [spoil_nan, spoil_sum])
+    def test_a_bad_prior_draw_is_refused_as_its_dist_is(self, spoil, monkeypatch):
+        spoiled, flat_dirichlet = [], channels._flat_dirichlet
+
+        def bad_priors(draws):
+            table = flat_dirichlet(draws)
+            if table.ndim == 2 and len(spoiled) == 0 and len(table) > 2:  # a group's priors, not its rows
+                spoil(table[1])
+                spoiled.append(table[1].copy())
+            return table
+
+        monkeypatch.setattr(channels, "_flat_dirichlet", bad_priors)
+        message = self.refusal(lambda: bound_sweep(200, seed=4))
+        inputs = tuple(f"x{i}" for i in range(len(spoiled[0])))
+        assert message == self.refusal(lambda: Dist(inputs, spoiled[0]))
+
+    def test_one_check_of_rows_and_one_of_priors_per_group(self, monkeypatch):
+        checks, stochastic = [], channels._stochastic
+
+        def counted(values, shape, what, **kwargs):
+            checks.append((len(values), what))
+            return stochastic(values, shape, what, **kwargs)
+
+        monkeypatch.setattr(channels, "_stochastic", counted)
+        chunk = channels._SEED_CHUNK
+        groups = [channels._shape_groups(5, start, min(start + chunk, 2500)) for start in range(0, 2500, chunk)]
+        bound_sweep(2500, seed=5)
+        assert len(checks) == 2 * sum(map(len, groups)) < 2500 / 8  # at most 49 shapes a chunk
+        assert [what for _, what in checks] == ["channel", "probs"] * (len(checks) // 2)
+        assert sum(n for n, what in checks if what == "channel") == 2500
+
+    def test_each_case_is_certified_from_read_only_views_of_its_group(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError(f"{type(self).__name__} checked again in a sweep")
+
+        cases, certify = [], channels.check_mi_bound
+
+        def recorded(c, prior):
+            cases.append((c, prior))
+            return certify(c, prior)
+
+        monkeypatch.setattr(Channel, "__post_init__", refuse)
+        monkeypatch.setattr(Dist, "__post_init__", refuse)
+        monkeypatch.setattr(channels, "check_mi_bound", recorded)
+        bound_sweep(300, seed=6)
+        assert len(cases) == 300
+        for c, prior in cases:
+            assert not c.rows.flags.writeable and not prior.probs.flags.writeable
+            assert c.rows.base is not None and prior.probs.base is not None
+            assert prior.outcomes == c.input_outcomes == tuple(f"x{i}" for i in range(len(c.rows)))
+
+
 class TestChannelType:
     def test_rejects_non_stochastic(self):
         with pytest.raises(ValueError, match="not stochastic"):

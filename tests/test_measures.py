@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from infoflow import CapacityError, Dist, InfoMeasure, Joint, entropy, mutual_information
 from infoflow.causal import Node
 from infoflow.channels import Channel, randomized_response
-from infoflow.measures import _at_least, _check_size, _distinct, _has_bool, _known, _nonneg, _number, _unit
+from infoflow.measures import (
+    _at_least, _check_size, _distinct, _has_bool, _known, _nonneg, _number, _stochastic, _unit,
+)
 from helpers import entropy_cells, has_bool_recursive, mi_cells
 
 
@@ -124,6 +126,77 @@ def test_every_labeled_type_refuses_labels_that_are_not_strings(build, label):
 def test_a_string_is_refused_where_a_list_belongs(build, what):
     with pytest.raises(ValueError, match=f"^{what} must be a list, got the string "):
         build()
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Channel(("a", "b"), ("x", "y"), [[0.5, 0.4], [0.5, 0.5]]), "channel rows [0] are not stochastic"),
+        (lambda: Channel(("a", "b"), ("x", "y"), [[2.0, 0.0], [0.5, 0.5]]), "channel has an entry above 1"),
+        (lambda: Channel(("a",), ("x", "y"), [[0.5, 0.5], [0.5, 0.5]]), "channel has shape (2, 2), expected (1, 2)"),
+        (lambda: Node("C", ("0", "1"), ("A",), [[0.5, 0.5], [0.3, 0.3]]), "cpt of 'C' rows [1] are not stochastic"),
+        (lambda: Dist(("a", "b"), [0.5, 0.4]), "probs sums to 0.9, not 1"),
+        (lambda: Dist(("a", "b"), np.array([1.5, -0.5])), "probs has a negative or NaN entry"),
+        (lambda: Joint(("a", "b"), ("x",), [[0.5], [0.25]]), "mass sums to 0.75, not 1"),
+    ],
+)
+def test_table_refusals_word_for_word(build, message):
+    with pytest.raises(ValueError) as refused:
+        build()
+    assert str(refused.value) == message
+
+
+def test_an_ndarray_near_the_float_maximum_is_refused_before_its_sum_overflows():
+    # an overflowing sum would warn, and the suite turns a warning into a failure
+    with pytest.raises(ValueError, match="^channel has an entry above 1$"):
+        Channel(("a", "b"), ("x", "y"), np.array([[1e308, 1e308], [0.5, 0.5]]))
+
+
+class TestStack:
+    """A stack of tables is checked in one pass and refused in the words its first bad table gets alone."""
+
+    @staticmethod
+    def rows(shape, seed=0):
+        draws = np.random.default_rng(seed).random(shape) + 0.1
+        return draws / draws.sum(axis=-1, keepdims=True)
+
+    def refusal(self, *args, **kwargs):
+        with pytest.raises(ValueError) as refused:
+            _stochastic(*args, **kwargs)
+        return str(refused.value)
+
+    def test_an_accepted_stack_is_a_frozen_copy(self):
+        stack = self.rows((6, 3, 4))
+        checked = _stochastic(stack, (3, 4), "channel", rows=True, stacked=True)
+        assert np.array_equal(checked, stack) and checked is not stack
+        assert not checked.flags.writeable and not checked[2].flags.writeable
+
+    @pytest.mark.parametrize("spoil", ["halve", "nan", "negative"])
+    @pytest.mark.parametrize("case, row", [(0, 0), (3, 2), (5, 1)])
+    def test_one_bad_row_of_one_table(self, spoil, case, row):
+        stack = self.rows((6, 3, 4), seed=case)
+        stack[case, row] *= 0.5
+        if spoil != "halve":
+            stack[case, row, 1] = np.nan if spoil == "nan" else -0.1
+        message = self.refusal(stack, (3, 4), "channel", rows=True, stacked=True)
+        assert message == self.refusal(stack[case], (3, 4), "channel", rows=True)
+
+    def test_the_first_bad_table_is_named(self):
+        stack = self.rows((6, 3, 4))
+        stack[2, 1] *= 0.5
+        stack[4] *= 0.5
+        message = self.refusal(stack, (3, 4), "channel", rows=True, stacked=True)
+        assert message == "channel rows [1] are not stochastic"
+
+    @pytest.mark.parametrize("case", [0, 4])
+    def test_one_bad_table_of_a_stack_of_distributions(self, case):
+        stack = self.rows((5, 3), seed=case)
+        stack[case] *= 0.75
+        message = self.refusal(stack, (3,), "probs", stacked=True)
+        assert message == self.refusal(stack[case], (3,), "probs") == f"probs sums to {stack[case].sum()}, not 1"
+
+    def test_tables_of_the_wrong_shape(self):
+        assert self.refusal(self.rows((4, 3)), (2,), "probs", stacked=True) == "probs has shape (3,), expected (2,)"
 
 
 class TestDist:
