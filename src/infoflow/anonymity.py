@@ -14,10 +14,11 @@ homogeneity attack succeeds with k-anonymity formally intact.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import logging
 from dataclasses import asdict, dataclass, field
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from operator import itemgetter
 from pathlib import Path
 
@@ -41,7 +42,10 @@ class Table:
     ``Table(columns, rows)`` consumes ``rows``, any iterable of rows,
     once. A column name, role or cell that is not a string is refused,
     not converted. ``cells`` holds one tuple per column; ``rows``,
-    ``column`` and ``project`` are views built from it.
+    ``column`` and ``project`` are views built from it. ``Table._of``
+    builds a table from columns that ``_checked_columns`` passed and from
+    string cells without checking them again; ``read_table``'s split
+    path and the column swap of ``dp_release`` use it.
     """
 
     columns: tuple[tuple[str, str], ...]  # (name, role)
@@ -50,12 +54,7 @@ class Table:
     _codes: dict = field(compare=False, repr=False)  # column index -> (categories, codes), filled by coded
 
     def __init__(self, columns, rows):
-        columns = tuple((n, r) for n, r in columns)
-        if set(map(type, chain.from_iterable(columns))) - {str}:
-            raise ValueError(f"column names and roles must be strings, got {columns}")
-        _distinct([n for n, _ in columns], "column names")
-        for _, role in columns:
-            _known(role, ROLES, "column role")
+        columns = _checked_columns(columns)
         width = len(columns)
         rows = tuple(map(tuple, rows))  # tuples of strings, unlike lists, drop out of the garbage collector's scans
         if set(map(len, rows)) - {width}:
@@ -67,15 +66,20 @@ class Table:
             raise ValueError(f"table cells must be strings, found {', '.join(sorted(t.__name__ for t in odd))}")
         self._set(columns, cells, len(rows))
 
+    @classmethod
+    def _of(cls, columns, cells, height: int) -> Table:
+        """The table of ``columns`` that ``_checked_columns`` passed and of string ``cells``, built unchecked."""
+        t = object.__new__(cls)
+        t._set(columns, cells, height)
+        return t
+
     def _set(self, columns, cells, height) -> None:
         for name, value in (("columns", columns), ("cells", cells), ("height", height), ("_codes", {})):
             object.__setattr__(self, name, value)
 
     def _replaced(self, i: int, cells: tuple[str, ...]) -> Table:
         """This table with column ``i`` replaced by ``cells``, unchecked: the caller draws them from its categories."""
-        t = object.__new__(Table)
-        t._set(self.columns, self.cells[:i] + (cells,) + self.cells[i + 1:], self.height)
-        return t
+        return Table._of(self.columns, self.cells[:i] + (cells,) + self.cells[i + 1:], self.height)
 
     @property
     def rows(self) -> tuple[tuple[str, ...], ...]:
@@ -110,6 +114,17 @@ class Table:
             codes.flags.writeable = False
             self._codes[i] = categories, codes
         return self._codes[i]
+
+
+def _checked_columns(columns) -> tuple[tuple[str, str], ...]:
+    """``columns`` as (name, role) pairs, refused unless each is a string, the names distinct and the roles known."""
+    columns = tuple((n, r) for n, r in columns)
+    if set(map(type, chain.from_iterable(columns))) - {str}:
+        raise ValueError(f"column names and roles must be strings, got {columns}")
+    _distinct([n for n, _ in columns], "column names")
+    for _, role in columns:
+        _known(role, ROLES, "column role")
+    return columns
 
 
 def _rows_of(cells, height: int):
@@ -263,12 +278,25 @@ def default_roles_path(csv_path) -> Path:
 
 
 def read_table(csv_path, roles_path=None) -> Table:
-    """Load a CSV with its JSON sidecar declaring column roles."""
+    """Load a CSV with its JSON sidecar declaring column roles.
+
+    The CSV is read in the csv module's default (excel) dialect: quoted
+    fields and ``\\n``, ``\\r\\n`` or ``\\r`` line ends are accepted. The file's
+    text is read whole; text that ``_split_columns`` can split is split by
+    column, and any other text goes through ``csv.reader``. Both give the
+    same table, and every refusal is ``csv.reader``'s or ``Table``'s.
+    """
     roles_path = default_roles_path(csv_path) if roles_path is None else Path(roles_path)
     roles = load_json(roles_path, lambda doc: dict(_check_keys(doc, ("roles",), "roles sidecar")["roles"].items()))
-    with open(csv_path, newline="") as fh, malformed(csv_path):
-        reader = csv.reader(fh)
-        header = next(reader, None)
+    with malformed(csv_path):
+        with open(csv_path, newline="") as fh:
+            text = fh.read()
+        split = _split_columns(text)
+        if split is None:
+            reader = csv.reader(io.StringIO(text, newline=""))
+            header = next(reader, None)
+        else:
+            header, cells, height = split
         if header is None:
             raise ValueError("no header row")
         missing = [n for n in header if n not in roles]
@@ -276,14 +304,67 @@ def read_table(csv_path, roles_path=None) -> Table:
             raise ValueError(f"sidecar {roles_path} missing roles for columns {missing}")
         for n in roles:
             _known(n, header, "roles sidecar column")
-        return Table(tuple((n, roles[n]) for n in header), reader)
+        columns = tuple((n, roles[n]) for n in header)
+        if split is None:
+            return Table(columns, reader)
+        return Table._of(_checked_columns(columns), cells, height)
+
+
+def _split_columns(text: str):
+    """``(header, cells, height)`` of CSV ``text`` split by column without the csv module, or None.
+
+    In text with no quote char and no NUL, ``csv.reader`` ends a row at each
+    ``\\r\\n``, ``\\r`` or ``\\n`` and a field at each comma. Such text is split
+    here if it has no empty row, every row as wide as the header and no row
+    longer than the csv field limit; any other text gets None.
+    """
+    if not text or '"' in text or "\0" in text:
+        return None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    text = text.removesuffix("\n")
+    lines = text.split("\n")
+    width = lines[0].count(",") + 1
+    if ("" in lines or set(map(str.count, lines, repeat(","))) != {width - 1}
+            or max(map(len, lines)) > csv.field_size_limit()):
+        return None
+    height = len(lines) - 1
+    del lines  # the rows' strings are let go before the cells are made
+    flat = text.replace("\n", ",").split(",")
+    return flat[:width], tuple(tuple(flat[i::width]) for i in range(width, 2 * width)), height
+
+
+_CHUNK_ROWS = 4096  # rows joined into one text at a time by _write_rows
+
+
+def _write_rows(fh, rows) -> None:
+    """Write ``rows`` to ``fh``, the bytes that ``csv.writer(fh, lineterminator="\\n")`` writes.
+
+    Rows are joined a chunk at a time. A chunk with a cell that the writer
+    quotes or that would not read back (one holding a comma, quote char,
+    ``\\r``, ``\\n`` or NUL, or the empty cell of a one-column row) goes
+    through the writer, whose output is its rows' texts in turn.
+    """
+    writer = csv.writer(fh, lineterminator="\n")
+    rows = iter(rows)
+    while chunk := list(islice(rows, _CHUNK_ROWS)):
+        text = "\n".join(map(",".join, chunk)) + "\n"
+        width = len(chunk[0])
+        if (text.count(",") == len(chunk) * (width - 1) and text.count("\n") == len(chunk)
+                and not any(c in text for c in '"\r\0') and (width != 1 or "\n\n" not in "\n" + text)):
+            fh.write(text)
+        else:
+            writer.writerows(chunk)
 
 
 def table_files(t: Table, csv_path) -> list:
-    """The ``(path, write)`` pairs of ``t`` as a CSV with its role sidecar beside it, where ``read_table`` looks."""
+    """The ``(path, write)`` pairs of ``t`` as a CSV with its role sidecar beside it, where ``read_table`` looks.
+
+    The CSV is what ``csv.writer(lineterminator="\\n")`` writes of the header
+    and rows, byte for byte (``_write_rows``).
+    """
     roles = json.dumps({"roles": dict(t.columns)}, indent=2, sort_keys=True) + "\n"
-    return [(csv_path, lambda fh: csv.writer(fh, lineterminator="\n").writerows(
-                chain([t.column_names()], _rows_of(t.cells, t.height)))),
+    return [(csv_path, lambda fh: _write_rows(fh, chain([t.column_names()], _rows_of(t.cells, t.height)))),
             (default_roles_path(csv_path), lambda fh: fh.write(roles))]
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
+import re
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -207,7 +208,9 @@ def check_mi_bound(c: Channel, prior: Dist) -> BoundCertificate:
 def compose(c1: Channel, c2: Channel) -> Channel:
     """Product channel releasing both outputs of two independent invocations.
 
-    p(y1,y2|x) = p1(y1|x) * p2(y2|x); output labels are "(y1,y2)". A
+    p(y1,y2|x) = p1(y1|x) * p2(y2|x); output labels are "(y1,y2)", each
+    backslash, comma and parenthesis of y1 and y2 escaped by a backslash
+    (``_escaped``), so distinct pairs keep distinct labels. A
     product of more than STATE_SPACE_CAP cells is refused before it is
     built. Its rows are divided by their sums as ``_renormalised`` says,
     so a product of accepted channels is accepted. Its eps never exceeds
@@ -221,9 +224,15 @@ def compose(c1: Channel, c2: Channel) -> Channel:
     n_in, n1, n2 = len(c1.input_outcomes), len(c1.output_outcomes), len(c2.output_outcomes)
     cells = n_in * n1 * n2
     _check_size(cells, STATE_SPACE_CAP, f"the product of a {n_in}x{n1} and a {n_in}x{n2} channel has {cells} cells")
-    outputs = tuple(f"({a},{b})" for a in c1.output_outcomes for b in c2.output_outcomes)
+    second = tuple(map(_escaped, c2.output_outcomes))
+    outputs = tuple(f"({a},{b})" for a in map(_escaped, c1.output_outcomes) for b in second)
     rows = (c1.rows[:, :, None] * c2.rows[:, None, :]).reshape(n_in, -1)
     return Channel(c1.input_outcomes, outputs, _renormalised(rows, rows.sum(axis=1, keepdims=True)))
+
+
+def _escaped(label: str) -> str:
+    """``label`` with a backslash before each ``\\``, ``,``, ``(`` and ``)``; a label with none is returned as is."""
+    return re.sub(r"([\\,()])", r"\\\1", label)
 
 
 def post_process(c: Channel, fn) -> Channel:

@@ -301,6 +301,34 @@ def naive_linkage(release_columns, release_rows, aux_columns, aux_rows) -> dict:
     }
 
 
+def naive_read_table(csv_path, roles_path=None):
+    """The table ``anonymity.read_table`` loads, by one ``csv.reader`` pass over the open file.
+
+    ``read_table`` must give the same columns, cells and height, or refuse
+    with the same message; the table and the sidecar rules are the
+    library's own.
+    """
+    import csv
+    from pathlib import Path
+
+    from infoflow.anonymity import Table, default_roles_path
+    from infoflow.measures import _check_keys, _known, load_json, malformed
+
+    roles_path = default_roles_path(csv_path) if roles_path is None else Path(roles_path)
+    roles = load_json(roles_path, lambda doc: dict(_check_keys(doc, ("roles",), "roles sidecar")["roles"].items()))
+    with open(csv_path, newline="") as fh, malformed(csv_path):
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError("no header row")
+        missing = [n for n in header if n not in roles]
+        if missing:
+            raise ValueError(f"sidecar {roles_path} missing roles for columns {missing}")
+        for n in roles:
+            _known(n, header, "roles sidecar column")
+        return Table(tuple((n, roles[n]) for n in header), reader)
+
+
 # The event-log and ledger schema as dicts, built field by field from the
 # objects: json.dumps(rec, sort_keys=True, allow_nan=False) of each record
 # is a line of events.jsonl, and json.dump(rows, indent=2, sort_keys=True,

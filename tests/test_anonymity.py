@@ -1,11 +1,15 @@
+import csv
 import dataclasses
+import io
+import json
 import math
 import re
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import naive_linkage, rr_release_oracle
+from helpers import naive_linkage, naive_read_table, rr_release_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +26,7 @@ from infoflow import (
     push_through,
     randomized_response,
 )
+from infoflow import anonymity
 from infoflow.anonymity import read_table, write_table
 
 LN3 = math.log(3)
@@ -302,6 +307,137 @@ class TestTableIo:
     def test_non_string_column_name_or_role_rejected(self, column):
         with pytest.raises(ValueError, match="column names and roles must be strings"):
             Table((column,), (("1",),))
+
+
+ROLES = ["identifier", QI, "sensitive"]
+
+
+def _read_both(path):
+    """``(table, message)`` of ``read_table`` and of ``naive_read_table`` on ``path``: one of each pair is None."""
+    out = []
+    for read in (read_table, naive_read_table):
+        try:
+            t = read(path)
+            out.append(((t.columns, t.cells, t.height), None))
+        except ValueError as exc:
+            out.append((None, str(exc)))
+    return out
+
+
+def _save(path, text: str, roles: dict) -> None:
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+    Path(str(path) + ".roles.json").write_text(json.dumps({"roles": roles}))
+
+
+class TestReadMatchesCsvReader:
+    @given(data=st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_any_text_reads_as_csv_reader_reads_it(self, data, tmp_path_factory):
+        path = tmp_path_factory.mktemp("read") / "t.csv"
+        names = ["a", "é", "a a"][:data.draw(st.integers(1, 3))]
+        roles = {n: data.draw(st.sampled_from(ROLES)) for n in names}
+        cell = st.text(alphabet=["a", "é", " ", ",", '"', "\r", "\n", "\0"], max_size=8)
+        header = ",".join(names) if data.draw(st.booleans()) else data.draw(cell)
+        lines = data.draw(st.lists(cell, max_size=6))
+        text = "\n".join([header, *lines]) + data.draw(st.sampled_from(["", "\n", "\r\n"]))
+        _save(path, text, roles)
+        new, old = _read_both(path)
+        assert new == old
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_plain_tables_read_as_csv_reader_reads_them(self, data, tmp_path_factory):
+        # rows as csv.writer writes them, most with no quote at all
+        path = tmp_path_factory.mktemp("plain") / "t.csv"
+        width = data.draw(st.integers(1, 3))
+        names = [f"c{i}" for i in range(width)]
+        cell = st.text(alphabet=["a", "é", " ", ",", '"'], max_size=3) if data.draw(st.booleans()) \
+            else st.text(alphabet=["a", "é", " "], max_size=3)
+        rows = data.draw(st.lists(st.tuples(*[cell] * width), max_size=8))
+        buf = io.StringIO(newline="")
+        csv.writer(buf, lineterminator=data.draw(st.sampled_from(["\n", "\r\n", "\r"]))).writerows([names, *rows])
+        _save(path, buf.getvalue(), dict(zip(names, ROLES)))
+        new, old = _read_both(path)
+        assert new == old and old[0] is not None
+
+    def test_crlf_file_equals_its_lf_twin(self, tmp_path):
+        text = "zip,age,diagnosis\n13053,20-29,flu\n13068,30-39,cold\n"
+        _save(tmp_path / "lf.csv", text, dict(zip(["zip", "age", "diagnosis"], [QI, QI, "sensitive"])))
+        _save(tmp_path / "crlf.csv", text.replace("\n", "\r\n"), dict(zip(["zip", "age", "diagnosis"], [QI, QI, "sensitive"])))
+        assert read_table(tmp_path / "crlf.csv") == read_table(tmp_path / "lf.csv")
+        assert read_table(tmp_path / "lf.csv").cells == (("13053", "13068"), ("20-29", "30-39"), ("flu", "cold"))
+
+    def test_single_column_file_with_an_empty_line(self, tmp_path):
+        # csv.reader reads the empty line as a row of no cell
+        _save(tmp_path / "t.csv", "diag\nflu\n\ncold\n", {"diag": "sensitive"})
+        new, old = _read_both(tmp_path / "t.csv")
+        assert new == old == (None, f"{tmp_path / 't.csv'}: row 1 has 0 cells, expected 1")
+
+    def test_field_beyond_the_csv_field_limit_is_refused_as_csv_reader_refuses_it(self, tmp_path):
+        _save(tmp_path / "t.csv", "a,b\n1,123456\n", {"a": QI, "b": "sensitive"})
+        limit = csv.field_size_limit(5)
+        try:
+            new, old = _read_both(tmp_path / "t.csv")
+        finally:
+            csv.field_size_limit(limit)
+        assert new == old == (None, f"{tmp_path / 't.csv'}: malformed input (Error: field larger than field limit (5))")
+
+    def test_generated_100k_row_table(self, tmp_path):
+        rng = np.random.default_rng(3)
+        n = 100_000
+        zips, ages, diag = rng.integers(0, 40, n), rng.integers(0, 8, n), rng.integers(0, 6, n)
+        text = "zip,age,diagnosis\n" + "".join(f"1{z:04d},{10 * a}-{10 * a + 9},d{d}\n"
+                                                 for z, a, d in zip(zips.tolist(), ages.tolist(), diag.tolist()))
+        _save(tmp_path / "t.csv", text, {"zip": QI, "age": QI, "diagnosis": "sensitive"})
+        new, old = _read_both(tmp_path / "t.csv")
+        assert new == old and old[0][2] == n
+
+    def test_plain_text_is_split_without_csv_reader(self, tmp_path, monkeypatch):
+        _save(tmp_path / "t.csv", "a,b\r\n1,2\r\n3,4", {"a": QI, "b": "sensitive"})
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("csv.reader read quote-free text")
+
+        monkeypatch.setattr(anonymity.csv, "reader", refuse)
+        assert read_table(tmp_path / "t.csv").cells == (("1", "3"), ("2", "4"))
+
+
+def _csv_writer_bytes(t: Table) -> bytes:
+    buf = io.StringIO(newline="")
+    csv.writer(buf, lineterminator="\n").writerows([t.column_names(), *t.rows])
+    return buf.getvalue().encode()
+
+
+def _written(t: Table, tmp_path) -> bytes:
+    write_table(t, tmp_path / "w.csv")
+    return (tmp_path / "w.csv").read_bytes()
+
+
+class TestWriteMatchesCsvWriter:
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_random_tables_are_written_as_csv_writer_writes_them(self, data, tmp_path_factory):
+        width = data.draw(st.integers(0, 3))
+        cell = st.text(alphabet=["a", " ", ",", '"', "\r", "\n"], max_size=3)
+        rows = data.draw(st.lists(st.tuples(*[cell] * width), max_size=8))
+        t = Table(tuple((f"c{i}", QI) for i in range(width)), rows)
+        assert _written(t, tmp_path_factory.mktemp("write")) == _csv_writer_bytes(t)
+
+    def test_one_column_tables_with_empty_cells(self, tmp_path):
+        for name in ["diag", ""]:
+            for cells in [(), ("",), ("a", ""), ("", "", "b"), ("a", "b")]:
+                t = Table(((name, "sensitive"),), [(c,) for c in cells])
+                assert _written(t, tmp_path) == _csv_writer_bytes(t)
+
+    def test_a_quoted_row_in_the_second_chunk(self, tmp_path):
+        n = 3 * anonymity._CHUNK_ROWS
+        rows = [(str(i), "flu") for i in range(n)]
+        rows[anonymity._CHUNK_ROWS + 5] = ("x", 'say "hi", then')
+        t = Table((("id", "identifier"), ("diag", "sensitive")), rows)
+        written = _written(t, tmp_path)
+        assert written == _csv_writer_bytes(t)
+        assert b'x,"say ""hi"", then"\n' in written
 
 
 class TestColumnarTable:

@@ -4,6 +4,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from infoflow import (
     CapacityError,
@@ -224,6 +226,30 @@ class TestCompose:
         mi = mutual_information(push_through(Dist.uniform(cc.input_outcomes), cc))
         assert mi <= 2 * math.log2(3) + 1e-9
         assert check_mi_bound(cc, Dist.uniform(cc.input_outcomes)).holds
+
+    def test_labels_with_commas_stay_distinct(self):
+        # joined bare, both ('a,b', 'c') and ('a', 'b,c') would read (a,b,c)
+        c1 = Channel(("x0", "x1"), ("a,b", "a"), [[0.5, 0.5], [0.2, 0.8]])
+        c2 = Channel(("x0", "x1"), ("c", "b,c"), [[0.3, 0.7], [0.6, 0.4]])
+        assert compose(c1, c2).output_outcomes == ("(a\\,b,c)", "(a\\,b,b\\,c)", "(a,c)", "(a,b\\,c)")
+
+    def test_labels_escape_backslashes_and_parentheses_only(self):
+        plain = Channel(("x",), ("c", "d e"), [[0.5, 0.5]])
+        assert compose(plain, plain).output_outcomes == ("(c,c)", "(c,d e)", "(d e,c)", "(d e,d e)")
+        odd = Channel(("x",), ("a\\", "(a)"), [[0.5, 0.5]])
+        assert compose(odd, Channel(("x",), ("c",), [[1.0]])).output_outcomes == ("(a\\\\,c)", "(\\(a\\),c)")
+
+    @given(st.lists(st.text(alphabet="a,()\\", max_size=4), min_size=2, max_size=4, unique=True),
+           st.lists(st.text(alphabet="a,()\\", max_size=4), min_size=2, max_size=4, unique=True))
+    @settings(max_examples=200, deadline=None)
+    def test_labels_are_injective(self, first, second):
+        c1 = Channel(("x",), tuple(first), [[1.0 / len(first)] * len(first)])
+        c2 = Channel(("x",), tuple(second), [[1.0 / len(second)] * len(second)])
+        assert len(set(compose(c1, c2).output_outcomes)) == len(first) * len(second)
+
+    def test_nested_product_labels_are_escaped(self):
+        c = Channel(("x",), ("a", "b"), [[0.5, 0.5]])
+        assert compose(compose(c, c), c).output_outcomes[:2] == ("(\\(a\\,a\\),a)", "(\\(a\\,a\\),b)")
 
     def test_mismatched_inputs(self):
         with pytest.raises(ValueError, match="input spaces differ"):

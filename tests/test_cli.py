@@ -499,6 +499,18 @@ class TestAnon:
         assert capsys.readouterr().err == f"error: {size}, exceeding the cap of {2**22}\n"
         assert peak < 2**22  # the refused 2049x2049 matrix would take 32 MB
 
+    def test_undecodable_byte_is_named_by_its_offset_in_the_file(self, tmp_path, capsys):
+        # the byte lies past the first 8 KiB read chunk, so an offset within a chunk would read 3620
+        data = b"a\n" + b"x\n" * 10001 + b"\xff\nx\n"
+        assert (len(data), data.index(b"\xff")) == (20008, 20004)
+        (tmp_path / "t.csv").write_bytes(data)
+        (tmp_path / "t.csv.roles.json").write_text(json.dumps({"roles": {"a": "sensitive"}}))
+        assert main(["anon", str(tmp_path / "t.csv"), "--dp", "1", "--sensitive", "a"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert re.fullmatch(rf"error: {re.escape(str(tmp_path / 't.csv'))}: '[-\w]+' codec can't decode byte 0xff "
+                            r"in position 20004: invalid start byte\n", err)
+
     def test_missing_sidecar_exits_2(self, tmp_path, capsys):
         (tmp_path / "t.csv").write_text("a\n1\n")
         code, _ = run_cli("anon", str(tmp_path / "t.csv"), "--dp", "1.0", "--sensitive", "a", capsys=capsys)
@@ -582,6 +594,16 @@ class TestCompose:
         assert code == 0
         product = _write(tmp_path, "product.json", json.dumps(json.loads(out)["channel"]))
         assert run_cli("verify-bound", "--channel", product, capsys=capsys)[0] == 0
+
+    def test_labels_with_commas_compose(self, tmp_path, capsys):
+        # joined bare, both ('a,b', 'c') and ('a', 'b,c') would read (a,b,c) and the pair exit 2
+        first = _write(tmp_path, "first.json", json.dumps(
+            {"inputs": ["0", "1"], "outputs": ["a,b", "a"], "rows": [[0.5, 0.5], [0.2, 0.8]]}))
+        second = _write(tmp_path, "second.json", json.dumps(
+            {"inputs": ["0", "1"], "outputs": ["c", "b,c"], "rows": [[0.3, 0.7], [0.6, 0.4]]}))
+        code, out = run_cli("compose", first, second, capsys=capsys)
+        assert code == 0
+        assert json.loads(out)["channel"]["outputs"] == ["(a\\,b,c)", "(a\\,b,b\\,c)", "(a,c)", "(a,b\\,c)"]
 
 
 TWINS = json.loads(Path(data_path("twins.json")).read_text())

@@ -14,6 +14,9 @@ The entity ids are collected once, by ``Society.__post_init__`` into ``Society.i
 other function reads that index rather than rebuilding the ids from ``.entities``.
 A command's handler returns what it writes, and ``cli.main`` writes it in one ``cli._emit`` call, the only
 place ``cli`` opens a file, so one rule decides what a failed command leaves.
+``anonymity`` reads and writes tables through ``csv.reader`` and ``csv.writer`` at one site each, and its
+split-read helper, ``_split_columns``, raises nothing: text it cannot split goes to ``csv.reader``, so every
+refusal of a table's text is the csv module's or ``Table``'s, whichever path a fast one adds.
 """
 
 import ast
@@ -33,6 +36,8 @@ TYPE_RULES = {"_integer", "_number"}
 HINTED = {("cli", "unknown scenario ")}  # (module, opening text) of a refusal that lists the accepted choices
 ENTITY_INDEX = ("society", "Society.__post_init__")  # (module, function) of the one collector of the entity ids
 OUTPUT_CALLS = {"_emit", "open"}  # the calls of cli that write a command's output
+CSV_CALLS = {"reader", "writer"}  # the csv module's calls that anonymity makes at one site each
+SPLIT_READ = "_split_columns"  # the helper of anonymity that splits a table's text without the csv module
 RUN_STATE = {"SimulationResult"}  # the dataclasses of society a run changes; a Ledger changes only its cumulative dict
 
 
@@ -175,6 +180,21 @@ def _output_calls(tree: ast.AST) -> list[tuple[str, str, int]]:
     return found
 
 
+def _csv_calls(tree: ast.AST) -> list[tuple[str, str, int]]:
+    """(function, callee, line) of each call in ``tree`` of ``csv.reader`` or ``csv.writer``."""
+    return [(scope, node.func.attr, node.lineno) for scope, node in _scoped(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in CSV_CALLS
+            and isinstance(node.func.value, ast.Name) and node.func.value.id == "csv"]
+
+
+def _raises_in(tree: ast.AST, function: str) -> list[int] | None:
+    """The line of each ``raise`` in the function ``function`` of ``tree``, or None if ``tree`` has no such function."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == function:
+            return [n.lineno for n in ast.walk(node) if isinstance(n, ast.Raise)]
+    return None
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_capacity_errors_are_raised_only_in_measures(path):
     raised = [n.lineno for n in ast.walk(_tree(path)) if isinstance(n, ast.Raise) and n.exc is not None
@@ -292,3 +312,23 @@ def test_the_output_guard_sees_named_and_attribute_calls_in_any_scope():
         ("main", "_emit", 2), ("cmd_simulate", "open", 4), ("cmd_simulate", "open", 4), ("cmd_simulate", "_emit", 5),
         ("Writer.close", "open", 8),
     ]
+
+
+def test_tables_meet_the_csv_module_at_one_site_each_and_the_split_read_raises_nothing():
+    tree = _tree(Path(infoflow.__file__).parent / "anonymity.py")
+    assert sorted(callee for _, callee, _ in _csv_calls(tree)) == ["reader", "writer"]
+    assert _raises_in(tree, SPLIT_READ) == []
+
+
+def test_the_csv_guard_sees_each_call_and_each_raise():
+    tree = ast.parse(
+        "def read(text):\n"
+        "    return csv.reader(text), csv.writer(fh), csv.DictReader(text), reader(text)\n"
+        "def _split_columns(text):\n"
+        "    if not text:\n"
+        "        raise ValueError('empty')\n"
+        "    return [csv.reader(line) for line in text]\n"
+    )
+    assert _csv_calls(tree) == [("read", "reader", 2), ("read", "writer", 2), ("_split_columns", "reader", 6)]
+    assert _raises_in(tree, "_split_columns") == [5]
+    assert _raises_in(tree, "read") == [] and _raises_in(tree, "missing") is None
