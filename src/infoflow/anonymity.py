@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import logging
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
+from functools import cached_property
 from itertools import chain, islice, repeat
 from operator import itemgetter
 from pathlib import Path
@@ -26,7 +26,8 @@ import numpy as np
 
 from .channels import BoundCertificate, Channel, check_mi_bound, randomized_response
 from .measures import (
-    STATE_SPACE_CAP, Dist, _at_least, _check_keys, _check_size, _distinct, _known, _unit, load_json, malformed,
+    STATE_SPACE_CAP, Dist, _at_least, _check_keys, _check_size, _distinct, _known, _prechecked, _unit, load_json,
+    malformed, read_file, write_csv, write_files, write_json,
 )
 
 log = logging.getLogger(__name__)
@@ -41,17 +42,14 @@ class Table:
 
     ``Table(columns, rows)`` consumes ``rows``, any iterable of rows,
     once. A column name, role or cell that is not a string is refused,
-    not converted. ``cells`` holds one tuple per column; ``rows``,
-    ``column`` and ``project`` are views built from it. ``Table._of``
-    builds a table from columns that ``_checked_columns`` passed and from
-    string cells without checking them again; ``read_table``'s split
-    path and the column swap of ``dp_release`` use it.
+    not converted. ``cells`` holds one tuple per column; ``rows`` and
+    ``column`` are views built from it. A table of parts checked already
+    is built through ``measures._prechecked``, as other records are.
     """
 
     columns: tuple[tuple[str, str], ...]  # (name, role)
     cells: tuple[tuple[str, ...], ...]  # one tuple per column
     height: int  # the row count, kept apart so that a zero-column table keeps it
-    _codes: dict = field(compare=False, repr=False)  # column index -> (categories, codes), filled by coded
 
     def __init__(self, columns, rows):
         columns = _checked_columns(columns)
@@ -64,22 +62,11 @@ class Table:
         odd = set(map(type, chain.from_iterable(cells))) - {str}
         if odd:
             raise ValueError(f"table cells must be strings, found {', '.join(sorted(t.__name__ for t in odd))}")
-        self._set(columns, cells, len(rows))
+        self.__dict__.update(columns=columns, cells=cells, height=len(rows))  # a frozen dataclass refuses setattr
 
-    @classmethod
-    def _of(cls, columns, cells, height: int) -> Table:
-        """The table of ``columns`` that ``_checked_columns`` passed and of string ``cells``, built unchecked."""
-        t = object.__new__(cls)
-        t._set(columns, cells, height)
-        return t
-
-    def _set(self, columns, cells, height) -> None:
-        for name, value in (("columns", columns), ("cells", cells), ("height", height), ("_codes", {})):
-            object.__setattr__(self, name, value)
-
-    def _replaced(self, i: int, cells: tuple[str, ...]) -> Table:
-        """This table with column ``i`` replaced by ``cells``, unchecked: the caller draws them from its categories."""
-        return Table._of(self.columns, self.cells[:i] + (cells,) + self.cells[i + 1:], self.height)
+    @cached_property
+    def _codes(self) -> dict:  # column index -> (categories, codes), filled by coded
+        return {}
 
     @property
     def rows(self) -> tuple[tuple[str, ...], ...]:
@@ -95,10 +82,6 @@ class Table:
 
     def column(self, name: str) -> list[str]:
         return list(self.cells[self._index(name)])
-
-    def project(self, names: list[str]) -> list[tuple[str, ...]]:
-        """Each row's cells in the named columns, as tuples."""
-        return list(_rows_of([self.cells[self._index(n)] for n in names], self.height))
 
     def coded(self, name: str) -> tuple[tuple[str, ...], np.ndarray]:
         """The column's sorted distinct values and each row's index into them, computed once.
@@ -262,7 +245,9 @@ def dp_release(
         for c in range(k):
             rows_c = codes == c
             drawn[rows_c] = np.searchsorted(cdf[c], u[rows_c], side="right")
-        released = t._replaced(t._index(sensitive_column), tuple(np.array(categories, dtype=object)[drawn].tolist()))
+        i = t._index(sensitive_column)
+        cells = t.cells[:i] + (tuple(np.array(categories, dtype=object)[drawn].tolist()),) + t.cells[i + 1:]
+        released = _prechecked(Table, columns=t.columns, cells=cells, height=t.height)
     counts = np.bincount(codes, minlength=k).astype(np.float64)
     cert = check_mi_bound(chan, Dist(categories, counts / counts.sum()))
     return released, cert
@@ -278,7 +263,7 @@ def default_roles_path(csv_path) -> Path:
 
 
 def read_table(csv_path, roles_path=None) -> Table:
-    """Load a CSV with its JSON sidecar declaring column roles.
+    """Load a CSV with its JSON sidecar declaring column roles, both UTF-8.
 
     The CSV is read in the csv module's default (excel) dialect: quoted
     fields and ``\\n``, ``\\r\\n`` or ``\\r`` line ends are accepted. The file's
@@ -289,8 +274,7 @@ def read_table(csv_path, roles_path=None) -> Table:
     roles_path = default_roles_path(csv_path) if roles_path is None else Path(roles_path)
     roles = load_json(roles_path, lambda doc: dict(_check_keys(doc, ("roles",), "roles sidecar")["roles"].items()))
     with malformed(csv_path):
-        with open(csv_path, newline="") as fh:
-            text = fh.read()
+        text = read_file(csv_path)
         split = _split_columns(text)
         if split is None:
             reader = csv.reader(io.StringIO(text, newline=""))
@@ -307,7 +291,7 @@ def read_table(csv_path, roles_path=None) -> Table:
         columns = tuple((n, roles[n]) for n in header)
         if split is None:
             return Table(columns, reader)
-        return Table._of(_checked_columns(columns), cells, height)
+        return _prechecked(Table, columns=_checked_columns(columns), cells=cells, height=height)
 
 
 def _split_columns(text: str):
@@ -338,14 +322,13 @@ _CHUNK_ROWS = 4096  # rows joined into one text at a time by _write_rows
 
 
 def _write_rows(fh, rows) -> None:
-    """Write ``rows`` to ``fh``, the bytes that ``csv.writer(fh, lineterminator="\\n")`` writes.
+    """Write ``rows`` to ``fh``, the bytes that ``measures.write_csv`` writes.
 
     Rows are joined a chunk at a time. A chunk with a cell that the writer
     quotes or that would not read back (one holding a comma, quote char,
     ``\\r``, ``\\n`` or NUL, or the empty cell of a one-column row) goes
-    through the writer, whose output is its rows' texts in turn.
+    through ``write_csv``, whose output is its rows' texts in turn.
     """
-    writer = csv.writer(fh, lineterminator="\n")
     rows = iter(rows)
     while chunk := list(islice(rows, _CHUNK_ROWS)):
         text = "\n".join(map(",".join, chunk)) + "\n"
@@ -354,22 +337,20 @@ def _write_rows(fh, rows) -> None:
                 and not any(c in text for c in '"\r\0') and (width != 1 or "\n\n" not in "\n" + text)):
             fh.write(text)
         else:
-            writer.writerows(chunk)
+            write_csv(chunk, fh)
 
 
 def table_files(t: Table, csv_path) -> list:
     """The ``(path, write)`` pairs of ``t`` as a CSV with its role sidecar beside it, where ``read_table`` looks.
 
-    The CSV is what ``csv.writer(lineterminator="\\n")`` writes of the header
-    and rows, byte for byte (``_write_rows``).
+    The CSV is what ``measures.write_csv`` writes of the header and rows,
+    byte for byte (``_write_rows``), so it reads back as ``t``; the sidecar
+    is a ``measures.write_json`` document.
     """
-    roles = json.dumps({"roles": dict(t.columns)}, indent=2, sort_keys=True) + "\n"
     return [(csv_path, lambda fh: _write_rows(fh, chain([t.column_names()], _rows_of(t.cells, t.height)))),
-            (default_roles_path(csv_path), lambda fh: fh.write(roles))]
+            (default_roles_path(csv_path), lambda fh: write_json({"roles": dict(t.columns)}, fh))]
 
 
 def write_table(t: Table, csv_path) -> None:
-    """Write ``t`` as a CSV with its role sidecar beside it, where ``read_table`` looks by default."""
-    for path, write in table_files(t, csv_path):
-        with open(path, "w", newline="") as fh:
-            write(fh)
+    """Write ``t`` as a CSV with its role sidecar beside it, where ``read_table`` looks by default; all or nothing."""
+    write_files(table_files(t, csv_path))

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
 import io
 import json
@@ -23,7 +22,9 @@ from pathlib import Path
 from . import causal, society
 from .anonymity import dp_release, linkage_attack, read_table, table_files
 from .channels import Channel, _check_eps, bound_sweep, check_mi_bound, compose, randomized_response, realized_epsilon
-from .measures import CapacityError, Dist, _check_keys, _distinct, load_json, malformed
+from .measures import (
+    CapacityError, Dist, _check_keys, _distinct, load_json, malformed, write_csv, write_files, write_json,
+)
 
 EXIT_OK = 0
 EXIT_BOUND_VIOLATED = 1
@@ -34,43 +35,26 @@ EXIT_CAPACITY = 3
 def _emit(report, fmt: str, out, files) -> None:
     """Write each ``(path, write)`` of ``files``, then ``report`` (if not None) to ``out``, or to stdout when None.
 
-    Two outputs that name one file are refused before any is opened; if any step fails, no file written is kept.
+    ``write_files`` writes the files, all or none; the stdout text is built before them and written after.
     """
-    outputs, buf = list(files), io.StringIO()
-    if report is not None and out is None:  # the stdout text, built before any file
+    files, buf = list(files), io.StringIO()
+    if report is not None and out is None:
         _write(report, fmt, buf)
     elif report is not None:
-        outputs.append((out, lambda fh: _write(report, fmt, fh)))
-    if len(outputs) > 1:  # resolving a path costs a stat per component; one output cannot repeat
-        _distinct([str(Path(path).resolve()) for path, _ in outputs], "output file")
-    written = []
-    try:
-        for path, write in outputs:
-            with open(path, "w", newline="") as fh:
-                written.append(path)
-                write(fh)
-    except BaseException:
-        for path in written:
-            Path(path).unlink()
-        raise
+        files.append((out, lambda fh: _write(report, fmt, fh)))
+    write_files(files)
     sys.stdout.write(buf.getvalue())
 
 
 def _write(doc, fmt: str, fh) -> None:
     if fmt == "json":
-        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
-        return
-    writer = csv.writer(fh, lineterminator="\n")
-    if isinstance(doc, dict):
-        writer.writerow(["key", "value"])
-        for k in sorted(doc):
-            writer.writerow([k, json.dumps(doc[k], sort_keys=True, allow_nan=False)])
+        write_json(doc, fh)
+    elif isinstance(doc, dict):
+        rows = [[k, json.dumps(doc[k], sort_keys=True, allow_nan=False)] for k in sorted(doc)]
+        write_csv([["key", "value"], *rows], fh)
     elif doc:  # a table: one row per dict; an empty table is an empty file
         fields = sorted({k for row in doc for k in row})
-        writer.writerow(fields)
-        for row in doc:
-            writer.writerow([row.get(k, "") for k in fields])
+        write_csv([fields, *([row.get(k, "") for k in fields] for row in doc)], fh)
 
 
 def _parse_kv(tokens: list[str]) -> dict[str, str]:
@@ -149,7 +133,7 @@ def cmd_leakage(args):
     doc = profile.to_json_dict()
     if report is not None:
         doc["report"] = report
-    files = [(args.emit_net, lambda fh: _write(causal.net_to_json_dict(net), "json", fh))] if args.emit_net else []
+    files = [(args.emit_net, lambda fh: write_json(causal.net_to_json_dict(net), fh))] if args.emit_net else []
     return EXIT_OK, doc if args.fmt == "json" else profile.rows_sorted(), files
 
 

@@ -15,6 +15,7 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -192,12 +193,50 @@ def malformed(where):
         raise ValueError(f"{where}: malformed input ({type(exc).__name__}: {exc})") from exc
 
 
+def read_file(path) -> str:
+    """The text of the file at ``path``, decoded as UTF-8 whatever the locale, its line ends kept as written."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        return fh.read()
+
+
 def load_json(path, parse):
     """``parse`` applied to the strict JSON document at ``path`` (no NaN or Infinity literals)."""
     with malformed(path):
-        with open(path) as fh:
-            doc = json.load(fh, parse_constant=_refuse_constant)
-        return parse(doc)
+        return parse(json.loads(read_file(path), parse_constant=_refuse_constant))
+
+
+def write_files(files: list) -> None:
+    """Call each ``write(fh)`` of the ``(path, write)`` pairs ``files`` on ``path`` opened as UTF-8 text.
+
+    Two pairs that name one file are refused before any is opened; if any step fails, no file written is kept.
+    """
+    if len(files) > 1:  # resolving a path costs a stat per component; one file cannot repeat
+        _distinct([str(Path(path).resolve()) for path, _ in files], "output file")
+    written = []
+    try:
+        for path, write in files:
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                written.append(path)
+                write(fh)
+    except BaseException:
+        for path in written:
+            Path(path).unlink()
+        raise
+
+
+def write_json(doc, fh) -> None:
+    """``doc`` as a strict JSON document, indented by 2 with its keys sorted, and a newline."""
+    json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
+    fh.write("\n")
+
+
+def write_csv(rows, fh) -> None:
+    """Write ``rows`` as ``csv.writer(fh, lineterminator="\\n")`` does, save that each cell of a row with a ``\\r``
+    in a cell is quoted: the writer leaves a ``\\r`` bare, and ``csv.reader`` ends a row there."""
+    plain = csv.writer(fh, lineterminator="\n")
+    quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    for row in rows:
+        (quoted if "\r" in "".join(map(str, row)) else plain).writerow(row)
 
 
 def _as_tuple(values, what: str) -> tuple:

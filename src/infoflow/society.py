@@ -13,7 +13,6 @@ per-datum release budgets on explicit flows.
 
 from __future__ import annotations
 
-import csv
 import functools
 import itertools
 import json
@@ -32,7 +31,7 @@ import numpy as np
 from .channels import _check_rr, dp_to_mi_bound
 from .measures import (
     INTEGERS, InfoMeasure, _at_least, _check_id, _check_keys, _check_size, _distinct, _integer, _known, _nonneg,
-    _number, _prechecked, _unit, load_json,
+    _number, _prechecked, _unit, load_json, write_csv,
 )
 
 GOVERNANCE_TAGS = (
@@ -633,12 +632,11 @@ _CSV_FIELDS = ("record", "id", "t", "kind", "sender", "receiver", "datum", "sele
                "context_id", "attempted_sh", "headroom_sh")
 
 
-# The writers below put out exactly the bytes of json.dumps(record, sort_keys=True,
-# allow_nan=False) per event-log line and of json.dump(rows, indent=2, sort_keys=True,
-# allow_nan=False) for the ledger: keys in sorted order, strings through the C string
-# encoder json uses, floats through float.__repr__. An InfoMeasure or a cause Context
-# that many records share is encoded once per write, keyed by identity (a value key
-# would merge 0.0 and -0.0).
+# The writers below put out exactly the bytes of json.dumps(record, sort_keys=True, allow_nan=False)
+# per event-log line and of measures.write_json(rows) for the ledger: keys in sorted order, strings
+# through the C string encoder json uses, floats through float.__repr__. An InfoMeasure or a cause
+# Context that many records share is encoded once per write, keyed by identity (a value key would
+# merge 0.0 and -0.0).
 
 
 def _float(x) -> str:
@@ -733,19 +731,16 @@ def write_ledger_json(ledger: Ledger, fh) -> None:
 
 def write_events_csv(result: SimulationResult, fh, induced: list[tuple[Context, Context]] = ()) -> None:
     """One row per flow and budget stop, and one ``induced-flow`` row per flow of an induced context."""
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(_CSV_FIELDS)
 
     def flow_row(record: str, f: FlowEvent) -> list:
         m = f.measure
         return [record, f.id, f.t, f.kind, f.sender, f.receiver, f.datum,
                 m.selective_sh, m.logons, m.metrons, f.context_id, "", ""]
 
-    for r in result.by_tick():
-        if isinstance(r, FlowEvent):
-            writer.writerow(flow_row("flow", r))
-        else:
-            writer.writerow(["budget-stop", "", r.t, "", r.sender, r.receiver, r.datum,
-                             "", "", "", "", float(r.attempted_sh), float(r.headroom_sh)])
-    for _, context in induced:
-        writer.writerows([flow_row("induced-flow", f) for f in context.flows])
+    def stop_row(r: BudgetStop) -> list:
+        return ["budget-stop", "", r.t, "", r.sender, r.receiver, r.datum,
+                "", "", "", "", float(r.attempted_sh), float(r.headroom_sh)]
+
+    ticks = (flow_row("flow", r) if isinstance(r, FlowEvent) else stop_row(r) for r in result.by_tick())
+    induced_flows = (flow_row("induced-flow", f) for _, context in induced for f in context.flows)
+    write_csv(itertools.chain([_CSV_FIELDS], ticks, induced_flows), fh)

@@ -316,7 +316,7 @@ def naive_read_table(csv_path, roles_path=None):
 
     roles_path = default_roles_path(csv_path) if roles_path is None else Path(roles_path)
     roles = load_json(roles_path, lambda doc: dict(_check_keys(doc, ("roles",), "roles sidecar")["roles"].items()))
-    with open(csv_path, newline="") as fh, malformed(csv_path):
+    with open(csv_path, newline="", encoding="utf-8") as fh, malformed(csv_path):
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -432,14 +432,29 @@ EVENT_CSV_FIELDS = ["record", "id", "t", "kind", "sender", "receiver", "datum", 
                     "metrons", "context_id", "attempted_sh", "headroom_sh"]
 
 
-def write_events_csv(records, fh) -> None:
-    """events.csv from event records: one ``induced-flow`` row per flow of an induced context."""
+def read_csv(text: str) -> list[list[str]]:
+    """The rows ``csv.reader`` reads from ``text``, whose line ends are as written."""
     import csv
+    import io
 
-    writer = csv.DictWriter(fh, fieldnames=EVENT_CSV_FIELDS, lineterminator="\n")
-    writer.writeheader()
+    return list(csv.reader(io.StringIO(text, newline="")))
+
+
+def events_csv_rows(records) -> list[dict]:
+    """The rows of events.csv from event records, as dicts: one ``induced-flow`` row per flow of an induced context."""
+    out = []
     for rec in records:
         rows = [{**f, "record": "induced-flow"} for f in rec["flows"]] if rec["record"] == "induced-context" else [rec]
         for row in rows:
             measure = row.get("measure") or {}
-            writer.writerow({k: row.get(k, measure.get(k, "")) for k in EVENT_CSV_FIELDS})
+            out.append({k: row.get(k, measure.get(k, "")) for k in EVENT_CSV_FIELDS})
+    return out
+
+
+def write_events_csv(records, fh) -> None:
+    """events.csv from event records, as ``csv.DictWriter`` writes ``events_csv_rows``."""
+    import csv
+
+    writer = csv.DictWriter(fh, fieldnames=EVENT_CSV_FIELDS, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(events_csv_rows(records))

@@ -697,7 +697,7 @@ class TestAttributionMemo:
         assert all(f.measure == InfoMeasure(f.measure.selective_sh, net.node(f.datum).card, 1) for f in flows)
 
     def test_pairs_equal_the_per_flow_oracle_on_the_twins_scenario(self):
-        doc = json.loads(resources.files("infoflow.data").joinpath("twins.json").read_text())
+        doc = json.loads(resources.files("infoflow.data").joinpath("twins.json").read_text(encoding="utf-8"))
         scenario = scenario_from_json_dict({**doc, "ticks": 12})
         net = net_from_json_dict(doc["attribution"]["net"])
         ownership, node_of = doc["attribution"]["ownership"], doc["attribution"]["message_nodes"]
@@ -753,7 +753,7 @@ class TestNetJson:
             assert np.array_equal(a.cpt, b.cpt)
 
     def test_bundled_fixture_matches_builder(self):
-        with resources.files("infoflow.data").joinpath("fork_collider.json").open() as fh:
+        with resources.files("infoflow.data").joinpath("fork_collider.json").open(encoding="utf-8") as fh:
             bundled = net_from_json_dict(json.load(fh))
         built = fork_collider_graph(seed=42)
         assert bundled.names == built.names
@@ -800,7 +800,7 @@ class TestNetJson:
     def test_load_net(self, tmp_path):
         path = tmp_path / "net.json"
         net, _ = twins_scenario()
-        path.write_text(json.dumps(net_to_json_dict(net)))
+        path.write_text(json.dumps(net_to_json_dict(net)), encoding="utf-8")
         assert load_net(path).names == net.names
 
     def test_row_count_is_checked_before_the_combinations(self, tmp_path, capsys):
@@ -811,7 +811,7 @@ class TestNetJson:
         child = {"name": "M", "states": ["0", "1"], "parents": [p["name"] for p in parents],
                  "cpt": {",".join("a" * 10): [0.5, 0.5]}}
         path = tmp_path / "net.json"
-        path.write_text(json.dumps({"nodes": parents + [child]}))
+        path.write_text(json.dumps({"nodes": parents + [child]}), encoding="utf-8")
         tracemalloc.start()
         try:
             code = main(["leakage", "--net", str(path), "--message", "M"])

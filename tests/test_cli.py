@@ -23,6 +23,7 @@ import infoflow
 from infoflow import causal, cli, randomized_response, society
 from infoflow.cli import _emit, main
 from infoflow.society import write_events_jsonl, write_ledger_json
+import helpers
 from helpers import joint_cells, mi_cells, rr_release_oracle
 
 LN3 = math.log(3)
@@ -53,19 +54,19 @@ class TestVerifyBound:
         _, out = run_cli(
             "verify-bound", "--rr", "k=2", f"eps={LN3}", "--prior", "uniform", capsys=capsys
         )
-        assert json.loads(out) == json.loads((GOLDEN / "verify_bound_rr.json").read_text())
+        assert json.loads(out) == json.loads((GOLDEN / "verify_bound_rr.json").read_text(encoding="utf-8"))
 
     def test_constant_channel_file(self, tmp_path, capsys):
         chan = {"inputs": ["a", "b"], "outputs": ["y"], "rows": [[1.0], [1.0]]}
         path = tmp_path / "c.json"
-        path.write_text(json.dumps(chan))
+        path.write_text(json.dumps(chan), encoding="utf-8")
         code, out = run_cli("verify-bound", "--channel", str(path), capsys=capsys)
         assert code == 0
         assert json.loads(out)["mi_sh"] == pytest.approx(0.0, abs=1e-12)
 
     def test_point_mass_prior_gives_exactly_zero(self, tmp_path, capsys):
         path = tmp_path / "p.json"
-        path.write_text(json.dumps({"outcomes": ["0", "1"], "probs": [1, 0]}))
+        path.write_text(json.dumps({"outcomes": ["0", "1"], "probs": [1, 0]}), encoding="utf-8")
         code, out = run_cli("verify-bound", "--rr", "k=2", "eps=1", "--prior", str(path), capsys=capsys)
         assert code == 0
         assert json.loads(out)["mi_sh"] == 0.0
@@ -82,7 +83,7 @@ class TestVerifyBound:
 
     def test_malformed_json_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
-        path.write_text("{not json")
+        path.write_text("{not json", encoding="utf-8")
         code, _ = run_cli("verify-bound", "--channel", str(path), capsys=capsys)
         assert code == 2
 
@@ -160,7 +161,19 @@ class TestLeakage:
 
     def test_fork_collider_scenario_matches_golden(self, capsys):
         _, out = run_cli("leakage", "--scenario", "fork-collider", capsys=capsys)
-        assert json.loads(out) == json.loads((GOLDEN / "leakage_fork_collider.json").read_text())
+        assert json.loads(out) == json.loads((GOLDEN / "leakage_fork_collider.json").read_text(encoding="utf-8"))
+
+    def test_csv_report_reads_back_with_a_carriage_return_in_a_node_name(self, tmp_path, capsys):
+        net = {"nodes": [{"name": "M", "states": ["0", "1"], "parents": [], "cpt": [0.5, 0.5]},
+                         {"name": "a\rb", "states": ["0", "1"], "parents": ["M"],
+                          "cpt": {"0": [0.9, 0.1], "1": [0.2, 0.8]}}]}
+        path = _write(tmp_path, "net.json", json.dumps(net))
+        code, out = run_cli("leakage", "--net", path, "--message", "M", "--format", "csv", capsys=capsys)
+        assert code == 0
+        rows = causal.leakage_profile(causal.load_net(path), "M").rows_sorted()
+        fields = sorted(rows[0])
+        assert helpers.read_csv(out) == [fields, *([str(row[k]) for k in fields] for row in rows)]
+        assert "a\rb" in [row["node"] for row in rows]
 
     def test_disconnected_node_reports_zero(self, tmp_path, capsys):
         net = {
@@ -176,7 +189,7 @@ class TestLeakage:
             ]
         }
         path = tmp_path / "net.json"
-        path.write_text(json.dumps(net))
+        path.write_text(json.dumps(net), encoding="utf-8")
         code, out = run_cli("leakage", "--net", str(path), "--message", "M", capsys=capsys)
         assert code == 0
         rows = {r["node"]: r["mi_sh"] for r in json.loads(out)["profile"]}
@@ -204,7 +217,7 @@ class TestLeakage:
             for i in range(23)
         ]
         path = tmp_path / "big.json"
-        path.write_text(json.dumps({"nodes": nodes}))
+        path.write_text(json.dumps({"nodes": nodes}), encoding="utf-8")
         code, _ = run_cli("leakage", "--net", str(path), "--message", "R0", capsys=capsys)
         assert code == 3
 
@@ -214,7 +227,7 @@ class TestLeakage:
             "leakage", "--scenario", "twins", "--emit-net", str(out_net), capsys=capsys
         )
         assert code == 0
-        doc = json.loads(out_net.read_text())
+        doc = json.loads(out_net.read_text(encoding="utf-8"))
         assert [n["name"] for n in doc["nodes"]] == ["Z", "S1", "S2"]
 
 
@@ -258,8 +271,8 @@ class TestSimulate:
 
     def test_matches_golden_files(self, tmp_path, capsys):
         run_cli("simulate", "--scenario", data_path("twins.json"), "--out", str(tmp_path), capsys=capsys)
-        assert (tmp_path / "events.jsonl").read_text() == (GOLDEN / "twins_events.jsonl").read_text()
-        assert (tmp_path / "ledger.json").read_text() == (GOLDEN / "twins_ledger.json").read_text()
+        for name, golden in [("events.jsonl", "twins_events.jsonl"), ("ledger.json", "twins_ledger.json")]:
+            assert (tmp_path / name).read_text(encoding="utf-8") == (GOLDEN / golden).read_text(encoding="utf-8")
 
     def test_csv_output(self, tmp_path, capsys):
         code, _ = run_cli(
@@ -273,20 +286,38 @@ class TestSimulate:
             capsys=capsys,
         )
         assert code == 0
-        header = (tmp_path / "events.csv").read_text().splitlines()[0]
+        header = (tmp_path / "events.csv").read_text(encoding="utf-8").splitlines()[0]
         assert header.startswith("record,id,t,kind")
 
     def test_csv_rows_of_each_kind(self, tmp_path):
         # a zygosity budget below one release stops that flow; the gender flow still induces one about S2
         path = _write(tmp_path, "s.json", _twins_with(budgets={"zygosity": 0.5}))
         assert main(["simulate", "--scenario", path, "--out", str(tmp_path / "out"), "--format", "csv"]) == 0
-        assert (tmp_path / "out" / "events.csv").read_text().splitlines() == [
+        assert (tmp_path / "out" / "events.csv").read_text(encoding="utf-8").splitlines() == [
             "record,id,t,kind,sender,receiver,datum,selective_sh,logons,metrons,context_id,attempted_sh,headroom_sh",
             "flow,x:0:twin1>receiver:gender,0,explicit,twin1,receiver,gender,1.0,2,1,c:0:twin1>receiver,,",
             "budget-stop,,0,,twin1,receiver,zygosity,,,,,1.0,0.5",
             "induced-flow,x:0:twin1>receiver:gender~twin2:S2,0,implicit,twin2,receiver,S2,0.18872187554086717,2,1,"
             "x:0:twin1>receiver:gender~twin2,,",
         ]
+
+    def test_csv_logs_read_back_with_carriage_returns_commas_and_quotes_in_ids(self, tmp_path, capsys):
+        text = _twins_with(budgets={"zygosity": 0.5})
+        renames = {"twin1": 'tw\rin,1"', "twin2": "t\r\nwin2", "receiver": "rec\reiver", "gender": 'g,"\r'}
+        for old, new in renames.items():
+            text = text.replace(json.dumps(old), json.dumps(new))
+        path = _write(tmp_path, "s.json", text)
+        assert main(["simulate", "--scenario", path, "--out", str(tmp_path / "out"), "--format", "csv"]) == 0
+        code, out = run_cli("simulate", "--scenario", path, capsys=capsys)
+        assert code == 0
+        doc = json.loads(out)
+        events = [[str(row[k]) for k in society._CSV_FIELDS] for row in helpers.events_csv_rows(doc["events"])]
+        assert helpers.read_csv((tmp_path / "out" / "events.csv").read_bytes().decode()) == [
+            list(society._CSV_FIELDS), *events]
+        assert {"budget-stop", "induced-flow"} <= {row[0] for row in events}
+        fields = sorted(doc["ledger"][0])
+        ledger = [["" if row[k] is None else str(row[k]) for k in fields] for row in doc["ledger"]]
+        assert helpers.read_csv((tmp_path / "out" / "ledger.csv").read_bytes().decode()) == [fields, *ledger]
 
     def test_a_datum_sent_twice_in_a_context_induces_nothing_the_second_time(self, tmp_path, capsys):
         # at two ticks and window 2, one context carries gender, zygosity, then gender again
@@ -309,10 +340,10 @@ class TestSimulate:
 
     def test_run_beyond_the_draw_cap_exits_3_naming_size_and_cap(self, tmp_path, capsys):
         # refused when the simulation is built, before the first tick
-        doc = json.loads(Path(data_path("twins.json")).read_text())
+        doc = json.loads(Path(data_path("twins.json")).read_text(encoding="utf-8"))
         doc["ticks"] = 10**20
         path = tmp_path / "s.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(doc), encoding="utf-8")
         code = main(["simulate", "--scenario", str(path)])
         err = capsys.readouterr().err.splitlines()
         assert code == 3
@@ -322,7 +353,7 @@ class TestSimulate:
 
     def test_zero_probability_scenario_is_empty(self, tmp_path, capsys):
         path = tmp_path / "s.json"
-        path.write_text(json.dumps(SILENT))
+        path.write_text(json.dumps(SILENT), encoding="utf-8")
         code, out = run_cli("simulate", "--scenario", str(path), capsys=capsys)
         assert code == 0
         assert json.loads(out)["events"] == []
@@ -340,8 +371,9 @@ class TestSimulate:
     def test_empty_ledger_is_an_empty_csv_file(self, tmp_path):
         path = _write(tmp_path, "s.json", json.dumps(SILENT))
         assert main(["simulate", "--scenario", path, "--out", str(tmp_path / "out"), "--format", "csv"]) == 0
-        assert (tmp_path / "out" / "ledger.csv").read_text() == ""
-        assert (tmp_path / "out" / "events.csv").read_text().splitlines() == [",".join(society._CSV_FIELDS)]
+        assert (tmp_path / "out" / "ledger.csv").read_text(encoding="utf-8") == ""
+        events = (tmp_path / "out" / "events.csv").read_text(encoding="utf-8")
+        assert events.splitlines() == [",".join(society._CSV_FIELDS)]
 
     def test_net_path_is_read_from_the_scenario_directory(self, tmp_path, monkeypatch, capsys):
         _, inline = run_cli("simulate", "--scenario", data_path("twins.json"), capsys=capsys)
@@ -353,10 +385,10 @@ class TestSimulate:
         assert (code, out) == (0, inline)
 
     def test_negative_budget_exits_2(self, tmp_path, capsys):
-        cfg = json.loads(Path(data_path("twins.json")).read_text())
+        cfg = json.loads(Path(data_path("twins.json")).read_text(encoding="utf-8"))
         cfg["budgets"] = {"gender": -2.0}
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(cfg))
+        path.write_text(json.dumps(cfg), encoding="utf-8")
         code, _ = run_cli("simulate", "--scenario", str(path), capsys=capsys)
         assert code == 2
 
@@ -419,7 +451,7 @@ class TestAnon:
         )
         assert code == 0
         doc = json.loads(out)
-        assert doc == json.loads((GOLDEN / "anon_attack.json").read_text())
+        assert doc == json.loads((GOLDEN / "anon_attack.json").read_text(encoding="utf-8"))
         assert doc["homogeneity_rate"] == 1.0 and doc["k_achieved"] == 2
 
     def test_dp_release_bound(self, tmp_path, capsys):
@@ -447,10 +479,10 @@ class TestAnon:
         sensitive = ['a,b', 'say "hi"', "plain", '"', ","]
         rows = [[f"1{i % 37:04d}", sensitive[(i * 7) % 5], f'n"{i % 3}",x', str(i % 90)] for i in range(n)]
         release = tmp_path / "t.csv"
-        with open(release, "w", newline="") as fh:
+        with open(release, "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh, lineterminator="\n").writerows([header] + rows)
         roles = {"zip": "quasi-identifier", "s": "sensitive", "note": "identifier", "age": "quasi-identifier"}
-        (tmp_path / "t.csv.roles.json").write_text(json.dumps({"roles": roles}))
+        (tmp_path / "t.csv.roles.json").write_text(json.dumps({"roles": roles}), encoding="utf-8")
         out = tmp_path / "released.csv"
         argv = ["anon", str(release), "--dp", f"eps={eps}", "--sensitive", "s", "--seed", str(seed)]
         assert run_cli(*argv, "--release-out", str(out), capsys=capsys)[0] == 0
@@ -461,10 +493,10 @@ class TestAnon:
         assert out.read_bytes() == expected.getvalue().encode()
 
     def test_disjoint_aux(self, tmp_path, capsys):
-        (tmp_path / "aux.csv").write_text("zip,age\n999,90-99\n")
+        (tmp_path / "aux.csv").write_text("zip,age\n999,90-99\n", encoding="utf-8")
         (tmp_path / "aux.csv.roles.json").write_text(
             json.dumps({"roles": {"zip": "quasi-identifier", "age": "quasi-identifier"}})
-        )
+        , encoding="utf-8")
         code, out = run_cli(
             "anon", data_path("anon_release.csv"), str(tmp_path / "aux.csv"), capsys=capsys
         )
@@ -486,8 +518,8 @@ class TestAnon:
 
     @pytest.mark.parametrize("dp", ["eps=none", "eps=1"])
     def test_release_beyond_the_cell_cap_exits_3_before_a_channel_is_built(self, dp, tmp_path, capsys):
-        (tmp_path / "t.csv").write_text("diag\n" + "".join(f"d{i}\n" for i in range(2049)))
-        (tmp_path / "t.csv.roles.json").write_text(json.dumps({"roles": {"diag": "sensitive"}}))
+        (tmp_path / "t.csv").write_text("diag\n" + "".join(f"d{i}\n" for i in range(2049)), encoding="utf-8")
+        (tmp_path / "t.csv.roles.json").write_text(json.dumps({"roles": {"diag": "sensitive"}}), encoding="utf-8")
         tracemalloc.start()
         try:
             code = main(["anon", str(tmp_path / "t.csv"), "--dp", dp, "--sensitive", "diag"])
@@ -504,7 +536,7 @@ class TestAnon:
         data = b"a\n" + b"x\n" * 10001 + b"\xff\nx\n"
         assert (len(data), data.index(b"\xff")) == (20008, 20004)
         (tmp_path / "t.csv").write_bytes(data)
-        (tmp_path / "t.csv.roles.json").write_text(json.dumps({"roles": {"a": "sensitive"}}))
+        (tmp_path / "t.csv.roles.json").write_text(json.dumps({"roles": {"a": "sensitive"}}), encoding="utf-8")
         assert main(["anon", str(tmp_path / "t.csv"), "--dp", "1", "--sensitive", "a"]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1
@@ -512,7 +544,7 @@ class TestAnon:
                             r"in position 20004: invalid start byte\n", err)
 
     def test_missing_sidecar_exits_2(self, tmp_path, capsys):
-        (tmp_path / "t.csv").write_text("a\n1\n")
+        (tmp_path / "t.csv").write_text("a\n1\n", encoding="utf-8")
         code, _ = run_cli("anon", str(tmp_path / "t.csv"), "--dp", "1.0", "--sensitive", "a", capsys=capsys)
         assert code == 2
 
@@ -573,14 +605,14 @@ class TestCompose:
     def test_channel_files(self, tmp_path, capsys):
         chan = {"inputs": ["0", "1"], "outputs": ["0", "1"], "rows": [[0.75, 0.25], [0.25, 0.75]]}
         p = tmp_path / "c.json"
-        p.write_text(json.dumps(chan))
+        p.write_text(json.dumps(chan), encoding="utf-8")
         code, out = run_cli("compose", str(p), str(p), capsys=capsys)
         assert code == 0
         assert len(json.loads(out)["channel"]["outputs"]) == 4
 
     def test_point_mass_prior_gives_exactly_zero(self, tmp_path, capsys):
         path = tmp_path / "p.json"
-        path.write_text(json.dumps({"outcomes": ["0", "1"], "probs": [1, 0]}))
+        path.write_text(json.dumps({"outcomes": ["0", "1"], "probs": [1, 0]}), encoding="utf-8")
         code, out = run_cli("compose", "rr:k=2,eps=1", "rr:k=2,eps=1", "--prior", str(path), capsys=capsys)
         assert code == 0
         assert json.loads(out)["certificate"]["mi_sh"] == 0.0
@@ -606,7 +638,7 @@ class TestCompose:
         assert json.loads(out)["channel"]["outputs"] == ["(a\\,b,c)", "(a\\,b,b\\,c)", "(a,c)", "(a,b\\,c)"]
 
 
-TWINS = json.loads(Path(data_path("twins.json")).read_text())
+TWINS = json.loads(Path(data_path("twins.json")).read_text(encoding="utf-8"))
 
 
 def _twins_with(**changes) -> str:
@@ -614,7 +646,7 @@ def _twins_with(**changes) -> str:
 
 
 def _write(tmp_path, name: str, text: str) -> str:
-    (tmp_path / name).write_text(text)
+    (tmp_path / name).write_text(text, encoding="utf-8")
     return str(tmp_path / name)
 
 
@@ -1169,7 +1201,7 @@ VALID = {
     "net": causal.net_to_json_dict(causal.fork_collider_graph()),
     "channel": {"inputs": ["a", "b", "c"], "outputs": ["x", "y"], "rows": [[0.5, 0.5], [0.25, 0.75], [0.9, 0.1]]},
     "prior": {"outcomes": ["a", "b", "c"], "probs": [0.2, 0.3, 0.5]},
-    "roles": json.loads(Path(data_path("anon_release.csv.roles.json")).read_text()),
+    "roles": json.loads(Path(data_path("anon_release.csv.roles.json")).read_text(encoding="utf-8")),
 }
 DELETE, RENAME = object(), object()
 # "ghost" is a name no document declares: an id, owner or datum that takes it refers to nothing
@@ -1300,7 +1332,7 @@ class TestVerbose:
         plain = capsys.readouterr()
         assert main(["-v", *argv]) == 0
         verbose = capsys.readouterr()
-        assert plain.out == verbose.out == (GOLDEN / golden).read_text()
+        assert plain.out == verbose.out == (GOLDEN / golden).read_text(encoding="utf-8")
         assert plain.err == ""
         assert [line for line in verbose.err.splitlines() if not line.startswith("infoflow.")] == []
         for prefix in logged:
@@ -1349,7 +1381,7 @@ class TestStrictOutput:
 
     def test_a_failed_output_removes_every_file_the_command_wrote(self, tmp_path):
         first, second, other = tmp_path / "first.txt", tmp_path / "second.txt", tmp_path / "other.txt"
-        other.write_text("kept")
+        other.write_text("kept", encoding="utf-8")
 
         def fail(fh):
             fh.write("partial")
@@ -1426,13 +1458,13 @@ class TestStrictOutput:
         assert capsys.readouterr().err.startswith("error: ")
 
 
-def run_child(*argv) -> subprocess.CompletedProcess:
-    """``python -m infoflow ARGV`` in a new process."""
+def run_child(*argv, **env) -> subprocess.CompletedProcess:
+    """``python -m infoflow ARGV`` in a new process, with the environment variables ``env`` set."""
     # The child must import the same infoflow as this process, installed
     # or not, so put the package's source root first on its path.
     src_root = str(Path(infoflow.__file__).resolve().parents[1])
     inherited = [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src_root, *inherited])}
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join([src_root, *inherited])}
     return subprocess.run([sys.executable, "-m", "infoflow", *argv], capture_output=True, text=True, env=env)
 
 
@@ -1442,13 +1474,40 @@ class TestConsoleEntry:
         assert out.returncode == 0
         assert json.loads(out.stdout)["holds"] is True
 
+    def test_non_ascii_files_give_the_same_bytes_in_the_c_locale(self, tmp_path):
+        # every file is read and written as UTF-8, so the locale's encoding (ASCII here) changes nothing
+        (tmp_path / "t.csv").write_bytes("zip,diag\n1,grippé\n2,rhume\n3,grippé\n".encode())
+        (tmp_path / "t.csv.roles.json").write_bytes(b'{"roles": {"zip": "quasi-identifier", "diag": "sensitive"}}')
+        (tmp_path / "s.json").write_bytes(_twins_with().replace('"twin1"', '"twïn1"').encode())
+        chan = {"inputs": ["é", "ü"], "outputs": ["ø", "å"], "rows": [[0.75, 0.25], [0.25, 0.75]]}
+        (tmp_path / "c.json").write_bytes(json.dumps(chan, ensure_ascii=False).encode())
+        runs = {}
+        for mode, env in [("utf8", {"PYTHONUTF8": "1"}), ("c", {"PYTHONUTF8": "0", "LC_ALL": "C"})]:
+            out = tmp_path / mode
+            out.mkdir()
+            commands = [
+                ["anon", str(tmp_path / "t.csv"), "--dp", "eps=1", "--sensitive", "diag",
+                 "--release-out", str(out / "released.csv")],
+                ["simulate", "--scenario", str(tmp_path / "s.json"), "--out", str(out / "sim")],
+                ["verify-bound", "--channel", str(tmp_path / "c.json")],
+            ]
+            done = [run_child(*argv, **env) for argv in commands]
+            assert [(p.returncode, p.stderr) for p in done] == [(0, "")] * 3
+            files = {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+            runs[mode] = [p.stdout for p in done], files
+        assert runs["c"] == runs["utf8"]
+        stdout, files = runs["c"]
+        assert "grippé".encode() in files["released.csv"]
+        assert json.loads(files[str(Path("sim") / "events.jsonl")].splitlines()[0])["sender"] == "twïn1"
+        assert json.loads(stdout[2])["holds"] is True
+
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def readme_examples() -> list[str]:
     """The ``infoflow ...`` lines of the README's CLI block."""
-    block = README.read_text().split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    block = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
     return [line for line in block.splitlines() if line.startswith("infoflow ")]
 
 

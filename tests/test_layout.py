@@ -12,11 +12,12 @@ unknown scenario, whose message lists the choices. Every dataclass of ``society`
 save the run state, ``Ledger`` and ``SimulationResult``, so a scenario stays as it was checked.
 The entity ids are collected once, by ``Society.__post_init__`` into ``Society.index``, and every
 other function reads that index rather than rebuilding the ids from ``.entities``.
-A command's handler returns what it writes, and ``cli.main`` writes it in one ``cli._emit`` call, the only
-place ``cli`` opens a file, so one rule decides what a failed command leaves.
-``anonymity`` reads and writes tables through ``csv.reader`` and ``csv.writer`` at one site each, and its
-split-read helper, ``_split_columns``, raises nothing: text it cannot split goes to ``csv.reader``, so every
-refusal of a table's text is the csv module's or ``Table``'s, whichever path a fast one adds.
+A command's handler returns what it writes, and ``cli.main`` writes it in one ``cli._emit`` call, so one rule
+decides what a failed command leaves. Files are opened only by the reader and the writer of ``measures``, so every
+file is UTF-8 and a failed write keeps none; ``csv.writer`` is called only in ``measures.write_csv``, so every CSV
+reads back, and ``csv.reader`` only in ``anonymity.read_table``. Its split-read helper, ``_split_columns``, raises
+nothing: text it cannot split goes to ``csv.reader``, so every refusal of a table's text is the csv module's or
+``Table``'s, whichever path a fast one adds.
 """
 
 import ast
@@ -36,7 +37,7 @@ TYPE_RULES = {"_integer", "_number"}
 HINTED = {("cli", "unknown scenario ")}  # (module, opening text) of a refusal that lists the accepted choices
 ENTITY_INDEX = ("society", "Society.__post_init__")  # (module, function) of the one collector of the entity ids
 OUTPUT_CALLS = {"_emit", "open"}  # the calls of cli that write a command's output
-CSV_CALLS = {"reader", "writer"}  # the csv module's calls that anonymity makes at one site each
+CSV_CALLS = {"reader", "writer"}  # the csv module's calls, each made at one site
 SPLIT_READ = "_split_columns"  # the helper of anonymity that splits a table's text without the csv module
 RUN_STATE = {"SimulationResult"}  # the dataclasses of society a run changes; a Ledger changes only its cumulative dict
 
@@ -49,7 +50,10 @@ def _unfrozen(module) -> list[str]:
 
 
 def _tree(path: Path) -> ast.Module:
-    return ast.parse(path.read_text(), filename=str(path))
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+TREES = {path.stem: _tree(path) for path in SOURCES}
 
 
 def _raised_name(node: ast.Raise) -> str | None:
@@ -187,6 +191,13 @@ def _csv_calls(tree: ast.AST) -> list[tuple[str, str, int]]:
             and isinstance(node.func.value, ast.Name) and node.func.value.id == "csv"]
 
 
+def _call_sites(trees: dict[str, ast.AST], callee: str) -> set[tuple[str, str]]:
+    """(module, function) of each call of ``callee`` in ``trees`` (module name -> tree): ``open``, by name or as an
+    attribute, or the csv module's ``reader`` or ``writer``."""
+    return {(module, f) for module, tree in trees.items() for f, c, _ in _output_calls(tree) + _csv_calls(tree)
+            if c == callee}
+
+
 def _raises_in(tree: ast.AST, function: str) -> list[int] | None:
     """The line of each ``raise`` in the function ``function`` of ``tree``, or None if ``tree`` has no such function."""
     for node in ast.walk(tree):
@@ -314,10 +325,31 @@ def test_the_output_guard_sees_named_and_attribute_calls_in_any_scope():
     ]
 
 
-def test_tables_meet_the_csv_module_at_one_site_each_and_the_split_read_raises_nothing():
-    tree = _tree(Path(infoflow.__file__).parent / "anonymity.py")
-    assert sorted(callee for _, callee, _ in _csv_calls(tree)) == ["reader", "writer"]
-    assert _raises_in(tree, SPLIT_READ) == []
+def test_files_are_opened_only_by_the_reader_and_the_writer_of_measures():
+    assert _call_sites(TREES, "open") == {("measures", "read_file"), ("measures", "write_files")}
+
+
+def test_csv_writer_is_called_only_in_write_csv():
+    assert _call_sites(TREES, "writer") == {("measures", "write_csv")}
+
+
+def test_csv_reader_is_called_only_in_read_table():
+    assert _call_sites(TREES, "reader") == {("anonymity", "read_table")}
+
+
+def test_the_site_guard_sees_each_module_and_function():
+    trees = {
+        "measures": ast.parse("def read_file(p):\n    return open(p)\ndef write_csv(rows, fh):\n    csv.writer(fh)\n"),
+        "cli": ast.parse("def main(p):\n    Path(p).open('w'), csv.writer(fh)\nclass T:\n    def rows(self):\n"
+                         "        return csv.reader(x), reader(x)\nio.open(p)\n"),
+    }
+    assert _call_sites(trees, "open") == {("measures", "read_file"), ("cli", "main"), ("cli", "<module>")}
+    assert _call_sites(trees, "writer") == {("measures", "write_csv"), ("cli", "main")}
+    assert _call_sites(trees, "reader") == {("cli", "T.rows")}
+
+
+def test_the_split_read_raises_nothing():
+    assert _raises_in(TREES["anonymity"], SPLIT_READ) == []
 
 
 def test_the_csv_guard_sees_each_call_and_each_raise():
