@@ -2,8 +2,10 @@
 
 Subcommands: verify-bound, sweep, leakage, simulate, anon, compose.
 Reports and input documents are strict JSON (reports in CSV via --format
-csv). Exit codes: 0 ok, 1 information-cap violated (a theorem-check
-failure that should never occur), 2 input error, 3 capacity exceeded.
+csv), and stdout is UTF-8 in every locale. Exit codes: 0 ok, 1 information-cap
+violated (a theorem-check failure that should never occur), 2 input error,
+3 capacity exceeded. Every refusal, of the command line too, is one
+``error:`` line on stderr with no usage text; ``-h`` prints the help and exits 0.
 ``-v`` before the subcommand writes the infoflow loggers' DEBUG lines
 (timings and sizes) to stderr; reports are the same bytes either way.
 """
@@ -35,7 +37,8 @@ EXIT_CAPACITY = 3
 def _emit(report, fmt: str, out, files) -> None:
     """Write each ``(path, write)`` of ``files``, then ``report`` (if not None) to ``out``, or to stdout when None.
 
-    ``write_files`` writes the files, all or none; the stdout text is built before them and written after.
+    ``write_files`` writes the files, all or none; the stdout text is built before them and written after, as
+    UTF-8 whatever the locale, to the bytes beneath ``sys.stdout`` (its own ``write`` where it has none).
     """
     files, buf = list(files), io.StringIO()
     if report is not None and out is None:
@@ -43,7 +46,12 @@ def _emit(report, fmt: str, out, files) -> None:
     elif report is not None:
         files.append((out, lambda fh: _write(report, fmt, fh)))
     write_files(files)
-    sys.stdout.write(buf.getvalue())
+    stdout = getattr(sys.stdout, "buffer", None)
+    if stdout is None:  # a text-only stream, such as an io.StringIO
+        sys.stdout.write(buf.getvalue())
+    else:
+        sys.stdout.flush()  # text written earlier goes first
+        stdout.write(buf.getvalue().encode("utf-8"))
 
 
 def _write(doc, fmt: str, fh) -> None:
@@ -92,8 +100,6 @@ def _load_prior(spec: str, channel: Channel) -> Dist:
 
 
 def cmd_verify_bound(args):
-    if (args.rr is None) == (args.channel is None):
-        raise ValueError("provide exactly one of --rr or --channel")
     chan = _rr_from_kv(_parse_kv(args.rr)) if args.rr else _load_channel_spec(args.channel)
     prior = _load_prior(args.prior, chan)
     cert = check_mi_bound(chan, prior)
@@ -106,8 +112,6 @@ def cmd_sweep(args):
 
 
 def cmd_leakage(args):
-    if (args.net is None) == (args.scenario is None):
-        raise ValueError("provide exactly one of --net or --scenario")
     own = (("--q", "twins", args.q), ("--n", "ballot", args.n), ("--seed", "fork-collider", args.seed))
     stray = [f"{opt} only with --scenario {name}" for opt, name, v in own if v is not None and args.scenario != name]
     if stray:
@@ -122,8 +126,6 @@ def cmd_leakage(args):
     elif args.scenario == "fork-collider":
         net = causal.fork_collider_graph(seed=42 if args.seed is None else args.seed)
         message = args.message or "M"
-    elif args.scenario is not None:
-        raise ValueError(f"unknown scenario {args.scenario!r} (twins|ballot|fork-collider)")
     else:
         net = causal.load_net(args.net)
         if args.message is None:
@@ -161,15 +163,13 @@ def cmd_simulate(args):
 
 def cmd_anon(args):
     # the option combination is checked before any table is read
-    if (args.aux is None) == (args.dp is None):
-        raise ValueError("provide exactly one of AUX or --dp")
     if args.aux is not None:
         mode, only = "--dp", {"--sensitive": args.sensitive, "--seed": args.seed, "--release-out": args.release_out}
     else:
         mode, only = "AUX", {"--aux-roles": args.aux_roles}
-    stray = [opt for opt, v in only.items() if v is not None]
+    stray = [f"{opt} only with {mode}" for opt, v in only.items() if v is not None]
     if stray:
-        raise ValueError(f"{', '.join(stray)}: only with {mode}")
+        raise ValueError("; ".join(stray))
     if args.aux is not None:
         report = linkage_attack(read_table(args.release, args.roles), read_table(args.aux, args.aux_roles))
         return EXIT_OK, report.to_json_dict(), ()
@@ -203,6 +203,13 @@ def cmd_compose(args):
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose refusals are ValueErrors, so ``main`` prints each as one ``error:`` line and returns 2."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The parser, built on the first ``main`` call rather than at import."""
@@ -210,14 +217,15 @@ def _parser() -> argparse.ArgumentParser:
     common.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
     common.add_argument("--out", default=None, help="write the report here instead of stdout")
 
-    parser = argparse.ArgumentParser(prog="infoflow", description=__doc__)
+    parser = _Parser(prog="infoflow", description=__doc__)
     parser.add_argument("-v", "--verbose", action="store_true",
                         help="write the infoflow loggers' DEBUG lines (timings and sizes) to stderr")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("verify-bound", parents=[common], help="certify the information cap of a channel")
-    p.add_argument("--rr", nargs="+", metavar="k=K eps=E", help="randomized-response generator spec")
-    p.add_argument("--channel", help="channel JSON file")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--rr", nargs="+", metavar="k=K eps=E", help="randomized-response generator spec")
+    source.add_argument("--channel", help="channel JSON file")
     p.add_argument("--prior", default="uniform", help="prior JSON file or 'uniform'")
     p.set_defaults(handler=cmd_verify_bound)
 
@@ -227,9 +235,10 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_sweep)
 
     p = sub.add_parser("leakage", parents=[common], help="per-node leakage profile of a message")
-    p.add_argument("--net", help="network JSON file")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--net", help="network JSON file")
+    source.add_argument("--scenario", choices=("twins", "ballot", "fork-collider"), help="built-in scenario")
     p.add_argument("--message", help="message node name")
-    p.add_argument("--scenario", help="built-in scenario: twins|ballot|fork-collider")
     p.add_argument("--n", type=int, help="voters of the ballot scenario (only with it; default 3)")
     p.add_argument("--q", type=float, help="ancestry-switch prior of the twins scenario (only with it; default 0.5)")
     p.add_argument("--seed", type=int, help="seed of the fork-collider scenario's CPTs (only with it; default 42)")
@@ -242,8 +251,9 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("anon", parents=[common], help="linkage attack or randomized release of a table")
     p.add_argument("release", help="released CSV (roles sidecar: <file>.roles.json)")
-    p.add_argument("aux", nargs="?", help="auxiliary CSV for the linkage attack")
-    p.add_argument("--dp", help="eps for a randomized release of --sensitive ('none' = identity)")
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("aux", nargs="?", metavar="AUX", help="auxiliary CSV for the linkage attack")
+    mode.add_argument("--dp", help="eps for a randomized release of --sensitive ('none' = identity)")
     p.add_argument("--sensitive", help="sensitive column to randomize (only with --dp)")
     p.add_argument("--roles", help="override the release roles sidecar")
     p.add_argument("--aux-roles", help="override the auxiliary roles sidecar (only with AUX)")
@@ -279,18 +289,16 @@ def _debug_to_stderr(on: bool):
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
-    with _debug_to_stderr(args.verbose):
-        try:
+    parser = _parser()  # outside the try: a mistake in the parser's own declarations is a traceback, not input
+    try:
+        args = parser.parse_args(argv)
+        with _debug_to_stderr(args.verbose):
             code, report, files = args.handler(args)
             _emit(report, args.fmt, args.out, files)
-            return code
-        except CapacityError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CAPACITY
-        except (ValueError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_INPUT
+        return code
+    except (CapacityError, ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CAPACITY if isinstance(exc, CapacityError) else EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -183,13 +183,14 @@ def malformed(where):
 
     Input of the wrong shape (a list for a mapping, a missing key, int()
     of a 1e400 that parsed to inf, a CSV field beyond the csv module's
-    limit) raises one of the types caught here.
+    limit, JSON nested deeper than the decoder recurses) raises one of
+    the types caught here.
     """
     try:
         yield
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from exc
-    except (TypeError, AttributeError, KeyError, IndexError, OverflowError, csv.Error) as exc:
+    except (TypeError, AttributeError, KeyError, IndexError, OverflowError, RecursionError, csv.Error) as exc:
         raise ValueError(f"{where}: malformed input ({type(exc).__name__}: {exc})") from exc
 
 

@@ -91,9 +91,9 @@ class TestVerifyBound:
         code, _ = run_cli("verify-bound", capsys=capsys)
         assert code == 2
 
-    def test_unknown_flag_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["verify-bound", "--rr", "k=2", "eps=1.0", "--frobnicate"])
+    def test_unknown_flag_rejected(self, capsys):
+        assert main(["verify-bound", "--rr", "k=2", "eps=1.0", "--frobnicate"]) == 2
+        assert "--frobnicate" in capsys.readouterr().err
 
     def test_csv_format(self, capsys):
         code, out = run_cli(
@@ -563,7 +563,7 @@ class TestAnon:
     def test_release_options_refused_with_aux(self, option, value, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         assert main(["anon", data_path("anon_release.csv"), data_path("anon_aux.csv"), option, value]) == 2
-        assert capsys.readouterr().err == f"error: {option}: only with --dp\n"
+        assert capsys.readouterr().err == f"error: {option} only with --dp\n"
         assert not (tmp_path / "x.csv").exists()
 
     def test_options_checked_before_any_table_is_read(self, tmp_path, capsys):
@@ -810,6 +810,10 @@ MALFORMED = {
         {"c.json": json.dumps({"inputs": [], "outputs": ["x"], "rows": []})},
         ["verify-bound", "--channel", "c.json"],
     ),
+    # JSON nested deeper than the decoder recurses
+    "channel-nested-too-deep": ({"c.json": "[" * 100_000 + "]" * 100_000}, ["verify-bound", "--channel", "c.json"]),
+    "scenario-nested-too-deep": ({"s.json": '{"a":' * 100_000 + "1" + "}" * 100_000},
+                                 ["simulate", "--scenario", "s.json"]),
     "leakage-net-and-scenario": ({}, ["leakage", "--net", data_path("fork_collider.json"), "--scenario", "twins"]),
     "leakage-without-net-or-scenario": ({}, ["leakage"]),
     "leakage-unknown-scenario": ({}, ["leakage", "--scenario", "triplets"]),
@@ -1035,9 +1039,12 @@ REFUSED_BY = {
     "channel-rows-mismatch-labels": "channel has shape (1, 2), expected (2, 2)",
     "channel-cells-near-float-max": "channel has an entry above 1",
     "channel-without-labels": "inputs must be non-empty",
-    "leakage-net-and-scenario": "exactly one of --net or --scenario",
-    "leakage-without-net-or-scenario": "exactly one of --net or --scenario",
-    "leakage-unknown-scenario": "unknown scenario",
+    "channel-nested-too-deep": "c.json: malformed input (RecursionError: ",
+    "scenario-nested-too-deep": "s.json: malformed input (RecursionError: ",
+    # argparse's own refusals, matched by the option names, since its wording differs across Python versions
+    "leakage-net-and-scenario": "argument --scenario: ",
+    "leakage-without-net-or-scenario": "--net --scenario",
+    "leakage-unknown-scenario": "argument --scenario: ",
     "leakage-net-without-message": "--message is required",
     "rr-token-without-equals": "expected key=value",
     "rr-spec-without-eps": "randomized response needs",
@@ -1296,19 +1303,67 @@ class TestRandomizedResponseSpecs:
                 assert len(lines) == 1 and lines[0].startswith("error: "), argv
 
 
+# argv that the parser refuses, with the names its one error line gives (argparse's wording differs across versions)
+ARGV_REFUSALS = {
+    "unknown-flag": (["verify-bound", "--rr", "k=2", "eps=1", "--frobnicate"], ["--frobnicate"]),
+    "cases-not-an-integer": (["sweep", "--cases", "abc"], ["--cases", "'abc'"]),
+    "format-unknown": (["sweep", "--format", "xml"], ["--format", "'xml'"]),
+    "no-subcommand": ([], ["subcommand"]),
+    "unknown-subcommand": (["frobnicate"], ["subcommand", "'frobnicate'"]),
+    "simulate-without-scenario": (["simulate"], ["--scenario"]),
+    "simulate-seed": (["simulate", "--scenario", data_path("twins.json"), "--seed", "1"], ["--seed"]),
+    "verify-bound-rr-and-channel": (["verify-bound", "--rr", "k=2", "eps=1", "--channel", "c.json"],
+                                    ["--rr", "--channel"]),
+    "verify-bound-without-rr-or-channel": (["verify-bound"], ["--rr", "--channel"]),
+    "leakage-net-and-scenario": (["leakage", "--net", "n.json", "--scenario", "twins"], ["--net", "--scenario"]),
+    "leakage-without-net-or-scenario": (["leakage", "--message", "M"], ["--net", "--scenario"]),
+    "leakage-unknown-scenario": (["leakage", "--scenario", "nope"], ["--scenario", "'nope'"]),
+    "anon-aux-and-dp": (["anon", "t.csv", "a.csv", "--dp", "1"], ["AUX", "--dp"]),
+    "anon-without-aux-or-dp": (["anon", "t.csv"], ["AUX", "--dp"]),
+}
+
+
+class TestArgvRefusals:
+    @pytest.mark.parametrize("case", sorted(ARGV_REFUSALS))
+    def test_exits_2_with_one_error_line_and_no_usage(self, case, tmp_path, monkeypatch, capsys):
+        argv, names = ARGV_REFUSALS[case]
+        monkeypatch.chdir(tmp_path)  # no file named in argv exists: the parser refuses before any is read
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error: ")
+        assert "usage:" not in captured.err
+        assert [name for name in names if name not in captured.err] == []
+
+    @pytest.mark.parametrize("argv", [["--help"], ["-h"]])
+    def test_help_still_exits_0(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: infoflow")
+
+    def test_a_mistake_in_the_parser_is_not_an_input_error(self, monkeypatch):
+        def broken():
+            raise ValueError("conflicting option string: --seed")
+
+        monkeypatch.setattr(cli, "_parser", broken)
+        with pytest.raises(ValueError, match="conflicting option string"):
+            main(["sweep"])
+
+
 class TestOptions:
     @pytest.mark.parametrize("sub", ["verify-bound", "sweep", "leakage", "simulate", "anon", "compose"])
     def test_help_lists_only_options_that_are_read(self, sub, capsys):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as exc:
             main([sub, "--help"])
+        assert exc.value.code == 0
         text = capsys.readouterr().out
         assert "--tolerance" not in text
         assert ("--seed" in text) == (sub in ("sweep", "leakage", "anon"))
 
     def test_seed_is_refused_where_nothing_is_random(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["simulate", "--scenario", data_path("twins.json"), "--seed", "1"])
-        assert exc.value.code == 2
+        assert main(["simulate", "--scenario", data_path("twins.json"), "--seed", "1"]) == 2
+        assert "--seed" in capsys.readouterr().err
 
     def test_fork_collider_seed_zero_is_seed_zero(self, capsys):
         _, default = run_cli("leakage", "--scenario", "fork-collider", capsys=capsys)
@@ -1465,7 +1520,8 @@ def run_child(*argv, **env) -> subprocess.CompletedProcess:
     src_root = str(Path(infoflow.__file__).resolve().parents[1])
     inherited = [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join([src_root, *inherited])}
-    return subprocess.run([sys.executable, "-m", "infoflow", *argv], capture_output=True, text=True, env=env)
+    # stdout is UTF-8 in every locale
+    return subprocess.run([sys.executable, "-m", "infoflow", *argv], capture_output=True, encoding="utf-8", env=env)
 
 
 class TestConsoleEntry:
@@ -1481,6 +1537,8 @@ class TestConsoleEntry:
         (tmp_path / "s.json").write_bytes(_twins_with().replace('"twin1"', '"twïn1"').encode())
         chan = {"inputs": ["é", "ü"], "outputs": ["ø", "å"], "rows": [[0.75, 0.25], [0.25, 0.75]]}
         (tmp_path / "c.json").write_bytes(json.dumps(chan, ensure_ascii=False).encode())
+        (tmp_path / "n.json").write_bytes(_net({**_X, "name": "é"}, {**_M, "parents": ["é"]}).encode())
+        leakage = ["leakage", "--net", str(tmp_path / "n.json"), "--message", "M", "--format", "csv"]
         runs = {}
         for mode, env in [("utf8", {"PYTHONUTF8": "1"}), ("c", {"PYTHONUTF8": "0", "LC_ALL": "C"})]:
             out = tmp_path / mode
@@ -1490,9 +1548,11 @@ class TestConsoleEntry:
                  "--release-out", str(out / "released.csv")],
                 ["simulate", "--scenario", str(tmp_path / "s.json"), "--out", str(out / "sim")],
                 ["verify-bound", "--channel", str(tmp_path / "c.json")],
+                leakage,
+                [*leakage, "--out", str(out / "leakage.csv")],
             ]
             done = [run_child(*argv, **env) for argv in commands]
-            assert [(p.returncode, p.stderr) for p in done] == [(0, "")] * 3
+            assert [(p.returncode, p.stderr) for p in done] == [(0, "")] * 5
             files = {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
             runs[mode] = [p.stdout for p in done], files
         assert runs["c"] == runs["utf8"]
@@ -1500,6 +1560,7 @@ class TestConsoleEntry:
         assert "grippé".encode() in files["released.csv"]
         assert json.loads(files[str(Path("sim") / "events.jsonl")].splitlines()[0])["sender"] == "twïn1"
         assert json.loads(stdout[2])["holds"] is True
+        assert stdout[3].encode() == files["leakage.csv"] and "é" in stdout[3]
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

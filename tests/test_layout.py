@@ -7,8 +7,8 @@ stay private to their module: no other module imports one or reaches it as an at
 A value's type rule lives in the record or check that owns the value, so no reader of a
 document (``cli``, and the ``*from_json*`` and ``load_*`` functions of ``society`` and
 ``causal``) names ``_integer`` or ``_number``. A name a record refers to resolves through
-``measures._known``, so no other module refuses an unknown name itself, save ``cli``'s
-unknown scenario, whose message lists the choices. Every dataclass of ``society`` is frozen
+``measures._known``, so no other module refuses an unknown name itself; ``cli``'s
+parser refuses an unknown scenario. Every dataclass of ``society`` is frozen
 save the run state, ``Ledger`` and ``SimulationResult``, so a scenario stays as it was checked.
 The entity ids are collected once, by ``Society.__post_init__`` into ``Society.index``, and every
 other function reads that index rather than rebuilding the ids from ``.entities``.
@@ -34,7 +34,6 @@ import infoflow
 SOURCES = sorted(Path(infoflow.__file__).parent.glob("*.py"))
 PRIVATE_TO = {"society", "causal", "anonymity", "cli"}
 TYPE_RULES = {"_integer", "_number"}
-HINTED = {("cli", "unknown scenario ")}  # (module, opening text) of a refusal that lists the accepted choices
 ENTITY_INDEX = ("society", "Society.__post_init__")  # (module, function) of the one collector of the entity ids
 OUTPUT_CALLS = {"_emit", "open"}  # the calls of cli that write a command's output
 CSV_CALLS = {"reader", "writer"}  # the csv module's calls, each made at one site
@@ -235,8 +234,7 @@ def test_the_type_rule_guard_sees_imports_calls_and_references():
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_unknown_names_are_refused_only_in_measures(path):
-    refusals = [(text, line) for text, line in _unknown_refusals(_tree(path)) if (path.stem, text) not in HINTED]
-    assert path.name == "measures.py" or refusals == []
+    assert path.name == "measures.py" or _unknown_refusals(_tree(path)) == []
 
 
 def test_the_membership_guard_sees_plain_and_formatted_messages():
