@@ -18,7 +18,7 @@ import io
 import logging
 from dataclasses import asdict, dataclass
 from functools import cached_property
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from operator import itemgetter
 from pathlib import Path
 
@@ -318,36 +318,13 @@ def _split_columns(text: str):
     return flat[:width], tuple(tuple(flat[i::width]) for i in range(width, 2 * width)), height
 
 
-_CHUNK_ROWS = 4096  # rows joined into one text at a time by _write_rows
-
-
-def _write_rows(fh, rows) -> None:
-    """Write ``rows`` to ``fh``, the bytes that ``measures.write_csv`` writes.
-
-    Rows are joined a chunk at a time. A chunk with a cell that the writer
-    quotes or that would not read back (one holding a comma, quote char,
-    ``\\r``, ``\\n`` or NUL, or the empty cell of a one-column row) goes
-    through ``write_csv``, whose output is its rows' texts in turn.
-    """
-    rows = iter(rows)
-    while chunk := list(islice(rows, _CHUNK_ROWS)):
-        text = "\n".join(map(",".join, chunk)) + "\n"
-        width = len(chunk[0])
-        if (text.count(",") == len(chunk) * (width - 1) and text.count("\n") == len(chunk)
-                and not any(c in text for c in '"\r\0') and (width != 1 or "\n\n" not in "\n" + text)):
-            fh.write(text)
-        else:
-            write_csv(chunk, fh)
-
-
 def table_files(t: Table, csv_path) -> list:
     """The ``(path, write)`` pairs of ``t`` as a CSV with its role sidecar beside it, where ``read_table`` looks.
 
-    The CSV is what ``measures.write_csv`` writes of the header and rows,
-    byte for byte (``_write_rows``), so it reads back as ``t``; the sidecar
-    is a ``measures.write_json`` document.
+    The CSV is what ``measures.write_csv`` writes of the header and rows, so
+    it reads back as ``t``; the sidecar is a ``measures.write_json`` document.
     """
-    return [(csv_path, lambda fh: _write_rows(fh, chain([t.column_names()], _rows_of(t.cells, t.height)))),
+    return [(csv_path, lambda fh: write_csv(chain([t.column_names()], _rows_of(t.cells, t.height)), fh)),
             (default_roles_path(csv_path), lambda fh: write_json({"roles": dict(t.columns)}, fh))]
 
 

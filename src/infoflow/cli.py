@@ -2,12 +2,13 @@
 
 Subcommands: verify-bound, sweep, leakage, simulate, anon, compose.
 Reports and input documents are strict JSON (reports in CSV via --format
-csv), and stdout is UTF-8 in every locale. Exit codes: 0 ok, 1 information-cap
+csv), and files, stdout and stderr are UTF-8 in every locale (a byte-order
+mark opening an input is skipped). Exit codes: 0 ok, 1 information-cap
 violated (a theorem-check failure that should never occur), 2 input error,
 3 capacity exceeded. Every refusal, of the command line too, is one
 ``error:`` line on stderr with no usage text; ``-h`` prints the help and exits 0.
 ``-v`` before the subcommand writes the infoflow loggers' DEBUG lines
-(timings and sizes) to stderr; reports are the same bytes either way.
+(timings and sizes, all ASCII) to stderr; reports are the same bytes either way.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import functools
 import io
 import json
 import logging
+import os
 import sys
 from pathlib import Path
 
@@ -25,7 +27,7 @@ from . import causal, society
 from .anonymity import dp_release, linkage_attack, read_table, table_files
 from .channels import Channel, _check_eps, bound_sweep, check_mi_bound, compose, randomized_response, realized_epsilon
 from .measures import (
-    CapacityError, Dist, _check_keys, _distinct, load_json, malformed, write_csv, write_files, write_json,
+    CapacityError, Dist, _check_keys, _distinct, load_json, malformed, write_csv, write_files, write_json, write_text,
 )
 
 EXIT_OK = 0
@@ -37,8 +39,8 @@ EXIT_CAPACITY = 3
 def _emit(report, fmt: str, out, files) -> None:
     """Write each ``(path, write)`` of ``files``, then ``report`` (if not None) to ``out``, or to stdout when None.
 
-    ``write_files`` writes the files, all or none; the stdout text is built before them and written after, as
-    UTF-8 whatever the locale, to the bytes beneath ``sys.stdout`` (its own ``write`` where it has none).
+    ``write_files`` writes the files, all or none; the stdout text is built before them and written after by
+    ``write_text``, as UTF-8 whatever the locale.
     """
     files, buf = list(files), io.StringIO()
     if report is not None and out is None:
@@ -46,12 +48,7 @@ def _emit(report, fmt: str, out, files) -> None:
     elif report is not None:
         files.append((out, lambda fh: _write(report, fmt, fh)))
     write_files(files)
-    stdout = getattr(sys.stdout, "buffer", None)
-    if stdout is None:  # a text-only stream, such as an io.StringIO
-        sys.stdout.write(buf.getvalue())
-    else:
-        sys.stdout.flush()  # text written earlier goes first
-        stdout.write(buf.getvalue().encode("utf-8"))
+    write_text(sys.stdout, buf.getvalue())
 
 
 def _write(doc, fmt: str, fh) -> None:
@@ -297,7 +294,9 @@ def main(argv=None) -> int:
             _emit(report, args.fmt, args.out, files)
         return code
     except (CapacityError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, OSError) and isinstance(exc.filename, str):  # str(exc) quotes its repr, escaping argv bytes
+            exc.filename = os.fsencode(exc.filename).decode("utf-8", "replace")
+        write_text(sys.stderr, f"error: {exc}\n")
         return EXIT_CAPACITY if isinstance(exc, CapacityError) else EXIT_INPUT
 
 

@@ -15,6 +15,7 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,8 @@ SUM_TOL = 1e-9
 INTEGERS = (int, np.integer)  # the integer types a record or check accepts where numpy may hand it one
 
 STATE_SPACE_CAP = 2**22  # cells of a dense table: a net's joint, a randomized-response matrix, a composed channel
+
+_CHUNK_ROWS = 4096  # rows joined into one text at a time by write_csv
 
 
 class CapacityError(Exception):
@@ -195,8 +198,12 @@ def malformed(where):
 
 
 def read_file(path) -> str:
-    """The text of the file at ``path``, decoded as UTF-8 whatever the locale, its line ends kept as written."""
-    with open(path, encoding="utf-8", newline="") as fh:
+    """The text of the file at ``path``, decoded as UTF-8 whatever the locale, its line ends kept as written.
+
+    A byte-order mark at the start is not part of the text (``utf-8-sig``), as a JSON parser may ignore one
+    (RFC 8259, 8.1) and a spreadsheet's UTF-8 CSV starts with one; a U+FEFF after the start is text.
+    """
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         return fh.read()
 
 
@@ -233,11 +240,34 @@ def write_json(doc, fh) -> None:
 
 def write_csv(rows, fh) -> None:
     """Write ``rows`` as ``csv.writer(fh, lineterminator="\\n")`` does, save that each cell of a row with a ``\\r``
-    in a cell is quoted: the writer leaves a ``\\r`` bare, and ``csv.reader`` ends a row there."""
+    in a cell is quoted: the writer leaves a ``\\r`` bare, and ``csv.reader`` ends a row there. Rows go
+    ``_CHUNK_ROWS`` at a time: a chunk of string cells that the writer leaves as they are (none holds a comma, quote
+    char, ``\\r``, ``\\n`` or NUL, and no line is empty, as one empty cell is quoted) is written as its join, where
+    a row of ``w`` cells puts ``w - 1`` commas and one newline; any other chunk goes through the csv module."""
     plain = csv.writer(fh, lineterminator="\n")
     quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
-    for row in rows:
-        (quoted if "\r" in "".join(map(str, row)) else plain).writerow(row)
+    rows = iter(rows)
+    while chunk := list(islice(rows, _CHUNK_ROWS)):
+        try:
+            text, widths = "\n".join(map(",".join, chunk)) + "\n", set(map(len, chunk))
+            cells = len(chunk) * max(widths) if len(widths) == 1 else sum(map(len, chunk))
+        except TypeError:  # a cell that is not a string
+            text = None
+        if (text is not None and text.count(",") == cells - len(chunk) and text.count("\n") == len(chunk)
+                and not any(c in text for c in '"\r\0') and (min(widths) > 1 or "\n\n" not in "\n" + text)):
+            fh.write(text)
+        else:
+            for row in chunk:
+                (quoted if "\r" in "".join(map(str, row)) else plain).writerow(row)
+
+
+def write_text(stream, text: str) -> None:
+    """Write ``text`` to ``stream`` as UTF-8 (an undecodable argv byte as that byte) after the text it holds."""
+    if getattr(stream, "buffer", None) is None:  # a text-only stream, such as an io.StringIO
+        stream.write(text)
+    else:
+        stream.flush()
+        stream.buffer.write(text.encode("utf-8", "surrogateescape"))
 
 
 def _as_tuple(values, what: str) -> tuple:

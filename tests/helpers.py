@@ -302,7 +302,8 @@ def naive_linkage(release_columns, release_rows, aux_columns, aux_rows) -> dict:
 
 
 def naive_read_table(csv_path, roles_path=None):
-    """The table ``anonymity.read_table`` loads, by one ``csv.reader`` pass over the open file.
+    """The table ``anonymity.read_table`` loads, by one ``csv.reader`` pass over the open file (a byte-order mark
+    at its start skipped).
 
     ``read_table`` must give the same columns, cells and height, or refuse
     with the same message; the table and the sidecar rules are the
@@ -316,7 +317,7 @@ def naive_read_table(csv_path, roles_path=None):
 
     roles_path = default_roles_path(csv_path) if roles_path is None else Path(roles_path)
     roles = load_json(roles_path, lambda doc: dict(_check_keys(doc, ("roles",), "roles sidecar")["roles"].items()))
-    with open(csv_path, newline="", encoding="utf-8") as fh, malformed(csv_path):
+    with open(csv_path, newline="", encoding="utf-8-sig") as fh, malformed(csv_path):
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:
@@ -458,3 +459,18 @@ def write_events_csv(records, fh) -> None:
     writer = csv.DictWriter(fh, fieldnames=EVENT_CSV_FIELDS, lineterminator="\n")
     writer.writeheader()
     writer.writerows(events_csv_rows(records))
+
+
+def write_csv_rows(rows, fh) -> None:
+    """``measures.write_csv`` one row at a time through the csv module, with no joined fast path.
+
+    ``write_csv`` must write these bytes for any rows: a row with a ``\\r``
+    in a cell has every cell quoted, and any other row is written as
+    ``csv.writer(fh, lineterminator="\\n")`` writes it.
+    """
+    import csv
+
+    plain = csv.writer(fh, lineterminator="\n")
+    quoted = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    for row in rows:
+        (quoted if "\r" in "".join(map(str, row)) else plain).writerow(row)

@@ -26,7 +26,7 @@ from infoflow import (
     push_through,
     randomized_response,
 )
-from infoflow import anonymity
+from infoflow import anonymity, measures
 from infoflow.anonymity import read_table, write_table
 
 LN3 = math.log(3)
@@ -344,7 +344,7 @@ class TestReadMatchesCsvReader:
         path = tmp_path_factory.mktemp("read") / "t.csv"
         names = ["a", "é", "a a"][:data.draw(st.integers(1, 3))]
         roles = {n: data.draw(st.sampled_from(ROLES)) for n in names}
-        cell = st.text(alphabet=["a", "é", " ", ",", '"', "\r", "\n", "\0"], max_size=8)
+        cell = st.text(alphabet=["a", "é", " ", ",", '"', "\r", "\n", "\0", "\ufeff"], max_size=8)
         header = ",".join(names) if data.draw(st.booleans()) else data.draw(cell)
         lines = data.draw(st.lists(cell, max_size=6))
         text = "\n".join([header, *lines]) + data.draw(st.sampled_from(["", "\n", "\r\n"]))
@@ -374,6 +374,16 @@ class TestReadMatchesCsvReader:
         _save(tmp_path / "crlf.csv", text.replace("\n", "\r\n"), dict(zip(["zip", "age", "diagnosis"], [QI, QI, "sensitive"])))
         assert read_table(tmp_path / "crlf.csv") == read_table(tmp_path / "lf.csv")
         assert read_table(tmp_path / "lf.csv").cells == (("13053", "13068"), ("20-29", "30-39"), ("flu", "cold"))
+
+    @pytest.mark.parametrize("text", ["zip,diag\n1,flu\n2,\ufeffcold\n", 'zip,diag\n1,"flu, cold"\n2,\ufeffcold\n'])
+    def test_a_file_opening_with_a_byte_order_mark_reads_as_its_twin(self, text, tmp_path):
+        # a spreadsheet's UTF-8 CSV opens with one; the first text is split by column, the second read by csv.reader
+        roles = {"zip": QI, "diag": "sensitive"}
+        _save(tmp_path / "twin.csv", text, roles)
+        _save(tmp_path / "bom.csv", "\ufeff" + text, roles)
+        t = read_table(tmp_path / "bom.csv")
+        assert t == read_table(tmp_path / "twin.csv") and t.column_names() == ["zip", "diag"]
+        assert t.cells[1][1] == "\ufeffcold"  # a mark after the start is the cell's
 
     def test_single_column_file_with_an_empty_line(self, tmp_path):
         # csv.reader reads the empty line as a row of no cell
@@ -458,9 +468,9 @@ class TestWriteMatchesCsvWriter:
                 assert _written(t, tmp_path) == _csv_writer_bytes(t)
 
     def test_a_quoted_row_in_the_second_chunk(self, tmp_path):
-        n = 3 * anonymity._CHUNK_ROWS
+        n = 3 * measures._CHUNK_ROWS
         rows = [(str(i), "flu") for i in range(n)]
-        rows[anonymity._CHUNK_ROWS + 5] = ("x", 'say "hi", then')
+        rows[measures._CHUNK_ROWS + 5] = ("x", 'say "hi", then')
         t = Table((("id", "identifier"), ("diag", "sensitive")), rows)
         written = _written(t, tmp_path)
         assert written == _csv_writer_bytes(t)

@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import csv
+import functools
 import io
 import json
 import logging
@@ -20,7 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import infoflow
-from infoflow import causal, cli, randomized_response, society
+from infoflow import anonymity, causal, cli, measures, randomized_response, society
 from infoflow.cli import _emit, main
 from infoflow.society import write_events_jsonl, write_ledger_json
 import helpers
@@ -1513,6 +1514,65 @@ class TestStrictOutput:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+class TestCsvOutputs:
+    def test_every_csv_the_program_writes_is_what_the_csv_module_writes_row_by_row(self, tmp_path, monkeypatch,
+                                                                                     capsys):
+        # each writer's own rows, through write_csv and through the csv module a row at a time; the identity
+        # release keeps its 9,001 rows in place, so its second chunk holds commas and quotes and its others none
+        writers = []
+
+        def both(module, rows, fh):
+            rows = list(rows)
+            joined, by_row = io.StringIO(newline=""), io.StringIO(newline="")
+            measures.write_csv(rows, joined)
+            helpers.write_csv_rows(rows, by_row)
+            assert joined.getvalue() == by_row.getvalue()
+            writers.append(module)
+            fh.write(joined.getvalue())
+
+        for module in (anonymity, cli, society):
+            monkeypatch.setattr(module, "write_csv", functools.partial(both, module.__name__))
+        odd = '"a, ""b"""'  # the cell 'a, "b"' as the csv module writes it
+        rows = "".join(f"{i % 7},{odd if 4096 < i < 4100 else 'flu'}\n" for i in range(9000))
+        (tmp_path / "t.csv").write_text("zip,diag\n" + rows, encoding="utf-8")
+        (tmp_path / "t.csv.roles.json").write_text(
+            json.dumps({"roles": {"zip": "quasi-identifier", "diag": "sensitive"}}), encoding="utf-8")
+        commands = [
+            ["anon", str(tmp_path / "t.csv"), "--dp", "none", "--sensitive", "diag",
+             "--release-out", str(tmp_path / "released.csv")],
+            ["anon", data_path("anon_release.csv"), "--dp", "eps=1", "--sensitive", "diagnosis",
+             "--release-out", str(tmp_path / "fixture.csv")],
+            ["simulate", "--scenario", data_path("twins.json"), "--format", "csv", "--out", str(tmp_path / "sim")],
+            ["leakage", "--scenario", "twins", "--format", "csv"],
+            ["verify-bound", "--rr", "k=3", "eps=0.5", "--format", "csv"],
+        ]
+        assert [main(argv) for argv in commands] == [0] * 5
+        assert writers == ["infoflow.anonymity"] * 2 + ["infoflow.society", "infoflow.cli"] + ["infoflow.cli"] * 2
+        assert (tmp_path / "released.csv").read_text(encoding="utf-8") == "zip,diag\n" + rows
+
+
+class TestByteOrderMark:
+    def test_inputs_opening_with_a_mark_read_as_their_twins(self, tmp_path, capsys):
+        # a spreadsheet's UTF-8 CSV opens with one, and a JSON parser may ignore one (RFC 8259, 8.1)
+        chan = json.dumps({"inputs": ["a", "b"], "outputs": ["x", "y"], "rows": [[0.75, 0.25], [0.25, 0.75]]})
+        roles = json.dumps({"roles": {"zip": "quasi-identifier", "diag": "sensitive"}})
+        runs = {}
+        for name, mark in [("twin", ""), ("bom", "\ufeff")]:
+            d = tmp_path / name
+            d.mkdir()
+            for file, text in [("c.json", chan), ("t.csv", "zip,diag\n1,flu\n2,cold\n3,flu\n"),
+                               ("t.csv.roles.json", roles)]:
+                (d / file).write_bytes((mark + text).encode())
+            runs[name] = [
+                run_cli("verify-bound", "--channel", str(d / "c.json"), capsys=capsys),
+                run_cli("anon", str(d / "t.csv"), "--dp", "eps=1", "--sensitive", "diag", "--release-out",
+                        str(d / "r.csv"), capsys=capsys),
+                (d / "r.csv").read_bytes(),
+            ]
+        assert runs["bom"] == runs["twin"]
+        assert runs["bom"][0][0] == runs["bom"][1][0] == 0 and runs["bom"][2].startswith(b"zip,diag\n")
+
+
 def run_child(*argv, **env) -> subprocess.CompletedProcess:
     """``python -m infoflow ARGV`` in a new process, with the environment variables ``env`` set."""
     # The child must import the same infoflow as this process, installed
@@ -1539,6 +1599,9 @@ class TestConsoleEntry:
         (tmp_path / "c.json").write_bytes(json.dumps(chan, ensure_ascii=False).encode())
         (tmp_path / "n.json").write_bytes(_net({**_X, "name": "é"}, {**_M, "parents": ["é"]}).encode())
         leakage = ["leakage", "--net", str(tmp_path / "n.json"), "--message", "M", "--format", "csv"]
+        # a name that is not ASCII, as this process's file system encoding spells it, so the child gets its UTF-8
+        malformed, missing = (str(tmp_path / os.fsdecode(name.encode())) for name in ("nö.json", "missing-nö.json"))
+        Path(malformed).write_bytes(b"{bad")
         runs = {}
         for mode, env in [("utf8", {"PYTHONUTF8": "1"}), ("c", {"PYTHONUTF8": "0", "LC_ALL": "C"})]:
             out = tmp_path / mode
@@ -1550,13 +1613,19 @@ class TestConsoleEntry:
                 ["verify-bound", "--channel", str(tmp_path / "c.json")],
                 leakage,
                 [*leakage, "--out", str(out / "leakage.csv")],
+                ["verify-bound", "--channel", malformed],
+                ["verify-bound", "--channel", missing],
             ]
             done = [run_child(*argv, **env) for argv in commands]
-            assert [(p.returncode, p.stderr) for p in done] == [(0, "")] * 5
+            assert [(p.returncode, p.stderr) for p in done[:5]] == [(0, "")] * 5
+            assert [p.returncode for p in done[5:]] == [2, 2]
             files = {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
-            runs[mode] = [p.stdout for p in done], files
+            # run_child decodes strictly as UTF-8, so equal stderr texts are equal bytes
+            runs[mode] = [p.stdout for p in done], [p.stderr for p in done[5:]], files
         assert runs["c"] == runs["utf8"]
-        stdout, files = runs["c"]
+        stdout, stderr, files = runs["c"]
+        assert stderr[0].startswith("error: ") and "nö.json: Expecting property name" in stderr[0]
+        assert stderr[1].startswith("error: [Errno 2] ") and stderr[1].endswith("missing-nö.json'\n")
         assert "grippé".encode() in files["released.csv"]
         assert json.loads(files[str(Path("sim") / "events.jsonl")].splitlines()[0])["sender"] == "twïn1"
         assert json.loads(stdout[2])["holds"] is True

@@ -17,7 +17,9 @@ decides what a failed command leaves. Files are opened only by the reader and th
 file is UTF-8 and a failed write keeps none; ``csv.writer`` is called only in ``measures.write_csv``, so every CSV
 reads back, and ``csv.reader`` only in ``anonymity.read_table``. Its split-read helper, ``_split_columns``, raises
 nothing: text it cannot split goes to ``csv.reader``, so every refusal of a table's text is the csv module's or
-``Table``'s, whichever path a fast one adds.
+``Table``'s, whichever path a fast one adds. Text becomes bytes only in ``measures``: no other module reads a
+stream's ``buffer`` or calls ``.encode(``, and no module calls ``print``, so stdout and stderr, like every file, are
+UTF-8 in any locale (``measures.write_text``).
 """
 
 import ast
@@ -38,6 +40,7 @@ ENTITY_INDEX = ("society", "Society.__post_init__")  # (module, function) of the
 OUTPUT_CALLS = {"_emit", "open"}  # the calls of cli that write a command's output
 CSV_CALLS = {"reader", "writer"}  # the csv module's calls, each made at one site
 SPLIT_READ = "_split_columns"  # the helper of anonymity that splits a table's text without the csv module
+BYTES_AT = "measures"  # the one module that reads a stream's buffer or encodes text
 RUN_STATE = {"SimulationResult"}  # the dataclasses of society a run changes; a Ledger changes only its cumulative dict
 
 
@@ -197,6 +200,22 @@ def _call_sites(trees: dict[str, ast.AST], callee: str) -> set[tuple[str, str]]:
             if c == callee}
 
 
+def _stream_bytes(tree: ast.AST) -> list[tuple[str, str, int]]:
+    """(function, what, line) of each read of a ``buffer`` attribute in ``tree``, by name or by ``getattr``, and
+    each call of ``print`` or of an ``encode`` method."""
+    found = []
+    for scope, node in _scoped(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "buffer":
+            found.append((scope, "buffer", node.lineno))
+        elif isinstance(node, ast.Call):
+            callee = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+            if callee in ("print", "encode"):
+                found.append((scope, callee, node.lineno))
+            elif callee == "getattr" and any(isinstance(a, ast.Constant) and a.value == "buffer" for a in node.args):
+                found.append((scope, "buffer", node.lineno))
+    return found
+
+
 def _raises_in(tree: ast.AST, function: str) -> list[int] | None:
     """The line of each ``raise`` in the function ``function`` of ``tree``, or None if ``tree`` has no such function."""
     for node in ast.walk(tree):
@@ -344,6 +363,28 @@ def test_the_site_guard_sees_each_module_and_function():
     assert _call_sites(trees, "open") == {("measures", "read_file"), ("cli", "main"), ("cli", "<module>")}
     assert _call_sites(trees, "writer") == {("measures", "write_csv"), ("cli", "main")}
     assert _call_sites(trees, "reader") == {("cli", "T.rows")}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_text_becomes_bytes_only_in_measures_and_nothing_prints(path):
+    assert [(f, what, line) for f, what, line in _stream_bytes(_tree(path))
+            if what == "print" or path.stem != BYTES_AT] == []
+
+
+def test_the_bytes_guard_sees_each_form():
+    tree = ast.parse(
+        "def emit(text):\n"
+        "    sys.stdout.buffer.write(text.encode('utf-8'))\n"
+        "    raw = getattr(sys.stderr, 'buffer', None)\n"
+        "    print(text, file=sys.stderr)\n"
+        "class W:\n"
+        "    def close(self):\n"
+        "        builtins.print(codecs.encode(x)), self.buffered, getattr(s, 'buffered')\n"
+    )
+    assert _stream_bytes(tree) == [
+        ("emit", "buffer", 2), ("emit", "encode", 2), ("emit", "buffer", 3), ("emit", "print", 4),
+        ("W.close", "print", 7), ("W.close", "encode", 7),
+    ]
 
 
 def test_the_split_read_raises_nothing():

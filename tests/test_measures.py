@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import re
@@ -7,13 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from infoflow import CapacityError, Dist, InfoMeasure, Joint, entropy, mutual_information
+from infoflow import CapacityError, Dist, InfoMeasure, Joint, entropy, measures, mutual_information
 from infoflow.causal import Node
 from infoflow.channels import Channel, randomized_response
 from infoflow.measures import (
-    _at_least, _check_size, _distinct, _has_bool, _known, _nonneg, _number, _stochastic, _unit,
+    _at_least, _check_size, _distinct, _has_bool, _known, _nonneg, _number, _stochastic, _unit, read_file, write_csv,
+    write_text,
 )
-from helpers import entropy_cells, has_bool_recursive, mi_cells
+from helpers import entropy_cells, has_bool_recursive, mi_cells, write_csv_rows
 
 
 def dist(*ps, labels=None):
@@ -362,3 +364,82 @@ def test_membership_rule_returns_a_known_value_and_names_an_unknown_one(known):
         _known("owned", known, "governance tag")
     with pytest.raises(ValueError, match=r"^unknown owner of node 'S2' 'ghost'$"):
         _known("ghost", known, "owner of node ", "S2")
+
+
+PLAIN_CELLS = st.text(alphabet=["a", " "], max_size=2)  # cells of a chunk that write_csv joins
+ANY_CELLS = st.one_of(
+    st.text(alphabet=["a", " ", ",", '"', "\r", "\n", "\0", "\ufeff"], max_size=3),
+    st.integers(-2, 2), st.floats(width=16), st.none(), st.booleans(),
+)
+
+
+def _csv_text(write, rows) -> str:
+    buf = io.StringIO(newline="")
+    write(rows, buf)
+    return buf.getvalue()
+
+
+class TestWriteCsv:
+    @given(data=st.data())
+    @settings(max_examples=500, deadline=None)
+    def test_any_rows_are_written_as_the_csv_module_writes_them_row_by_row(self, data):
+        # ragged rows of 0 to 3 cells, in chunks small enough that a draw crosses several chunk edges
+        cell = data.draw(st.sampled_from([PLAIN_CELLS, ANY_CELLS]))
+        rows = data.draw(st.lists(st.lists(cell, max_size=3) | st.tuples(cell, cell), max_size=12))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(measures, "_CHUNK_ROWS", data.draw(st.integers(1, 5)))
+            written = _csv_text(write_csv, iter(rows))
+        assert written == _csv_text(write_csv_rows, rows)
+
+    @pytest.mark.parametrize("rows, text", [
+        ([["a", "b"], ["c,d"]], 'a,b\n"c,d"\n'),  # a short row's missing comma is in a cell
+        ([["a", "b\nc"], ["d"], ["e", "f"]], 'a,"b\nc"\nd\ne,f\n'),
+        ([[], ["a"], []], "\na\n\n"),
+        ([["a"], [""], ["b"]], 'a\n""\nb\n'),
+        ([["a", ""], ["", "b"]], "a,\n,b\n"),
+        ([["x\r", "y"], ["z", "w"]], '"x\r","y"\nz,w\n'),
+        ([["k", 1, None, 2.5, True]], "k,1,,2.5,True\n"),
+        ([["a\0", "b"]], "a\0,b\n"),
+    ])
+    def test_rows_whose_join_is_not_the_writers_text(self, rows, text):
+        assert _csv_text(write_csv, rows) == _csv_text(write_csv_rows, rows) == text
+
+    def test_string_cells_the_writer_leaves_as_they_are_are_joined(self, monkeypatch):
+        class Refuse:
+            def writerow(self, row):
+                raise AssertionError(f"the csv module wrote {row!r}")
+
+        monkeypatch.setattr(measures.csv, "writer", lambda *args, **kwargs: Refuse())
+        rows = [["id", "diag"], *([str(i), "flu"] for i in range(2 * measures._CHUNK_ROWS + 1)), ["x"], ["y", "", "z"]]
+        assert _csv_text(write_csv, rows) == "".join(",".join(row) + "\n" for row in rows)
+
+
+class TestWriteText:
+    def test_a_stream_with_no_bytes_beneath_takes_the_text(self):
+        buf = io.StringIO()
+        write_text(buf, "é \udcc3\n")
+        assert buf.getvalue() == "é \udcc3\n"
+
+    def test_the_bytes_are_utf8_after_the_text_the_stream_holds(self):
+        # an ASCII text layer, as sys.stderr in the C locale; an undecodable argv byte comes back as that byte
+        raw = io.BytesIO()
+        stream = io.TextIOWrapper(raw, encoding="ascii")
+        stream.write("first\n")
+        write_text(stream, "nö \udcc3\udcb6\n")
+        stream.write("last\n")
+        stream.flush()
+        assert raw.getvalue() == b"first\nn\xc3\xb6 \xc3\xb6\nlast\n"
+
+
+class TestReadFile:
+    @pytest.mark.parametrize("text", ["a,b\r\n1,2\n", '{"k": ["\ufeff"]}', ""])
+    def test_a_byte_order_mark_at_the_start_is_not_text(self, text, tmp_path):
+        (tmp_path / "twin").write_bytes(text.encode())
+        (tmp_path / "bom").write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert read_file(tmp_path / "bom") == read_file(tmp_path / "twin") == text
+
+    def test_a_mark_after_the_start_stays(self, tmp_path):
+        (tmp_path / "f").write_bytes("a\ufeff,\ufeffb\n\ufeff".encode())
+        (tmp_path / "twice").write_bytes("\ufeff\ufeffa".encode())
+        assert read_file(tmp_path / "f") == "a\ufeff,\ufeffb\n\ufeff"
+        assert read_file(tmp_path / "twice") == "\ufeffa"
